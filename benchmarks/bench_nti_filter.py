@@ -211,20 +211,20 @@ def build_requests(
 
 
 def make_analyzer(mode: str) -> NTIAnalyzer:
-    """NTI analyzer for one bench mode, match cache off.
+    """NTI analyzer for one bench mode, NTI cache off.
 
-    With the cross-request match LRU on, repeated (value, query) pairs
-    would measure the cache instead of the matcher; the filter's benefit
-    is precisely on cache-miss traffic, so the cache is disabled for all
-    modes alike.  The per-query profile cache stays on (both pipelines
-    share it identically).
+    With the cross-request per-query cache on, repeated (value, query)
+    pairs would measure the cache instead of the matcher; the filter's
+    benefit is precisely on cache-miss traffic, so the cache is disabled
+    for all modes alike (pruning tables are still shared across the inputs
+    of one query).
     """
     if mode == "filtered":
-        config = NTIConfig(prefilter="auto", match_cache_size=0)
+        config = NTIConfig(prefilter="auto", cache_size=0)
     elif mode == "unfiltered":
-        config = NTIConfig(prefilter="off", match_cache_size=0)
+        config = NTIConfig(prefilter="off", cache_size=0)
     elif mode == "oracle":
-        config = NTIConfig(prefilter="off", matcher="dp", match_cache_size=0)
+        config = NTIConfig(prefilter="off", matcher="dp", cache_size=0)
     else:  # pragma: no cover - bench-internal selector
         raise ValueError(mode)
     return NTIAnalyzer(config)

@@ -297,15 +297,17 @@ def run_storm(
     # The reference engine is warmed with the same matrix first so both
     # sides serve from equally-warm caches (cache-hit verdicts elide
     # markings by design; comparing a warm engine to a cold one would
-    # flag that, not a tenancy bug).
+    # flag that, not a tenancy bug).  Twice: shape plans are admitted on
+    # a shape's second sighting.
     divergences = 0
     for tenant_id in tenant_ids:
         store = registry.get(tenant_id)
         dedicated = JozaEngine.from_fragments(list(store.fragments))
-        for query, values, _ in MATRIX:  # warm the reference caches
-            dedicated.inspect_batch([query], ctx(values))
-        for query, values, _ in MATRIX:  # warm the tenant engine post-storm
-            engines[tenant_id].inspect_batch([query], ctx(values))
+        for __ in range(2):
+            for query, values, _ in MATRIX:  # warm the reference caches
+                dedicated.inspect_batch([query], ctx(values))
+            for query, values, _ in MATRIX:  # warm the tenant engine post-storm
+                engines[tenant_id].inspect_batch([query], ctx(values))
         for query, values, is_attack in MATRIX:
             mine = engines[tenant_id].inspect_batch([query], ctx(values))[0]
             theirs = dedicated.inspect_batch([query], ctx(values))[0]

@@ -138,6 +138,9 @@ class EngineStats:
     shape_fallthroughs: int = 0
     #: Plans built and cached after clean, fully-safe cold analyses.
     shape_plans_built: int = 0
+    #: Clean, fully-safe cold analyses of a shape's first sighting: the
+    #: doorkeeper deferred admission, so no plan was built.
+    shape_admissions_deferred: int = 0
     #: Shadow validation: sampled fast-path verdicts re-checked cold ...
     shadow_checks: int = 0
     #: ... and how many disagreed (must stay zero; cold verdict wins).
@@ -182,6 +185,7 @@ class EngineStats:
                 "shape_misses": self.shape_misses,
                 "shape_fallthroughs": self.shape_fallthroughs,
                 "shape_plans_built": self.shape_plans_built,
+                "shape_admissions_deferred": self.shape_admissions_deferred,
                 "shadow_checks": self.shadow_checks,
                 "shadow_divergences": self.shadow_divergences,
             }
@@ -297,22 +301,12 @@ class JozaEngine:
     def store(self) -> FragmentStore:
         return self.daemon.store
 
-    def nti_cache_stats(self) -> dict[str, dict[str, float]]:
-        """Hit/miss counters of the NTI match/profile caches.
-
-        .. deprecated:: kept as a stable alias; new code should use
-           :meth:`cache_stats`, which covers every cache in the engine
-           (NTI match/profile, PTI query/structure, shape plans) in one
-           introspection call.
-        """
-        return self.nti.cache_stats()
-
     def cache_stats(self) -> dict[str, dict[str, dict[str, float]]]:
         """Unified cache introspection: one dict covering every cache layer.
 
         Layout::
 
-            {"nti":   {"match": {...}, "profile": {...}},
+            {"nti":   {"match": {...}, "filter": {...}},
              "pti":   {"query": {...}, "structure": {...}, "matcher": {...}},
              "shape": {"plans": {... incl. engine fast-path counters},
                        "pti_matcher": {... recheck analyzer counters}}}
@@ -322,8 +316,11 @@ class JozaEngine:
         prunes; DESIGN.md section 9) for the daemon's analyzer and for the
         shape fast path's recheck analyzer respectively.
 
-        Each leaf carries ``hits`` / ``misses`` / ``hit_rate`` / ``entries``
-        (floats, bench-reporting convention); PTI entries appear only when
+        Each cache leaf carries ``hits`` / ``misses`` / ``hit_rate`` /
+        ``entries`` (floats, bench-reporting convention).  ``nti.match`` is
+        the per-query NTI cache and counts per query (see
+        :meth:`~repro.nti.inference.NTIAnalyzer.cache_stats`); ``nti.filter``
+        holds the prefilter counters.  PTI entries appear only when
         the daemon object exposes its caches (the in-process
         :class:`~repro.pti.daemon.PTIDaemon` does; a subprocess daemon's
         caches live in the child and are not remotely introspectable).
@@ -444,7 +441,8 @@ class JozaEngine:
         is looked up in the plan cache first.  A hit replays the cached
         analysis (PTI structure coverage pre-proven, NTI over prefiltered
         inputs) without touching the daemon; any doubt falls through to the
-        cold path below.  Only clean, fully-safe cold analyses plant plans.
+        cold path below.  Only clean, fully-safe cold analyses plant plans,
+        and only on a shape's second sighting (see :meth:`_maybe_plant_plan`).
         """
         self.stats.bump(queries_checked=1)
         if deadline is None:
@@ -831,15 +829,20 @@ class JozaEngine:
     ) -> None:
         """Plant a shape plan after a clean cold analysis (best-effort).
 
-        ``epoch0`` is the epoch pinned *before* the analysis ran; the
-        cache refuses the put if the store has moved on since (stale
-        trust), which is exactly the mid-batch-mutation guarantee
-        ``inspect_batch`` relies on.
+        Only a shape's second clean sighting within the cache's doorkeeper
+        window builds a plan (:meth:`ShapeCache.admit`); a first sighting
+        is counted as a deferred admission.  ``epoch0`` is the epoch pinned
+        *before* the analysis ran; the cache refuses the put if the store
+        has moved on since (stale trust), which is exactly the
+        mid-batch-mutation guarantee ``inspect_batch`` relies on.
         """
         if tokens is None or not self._plan_cacheable(verdict):
             return
         cache = self.shape_cache
         if cache is None:
+            return
+        if not cache.admit(skeleton.key):
+            self.stats.bump(shape_admissions_deferred=1)
             return
         t0 = time.perf_counter()
         try:
@@ -1216,7 +1219,7 @@ class JozaEngine:
                     "attacks_blocked": self.stats.attacks_blocked,
                     "nti_detections": self.stats.nti_detections,
                     "pti_detections": self.stats.pti_detections,
-                    "nti_caches": self.nti_cache_stats(),
+                    "nti_caches": self.cache_stats()["nti"],
                     "resilience": self.resilience_report(),
                 },
                 "attacks": [record.to_dict() for record in self.attack_log],

@@ -38,6 +38,17 @@ Invalidation is by **fragment-store epoch**: any mutation of the store bumps
 / :meth:`ShapeCache.put` clear the whole cache when the epoch moved (plans
 embed coverage decisions, which a removed fragment can invalidate and an
 added fragment can improve; either way the cached plan is stale).
+
+Admission is on the **second sighting**: a plan costs a witness search per
+critical token to build, which only pays if the shape recurs.  A
+TinyLFU-style doorkeeper (:meth:`ShapeCache.admit`) remembers the skeleton
+keys of the last ``capacity`` clean cold analyses that were not admitted;
+a key already there is admitted and its plan built, any other key is only
+remembered.  One-off shapes therefore never reach :func:`build_plan`, and
+a recurring shape is planted one query later than it would be otherwise.
+The doorkeeper holds keys, never trust -- every plan is still built from
+the clean cold analysis that admitted it, at that analysis's pinned epoch
+-- so it survives epoch flushes.
 """
 
 from __future__ import annotations
@@ -50,7 +61,7 @@ from dataclasses import dataclass
 from ..matching.filter import edit_budget
 from ..matching.substring import TextProfile
 from ..pti.caches import CacheStats
-from ..sqlparser.skeleton import LiteralSlot, Skeleton
+from ..sqlparser.skeleton import LiteralSlot, Skeleton, witness_segments
 from ..sqlparser.tokens import Token, TokenType
 
 __all__ = [
@@ -475,12 +486,12 @@ class ShapeCache:
     plans were built under, the entire cache is dropped (every plan embeds
     coverage decisions against the old store).
 
-    Thread-safe: the epoch sync, the LRU rewiring and the counters all run
-    under one internal lock, so a fragment reload racing N fast-path
-    lookups can only produce misses (cold-path fallthrough), never a plan
-    from a torn epoch (DESIGN.md section 10).  ``put`` refuses epochs older
-    than the one already synced, so a slow cold path cannot re-plant a plan
-    built against a superseded vocabulary.
+    Thread-safe: the epoch sync, the LRU rewiring, the doorkeeper and the
+    counters all run under one internal lock, so a fragment reload racing
+    N fast-path lookups can only produce misses (cold-path fallthrough),
+    never a plan from a torn epoch (DESIGN.md section 10).  ``put`` refuses
+    epochs older than the one already synced, so a slow cold path cannot
+    re-plant a plan built against a superseded vocabulary.
     """
 
     _UNSYNCED = object()
@@ -490,6 +501,9 @@ class ShapeCache:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._store: OrderedDict[str, ShapePlan] = OrderedDict()
+        #: Doorkeeper: skeleton keys of the last ``capacity`` clean cold
+        #: sightings not yet admitted (keys only, never trust).
+        self._seen: OrderedDict[str, None] = OrderedDict()
         self._epoch: object = self._UNSYNCED
         self._lock = threading.RLock()
         self.stats = CacheStats()
@@ -532,6 +546,24 @@ class ShapeCache:
             plan.hits += 1
             return plan
 
+    def admit(self, key: str) -> bool:
+        """Whether a clean cold analysis of ``key`` should build a plan.
+
+        True on the key's second sighting within the window of the last
+        ``capacity`` remembered keys (the key is then forgotten: its plan
+        takes over); otherwise the key is remembered, the oldest key beyond
+        the window ages out, and the admission is deferred.
+        """
+        with self._lock:
+            seen = self._seen
+            if key in seen:
+                del seen[key]
+                return True
+            seen[key] = None
+            if len(seen) > self.capacity:
+                seen.popitem(last=False)
+            return False
+
     def put(self, key: str, plan: ShapePlan, epoch: int) -> None:
         with self._lock:
             current = self._epoch
@@ -557,6 +589,7 @@ class ShapeCache:
     def clear(self) -> None:
         with self._lock:
             self._store.clear()
+            self._seen.clear()
             self._epoch = self._UNSYNCED
 
     def __len__(self) -> int:
@@ -604,34 +637,22 @@ def build_plan(
     - any critical token is not covered by a fragment (unsafe shapes are
       not a shape-level property; see module docstring).
     """
-    slots = skeleton.slots
-    nslots = len(slots)
-    plan_tokens: list[PlanToken] = []
-    seg = 0
-    for tok in tokens:
-        while seg < nslots and slots[seg].end <= tok.start:
-            seg += 1
-        if seg < nslots and tok.end > slots[seg].start:
-            return None  # token overlaps a literal slot
-        witness = analyzer.cover_token_witness(query, tok)
-        if witness is None:
-            return None  # uncovered token: shape must not be cached
-        fragment, pos = witness
-        seg_start = slots[seg - 1].end if seg > 0 else 0
-        seg_end = slots[seg].start if seg < nslots else len(query)
-        occ_end = pos + len(fragment)
-        recheck = not (seg_start <= pos and occ_end <= seg_end)
-        plan_tokens.append(
-            PlanToken(
-                type=tok.type,
-                text=tok.text,
-                value=tok.value,
-                start=tok.start,
-                end=tok.end,
-                segment=seg,
-                recheck=recheck,
-                witness=fragment if recheck else None,
-                witness_rel=tok.start - pos if recheck else 0,
-            )
+    witnesses = [analyzer.cover_token_witness(query, tok) for tok in tokens]
+    placed = witness_segments(skeleton.slots, len(query), tokens, witnesses)
+    if placed is None:
+        return None  # slot-overlapping or uncovered token: never cache
+    plan_tokens = tuple(
+        PlanToken(
+            type=tok.type,
+            text=tok.text,
+            value=tok.value,
+            start=tok.start,
+            end=tok.end,
+            segment=seg,
+            recheck=recheck,
+            witness=fragment if recheck else None,
+            witness_rel=tok.start - pos if recheck else 0,
         )
-    return ShapePlan(skeleton.key, slots, tuple(plan_tokens))
+        for tok, (fragment, pos), (seg, recheck) in zip(tokens, witnesses, placed)
+    )
+    return ShapePlan(skeleton.key, skeleton.slots, plan_tokens)

@@ -1,6 +1,6 @@
 """Negative taint inference component (paper Section III-A)."""
 
-from .cache import NTIMatchCache, TextProfileCache
+from .cache import NTIQueryCache, NTIQueryEntry
 from .inference import NTIAnalyzer, NTIConfig
 from .prefilter import PREFILTER_CHOICES, FilterStats
 from .sources import candidate_inputs
@@ -8,8 +8,8 @@ from .sources import candidate_inputs
 __all__ = [
     "NTIAnalyzer",
     "NTIConfig",
-    "NTIMatchCache",
-    "TextProfileCache",
+    "NTIQueryCache",
+    "NTIQueryEntry",
     "PREFILTER_CHOICES",
     "FilterStats",
     "candidate_inputs",

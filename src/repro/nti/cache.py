@@ -1,26 +1,30 @@
-"""NTI match caches, mirroring the PTI query cache (paper Section IV-C.2).
+"""Per-query NTI cache, mirroring the PTI query cache (paper Section IV-C.2).
 
 The PTI side caches *query -> verdict* because "many queries of a web
-application are constant".  The NTI side has the symmetric property: the
-same handful of input values (search terms, comment bodies, IDs) recurs
-against the same handful of query shapes, so the ``(input value, query)``
-pair -- the entire key of a substring-match computation -- repeats heavily
-across requests.  Two caches exploit this:
+application are constant".  NTI work is keyed by the same query string:
+the query's pruning tables (:class:`~repro.matching.substring.TextProfile`)
+depend on the query alone, and every substring-match result is a pure
+function of ``(input value, query)`` plus the analyzer's fixed threshold
+and matcher.  One bounded LRU keyed by query therefore holds both:
 
-- :class:`NTIMatchCache` -- bounded LRU from ``(input value, query string)``
-  to the :class:`~repro.matching.ratio.RatioMatch` (or ``None`` for a
-  proven non-match).  Soundness: the match result is a pure function of the
-  pair plus the analyzer's threshold and matcher choice, both fixed for the
-  analyzer owning the cache (all matcher variants are exact-equivalent);
-  ``RatioMatch``/``SubstringMatch`` are frozen, so sharing one instance
-  across requests is safe.  Negative results are cached too -- benign
-  traffic is the common case, and a cached "no match" skips the whole
-  pruning-plus-scan pipeline.
-- :class:`TextProfileCache` -- bounded LRU from query string to its
-  :class:`~repro.matching.substring.TextProfile` (character-frequency and
-  bigram pruning tables).  Within one request the profile is reused across
-  every candidate input; across requests it is reused whenever the same
-  query text recurs.
+- :class:`NTIQueryEntry` -- the query's ``TextProfile`` (built lazily, the
+  first time an input gets past the exact-containment short circuit) and
+  a plain ``dict`` from input value to the
+  :class:`~repro.matching.ratio.RatioMatch`, or ``None`` for a proven
+  non-match.  Negative results are cached too: benign traffic is the
+  common case, and a cached "no match" skips the whole pruning-plus-scan
+  pipeline.
+- :class:`NTIQueryCache` -- the LRU of entries.  An analysis locks and
+  touches it once per query (:meth:`NTIQueryCache.entry`), then reads and
+  writes the entry's dict without further locking, so a query whose
+  inputs never recur pays one dict lookup per candidate instead of two
+  locked LRU operations.
+
+Concurrency: two threads analysing the same query share one entry.  Every
+write stores a value any other writer would also have computed (the
+results are pure and ``RatioMatch``/``SubstringMatch`` are frozen), and
+single dict-slot assignments are atomic under the GIL, so the worst
+interleaving costs a recomputation, never a wrong result.
 
 Hit/miss accounting reuses :class:`repro.pti.caches.CacheStats` so the
 bench reporting layer can surface NTI and PTI cache behaviour uniformly.
@@ -30,108 +34,71 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Hashable
+from itertools import islice
 
 from ..matching.ratio import RatioMatch
 from ..matching.substring import TextProfile
 from ..pti.caches import CacheStats
 
-__all__ = ["NTIMatchCache", "TextProfileCache"]
+__all__ = ["NTIQueryCache", "NTIQueryEntry", "MAX_INPUTS_PER_QUERY"]
 
-#: Distinguishes "not cached" from a cached negative (``None``) result.
-_MISSING = object()
+#: Bound on the input results one entry memoises.  A constant query sees
+#: the inputs of every request, so its dict would otherwise grow without
+#: limit; past the bound the oldest results are dropped first.
+MAX_INPUTS_PER_QUERY = 256
 
 
-class _KeyedLRUCache:
-    """Bounded LRU over arbitrary hashable keys with hit/miss accounting.
+class NTIQueryEntry:
+    """Everything NTI has computed for one query string."""
 
-    The PTI :class:`~repro.pti.caches._LRUCache` maps plain strings and
-    conflates "absent" with "cached None"; NTI caches need tuple keys and
-    cached negatives, hence the sentinel-based protocol here.
+    __slots__ = ("profile", "matches")
 
-    Thread-safe: LRU reads rewire the recency list, so lookup and store
-    both take the internal lock (held only for the O(1) dict work; cached
-    payloads are immutable, so sharing them across threads is free).
+    def __init__(self) -> None:
+        self.profile: TextProfile | None = None
+        self.matches: dict[str, RatioMatch | None] = {}
+
+    def trim(self) -> None:
+        """Drop the oldest input results beyond :data:`MAX_INPUTS_PER_QUERY`."""
+        matches = self.matches
+        excess = len(matches) - MAX_INPUTS_PER_QUERY
+        if excess > 0:
+            for value in list(islice(matches, excess)):
+                matches.pop(value, None)
+
+
+class NTIQueryCache:
+    """Bounded LRU: query string -> :class:`NTIQueryEntry`.
+
+    ``capacity`` counts queries.  Hits and misses count per query: a hit
+    means the query's entry was resident, so its profile and any input
+    results it holds were reused.
     """
 
-    def __init__(self, capacity: int = 4096) -> None:
+    def __init__(self, capacity: int = 512) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._store: OrderedDict[Hashable, object] = OrderedDict()
+        self._store: OrderedDict[str, NTIQueryEntry] = OrderedDict()
         self._lock = threading.Lock()
         self.stats = CacheStats()
 
-    def lookup(self, key: Hashable) -> object:
-        """Return the cached payload or the module sentinel on a miss."""
+    def entry(self, query: str) -> NTIQueryEntry:
+        """The query's entry, created (and counted as a miss) when absent."""
         with self._lock:
             store = self._store
-            if key in store:
-                store.move_to_end(key)
+            entry = store.get(query)
+            if entry is not None:
+                store.move_to_end(query)
                 self.stats.hits += 1
-                return store[key]
+                return entry
             self.stats.misses += 1
-            return _MISSING
-
-    def store(self, key: Hashable, value: object) -> None:
-        with self._lock:
-            self._store[key] = value
-            self._store.move_to_end(key)
-            while len(self._store) > self.capacity:
-                self._store.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._store.clear()
+            entry = store[query] = NTIQueryEntry()
+            if len(store) > self.capacity:
+                store.popitem(last=False)
+            return entry
 
     def __len__(self) -> int:
         return len(self._store)
 
-
-class NTIMatchCache(_KeyedLRUCache):
-    """Cross-request LRU: ``(input value, query)`` -> match result.
-
-    ``get`` returns ``(hit, result)`` so a cached ``None`` (proven
-    non-match) is distinguishable from a cache miss.
-    """
-
-    def get(self, value: str, query: str) -> tuple[bool, RatioMatch | None]:
-        cached = self.lookup((value, query))
-        if cached is _MISSING:
-            return False, None
-        return True, cached  # type: ignore[return-value]
-
-    def put(self, value: str, query: str, result: RatioMatch | None) -> None:
-        self.store((value, query), result)
-
-
-class TextProfileCache(_KeyedLRUCache):
-    """Cross-request LRU: query string -> :class:`TextProfile`.
-
-    ``get_or_build`` never returns a miss -- it builds and caches the
-    profile on demand (the build itself is what the cache amortises).
-    """
-
-    def get_or_build(self, query: str) -> TextProfile:
-        cached = self.lookup(query)
-        if cached is not _MISSING:
-            return cached  # type: ignore[return-value]
-        profile = TextProfile(query)
-        self.store(query, profile)
-        return profile
-
-    def peek(self, query: str) -> TextProfile | None:
-        """The cached profile if present, else ``None`` -- never builds.
-
-        Lets the batched prefilter reuse an already-materialised profile
-        (and its adaptive seed index) without forcing the ``O(query)``
-        table build for requests whose candidates all prune.  Refreshes
-        recency but does not touch the hit/miss stats: a peek-miss is not
-        a build the cache failed to amortise.
-        """
-        with self._lock:
-            store = self._store
-            profile = store.get(query)
-            if profile is not None:
-                store.move_to_end(query)
-        return profile  # type: ignore[return-value]
+    def __contains__(self, query: str) -> bool:
+        return query in self._store

@@ -25,11 +25,11 @@ Performance structure (the per-request hot path of the whole system):
 - the matching core is selectable (:attr:`NTIConfig.matcher`): Myers'
   bit-parallel scan by default, the Sellers DP as oracle;
 - the query's pruning tables (:class:`~repro.matching.substring.TextProfile`)
-  are built once per query and shared across every candidate input (and
-  cached across requests);
-- a cross-request LRU (:class:`~repro.nti.cache.NTIMatchCache`) memoises
-  the full ``(input value, query) -> match`` computation, the NTI analogue
-  of the PTI query cache.
+  are built once per query and shared across every candidate input;
+- a cross-request LRU keyed by query (:class:`~repro.nti.cache.NTIQueryCache`)
+  keeps each query's pruning tables and its ``input value -> match``
+  results, the NTI analogue of the PTI query cache.  An analysis touches
+  it once per query, not once per candidate input.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from ..matching.substring import MATCHER_CHOICES, SubstringMatch, TextProfile
 from ..phpapp.context import RequestContext
 from ..sqlparser.parser import critical_tokens
 from ..sqlparser.tokens import Token
-from .cache import NTIMatchCache, TextProfileCache
+from .cache import NTIQueryCache, NTIQueryEntry
 from .prefilter import (
     FULL_SCAN,
     MIN_PIECE,
@@ -64,6 +64,9 @@ from .prefilter import (
 from .sources import candidate_inputs
 
 __all__ = ["NTIConfig", "NTIAnalyzer"]
+
+#: Distinguishes "not memoised" from a memoised negative (``None``) result.
+_MISSING = object()
 
 # Amortisation guard for the batched front-end: the packed pass pays one
 # whole-query scan, which a handful of lanes cannot amortise, so below
@@ -94,19 +97,18 @@ class NTIConfig:
             change results; with ``matcher="dp"`` no filtering is ever
             applied regardless, keeping the DP pipeline the verbatim
             differential oracle.
-        match_cache_size: capacity of the cross-request ``(input, query)``
-            match LRU; ``0`` disables it (the cache ablation setting).
-        profile_cache_size: capacity of the query -> pruning-tables LRU;
-            ``0`` disables cross-request reuse (tables are still shared
-            across the inputs of one query).
+        cache_size: capacity of the cross-request per-query cache,
+            counted in queries: each entry holds one query's pruning
+            tables and its input match results.  ``0`` disables it (the
+            cache ablation setting; tables are still shared across the
+            inputs of one query).
     """
 
     threshold: float = DEFAULT_NTI_THRESHOLD
     min_input_length: int = 1
     matcher: str = "auto"
     prefilter: str = "auto"
-    match_cache_size: int = 4096
-    profile_cache_size: int = 512
+    cache_size: int = 512
 
     def __post_init__(self) -> None:
         if self.matcher not in MATCHER_CHOICES:
@@ -125,21 +127,17 @@ class NTIAnalyzer:
     """Correlate raw inputs with an intercepted query.
 
     Verdict-wise stateless (every ``analyze`` call is a pure function of
-    query and context); operationally it owns the two NTI caches, which are
-    sound because a match result depends only on the ``(input, query)``
-    pair and the analyzer's fixed threshold/matcher configuration.
+    query and context); operationally it owns the per-query NTI cache,
+    which is sound because a match result depends only on the
+    ``(input, query)`` pair and the analyzer's fixed threshold/matcher
+    configuration.
     """
 
     def __init__(self, config: NTIConfig | None = None) -> None:
         self.config = config or NTIConfig()
-        self.match_cache: NTIMatchCache | None = (
-            NTIMatchCache(self.config.match_cache_size)
-            if self.config.match_cache_size > 0
-            else None
-        )
-        self.profile_cache: TextProfileCache | None = (
-            TextProfileCache(self.config.profile_cache_size)
-            if self.config.profile_cache_size > 0
+        self.cache: NTIQueryCache | None = (
+            NTIQueryCache(self.config.cache_size)
+            if self.config.cache_size > 0
             else None
         )
         self._stats = FilterStats()
@@ -156,19 +154,21 @@ class NTIAnalyzer:
         )
 
     def cache_stats(self) -> dict[str, dict[str, float]]:
-        """Hit/miss counters of both NTI caches (bench reporting hook)."""
+        """Per-query cache and prefilter counters (bench reporting hook).
+
+        ``match`` counts per query, not per input: one lookup per analysed
+        query, a hit when the query's entry was resident; ``entries`` is
+        the number of resident queries.  Absent when the cache is off.
+        """
         out: dict[str, dict[str, float]] = {}
-        for name, cache in (
-            ("match", self.match_cache),
-            ("profile", self.profile_cache),
-        ):
-            if cache is not None:
-                out[name] = {
-                    "hits": cache.stats.hits,
-                    "misses": cache.stats.misses,
-                    "hit_rate": cache.stats.hit_rate,
-                    "entries": len(cache),
-                }
+        cache = self.cache
+        if cache is not None:
+            out["match"] = {
+                "hits": cache.stats.hits,
+                "misses": cache.stats.misses,
+                "hit_rate": cache.stats.hit_rate,
+                "entries": len(cache),
+            }
         out["filter"] = self._stats.as_dict()
         return out
 
@@ -176,21 +176,19 @@ class NTIAnalyzer:
         """Prefilter effectiveness counters (see :class:`FilterStats`)."""
         return self._stats.as_dict()
 
-    def _profile_for(self, query: str, holder: list) -> TextProfile:
-        """Lazily build/fetch the query's pruning tables (once per query).
+    @staticmethod
+    def _profile_for(query: str, holder: list) -> TextProfile:
+        """Lazily build the query's pruning tables (once per query).
 
-        ``holder[0]`` may start out as ``None`` (build or fetch from the
-        cross-request cache), a ready :class:`TextProfile`, or a
-        zero-argument factory (the shape fast path's incremental assembly);
-        whatever it was, the resolved profile is memoised back into the
-        holder so later inputs of the same query reuse it.
+        ``holder[0]`` may start out as ``None`` (build), a ready
+        :class:`TextProfile` (from the query's cache entry or the caller),
+        or a zero-argument factory (the shape fast path's incremental
+        assembly); whatever it was, the resolved profile is memoised back
+        into the holder so later inputs of the same query reuse it.
         """
         value = holder[0]
         if value is None:
-            if self.profile_cache is not None:
-                value = self.profile_cache.get_or_build(query)
-            else:
-                value = TextProfile(query)
+            value = TextProfile(query)
             holder[0] = value
         elif callable(value):
             value = value()
@@ -202,23 +200,25 @@ class NTIAnalyzer:
         value: str,
         query: str,
         holder: list,
+        memo: dict | None,
         filtered: bool | None = None,
         bounds: bool = True,
     ) -> RatioMatch | None:
         """One memoised substring-match computation.
 
-        ``filtered`` overrides the analyzer-level prefilter activation:
-        the batched path passes ``False`` for candidates whose pigeonhole
-        probe already declined, so the pipeline does not probe them a
-        second time.  ``bounds=False`` additionally skips the char/bigram
+        ``memo`` is the query's ``input -> result`` dict from its cache
+        entry (``None`` with the cache off).  ``filtered`` overrides the
+        analyzer-level prefilter activation: the batched path passes
+        ``False`` for candidates whose pigeonhole probe already declined,
+        so the pipeline does not probe them a second time.
+        ``bounds=False`` additionally skips the char/bigram
         bound heuristics -- and with them the ``O(query)`` profile-table
         build -- for candidates the batch front end already knows the
         bounds cannot prune.  Results are identical either way.
         """
-        cache = self.match_cache
-        if cache is not None:
-            hit, cached = cache.get(value, query)
-            if hit:
+        if memo is not None:
+            cached = memo.get(value, _MISSING)
+            if cached is not _MISSING:
                 return cached
         result = match_with_ratio(
             value,
@@ -232,8 +232,8 @@ class NTIAnalyzer:
             bounds=bounds,
             stats=self._stats,
         )
-        if cache is not None:
-            cache.put(value, query, result)
+        if memo is not None:
+            memo[value] = result
         return result
 
     def _match_packed(
@@ -242,6 +242,7 @@ class NTIAnalyzer:
         values,
         holder: list,
         deadline: Deadline | None,
+        memo: dict | None,
     ) -> list[RatioMatch | None]:
         """Resolve every candidate inline, batching small misses through one scan.
 
@@ -261,17 +262,15 @@ class NTIAnalyzer:
         """
         threshold = self.config.threshold
         min_len = self.config.min_input_length
-        cache = self.match_cache
         stats = self._stats
         # Probe tier: pieces probe the query text directly via str.find
         # unless this query's profile is already materialised (carried in
-        # by the caller, or cached from an earlier request), in which case
-        # its adaptive seed index can serve.  Never build tables just to
-        # probe -- a request whose candidates all prune stays O(probes).
+        # by the caller, or kept in the query's cache entry from an earlier
+        # request), in which case its adaptive seed index can serve.  Never
+        # build tables just to probe -- a request whose candidates all
+        # prune stays O(probes).
         seed_prof = holder[0]
-        if seed_prof is None and self.profile_cache is not None:
-            seed_prof = self.profile_cache.peek(query)
-        elif callable(seed_prof):
+        if callable(seed_prof):
             seed_prof = None
         results: list[RatioMatch | None] = []
         pending: list[int] = []
@@ -283,13 +282,13 @@ class NTIAnalyzer:
             if n < min_len:
                 results.append(None)
                 continue
-            if cache is not None:
-                hit, cached = cache.get(value, query)
-                if hit:
+            if memo is not None:
+                cached = memo.get(value, _MISSING)
+                if cached is not _MISSING:
                     results.append(cached)
                     continue
             if not value:
-                results.append(self._match(value, query, holder))
+                results.append(self._match(value, query, holder, memo))
                 continue
             idx = query.find(value)
             if idx >= 0:
@@ -299,8 +298,8 @@ class NTIAnalyzer:
                 matched = RatioMatch(
                     match=SubstringMatch(0, idx, idx + n), ratio=0.0
                 )
-                if cache is not None:
-                    cache.put(value, query, matched)
+                if memo is not None:
+                    memo[value] = matched
                 results.append(matched)
                 continue
             budget = edit_budget(n, threshold)
@@ -308,8 +307,8 @@ class NTIAnalyzer:
                 # The containment probe missed and the budget admits no
                 # edits: provably no match, nothing left to compute.
                 stats.pruned_zero_budget += 1
-                if cache is not None:
-                    cache.put(value, query, None)
+                if memo is not None:
+                    memo[value] = None
                 results.append(None)
                 continue
             if budget < n and qgram_applicable(n, budget, MIN_PIECE):
@@ -325,8 +324,8 @@ class NTIAnalyzer:
                     seed_prof.bigram_index if grams is not None else None,
                 )
                 if outcome is None:
-                    if cache is not None:
-                        cache.put(value, query, None)
+                    if memo is not None:
+                        memo[value] = None
                     results.append(None)
                     continue
                 if outcome is not FULL_SCAN:
@@ -339,8 +338,8 @@ class NTIAnalyzer:
                         if ratio <= threshold
                         else None
                     )
-                    if cache is not None:
-                        cache.put(value, query, resolved)
+                    if memo is not None:
+                        memo[value] = resolved
                     results.append(resolved)
                     continue
                 if n <= PACKED_MAX_PATTERN:
@@ -354,7 +353,9 @@ class NTIAnalyzer:
                 # pipeline (char/bigram bounds still prune many of these
                 # cheaply) without probing a second time.
                 stats.fallthrough_full_scan += 1
-                results.append(self._match(value, query, holder, filtered=False))
+                results.append(
+                    self._match(value, query, holder, memo, filtered=False)
+                )
                 continue
             if budget < n and n <= PACKED_MAX_PATTERN:
                 # Pieces would be too narrow to probe: small candidates
@@ -363,14 +364,14 @@ class NTIAnalyzer:
                 pending_budgets.append(budget)
                 results.append(None)  # placeholder, fixed up below
                 continue
-            results.append(self._match(value, query, holder))
+            results.append(self._match(value, query, holder, memo))
         if pending and len(pending) < MIN_PACKED_LANES:
             # Too few lanes to amortise a whole-query packed scan: resolve
             # them through the plain pipeline instead (short patterns, so
             # a direct scan beats materialising bound tables).
             for i in pending:
                 results[i] = self._match(
-                    values[i], query, holder, filtered=False, bounds=False
+                    values[i], query, holder, memo, filtered=False, bounds=False
                 )
             pending = []
         if pending:
@@ -386,12 +387,12 @@ class NTIAnalyzer:
                     # so the bounds cannot prune: go straight to the core.
                     stats.packed_verified += 1
                     results[i] = self._match(
-                        value, query, holder, filtered=False, bounds=False
+                        value, query, holder, memo, filtered=False, bounds=False
                     )
-                elif cache is not None:
+                elif memo is not None:
                     # A pruned lane is a proof of no match within budget:
                     # memoise the negative result like the exact path does.
-                    cache.put(value, query, None)
+                    memo[value] = None
         return results
 
     def analyze(
@@ -435,18 +436,27 @@ class NTIAnalyzer:
         crit = tokens if tokens is not None else critical_tokens(query)
         markings: list[TaintMarking] = []
         detections: list[Detection] = []
-        # Pruning tables depend only on the query: built (or fetched from
-        # the cross-request cache) at most once per analyze call, lazily on
-        # the first match-cache miss, then shared across all inputs.
-        profile_holder: list = [profile]
         if values is None:
             values = candidate_inputs(context, query, self.config.threshold)
-        # Packed mode resolves all candidates up front (small cache-misses
+        # One cache touch per query: the entry carries the query's pruning
+        # tables and its input -> result memo across requests.
+        entry: NTIQueryEntry | None = None
+        memo = None
+        if self.cache is not None and values:
+            entry = self.cache.entry(query)
+            memo = entry.matches
+            if entry.profile is not None:
+                profile = entry.profile
+        # Pruning tables depend only on the query: built at most once per
+        # analyze call, lazily on the first memo miss, then shared across
+        # all inputs.
+        profile_holder: list = [profile]
+        # Packed mode resolves all candidates up front (small memo misses
         # share one multi-lane scan); otherwise each value is matched
         # inline.  Either way the per-value order, deadline checks and
-        # cache traffic are identical.
+        # memo traffic are identical.
         matches = (
-            self._match_packed(query, values, profile_holder, deadline)
+            self._match_packed(query, values, profile_holder, deadline, memo)
             if self._pack_active
             else None
         )
@@ -461,7 +471,7 @@ class NTIAnalyzer:
                     deadline.check("nti")
                 if len(value) < min_len:
                     continue
-                matched = self._match(value, query, profile_holder)
+                matched = self._match(value, query, profile_holder, memo)
             if matched is None:
                 continue
             # Hoist the span once (RatioMatch.start/end are forwarding
@@ -492,6 +502,11 @@ class NTIAnalyzer:
                             input_value=value,
                         )
                     )
+        if entry is not None:
+            resolved = profile_holder[0]
+            if entry.profile is None and type(resolved) is TextProfile:
+                entry.profile = resolved
+            entry.trim()
         return AnalysisResult(
             technique=Technique.NTI,
             safe=not detections,

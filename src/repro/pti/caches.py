@@ -4,7 +4,7 @@
    many queries of a web application are constant and do not rely on any
    user-input, caching improves performance significantly" (IV-C.2).  This
    is what takes WordPress read requests to <4% overhead (Table V).
-2. :class:`StructureCache` -- AST structure signature -> safety verdict.
+2. :class:`StructureCache` -- query skeleton -> proof of safety.
    "Caches the structure of the SQL query abstract-syntax-tree without the
    content of data nodes", covering dynamic queries whose literals vary per
    request; takes write requests from 34% to 12% overhead (Table V).
@@ -12,16 +12,24 @@
    the full store "to take advantage of the SQL query working set of a Web
    application" (VI-A).
 
-Caching *safety* by structure is sound under the paper's threat model: an
-injection, by definition, introduces or alters critical tokens, which always
-changes the token/AST structure -- literals-only changes cannot turn a safe
-structure into an attack.
+Caching safety by structure alone is *not* sound: PTI coverage depends on
+the exact text between tokens (whitespace included) and, for a fragment
+occurrence that spans a literal, on the literal's contents too.  A
+whitespace-collapsing signature served ``... a = 7 OR  b = 7`` as safe after
+``... a = 1 OR b = 2`` had been proven safe, although the fragment
+``" OR b = "`` no longer occurs in it.  The structure cache is therefore
+keyed by the whitespace-exact skeleton key
+(:func:`~repro.sqlparser.skeletonize`), and each entry records the coverage
+witnesses that cross a literal slot; a hit re-proves those with one
+``startswith`` each and falls back to full analysis on any miss.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+
+from ..sqlparser.skeleton import Skeleton, witness_segments
 
 __all__ = ["QueryCache", "StructureCache", "MRUFragmentCache", "CacheStats"]
 
@@ -97,7 +105,65 @@ class QueryCache(_LRUCache):
 
 
 class StructureCache(_LRUCache):
-    """Structure-signature cache (VI-A); stores safe verdicts only."""
+    """Skeleton-key cache (VI-A); stores proofs of safe verdicts only.
+
+    An entry is ``(token count, rechecks)``: the number of critical tokens
+    of the proven-safe instance, and ``(token index, fragment, offset of
+    the occurrence before the token, fragment length)`` for every token
+    whose coverage witness crossed a literal slot.  Every other witness
+    lies inside one inter-literal segment, which skeleton-key equality
+    makes byte-identical in any other instance, so it re-occurs with its
+    token (see :func:`~repro.sqlparser.skeleton.witness_segments`).
+    """
+
+    def remember(
+        self,
+        skeleton: Skeleton,
+        length: int,
+        tokens: list,
+        witnesses: list,
+    ) -> None:
+        """Record a safe analysis of a ``length``-character query."""
+        placed = witness_segments(skeleton.slots, length, tokens, witnesses)
+        if placed is None:
+            return
+        rechecks = tuple(
+            (index, fragment, tokens[index].start - pos, len(fragment))
+            for index, ((fragment, pos), (__, crosses)) in enumerate(
+                zip(witnesses, placed)
+            )
+            if crosses
+        )
+        self.put(skeleton.key, (len(tokens), rechecks))
+
+    def serves(self, key: str, query: str, tokens: list) -> bool:
+        """Whether ``query`` (skeleton ``key``) is proven safe by an entry.
+
+        Re-proves the entry's crossing witnesses against ``query``'s own
+        critical ``tokens``; a missing entry or any failed re-proof counts
+        as a miss, and the caller runs the full analysis.
+        """
+        with self._lock:
+            entry = self._store.get(key)
+            if entry is not None:
+                count, rechecks = entry
+                if len(tokens) == count:
+                    startswith = query.startswith
+                    for index, fragment, rel, flen in rechecks:
+                        token = tokens[index]
+                        pos = token.start - rel
+                        if (
+                            pos < 0
+                            or token.end > pos + flen
+                            or not startswith(fragment, pos)
+                        ):
+                            break
+                    else:
+                        self._store.move_to_end(key)
+                        self.stats.hits += 1
+                        return True
+            self.stats.misses += 1
+            return False
 
 
 class MRUFragmentCache:

@@ -50,7 +50,7 @@ from ..core.resilience import (
 )
 from ..core.verdict import AnalysisResult, Technique
 from ..sqlparser.parser import critical_tokens
-from ..sqlparser.structure import signature_and_tokens
+from ..sqlparser.skeleton import Skeleton, skeletonize
 from ..sqlparser.tokens import Token
 from .caches import QueryCache, StructureCache
 from .fragments import FragmentStore
@@ -232,55 +232,42 @@ class PTIDaemon:
                     tokens=cached_tokens,
                     from_cache="query",
                 )
-        signature: str | None = None
-        tokens: list[Token] | None = None
+        skeleton: Skeleton | None = None
+        t0 = time.perf_counter()
         if self.config.use_structure_cache:
+            skeleton = skeletonize(query)
+        tokens = critical_tokens(query, strict=self.config.strict_tokens)
+        self.timings.add("parse", time.perf_counter() - t0)
+        if skeleton is not None:
             t0 = time.perf_counter()
-            signature, tokens = signature_and_tokens(
-                query, strict=self.config.strict_tokens
-            )
-            self.timings.add("parse", time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            cached = (
-                self.structure_cache.get(signature) if signature is not None else None
-            )
+            hit = self.structure_cache.serves(skeleton.key, query, tokens)
             self.timings.add("cache", time.perf_counter() - t0)
-            if cached is not None:
+            if hit:
                 if self.config.use_query_cache:
-                    self.query_cache.put(query, (cached, tokens))
+                    self.query_cache.put(query, (True, tokens))
                 return DaemonReply(
-                    safe=cached,
+                    safe=True,
                     result=AnalysisResult(
-                        technique=Technique.PTI, safe=cached, from_cache="structure"
+                        technique=Technique.PTI, safe=True, from_cache="structure"
                     ),
                     tokens=tokens,
                     from_cache="structure",
                 )
-        if tokens is None:
-            t0 = time.perf_counter()
-            tokens = critical_tokens(query, strict=self.config.strict_tokens)
-            self.timings.add("parse", time.perf_counter() - t0)
         if deadline is not None:
             deadline.check("pti")
         t0 = time.perf_counter()
-        result = self.analyzer.analyze(query, tokens)
+        result, witnesses = self.analyzer.analyze_witnessed(query, tokens)
         self.timings.add("match", time.perf_counter() - t0)
         t0 = time.perf_counter()
         if self.config.use_query_cache:
             self.query_cache.put(query, (result.safe, tokens))
-        # Only SAFE verdicts are cacheable by signature: the signature
-        # identifies a code-site template, and a template once proven safe
-        # stays safe for any bound data.  Unsafe verdicts are not structural
-        # facts (a differently-spaced/ cased attack may be coverable), and
-        # attacks are rare enough that re-analysing them costs nothing --
-        # "malicious queries may require scanning the entire set of
-        # fragments" (Section VI-A).
-        if (
-            self.config.use_structure_cache
-            and signature is not None
-            and result.safe
-        ):
-            self.structure_cache.put(signature, result.safe)
+        # Only SAFE verdicts are cacheable by skeleton, together with the
+        # witnesses a later instance must re-prove (StructureCache).
+        # Unsafe verdicts are not structural facts, and attacks are rare
+        # enough that re-analysing them costs nothing -- "malicious queries
+        # may require scanning the entire set of fragments" (Section VI-A).
+        if skeleton is not None and result.safe:
+            self.structure_cache.remember(skeleton, len(query), tokens, witnesses)
         self.timings.add("cache", time.perf_counter() - t0)
         return DaemonReply(safe=result.safe, result=result, tokens=tokens)
 

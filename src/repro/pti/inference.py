@@ -339,11 +339,6 @@ class PTIAnalyzer:
                 )
             return self._scan_witness(query, token)
 
-    def _cover_token(self, query: str, token: Token) -> str | None:
-        """Find a fragment covering ``token``; returns it or ``None``."""
-        witness = self.cover_token_witness(query, token)
-        return None if witness is None else witness[0]
-
     def analyze(
         self,
         query: str,
@@ -356,12 +351,28 @@ class PTIAnalyzer:
             tokens: optional pre-computed critical tokens (the daemon parses
                 once and shares them with NTI).
         """
+        return self.analyze_witnessed(query, tokens)[0]
+
+    def analyze_witnessed(
+        self,
+        query: str,
+        tokens: list[Token] | None = None,
+    ) -> tuple[AnalysisResult, list[tuple[str, int] | None]]:
+        """:meth:`analyze` plus each token's coverage witness.
+
+        The second element holds one :meth:`cover_token_witness` result per
+        critical token, in token order, straight from the analysis pass (no
+        second search); the daemon's structure cache records the witnesses
+        that cross a literal slot.
+        """
         crit = tokens if tokens is not None else critical_tokens(query)
         markings: list[TaintMarking] = []
         detections: list[Detection] = []
+        witnesses: list[tuple[str, int] | None] = []
         for token in crit:
-            fragment = self._cover_token(query, token)
-            if fragment is None:
+            witness = self.cover_token_witness(query, token)
+            witnesses.append(witness)
+            if witness is None:
                 detections.append(
                     Detection(
                         technique=Technique.PTI,
@@ -377,7 +388,7 @@ class PTIAnalyzer:
                         start=token.start,
                         end=token.end,
                         technique=Technique.PTI,
-                        origin=fragment,
+                        origin=witness[0],
                     )
                 )
         return AnalysisResult(
@@ -385,4 +396,4 @@ class PTIAnalyzer:
             safe=not detections,
             markings=markings,
             detections=detections,
-        )
+        ), witnesses

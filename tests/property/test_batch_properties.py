@@ -8,7 +8,9 @@ of queries from one request context,
 in ``safe`` bit and detecting-technique set -- over generated shape mixes,
 literal values ranging from benign to the paper's evasion payloads
 (magic-quotes comment stuffing, Taintless-style short tokens), warm and
-cold shape caches, and fragment-store mutations racing the batch.  The
+cold shape caches, and fragment-store mutations racing the batch.  Plans
+are admitted on a shape's second sighting, so the warm properties sight
+every shape twice and require ``shape_hits > 0``.  The
 mutation property pins the epoch contract: a store mutation fired from
 *inside* the batch's daemon exchange must neither change verdicts (the
 injected fragment is vocabulary-neutral) nor let the shape cache mix plans
@@ -23,6 +25,7 @@ from repro.core import JozaConfig, JozaEngine, ShapeCacheConfig
 from repro.phpapp.context import CapturedInput, RequestContext
 from repro.pti.daemon import DaemonConfig, PTIDaemon
 from repro.pti.fragments import FragmentStore
+from repro.sqlparser import skeletonize
 
 # Shape templates mirroring the fast-path property suite: fragments are
 # the application's template pieces, values land in the literal slot.
@@ -80,6 +83,19 @@ def build_batch(steps):
     return queries, context
 
 
+#: One clean instance per template: sighting it twice plants every plan.
+BENIGN_WARM = [template["build"]("1") for template in TEMPLATES]
+#: Other instances of the same shapes: served by those plans.
+BENIGN_PROBE = [template["build"]("42") for template in TEMPLATES]
+
+
+def warm_twice(serial_engine, batch_engine, queries, context):
+    for _ in range(2):
+        for q in queries:
+            serial_engine.inspect(q, context)
+        batch_engine.inspect_batch(queries, context)
+
+
 def assert_equivalent(batch_verdicts, serial_verdicts, queries):
     assert len(batch_verdicts) == len(serial_verdicts) == len(queries)
     for bv, sv, query in zip(batch_verdicts, serial_verdicts, queries):
@@ -106,18 +122,20 @@ def test_batch_equals_serial_cold(steps):
 @given(BATCH, BATCH)
 @settings(max_examples=30, deadline=None)
 def test_batch_equals_serial_warm(warm_steps, probe_steps):
-    # Warm both engines with an identical first batch so the probe batch
+    # Warm both engines twice with identical batches so the probe batch
     # exercises shape hits, fallthroughs and fresh shapes alike.
     warm_queries, warm_context = build_batch(warm_steps)
     queries, context = build_batch(probe_steps)
+    queries += BENIGN_PROBE
     serial_engine = JozaEngine.from_fragments(ALL_FRAGMENTS)
     batch_engine = JozaEngine.from_fragments(ALL_FRAGMENTS)
-    for q in warm_queries:
-        serial_engine.inspect(q, warm_context)
-    batch_engine.inspect_batch(warm_queries, warm_context)
+    warm_twice(serial_engine, batch_engine, BENIGN_WARM, ctx(["1"]))
+    warm_twice(serial_engine, batch_engine, warm_queries, warm_context)
     serial = [serial_engine.inspect(q, context) for q in queries]
     batch = batch_engine.inspect_batch(queries, context)
     assert_equivalent(batch, serial, queries)
+    assert batch_engine.stats.shape_hits > 0
+    assert serial_engine.stats.shape_hits > 0
 
 
 @given(BATCH)
@@ -172,6 +190,12 @@ def test_mid_batch_mutation_keeps_equivalence_and_epoch_consistency(steps):
 
     store = FragmentStore(ALL_FRAGMENTS)
     batch_engine = JozaEngine(store, JozaConfig())
+    # One first sighting per shape through a quiet daemon (none is planted
+    # yet), so the mutating batch below is every shape's second sighting
+    # and plants plans.
+    firsts = list({skeletonize(q).key: q for q in queries}.values())
+    batch_engine.inspect_batch(firsts, context)
+    assert len(batch_engine.shape_cache) == 0
     batch_engine.daemon = MidBatchMutatingDaemon(store)
     batch = batch_engine.inspect_batch(queries, context)
     assert_equivalent(batch, serial, queries)
@@ -195,6 +219,7 @@ def test_mutation_between_batches_never_serves_stale_plans(steps, extra_index):
     queries, context = build_batch(steps)
     batch_engine = JozaEngine.from_fragments(ALL_FRAGMENTS)
     batch_engine.inspect_batch(queries, context)
+    batch_engine.inspect_batch(queries, context)  # second sighting plants
     # Mutate the vocabulary between batches, then compare the next batch
     # against a fresh cold engine over the *final* store contents: any
     # stale plan served would surface as a verdict divergence here.

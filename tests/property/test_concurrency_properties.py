@@ -13,6 +13,10 @@ from an operator thread while request threads hammer the engine
   lookups``, and every fault-marked query is accounted as a failsafe
   block.
 
+Every engine is warmed before its swarm: each hot shape is sighted twice
+(plans are admitted on the second sighting) and then served once from its
+plan, so the swarm runs against planted shapes (``shape_hits > 0``).
+
 Each Hypothesis example runs a fresh engine, a small barrier-started
 swarm, and one sampler thread; examples are capped so the whole module
 stays inside the CI smoke budget.
@@ -31,6 +35,7 @@ from repro.pti.daemon import PTIDaemon
 from repro.testbed.concurrency import (
     SWARM_FRAGMENTS,
     MarkerFaultDaemon,
+    _hot_items,
     build_workload,
     run_swarm,
 )
@@ -66,6 +71,16 @@ def make_engine() -> JozaEngine:
     )
 
 
+def warm(engine) -> int:
+    """Plant every hot shape and prove a hit; returns the inspections made."""
+    items = _hot_items()
+    for _ in range(3):
+        for item in items:
+            assert engine.inspect(item.query, item.context()).safe
+    assert engine.stats.shape_hits > 0
+    return 3 * len(items)
+
+
 def sample(engine) -> dict[str, int]:
     """One flat observability sample (taken the way an operator would)."""
     report = engine.resilience_report()
@@ -90,6 +105,7 @@ def test_snapshots_mid_traffic_are_consistent_and_monotone(
     seed, threads, per_thread, churn
 ):
     engine = make_engine()
+    warmed = warm(engine)
     schedules = build_workload(seed, threads, per_thread)
     samples: list[dict[str, int]] = []
     done = threading.Event()
@@ -127,7 +143,7 @@ def test_snapshots_mid_traffic_are_consistent_and_monotone(
             )
 
     # Quiesced exactness.
-    total = threads * per_thread
+    total = threads * per_thread + warmed
     assert engine.stats.queries_checked == total
     stats = engine.daemon.inner.query_cache.stats
     assert stats.hits + stats.misses == stats.lookups
@@ -147,6 +163,7 @@ def test_report_shape_counters_agree_with_stats_object(seed):
     """resilience_report's shape block mirrors EngineStats exactly when
     quiesced -- the report is a projection, not a second set of books."""
     engine = make_engine()
+    warm(engine)
     schedules = build_workload(seed, 2, 6)
     result = run_swarm(engine, schedules)
     assert result.errors == []

@@ -111,3 +111,66 @@ def test_unoptimized_config_same_verdicts():
         "SELECT a FROM t WHERE id = 1 UNION SELECT 2",
     ):
         assert optimized.analyze_query(query).safe == unoptimized.analyze_query(query).safe
+
+
+# ---------------------------------------------------------------------------
+# Structure-cache fail-open regressions, through the default engine.  A
+# benign instance of the same token signature used to warm the cache and
+# let the attack through as a structure hit, with NTI evaded by padding the
+# raw input (the trim vector).
+# ---------------------------------------------------------------------------
+
+
+def _inspect_after_warm(fragments, warm, attack, raw):
+    from repro.core import JozaEngine
+    from repro.phpapp.context import CapturedInput, RequestContext
+
+    def ctx(value):
+        return RequestContext(inputs=[CapturedInput("get", "p", value)])
+
+    fresh = JozaEngine.from_fragments(fragments).inspect(attack, ctx(raw))
+    assert not fresh.safe
+    engine = JozaEngine.from_fragments(fragments)
+    assert engine.inspect(warm, ctx("1")).safe
+    return engine.inspect(attack, ctx(raw))
+
+
+def test_structure_cache_respects_whitespace():
+    verdict = _inspect_after_warm(
+        ["SELECT x FROM t WHERE a = ", " OR b = "],
+        "SELECT x FROM t WHERE a = 1 OR b = 2",
+        "SELECT x FROM t WHERE a = 7 OR  b = 7",
+        " " * 24 + "7 OR  b = 7" + " " * 24,
+    )
+    assert not verdict.safe
+    assert verdict.pti.from_cache != "structure"
+
+
+def test_structure_cache_rechecks_literal_spanning_coverage():
+    verdict = _inspect_after_warm(
+        [
+            "SELECT * FROM posts WHERE status = 'publish' AND slug = '",
+            "'",
+            "SELECT * FROM posts WHERE status = '",
+        ],
+        "SELECT * FROM posts WHERE status = 'publish' AND slug = 'hello'",
+        "SELECT * FROM posts WHERE status = 'draft' AND slug = 'x'",
+        " " * 30 + "draft' AND slug = 'x" + " " * 30,
+    )
+    assert not verdict.safe
+    assert verdict.pti.from_cache != "structure"
+
+
+def test_structure_hit_rechecks_crossing_witness_in_place():
+    daemon = make_daemon(
+        fragments=("SELECT a FROM t WHERE b = 'on' AND id = ", " = "),
+    )
+    assert daemon.analyze_query("SELECT a FROM t WHERE b = 'on' AND id = 1").safe
+    # Same literal where the witness crosses it: re-proven, served cached.
+    again = daemon.analyze_query("SELECT a FROM t WHERE b = 'on' AND id = 99")
+    assert again.safe and again.from_cache == "structure"
+    # Different literal there: the re-proof fails, full analysis decides.
+    other = daemon.analyze_query("SELECT a FROM t WHERE b = 'off' AND id = 1")
+    assert not other.safe and other.from_cache is None
+    stats = daemon.structure_cache.stats
+    assert (stats.hits, stats.misses) == (1, 2)

@@ -1,10 +1,11 @@
 """Unit tests for the query-shape fast path wired into the engine.
 
-Covers the acceptance criteria of the shape-cache issue: hit/miss/plant
-accounting, NTI still running on shape hits, unsafe shapes never being
-cached, fragment-store mutations provably invalidating cached PTI
-coverage, store swaps flushing plans, shadow validation, and the unified
-``cache_stats()`` introspection surface.
+Covers hit/miss/plant accounting, NTI still running on shape hits, unsafe
+shapes never being cached, fragment-store mutations provably invalidating
+cached PTI coverage, store swaps flushing plans, shadow validation, and the
+unified ``cache_stats()`` introspection surface.  Plans are admitted on a
+shape's second clean sighting, so every test that needs a plan warms its
+shape twice.
 """
 
 from repro.core import (
@@ -35,7 +36,9 @@ def test_shape_hit_serves_plan_verdict_and_counts():
     query = "SELECT * FROM records WHERE ID=1 LIMIT 5"
     first = engine.inspect(query, ctx("1"))
     assert first.safe and first.pti.from_cache is None
-    assert engine.stats.shape_misses == 1
+    assert engine.stats.shape_plans_built == 0  # first sighting: deferred
+    engine.inspect(query, ctx("1"))  # second sighting plants the plan
+    assert engine.stats.shape_misses == 2
     assert engine.stats.shape_plans_built == 1
 
     # Same shape, different literal: served by the plan, not the daemon.
@@ -80,6 +83,7 @@ def test_fragment_removal_invalidates_cached_pti_coverage():
     engine = JozaEngine.from_fragments(["SELECT a FROM t WHERE id = ", " LIMIT 2"])
     query = "SELECT a FROM t WHERE id = 1 LIMIT 2"
     assert engine.inspect(query, ctx("1")).safe
+    assert engine.inspect(query, ctx("1")).safe
     warm = engine.inspect(query, ctx("1"))
     assert warm.safe and warm.pti.from_cache == "shape"
 
@@ -105,6 +109,7 @@ def test_fragment_add_bumps_epoch_and_replans():
     engine.store.add(" LIMIT 2")
     healed = engine.inspect(query, ctx("1"))
     assert healed.safe
+    assert engine.inspect(query, ctx("1")).safe
     assert engine.stats.shape_plans_built == 1
     # And the healed shape now serves hits.
     again = engine.inspect("SELECT a FROM t WHERE id = 7 LIMIT 2", ctx("7"))
@@ -114,6 +119,7 @@ def test_fragment_add_bumps_epoch_and_replans():
 def test_refresh_fragments_store_swap_flushes_plans():
     engine = JozaEngine.from_fragments(["SELECT a FROM t WHERE id = ", " LIMIT 2"])
     query = "SELECT a FROM t WHERE id = 1 LIMIT 2"
+    assert engine.inspect(query, ctx("1")).safe
     assert engine.inspect(query, ctx("1")).safe
     assert engine.inspect(query, ctx("1")).pti.from_cache == "shape"
 
@@ -186,6 +192,7 @@ def test_cache_stats_unifies_all_cache_families():
     query = "SELECT * FROM records WHERE ID=1 LIMIT 5"
     engine.inspect(query, ctx("1"))
     engine.inspect(query, ctx("1"))
+    engine.inspect(query, ctx("1"))
     stats = engine.cache_stats()
     assert set(stats) == {"nti", "pti", "shape", "batching"}
     assert stats["batching"]["calls"]["batch_calls"] == 0.0  # serial inspects
@@ -198,8 +205,8 @@ def test_cache_stats_unifies_all_cache_families():
     plans = stats["shape"]["plans"]
     assert plans["entries"] == 1.0
     assert plans["shape_hits"] >= 1.0  # engine counters merged in
-    # Deprecated alias still answers with the NTI slice.
-    assert engine.nti_cache_stats() == stats["nti"]
+    # The NTI slice is the analyzer's own report (the old alias is gone).
+    assert stats["nti"] == engine.nti.cache_stats()
 
 
 def test_resilience_report_and_export_carry_shape_counters():
@@ -209,8 +216,116 @@ def test_resilience_report_and_export_carry_shape_counters():
     query = "SELECT * FROM records WHERE ID=1 LIMIT 5"
     engine.check_query(query, ctx("1"))
     engine.check_query(query, ctx("1"))
+    engine.check_query(query, ctx("1"))
     report = engine.resilience_report()
     assert report["shape_fastpath"] == engine.stats.shape_counters()
     payload = json.loads(engine.export_attack_log())
     resilience = payload["application_stats"]["resilience"]
     assert resilience["shape_fastpath"]["shape_hits"] >= 1
+
+
+# ---------------------------------------------------------------------------
+# Second-sighting admission
+# ---------------------------------------------------------------------------
+
+
+def _count_plan_builds(monkeypatch):
+    import repro.core.engine as engine_module
+
+    calls = []
+    real = engine_module.build_plan
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "build_plan", counting)
+    return calls
+
+
+def test_one_off_shapes_never_reach_build_plan(monkeypatch):
+    calls = _count_plan_builds(monkeypatch)
+    engine = JozaEngine.from_fragments(FRAGMENTS + [" = 1", " OR "])
+    queries = [
+        "SELECT * FROM records WHERE ID=1 LIMIT 5",
+        "SELECT * FROM records WHERE ID=1 OR ID = 1 LIMIT 5",
+        "SELECT * FROM records WHERE ID=1 OR ID = 1 OR ID = 1 LIMIT 5",
+    ]
+    for query in queries:
+        assert engine.inspect(query, ctx("1")).safe
+    assert calls == []
+    assert engine.stats.shape_plans_built == 0
+    assert engine.stats.shape_admissions_deferred == len(queries)
+    assert len(engine.shape_cache) == 0
+
+
+def test_second_sighting_in_window_plants_a_plan(monkeypatch):
+    calls = _count_plan_builds(monkeypatch)
+    engine = JozaEngine.from_fragments(FRAGMENTS)
+    engine.inspect("SELECT * FROM records WHERE ID=1 LIMIT 5", ctx("1"))
+    # Another literal is the same shape: its clean sighting is the second.
+    engine.inspect("SELECT * FROM records WHERE ID=2 LIMIT 5", ctx("2"))
+    assert calls == ["SELECT * FROM records WHERE ID=2 LIMIT 5"]
+    assert engine.stats.shape_plans_built == 1
+    assert engine.stats.shape_admissions_deferred == 1
+    hit = engine.inspect("SELECT * FROM records WHERE ID=3 LIMIT 5", ctx("3"))
+    assert hit.safe and hit.pti.from_cache == "shape"
+
+
+def test_unsafe_sightings_do_not_count_towards_admission():
+    engine = JozaEngine.from_fragments(FRAGMENTS)
+    query = "SELECT * FROM records WHERE ID=1 OR 1 = 1 LIMIT 5"
+    for _ in range(2):  # PTI covers it; NTI flags the injected input
+        assert not engine.inspect(query, ctx("1 OR 1 = 1")).safe
+    assert engine.stats.shape_admissions_deferred == 0
+    assert engine.inspect(query, ctx("7")).safe
+    assert engine.stats.shape_plans_built == 0  # first *clean* sighting
+    assert engine.stats.shape_admissions_deferred == 1
+
+
+def test_aged_out_shape_starts_over():
+    engine = JozaEngine.from_fragments(
+        FRAGMENTS, JozaConfig(shape=ShapeCacheConfig(capacity=2))
+    )
+    records = "SELECT * FROM records WHERE ID=1 LIMIT 5"
+    engine.inspect(records, ctx("1"))
+    # Two other clean shapes push it out of the two-key window.
+    engine.inspect("SELECT * FROM records WHERE ID=1", ctx("1"))
+    engine.inspect("SELECT * FROM records WHERE ID=1 OR ID = 2", ctx("1"))
+    engine.inspect(records, ctx("1"))
+    assert engine.stats.shape_plans_built == 0
+    engine.inspect(records, ctx("1"))
+    assert engine.stats.shape_plans_built == 1
+
+
+def test_plan_after_epoch_flush_comes_from_a_clean_cold_analysis_at_the_new_epoch():
+    engine = JozaEngine.from_fragments(["SELECT a FROM t WHERE id = ", " LIMIT 2"])
+    query = "SELECT a FROM t WHERE id = 1 LIMIT 2"
+    assert engine.inspect(query, ctx("1")).safe  # first sighting, epoch 0
+    # The only fragment covering LIMIT disappears: the remembered key must
+    # not carry trust across the flush.
+    assert engine.store.remove(" LIMIT 2")
+    unsafe = engine.inspect(query, ctx("1"))
+    assert not unsafe.safe and unsafe.detected_by() == {Technique.PTI}
+    assert engine.stats.shape_plans_built == 0
+    # Back in the vocabulary: the next clean sighting is admitted, and its
+    # plan is built from this analysis against the current store.
+    engine.store.add(" LIMIT 2")
+    epoch = engine.store.epoch
+    assert engine.inspect(query, ctx("1")).safe
+    assert engine.stats.shape_plans_built == 1
+    assert engine.shape_cache.snapshot_stats()["epoch"] == float(epoch)
+    hit = engine.inspect("SELECT a FROM t WHERE id = 5 LIMIT 2", ctx("5"))
+    assert hit.safe and hit.pti.from_cache == "shape"
+    assert engine.store.remove(" LIMIT 2")
+    stale = engine.inspect("SELECT a FROM t WHERE id = 6 LIMIT 2", ctx("6"))
+    assert not stale.safe and stale.pti.from_cache is None
+
+
+def test_deferred_admissions_are_a_shape_counter():
+    engine = JozaEngine.from_fragments(FRAGMENTS)
+    engine.inspect("SELECT * FROM records WHERE ID=1 LIMIT 5", ctx("1"))
+    counters = engine.stats.shape_counters()
+    assert counters["shape_admissions_deferred"] == 1
+    assert engine.resilience_report()["shape_fastpath"] == counters
+    assert engine.cache_stats()["shape"]["plans"]["shape_admissions_deferred"] == 1.0

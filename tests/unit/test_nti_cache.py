@@ -1,9 +1,10 @@
-"""Unit tests for the NTI match/profile caches and their analyzer wiring."""
+"""Unit tests for the per-query NTI cache and its analyzer wiring."""
 
 import pytest
 
 from repro.matching.substring import TextProfile
-from repro.nti import NTIAnalyzer, NTIConfig, NTIMatchCache, TextProfileCache
+from repro.nti import NTIAnalyzer, NTIConfig, NTIQueryCache
+from repro.nti.cache import MAX_INPUTS_PER_QUERY
 from repro.phpapp.context import CapturedInput, RequestContext
 
 
@@ -14,73 +15,64 @@ def ctx(*values, source="get"):
 
 
 # ----------------------------------------------------------------------
-# NTIMatchCache
+# NTIQueryCache
 # ----------------------------------------------------------------------
 
 
 def test_match_cache_miss_then_hit():
-    cache = NTIMatchCache(capacity=8)
-    hit, result = cache.get("input", "query")
-    assert not hit and result is None
-    cache.put("input", "query", "match-object")
-    hit, result = cache.get("input", "query")
-    assert hit and result == "match-object"
+    cache = NTIQueryCache(capacity=8)
+    entry = cache.entry("query")
+    assert entry.matches == {} and entry.profile is None
+    entry.matches["input"] = "match-object"
+    again = cache.entry("query")
+    assert again is entry
+    assert again.matches["input"] == "match-object"
     assert cache.stats.hits == 1
     assert cache.stats.misses == 1
 
 
 def test_match_cache_distinguishes_cached_none_from_miss():
-    cache = NTIMatchCache(capacity=8)
-    cache.put("benign", "query", None)  # proven non-match
-    hit, result = cache.get("benign", "query")
-    assert hit is True and result is None
+    cache = NTIQueryCache(capacity=8)
+    entry = cache.entry("query")
+    entry.matches["benign"] = None  # proven non-match
+    assert "benign" in cache.entry("query").matches
+    assert cache.entry("query").matches["benign"] is None
+    assert "unseen" not in cache.entry("query").matches
 
 
 def test_match_cache_keys_on_both_value_and_query():
-    cache = NTIMatchCache(capacity=8)
-    cache.put("v", "q1", "r1")
-    assert cache.get("v", "q2") == (False, None)
-    assert cache.get("v", "q1") == (True, "r1")
+    cache = NTIQueryCache(capacity=8)
+    cache.entry("q1").matches["v"] = "r1"
+    assert "v" not in cache.entry("q2").matches
+    assert cache.entry("q1").matches["v"] == "r1"
 
 
 def test_match_cache_lru_eviction():
-    cache = NTIMatchCache(capacity=2)
-    cache.put("a", "q", 1)
-    cache.put("b", "q", 2)
-    cache.get("a", "q")       # refresh a
-    cache.put("c", "q", 3)    # evicts b
-    assert cache.get("b", "q") == (False, None)
-    assert cache.get("a", "q") == (True, 1)
-    assert cache.get("c", "q") == (True, 3)
+    # Capacity counts queries, however many inputs each entry holds.
+    cache = NTIQueryCache(capacity=2)
+    cache.entry("a").matches.update({"x": 1, "y": 2, "z": 3})
+    cache.entry("b").matches["x"] = 2
+    cache.entry("a")           # refresh a
+    cache.entry("c")           # evicts b
+    assert "b" not in cache
+    assert cache.entry("a").matches == {"x": 1, "y": 2, "z": 3}
+    assert "c" in cache
     assert len(cache) == 2
 
 
 def test_match_cache_rejects_nonpositive_capacity():
     with pytest.raises(ValueError):
-        NTIMatchCache(capacity=0)
+        NTIQueryCache(capacity=0)
 
 
-# ----------------------------------------------------------------------
-# TextProfileCache
-# ----------------------------------------------------------------------
-
-
-def test_profile_cache_builds_once_and_reuses():
-    cache = TextProfileCache(capacity=4)
-    first = cache.get_or_build("SELECT 1")
-    second = cache.get_or_build("SELECT 1")
-    assert isinstance(first, TextProfile)
-    assert first is second  # same object: the build was amortised
-    assert cache.stats.hits == 1
-    assert cache.stats.misses == 1
-
-
-def test_profile_cache_eviction():
-    cache = TextProfileCache(capacity=1)
-    first = cache.get_or_build("q1")
-    cache.get_or_build("q2")  # evicts q1
-    rebuilt = cache.get_or_build("q1")
-    assert rebuilt is not first
+def test_entry_trim_drops_oldest_inputs_first():
+    entry = NTIQueryCache(capacity=1).entry("q")
+    for i in range(MAX_INPUTS_PER_QUERY + 3):
+        entry.matches[str(i)] = None
+    entry.trim()
+    assert len(entry.matches) == MAX_INPUTS_PER_QUERY
+    assert "0" not in entry.matches and "2" not in entry.matches
+    assert str(MAX_INPUTS_PER_QUERY + 2) in entry.matches
 
 
 # ----------------------------------------------------------------------
@@ -88,25 +80,46 @@ def test_profile_cache_eviction():
 # ----------------------------------------------------------------------
 
 
+def test_profile_cache_builds_once_and_reuses():
+    # Unfiltered, a near miss gets past exact containment and reaches the
+    # bound heuristics, so the query's tables are built.
+    nti = NTIAnalyzer(NTIConfig(prefilter="off"))
+    query = "SELECT * FROM t WHERE name='abcdefgh' LIMIT 5"
+    nti.analyze(query, ctx("abcdefgX"))
+    profile = nti.cache.entry(query).profile
+    assert isinstance(profile, TextProfile)
+    nti.analyze(query, ctx("abcdeYgh"))
+    assert nti.cache.entry(query).profile is profile
+
+
+def test_profile_cache_eviction():
+    nti = NTIAnalyzer(NTIConfig(prefilter="off", cache_size=1))
+    first = "SELECT * FROM t WHERE name='abcdefgh' LIMIT 5"
+    nti.analyze(first, ctx("abcdefgX"))
+    profile = nti.cache.entry(first).profile
+    nti.analyze("SELECT 2 FROM u WHERE v='abcdefgh'", ctx("abcdefgX"))  # evicts
+    assert first not in nti.cache
+    nti.analyze(first, ctx("abcdefgX"))
+    assert nti.cache.entry(first).profile is not profile
+
+
 def test_analyzer_caches_enabled_by_default():
     nti = NTIAnalyzer()
-    assert nti.match_cache is not None
-    assert nti.profile_cache is not None
+    assert nti.cache is not None
+    assert nti.cache.capacity == NTIConfig().cache_size
 
 
 def test_analyzer_caches_disabled_with_zero_sizes():
-    nti = NTIAnalyzer(NTIConfig(match_cache_size=0, profile_cache_size=0))
-    assert nti.match_cache is None
-    assert nti.profile_cache is None
+    nti = NTIAnalyzer(NTIConfig(cache_size=0))
+    assert nti.cache is None
     # The ablation setting still analyzes correctly.
     payload = "-1 OR 1=1"
     assert not nti.analyze(
         f"SELECT * FROM t WHERE ID={payload}", ctx(payload)
     ).safe
-    # No cache sections; only the (cache-independent) filter counters.
+    # No cache section; only the (cache-independent) filter counters.
     stats = nti.cache_stats()
     assert "match" not in stats
-    assert "profile" not in stats
     assert set(stats) == {"filter"}
 
 
@@ -116,14 +129,48 @@ def test_repeat_analysis_hits_match_cache():
     for __ in range(3):
         assert nti.analyze(query, ctx("1")).safe
     stats = nti.cache_stats()
-    assert stats["match"]["hits"] >= 2
-    assert stats["match"]["misses"] >= 1
-    assert 0.0 < stats["match"]["hit_rate"] <= 1.0
+    # Counted per query: one lookup per analyze call.
+    assert stats["match"]["hits"] == 2
+    assert stats["match"]["misses"] == 1
+    assert stats["match"]["entries"] == 1
+    assert stats["match"]["hit_rate"] == pytest.approx(2 / 3)
+
+
+def test_one_cache_touch_per_query_not_per_input():
+    nti = NTIAnalyzer()
+    query = "SELECT * FROM t WHERE a=1 AND b=2 AND c=3"
+    nti.analyze(query, ctx("1", "2", "3", "a=1", "zzz"))
+    stats = nti.cache_stats()["match"]
+    assert stats["hits"] + stats["misses"] == 1
+
+
+def test_new_inputs_join_a_known_query_entry():
+    nti = NTIAnalyzer()
+    query = "SELECT * FROM t WHERE ID=1 OR 1=1"
+    assert nti.analyze(query, ctx("1")).safe
+    matches = nti.cache.entry(query).matches
+    assert set(matches) == {"1"}
+    verdict = nti.analyze(query, ctx("1", "1 OR 1=1"))
+    assert not verdict.safe
+    assert set(nti.cache.entry(query).matches) == {"1", "1 OR 1=1"}
+    assert nti.cache.entry(query).matches["1 OR 1=1"] is not None
+
+
+def test_cached_negatives_are_served_from_the_entry():
+    nti = NTIAnalyzer()
+    query = "SELECT * FROM t WHERE name='hello'"
+    nti.analyze(query, ctx("zzzzzzzz"))
+    entry = nti.cache.entry(query)
+    assert "zzzzzzzz" in entry.matches and entry.matches["zzzzzzzz"] is None
+    before = dict(nti.filter_stats())
+    assert nti.analyze(query, ctx("zzzzzzzz")).safe
+    # Served from the memo: the prefilter did no work the second time.
+    assert nti.filter_stats() == before
 
 
 def test_cached_verdicts_identical_to_uncached():
     """The cache ablation: verdicts must not depend on cache configuration."""
-    plain = NTIAnalyzer(NTIConfig(match_cache_size=0, profile_cache_size=0))
+    plain = NTIAnalyzer(NTIConfig(cache_size=0))
     cached = NTIAnalyzer()
     cases = [
         ("SELECT * FROM t WHERE ID=1 LIMIT 5", ctx("1")),
@@ -151,6 +198,8 @@ def test_engine_surfaces_nti_cache_stats():
     engine = JozaEngine.from_fragments(["SELECT * FROM t WHERE ID="])
     context = RequestContext(inputs=[CapturedInput("get", "id", "1")])
     engine.inspect("SELECT * FROM t WHERE ID=1", context)
-    stats = engine.nti_cache_stats()
-    assert set(stats) == {"match", "profile", "filter"}
+    stats = engine.cache_stats()["nti"]
+    assert set(stats) == {"match", "filter"}
+    assert {"hits", "misses", "hit_rate", "entries"} <= set(stats["match"])
+    assert not hasattr(engine, "nti_cache_stats")
     assert '"nti_caches"' in engine.export_attack_log()

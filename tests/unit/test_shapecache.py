@@ -271,3 +271,39 @@ def test_witness_holds_verbatim_and_rejects_drift():
     # Different literal: the slot-crossing witness text no longer matches.
     other = "SELECT a FROM t WHERE id = 9 AND b = 8"
     assert not plan.witness_holds(other, token, token.start, token.end)
+
+
+# ---------------------------------------------------------------------------
+# Second-sighting admission (doorkeeper)
+# ---------------------------------------------------------------------------
+
+
+def test_admit_defers_first_sighting_and_admits_second():
+    cache = ShapeCache(capacity=4)
+    assert not cache.admit("k")
+    assert cache.admit("k")
+    # Admission hands the key over to its plan: a later sighting (after the
+    # plan is evicted, say) starts over.
+    assert not cache.admit("k")
+
+
+def test_admit_window_is_the_last_capacity_keys():
+    cache = ShapeCache(capacity=2)
+    assert not cache.admit("a")
+    assert not cache.admit("b")
+    assert not cache.admit("c")  # "a" ages out of the window
+    assert not cache.admit("a")  # so it starts over ...
+    assert cache.admit("a")  # ... and its next sighting is admitted
+    assert cache.admit("c")  # "c" stayed inside the window
+
+
+def test_admit_survives_epoch_flush_but_not_clear():
+    cache = ShapeCache(capacity=4)
+    cache.put("other", make_plan(), epoch=1)
+    assert not cache.admit("k")
+    assert cache.get("other", epoch=2) is None  # epoch flush
+    assert cache.invalidations == 1
+    assert cache.admit("k")  # keys carry no trust: they outlive the flush
+    assert not cache.admit("j")
+    cache.clear()
+    assert not cache.admit("j")

@@ -2,16 +2,17 @@
 
 Replays a Zipf-distributed shape mix through engines backed by the real
 subprocess PTI daemon, once per batch size (1 / 4 / 16 / 64): batch size 1
-is the per-query baseline (``engine.inspect`` per request, one pickled IPC
-exchange each); larger sizes go through ``engine.inspect_batch`` and its
-packed wire format (one struct-packed frame each way per batch, one
+is the per-query baseline (``engine.inspect`` per request, one
+single-query frame exchange each); larger sizes go through
+``engine.inspect_batch`` (one struct-packed frame each way per batch, one
 deadline clamp, one daemon lock).  The shape cache is disabled so the
 measurement isolates the daemon pipe -- with it enabled, warm traffic
 never reaches the wire at all (that path is ``bench_shape_fastpath``).
 
 A serialization ablation row times the packed frame codec against pickle
-for the same batch-of-16 request and reply payloads, separating the wire
-format's contribution from the pure exchange amortisation.
+(the daemon pipe's former codec) for the same batch-of-16 request and
+reply payloads, separating the wire format's contribution from the pure
+exchange amortisation.
 
 Gates (enforced both as a pytest test and in script mode):
 
@@ -24,7 +25,7 @@ The 2x full gate assumes the daemon child has a core of its own (the
 paper's deployment shape: analysis daemon beside the web worker).  On a
 single-CPU host the parent's send blocks while the kernel runs the child,
 so every exchange serialises both processes' compute and only the
-per-exchange fixed costs (context switches, pickling) remain amortisable
+per-exchange fixed costs (context switches, framing) remain amortisable
 -- the daemon-level wire still measures >3x there, but end-to-end qps
 tops out lower.  The gate therefore relaxes to the smoke threshold when
 ``os.cpu_count() == 1``; the applied gate and the reason are recorded in

@@ -181,8 +181,8 @@ class _InProcessPoolDaemon:
         self.inner = PTIDaemon(store, config)
         self.refreshes = 0
 
-    def analyze_query(self, query, deadline=None):
-        return self.inner.analyze_query(query, deadline=deadline)
+    def analyze_batch(self, queries, deadline=None):
+        return self.inner.analyze_batch(queries, deadline=deadline)
 
     def refresh_fragments(self, store):
         self.refreshes += 1

@@ -87,10 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=2, help="engine worker processes"
     )
     serve.add_argument(
-        "--worker-pool", type=int, default=0, metavar="N",
-        help="PTI daemon subprocesses per worker (0 = in-process PTI)",
-    )
-    serve.add_argument(
         "--max-queue", type=int, default=16,
         help="requests allowed to wait beyond the worker count",
     )
@@ -105,11 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--drain-timeout", type=float, default=5.0, metavar="SECONDS",
         help="grace for in-flight work after SIGTERM",
-    )
-    serve.add_argument(
-        "--overload-policy", choices=["shed", "degrade"], default="shed",
-        help="worker-internal DaemonPool policy on saturation "
-        "(gateway-level sheds are always fail-closed)",
     )
     fragsource = serve.add_mutually_exclusive_group()
     fragsource.add_argument(
@@ -127,7 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
         "vocabulary and the wire client_id routes to the tenant's engine",
     )
     serve.add_argument(
-        "--seed", type=int, default=None, help="base RNG seed for workers"
+        "--seed", type=int, default=None,
+        help="base RNG seed of the fleet (currently no effect)",
     )
     serve.add_argument(
         "--state-dir", metavar="DIR",
@@ -332,27 +324,19 @@ def _serve_tenants(args) -> dict[str, list[str]] | None:
 
 def _serve_gateway(args, out):
     from .core.policy import JozaConfig
-    from .core.resilience import OverloadPolicy
     from .service import AsyncGateway, GatewayConfig
 
     if args.unix and os.path.exists(args.unix):
         os.unlink(args.unix)  # stale socket from an unclean predecessor
-    policy = (
-        OverloadPolicy.DEGRADE_TO_OTHER_TECHNIQUE
-        if args.overload_policy == "degrade"
-        else OverloadPolicy.SHED_FAIL_CLOSED
-    )
     gateway_config = GatewayConfig(
         unix_path=args.unix,
         host=args.host,
         port=args.port,
         workers=args.workers,
-        worker_pool_size=args.worker_pool,
         max_queue=args.max_queue,
         max_deadline=None if args.deadline <= 0 else args.deadline,
         admission_timeout=args.admission_timeout,
         drain_timeout=args.drain_timeout,
-        overload_policy=policy,
         seed=args.seed,
         tenants=_serve_tenants(args),
         state_dir=args.state_dir,

@@ -23,7 +23,6 @@ or, without an application object, analyse queries directly::
 
 from __future__ import annotations
 
-import inspect as _inspect
 import random as _random
 import threading
 import time
@@ -149,8 +148,8 @@ class EngineStats:
     batch_calls: int = 0
     #: ... queries that arrived inside them ...
     batch_queries: int = 0
-    #: ... and how many one-IPC-exchange daemon batches they issued (cold
-    #: queries only; fast-path hits never reach the daemon).
+    #: ... and how many ``analyze_batch`` daemon exchanges they issued
+    #: (cold queries only; fast-path hits never reach the daemon).
     batch_daemon_batches: int = 0
     #: Internal counter lock (not a counter).
     _lock: threading.Lock = field(
@@ -210,8 +209,9 @@ class JozaEngine:
         daemon=None,
     ) -> None:
         self.config = config or JozaConfig()
-        #: Any object with ``analyze_query(query) -> DaemonReply`` works here;
-        #: benchmarks substitute a
+        #: Any PTI backend with ``analyze_batch(queries, deadline) ->
+        #: list[DaemonReply]`` and ``store`` works here (DESIGN.md section
+        #: 11); benchmarks substitute a
         #: :class:`~repro.pti.daemon.SubprocessPTIDaemon` to measure the
         #: paper's deployment architecture.
         self.daemon = daemon if daemon is not None else PTIDaemon(
@@ -232,7 +232,6 @@ class JozaEngine:
         self._durable = None
         #: Lazily-built in-process PTI fallback (FALLBACK_IN_PROCESS policy).
         self._fallback_daemon: PTIDaemon | None = None
-        self._daemon_accepts_deadline: bool | None = None
         #: Query-shape fast path (DESIGN.md "shape fast path").  Only active
         #: when both techniques run: a plan encodes results of the *hybrid*
         #: pipeline, so single-technique ablation configs take the cold path.
@@ -251,10 +250,9 @@ class JozaEngine:
         self._shadow_seed = shape_cfg.shadow_seed
         self._shadow_rng = _random.Random(shape_cfg.shadow_seed)
         #: Guards the engine's lazily-built derived state: the shape
-        #: store/analyzer pair (must swap together), the in-process PTI
-        #: fallback and the daemon deadline feature-detection flag.  Held
-        #: only for check-and-assign work, never across analysis
-        #: (DESIGN.md section 10).
+        #: store/analyzer pair (must swap together) and the in-process PTI
+        #: fallback.  Held only for check-and-assign work, never across
+        #: analysis (DESIGN.md section 10).
         self._state_lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -379,33 +377,6 @@ class JozaEngine:
     # Analysis
     # ------------------------------------------------------------------
 
-    def _call_daemon(self, query: str, deadline: Deadline):
-        """Invoke the daemon, passing the deadline only if it is accepted.
-
-        The daemon slot takes *any* object with ``analyze_query(query)``
-        (benchmarks substitute subprocess daemons, tests substitute fakes),
-        so deadline support is feature-detected once per engine.
-        """
-        if self._daemon_accepts_deadline is None:
-            with self._state_lock:
-                if self._daemon_accepts_deadline is None:
-                    try:
-                        parameters = _inspect.signature(
-                            self.daemon.analyze_query
-                        ).parameters
-                        self._daemon_accepts_deadline = (
-                            "deadline" in parameters
-                            or any(
-                                p.kind is _inspect.Parameter.VAR_KEYWORD
-                                for p in parameters.values()
-                            )
-                        )
-                    except (TypeError, ValueError):  # pragma: no cover
-                        self._daemon_accepts_deadline = False
-        if self._daemon_accepts_deadline:
-            return self.daemon.analyze_query(query, deadline=deadline)
-        return self.daemon.analyze_query(query)
-
     def _fallback_pti(self) -> PTIDaemon | None:
         """The in-process PTI fallback, if a fragment store is reachable."""
         with self._state_lock:
@@ -441,95 +412,31 @@ class JozaEngine:
         is looked up in the plan cache first.  A hit replays the cached
         analysis (PTI structure coverage pre-proven, NTI over prefiltered
         inputs) without touching the daemon; any doubt falls through to the
-        cold path below.  Only clean, fully-safe cold analyses plant plans,
-        and only on a shape's second sighting (see :meth:`_maybe_plant_plan`).
+        cold path.  Only clean, fully-safe cold analyses plant plans, and
+        only on a shape's second sighting (see :meth:`_maybe_plant_plan`).
+
+        The per-query work is :meth:`_shape_step` and :meth:`_cold_step`,
+        shared with :meth:`inspect_batch`; only the fixed costs differ (no
+        batch counters, no candidate memo).
         """
         self.stats.bump(queries_checked=1)
         if deadline is None:
             deadline = self.config.resilience.start_deadline()
-        cache = self.shape_cache
-        if cache is None:
-            return self._inspect_cold(query, context, deadline)[0]
-
-        # -- fast path -------------------------------------------------
-        skeleton: Skeleton | None = None
-        plan: ShapePlan | None = None
-        store = analyzer = None
+        skeleton = analyzer = None
         epoch0 = -1
-        t0 = time.perf_counter()
-        try:
-            store, analyzer = self._shape_state()
-            if store is not None:
-                # Pin the epoch *before* analysis: the same value keys the
-                # lookup and any later plant, so a store mutation racing
-                # the cold path makes the plant stale (refused by
-                # ShapeCache.put) instead of tagging an old-vocabulary
-                # plan with the new epoch.
-                epoch0 = store.epoch
-                skeleton = skeletonize(query)
-                plan = cache.get(skeleton.key, epoch0)
-        except (KeyboardInterrupt, SystemExit):  # pragma: no cover
-            raise
-        except Exception:  # pragma: no cover - defensive: fast path is
-            plan = None  # best-effort; the cold path is always correct.
-        finally:
-            self.stats.bump(pti_seconds=time.perf_counter() - t0)
-        if plan is not None:
-            verdict = self._apply_plan(
-                plan, skeleton, query, context, deadline, analyzer
-            )
-            if verdict is not None:
-                self.stats.bump(shape_hits=1)
-                shadow = self._shadow_validate(query, context, verdict)
-                return verdict if shadow is None else shadow
-            self.stats.bump(shape_fallthroughs=1)
-        else:
-            self.stats.bump(shape_misses=1)
-
-        # -- cold path + plan planting --------------------------------
-        verdict, tokens = self._inspect_cold(query, context, deadline)
-        if skeleton is not None and store is not None and analyzer is not None:
-            self._maybe_plant_plan(
-                query, skeleton, epoch0, analyzer, verdict, tokens
-            )
-        return verdict
-
-    def _call_daemon_batch(
-        self, queries: list[str], deadline: Deadline
-    ) -> list[tuple[str, object] | None]:
-        """One batched daemon exchange, as per-query PTI outcomes.
-
-        A daemon exposing ``analyze_batch`` gets the whole list in one
-        call (one IPC exchange, one deadline clamp for subprocess-backed
-        daemons); its single success or failure becomes every query's
-        outcome -- the batch succeeds or fails closed *as a unit*, and
-        ``_inspect_cold`` re-raises the captured failure per query so the
-        existing policy resolution applies unchanged.  A daemon without
-        ``analyze_batch`` returns ``None`` outcomes, which make
-        ``_inspect_cold`` perform its usual per-query call.
-        """
-        batch = getattr(self.daemon, "analyze_batch", None)
-        if not callable(batch):
-            return [None] * len(queries)
-        t0 = time.perf_counter()
-        try:
-            replies = batch(queries, deadline=deadline)
-            if len(replies) != len(queries):
-                raise CorruptReply(
-                    f"daemon batch returned {len(replies)} replies "
-                    f"for {len(queries)} queries"
+        if self.shape_cache is not None:
+            t0 = time.perf_counter()
+            epoch0, analyzer = self._shape_state()
+            if analyzer is not None:
+                verdict, skeleton = self._shape_step(
+                    query, context, deadline, epoch0, analyzer, t0
                 )
-        except (KeyboardInterrupt, SystemExit):  # pragma: no cover
-            raise
-        except Exception as exc:
-            return [("err", exc)] * len(queries)
-        finally:
-            # _inspect_cold re-times its (now trivial) PTI leg; the real
-            # batched exchange is attributed here, once.
-            self.stats.bump(
-                pti_seconds=time.perf_counter() - t0, batch_daemon_batches=1
-            )
-        return [("ok", reply) for reply in replies]
+                if verdict is not None:
+                    return verdict
+        outcome = self._call_daemon_batch([query], deadline)[0]
+        return self._cold_step(
+            query, context, deadline, outcome, skeleton, epoch0, analyzer
+        )
 
     def inspect_batch(
         self,
@@ -540,8 +447,9 @@ class JozaEngine:
         """Inspect a batch of queries from one request context.
 
         Verdict-equivalent to ``[inspect(q, context) for q in queries]``
-        (property-tested, including the paper's evasion payloads) but with
-        the per-query fixed costs paid once per batch:
+        (property-tested, including the paper's evasion payloads) -- each
+        query runs the same :meth:`_shape_step` and :meth:`_cold_step` --
+        but with the per-query fixed costs paid once per batch:
 
         - **one epoch pin** -- the fragment-store epoch is read once and
           keys every plan lookup *and* every plan plant of the batch.  A
@@ -551,8 +459,8 @@ class JozaEngine:
           epoch -- it can never mix trust from two vocabularies;
         - **one daemon exchange** -- every query the fast path could not
           serve goes to the daemon in a single ``analyze_batch`` call (one
-          IPC round-trip, one deadline clamp on the wire; see
-          ``repro/pti/wire.py``), taking the daemon lock once;
+          deadline, packed frames on the wire; see ``repro/pti/wire.py``),
+          taking the daemon lock once;
         - **one candidate enumeration** -- NTI candidate inputs depend on
           the query only through its length
           (:func:`~repro.nti.sources.candidate_inputs`), so the batch
@@ -560,11 +468,10 @@ class JozaEngine:
           re-deduplicating the context per query.
 
         Fail-closed semantics are per batch on the PTI leg: a failed
-        batched exchange resolves every cold query of the batch through
-        the same :class:`~repro.core.resilience.FailurePolicy` machinery
-        as a failed single call -- a recorded failsafe block or flagged
-        degraded verdict, never a silent pass.  One deadline bounds the
-        whole batch.
+        exchange resolves every cold query of the batch through the same
+        :class:`~repro.core.resilience.FailurePolicy` machinery as a single
+        query -- a recorded failsafe block or flagged degraded verdict,
+        never a silent pass.  One deadline bounds the whole batch.
         """
         queries = list(queries)
         if not queries:
@@ -594,93 +501,155 @@ class JozaEngine:
             return values
 
         results: list[QueryVerdict | None] = [None] * len(queries)
-        cold: list[int] = []
         skeletons: list[Skeleton | None] = [None] * len(queries)
-        cache = self.shape_cache
-        store = analyzer = None
+        cold: list[int] = []
+        analyzer = None
         epoch0 = -1
-
-        # -- fast path: skeleton + plan lookup per query, one epoch pin --
-        if cache is not None:
+        if self.shape_cache is not None:
             t0 = time.perf_counter()
-            try:
-                store, analyzer = self._shape_state()
-                if store is not None:
-                    epoch0 = store.epoch
-            except (KeyboardInterrupt, SystemExit):  # pragma: no cover
-                raise
-            except Exception:  # pragma: no cover - defensive
-                store = analyzer = None
-            finally:
-                self.stats.bump(pti_seconds=time.perf_counter() - t0)
-        if store is not None:
-            for index, query in enumerate(queries):
-                plan = None
-                t0 = time.perf_counter()
-                try:
-                    skeleton = skeletonize(query)
-                    skeletons[index] = skeleton
-                    plan = cache.get(skeleton.key, epoch0)
-                except (KeyboardInterrupt, SystemExit):  # pragma: no cover
-                    raise
-                except Exception:  # pragma: no cover - defensive
-                    plan = None
-                finally:
-                    self.stats.bump(pti_seconds=time.perf_counter() - t0)
-                if plan is not None:
-                    verdict = self._apply_plan(
-                        plan,
-                        skeletons[index],
-                        query,
-                        context,
-                        deadline,
-                        analyzer,
-                        candidates=candidates,
-                    )
-                    if verdict is not None:
-                        self.stats.bump(shape_hits=1)
-                        shadow = self._shadow_validate(query, context, verdict)
-                        results[index] = verdict if shadow is None else shadow
-                        continue
-                    self.stats.bump(shape_fallthroughs=1)
-                else:
-                    self.stats.bump(shape_misses=1)
-                cold.append(index)
-        else:
-            cold = list(range(len(queries)))
-
-        # -- cold path: one batched daemon exchange + per-query resolution --
-        if cold:
-            outcomes: list[tuple[str, object] | None]
-            if self.config.enable_pti:
-                outcomes = self._call_daemon_batch(
-                    [queries[i] for i in cold], deadline
-                )
-            else:
-                outcomes = [None] * len(cold)
-            for outcome, index in zip(outcomes, cold):
-                query = queries[index]
-                verdict, tokens = self._inspect_cold(
+            epoch0, analyzer = self._shape_state()
+            self.stats.bump(pti_seconds=time.perf_counter() - t0)
+        for index, query in enumerate(queries):
+            if analyzer is not None:
+                verdict, skeletons[index] = self._shape_step(
                     query,
                     context,
                     deadline,
-                    pti_outcome=outcome,
-                    candidates=candidates,
+                    epoch0,
+                    analyzer,
+                    time.perf_counter(),
+                    candidates,
                 )
-                results[index] = verdict
-                skeleton = skeletons[index]
-                if skeleton is not None and analyzer is not None:
-                    self._maybe_plant_plan(
-                        query, skeleton, epoch0, analyzer, verdict, tokens
-                    )
+                if verdict is not None:
+                    results[index] = verdict
+                    continue
+            cold.append(index)
+        if cold:
+            outcomes = self._call_daemon_batch(
+                [queries[index] for index in cold], deadline
+            )
+            if self.config.enable_pti:
+                self.stats.bump(batch_daemon_batches=1)
+            for outcome, index in zip(outcomes, cold):
+                results[index] = self._cold_step(
+                    queries[index],
+                    context,
+                    deadline,
+                    outcome,
+                    skeletons[index],
+                    epoch0,
+                    analyzer,
+                    candidates,
+                )
         return results
+
+    # ------------------------------------------------------------------
+    # Per-query steps shared by inspect and inspect_batch
+    # ------------------------------------------------------------------
+
+    def _shape_step(
+        self,
+        query: str,
+        context: RequestContext,
+        deadline: Deadline,
+        epoch0: int,
+        analyzer: PTIAnalyzer,
+        t0: float,
+        candidates=None,
+    ) -> tuple[QueryVerdict | None, Skeleton | None]:
+        """One query's fast path: skeleton, plan lookup, replay, shadow.
+
+        Returns ``(verdict, skeleton)``; a ``None`` verdict means the cold
+        step must analyse the query, planting a plan under ``skeleton``
+        (``None`` if skeletonizing failed).  ``t0`` starts the lookup's
+        ``pti_seconds`` attribution, which rides the one counter bump that
+        records the outcome (hit, miss or fall-through).  ``candidates``
+        is ``inspect_batch``'s candidate memo; ``None`` enumerates per
+        query, as ``inspect`` does.
+        """
+        skeleton = plan = None
+        try:
+            skeleton = skeletonize(query)
+            plan = self.shape_cache.get(skeleton.key, epoch0)
+        except (KeyboardInterrupt, SystemExit):  # pragma: no cover
+            raise
+        except Exception:  # pragma: no cover - defensive: fast path is
+            plan = None  # best-effort; the cold path is always correct.
+        lookup = time.perf_counter() - t0
+        if plan is None:
+            self.stats.bump(pti_seconds=lookup, shape_misses=1)
+            return None, skeleton
+        verdict = self._apply_plan(
+            plan, skeleton, query, context, deadline, analyzer, candidates
+        )
+        if verdict is None:
+            self.stats.bump(pti_seconds=lookup, shape_fallthroughs=1)
+            return None, skeleton
+        self.stats.bump(pti_seconds=lookup, shape_hits=1)
+        shadow = self._shadow_validate(query, context, verdict)
+        return (verdict if shadow is None else shadow), skeleton
+
+    def _call_daemon_batch(
+        self, queries: list[str], deadline: Deadline
+    ) -> list:
+        """One daemon exchange, as per-query PTI outcomes.
+
+        The only call the engine makes into its PTI backend: the whole list
+        goes to ``analyze_batch`` under one deadline.  Each outcome is the
+        query's :class:`~repro.pti.daemon.DaemonReply` or, when the exchange
+        failed, the exception -- the batch succeeds or fails closed *as a
+        unit*, and ``_inspect_cold`` re-raises the failure per query so the
+        policy resolution applies unchanged.  ``None`` outcomes mean PTI is
+        disabled.
+        """
+        if not self.config.enable_pti:
+            return [None] * len(queries)
+        t0 = time.perf_counter()
+        try:
+            replies = self.daemon.analyze_batch(queries, deadline)
+            if len(replies) != len(queries):
+                raise CorruptReply(
+                    f"daemon batch returned {len(replies)} replies "
+                    f"for {len(queries)} queries"
+                )
+        except (KeyboardInterrupt, SystemExit):  # pragma: no cover
+            raise
+        except Exception as exc:
+            return [exc] * len(queries)
+        finally:
+            self.stats.bump(pti_seconds=time.perf_counter() - t0)
+        return replies
+
+    def _cold_step(
+        self,
+        query: str,
+        context: RequestContext,
+        deadline: Deadline,
+        outcome,
+        skeleton: Skeleton | None,
+        epoch0: int,
+        analyzer: PTIAnalyzer | None,
+        candidates=None,
+    ) -> QueryVerdict:
+        """One query's cold path: resolve its daemon outcome, then plant."""
+        verdict, tokens = self._inspect_cold(
+            query, context, deadline, outcome, candidates
+        )
+        if skeleton is not None:
+            self._maybe_plant_plan(
+                query, skeleton, epoch0, analyzer, verdict, tokens
+            )
+        return verdict
 
     # ------------------------------------------------------------------
     # Shape fast path internals
     # ------------------------------------------------------------------
 
-    def _shape_state(self) -> tuple[FragmentStore | None, PTIAnalyzer | None]:
-        """Current fragment store + the plan analyzer bound to it.
+    def _shape_state(self) -> tuple[int, PTIAnalyzer | None]:
+        """Pinned store epoch + the plan analyzer bound to the store.
+
+        ``(-1, None)`` when the daemon exposes no store (or on an internal
+        error): the query takes the cold path without touching the cache.
 
         Guards both invalidation axes: a *swapped* store object (daemon
         ``refresh_fragments``) flushes the cache outright -- epochs of
@@ -688,24 +657,34 @@ class JozaEngine:
         are handled by the analyzer's own staleness guard (MRU prune,
         automaton recompile, occurrence-memo drop; see
         :meth:`~repro.pti.inference.PTIAnalyzer.cover_token_witness`).
-        The cache itself syncs on the epoch at get/put time.
+        The cache itself syncs on the epoch at get/put time.  The epoch is
+        pinned *before* analysis: the same value keys the lookup and any
+        later plant, so a store mutation racing the cold path makes the
+        plant stale (refused by ``ShapeCache.put``) instead of tagging an
+        old-vocabulary plan with the new epoch.
         """
-        with self._state_lock:
-            # Read the daemon's store pointer *inside* the lock: reading it
-            # first and locking second would let a concurrent
-            # ``refresh_fragments`` swap in a newer store between the two,
-            # and this thread would then re-install the older one -- plans
-            # planted against a superseded vocabulary are stale trust.
-            store = getattr(self.daemon, "store", None)
-            if store is None:  # pragma: no cover - store-less custom daemon
-                return None, None
-            if store is not self._shape_store:
-                self._shape_store = store
-                self._shape_analyzer = PTIAnalyzer(
-                    store, self.config.daemon.pti
-                )
-                self.shape_cache.clear()
-            return store, self._shape_analyzer
+        try:
+            with self._state_lock:
+                # Read the daemon's store pointer *inside* the lock: reading
+                # it first and locking second would let a concurrent
+                # ``refresh_fragments`` swap in a newer store between the
+                # two, and this thread would then re-install the older one
+                # -- plans planted against a superseded vocabulary are
+                # stale trust.
+                store = getattr(self.daemon, "store", None)
+                if store is None:  # pragma: no cover - store-less daemon
+                    return -1, None
+                if store is not self._shape_store:
+                    self._shape_store = store
+                    self._shape_analyzer = PTIAnalyzer(
+                        store, self.config.daemon.pti
+                    )
+                    self.shape_cache.clear()
+                return store.epoch, self._shape_analyzer
+        except (KeyboardInterrupt, SystemExit):  # pragma: no cover
+            raise
+        except Exception:  # pragma: no cover - defensive: fast path is
+            return -1, None  # best-effort; the cold path is always correct.
 
     def _apply_plan(
         self,
@@ -907,8 +886,12 @@ class JozaEngine:
         if sample >= rate:
             return None
         self.stats.bump(shadow_checks=1)
+        deadline = self.config.resilience.start_deadline()
         cold, _ = self._inspect_cold(
-            query, context, self.config.resilience.start_deadline()
+            query,
+            context,
+            deadline,
+            self._call_daemon_batch([query], deadline)[0],
         )
         if cold.safe == fast.safe and cold.detected_by() == fast.detected_by():
             return None
@@ -920,24 +903,23 @@ class JozaEngine:
         query: str,
         context: RequestContext,
         deadline,
-        pti_outcome: tuple[str, object] | None = None,
+        pti_outcome,
         candidates=None,
     ) -> tuple[QueryVerdict, list | None]:
-        """The reference pipeline: full PTI (daemon) + NTI run.
+        """The reference pipeline: the daemon's PTI result + an NTI run.
 
         Returns the verdict plus the critical-token list (when one was
         produced) so the caller can plant a shape plan.
 
-        ``pti_outcome`` lets :meth:`inspect_batch` inject the result of an
-        already-performed batched daemon exchange: ``("ok", reply)`` stands
-        in for a successful ``_call_daemon`` and ``("err", exc)`` re-raises
-        the captured failure *inside* the same ``try`` block -- so every
-        failure class (deadline, shed, typed PTI failure, unexpected
-        exception) flows through exactly the per-query resolution logic
-        below, and batch semantics equal serial semantics by construction.
-        ``candidates`` (a ``query -> list[str]`` callable) likewise lets
-        the batch reuse one memoised NTI candidate enumeration; ``None``
-        keeps the analyzer's own enumeration.
+        ``pti_outcome`` is this query's entry from
+        :meth:`_call_daemon_batch` -- the daemon is never called from
+        here.  A reply is used as is; a captured failure is re-raised
+        *inside* the ``try`` block below, so every failure class (deadline,
+        shed, typed PTI failure, unexpected exception) flows through
+        exactly the per-query resolution logic, whether the exchange
+        carried one query or a batch.  ``candidates`` (a ``query ->
+        list[str]`` callable) lets the batch reuse one memoised NTI
+        candidate enumeration; ``None`` keeps the analyzer's own.
         """
         policy = self.config.resilience.failure_policy
         failure_reasons: list[str] = []
@@ -952,17 +934,11 @@ class JozaEngine:
         shed_fail_closed: bool | None = None
         tokens = None
         if self.config.enable_pti:
-            t0 = time.perf_counter()
             try:
-                if pti_outcome is not None:
-                    kind, payload = pti_outcome
-                    if kind == "err":
-                        raise payload
-                    reply = payload
-                else:
-                    reply = self._call_daemon(query, deadline)
-                pti_result = reply.result
-                tokens = reply.tokens
+                if isinstance(pti_outcome, BaseException):
+                    raise pti_outcome
+                pti_result = pti_outcome.result
+                tokens = pti_outcome.tokens
             except DeadlineExceeded as exc:
                 self.stats.bump(deadline_exceeded=1)
                 failure_reasons.append(f"pti: {exc}")
@@ -985,8 +961,6 @@ class JozaEngine:
                 # decides the verdict, never the exception.
                 failure_reasons.append(f"pti: unexpected {exc!r}")
                 pti_failed = True
-            finally:
-                self.stats.bump(pti_seconds=time.perf_counter() - t0)
             # A shed is deliberate load management: running the analysis
             # in-process anyway would defeat it, so the fallback is skipped.
             if (
@@ -999,7 +973,7 @@ class JozaEngine:
                     t0 = time.perf_counter()
                     try:
                         deadline.check("pti-fallback")
-                        reply = fallback.analyze_query(query, deadline=deadline)
+                        reply = fallback.analyze_batch([query], deadline)[0]
                         pti_result = reply.result
                         tokens = reply.tokens
                         pti_failed = False
@@ -1024,21 +998,13 @@ class JozaEngine:
                         tokens = critical_tokens(
                             query, strict=self.config.strict_tokens
                         )
-                    if candidates is None:
-                        # Exactly the serial call shape: the NTI slot is
-                        # duck-typed (tests install fakes without a
-                        # ``values`` parameter).
-                        nti_result = self.nti.analyze(
-                            query, context, tokens, deadline=deadline
-                        )
-                    else:
-                        nti_result = self.nti.analyze(
-                            query,
-                            context,
-                            tokens,
-                            deadline=deadline,
-                            values=candidates(query),
-                        )
+                    nti_result = self.nti.analyze(
+                        query,
+                        context,
+                        tokens,
+                        deadline=deadline,
+                        values=None if candidates is None else candidates(query),
+                    )
                 else:
                     nti_result = AnalysisResult(
                         technique=Technique.NTI, safe=True

@@ -21,17 +21,21 @@ hung child cannot stall a request forever), respawn/IPC retries follow an
 exponential-backoff-with-jitter :class:`~repro.core.resilience.RetryPolicy`,
 and a :class:`~repro.core.resilience.CircuitBreaker` around spawn/IPC turns
 a crash-looping child into fast typed refusals instead of a spawn storm.
-The only exceptions that escape :meth:`SubprocessPTIDaemon.analyze_query`
+The only exceptions that escape :meth:`SubprocessPTIDaemon.analyze_batch`
 are the typed :class:`~repro.core.resilience.PTIFailure` family and
 :class:`~repro.core.resilience.DeadlineExceeded`; the engine converts both
 into fail-closed or degraded verdicts, never letting a query through
 unvetted.
+
+One protocol (DESIGN.md section 11): every backend -- in-process,
+subprocess, pool -- is called through ``analyze_batch(queries,
+deadline)``, and the subprocess pipe carries nothing but packed
+:mod:`~repro.pti.wire` frames (request, reply, store snapshot).
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import pickle
 import random
 import threading
 import time
@@ -168,6 +172,22 @@ class PTIDaemon:
         with self._lock:
             self.analyzer.warm()
 
+    def analyze_batch(
+        self, queries: list[str], deadline: Deadline | None = None
+    ) -> list[DaemonReply]:
+        """Analyze a batch under ONE lock acquisition.
+
+        Semantically identical to ``[analyze_query(q) for q in queries]``
+        -- same caches, same epoch flush, same deadline checks -- and
+        built from exactly those calls (the lock is reentrant), but the
+        daemon lock is held for the whole batch, so concurrent callers
+        cannot interleave mid-batch.  Because the epoch check runs under
+        the same continuously-held lock, every query in the batch is
+        served against one consistent fragment-store epoch.
+        """
+        with self._lock:
+            return [self.analyze_query(query, deadline) for query in queries]
+
     def analyze_query(
         self, query: str, deadline: Deadline | None = None
     ) -> DaemonReply:
@@ -185,25 +205,9 @@ class PTIDaemon:
         and the stage timings stay consistent.
         """
         with self._lock:
-            return self._analyze_query_locked(query, deadline)
+            return self._analyze_locked(query, deadline)
 
-    def analyze_batch(
-        self, queries: list[str], deadline: Deadline | None = None
-    ) -> list[DaemonReply]:
-        """Analyze a batch under ONE lock acquisition.
-
-        Semantically identical to ``[analyze_query(q) for q in queries]``
-        -- same caches, same epoch flush, same deadline checks -- but the
-        daemon lock is taken once for the whole batch, so concurrent
-        callers cannot interleave mid-batch and the per-query lock
-        round-trip cost is amortised away.  Because the epoch check runs
-        under the same continuously-held lock, every query in the batch is
-        served against one consistent fragment-store epoch.
-        """
-        with self._lock:
-            return [self._analyze_query_locked(q, deadline) for q in queries]
-
-    def _analyze_query_locked(
+    def _analyze_locked(
         self, query: str, deadline: Deadline | None
     ) -> DaemonReply:
         self.queries_analyzed += 1
@@ -281,27 +285,49 @@ def _reply_deltas(daemon: PTIDaemon, previous: dict[str, float]) -> dict[str, fl
     return deltas
 
 
-def _daemon_loop(conn, fragments: list[str], config: DaemonConfig) -> None:
-    """Child-process entry point: serve queries over the pipe until EOF.
+def _reply_frame(replies: list[DaemonReply], deltas: dict[str, float]) -> bytearray:
+    """Pack one reply frame.
 
-    Each reply carries the child's per-stage timing deltas so the parent can
-    attribute analysis time to parse/match/cache even across the process
-    boundary (needed for the Figure 7 breakdown).
+    Critical tokens travel as spans; a batch whose tokens the packed
+    format cannot carry exactly (``wire.spans_from_tokens`` refuses, or
+    the spans overflow the frame) ships its verdicts without tokens, and
+    the parent lexes those queries itself -- the verdicts are exact either
+    way.
+    """
+    try:
+        return wire.pack_batch_reply(
+            [
+                (
+                    r.safe,
+                    r.from_cache,
+                    None if r.tokens is None else wire.spans_from_tokens(r.tokens),
+                )
+                for r in replies
+            ],
+            deltas,
+        )
+    except wire.WireFormatError:
+        return wire.pack_batch_reply(
+            [(r.safe, r.from_cache, None) for r in replies], deltas
+        )
 
-    One loop serves both protocols, sniffed per message on the raw bytes
-    (``recv_bytes`` + explicit ``pickle.loads`` is exactly what
-    ``Connection.recv`` does internally, so the legacy path is
-    byte-compatible with old parents):
 
-    - legacy: a pickled query string (or ``None`` shutdown sentinel),
-      answered with a pickled ``(safe, from_cache, tokens, deltas)`` tuple;
-    - batch: a packed ``wire`` request frame (magic ``b"JZ"``; a pickle
-      can never start with those bytes), answered with one packed reply
-      frame -- one IPC exchange for the whole batch.  A reply the packed
-      format cannot express exactly (see ``wire.spans_from_tokens``) falls
-      back to a pickled verdict list, which the parent also accepts; a
-      malformed request frame ends the loop (the parent sees EOF ->
-      ``DaemonCrash`` -> fail-closed, never a made-up verdict).
+def _daemon_loop(conn, fragments: list[str], config: DaemonConfig, fault=None) -> None:
+    """Child-process entry point: serve packed frames until told to stop.
+
+    A request frame is answered with one reply frame -- one IPC exchange
+    per frame -- carrying the child's per-stage timing deltas so the
+    parent can attribute analysis time to parse/match/cache even across
+    the process boundary (needed for the Figure 7 breakdown).  A snapshot
+    frame swaps the vocabulary in place and is acked.  Anything else ends
+    the loop: the parent's shutdown message is an empty one, and a
+    malformed frame (a pickle included) makes the parent see EOF ->
+    ``DaemonCrash`` -> fail-closed, never a made-up verdict.
+
+    ``fault`` is the testbed's hook (:mod:`repro.testbed.faults`,
+    :mod:`repro.testbed.concurrency`): called with each request's queries
+    before analysis, it may sleep, exit the process, or return bytes that
+    are sent instead of the reply.  ``None`` in production.
     """
     daemon = PTIDaemon(FragmentStore(fragments), config)
     previous = daemon.timings.snapshot()
@@ -310,61 +336,27 @@ def _daemon_loop(conn, fragments: list[str], config: DaemonConfig) -> None:
             buf = conn.recv_bytes()
         except EOFError:
             break
-        if wire.is_frame(buf):
-            try:
-                kind = wire.peek_kind(buf)
-            except wire.WireFormatError:
-                break
-            if kind == wire.KIND_SNAPSHOT:
+        try:
+            if wire.peek_kind(buf) == wire.KIND_SNAPSHOT:
                 # Replication push (tenancy warm handoff): swap the
                 # vocabulary in place -- no child respawn -- precompile
                 # the new epoch's automaton, then ack.  The parent holds
                 # this worker out of service until the ack, so the build
                 # never runs under a live query.
-                try:
-                    _tenant, epoch, new_fragments = wire.unpack_store_snapshot(buf)
-                except wire.WireFormatError:
-                    break
+                _tenant, epoch, new_fragments = wire.unpack_store_snapshot(buf)
                 daemon.refresh_fragments(FragmentStore(new_fragments))
                 daemon.warm()
                 conn.send_bytes(wire.pack_snapshot_ack(epoch))
                 continue
-            try:
-                queries = wire.unpack_batch_request(buf)
-            except wire.WireFormatError:
-                break
-            replies = daemon.analyze_batch(queries)
-            deltas = _reply_deltas(daemon, previous)
-            try:
-                verdicts = [
-                    (
-                        r.safe,
-                        r.from_cache,
-                        None
-                        if r.tokens is None
-                        else wire.spans_from_tokens(r.tokens),
-                    )
-                    for r in replies
-                ]
-                frame = wire.pack_batch_reply(verdicts, deltas)
-            except wire.WireFormatError:
-                conn.send_bytes(
-                    pickle.dumps(
-                        [
-                            (r.safe, r.from_cache, r.tokens, deltas)
-                            for r in replies
-                        ]
-                    )
-                )
-            else:
-                conn.send_bytes(frame)
-            continue
-        message = pickle.loads(buf)
-        if message is None:
+            queries = wire.unpack_batch_request(buf)
+        except wire.WireFormatError:
             break
-        reply = daemon.analyze_query(message)
-        deltas = _reply_deltas(daemon, previous)
-        conn.send((reply.safe, reply.from_cache, reply.tokens, deltas))
+        injected = None if fault is None else fault(queries)
+        if injected is not None:
+            conn.send_bytes(injected)
+            continue
+        replies = daemon.analyze_batch(queries)
+        conn.send_bytes(_reply_frame(replies, _reply_deltas(daemon, previous)))
     conn.close()
 
 
@@ -375,8 +367,8 @@ class SubprocessPTIDaemon:
     long-lived daemon); otherwise every query pays a fresh spawn (the
     unoptimized configuration of Figure 7).
 
-    Resilience contract: :meth:`analyze_query` either returns a
-    :class:`DaemonReply` or raises a typed
+    Resilience contract: :meth:`analyze_batch` either returns one
+    :class:`DaemonReply` per query or raises a typed
     :class:`~repro.core.resilience.PTIFailure` /
     :class:`~repro.core.resilience.DeadlineExceeded`.  Raw pipe errors
     (``EOFError``, ``BrokenPipeError``, ``OSError``) never escape; replies
@@ -395,13 +387,6 @@ class SubprocessPTIDaemon:
             breaking (the seed behavior).
         seed: RNG seed for backoff jitter (reproducible chaos runs).
     """
-
-    #: Whether this daemon's child loop understands packed ``wire`` batch
-    #: frames.  Subclasses that install their own child loop (the chaos
-    #: and pacing harnesses) set this False and :meth:`analyze_batch`
-    #: degrades to per-query legacy round-trips -- same verdicts, no
-    #: protocol assumptions about the replacement loop.
-    supports_batch_wire = True
 
     def __init__(
         self,
@@ -426,7 +411,7 @@ class SubprocessPTIDaemon:
         self._conn = None
         self._process: multiprocessing.Process | None = None
         #: Guards the ``_conn``/``_process`` slots (check-spawn-assign,
-        #: discard, close are each atomic).  Reentrant: ``_round_trip``
+        #: discard, close are each atomic).  Reentrant: ``_exchange``
         #: holds it during checkout and may call ``_discard_child``.
         self._lifecycle = threading.RLock()
         #: Serializes pipe I/O: the persistent pipe is strict FIFO, so two
@@ -446,7 +431,6 @@ class SubprocessPTIDaemon:
         self.corrupt_replies = 0
         self.unavailable = 0
         self.batches = 0
-        self.oversized_batches = 0
         self.snapshot_applies = 0
         self.snapshot_fallbacks = 0
 
@@ -481,11 +465,10 @@ class SubprocessPTIDaemon:
 
         Fail-safe: any pipe error, timeout or malformed ack discards the
         child, and the next use respawns it over the *new* fragments --
-        a worker can end up cold, never stale.  Children running a
-        replacement loop (``supports_batch_wire=False``) or non-persistent
-        daemons fall back to the legacy close-and-respawn refresh.
+        a worker can end up cold, never stale.  Non-persistent daemons have
+        no child to push to and fall back to the close-and-respawn refresh.
         """
-        if not self.persistent or not self.supports_batch_wire:
+        if not self.persistent:
             with self._stats_lock:
                 self.snapshot_fallbacks += 1
             self.refresh_fragments(store)
@@ -544,19 +527,16 @@ class SubprocessPTIDaemon:
     # Child lifecycle
     # ------------------------------------------------------------------
 
-    def _loop_target(self):
-        """Child entry point -- overridable (the chaos harness hooks here)."""
-        return _daemon_loop
-
-    def _loop_args(self, child_conn) -> tuple:
-        return (child_conn, self.fragments, self.config)
+    def _fault_hook(self):
+        """Child-side fault hook (see :func:`_daemon_loop`); testbed only."""
+        return None
 
     def _spawn(self):
         t0 = time.perf_counter()
         parent_conn, child_conn = multiprocessing.Pipe()
         process = multiprocessing.Process(
-            target=self._loop_target(),
-            args=self._loop_args(child_conn),
+            target=_daemon_loop,
+            args=(child_conn, self.fragments, self.config, self._fault_hook()),
             daemon=True,
         )
         process.start()
@@ -566,22 +546,29 @@ class SubprocessPTIDaemon:
         return parent_conn, process
 
     @staticmethod
-    def _reap(conn, process: multiprocessing.Process | None) -> None:
-        """Tear one child down hard: close pipe, terminate -> kill -> join.
+    def _reap(
+        conn, process: multiprocessing.Process | None, *, graceful: bool = False
+    ) -> None:
+        """Tear one child down: close the pipe, then join -> terminate -> kill.
 
-        Used for children in an unknown state (hung, mid-crash, pipe
-        desynchronized); the graceful shutdown message is pointless here,
-        so escalate straight to signals with bounded joins -- never leave a
-        zombie behind.
+        ``graceful`` first sends the shutdown message (an empty one) and
+        gives the child a second to exit on its own.  Children in an
+        unknown state (hung, mid-crash, pipe desynchronized) skip straight
+        to signals with bounded joins -- never leave a zombie behind.
         """
         if conn is not None:
+            if graceful:
+                try:
+                    conn.send_bytes(b"")
+                except (BrokenPipeError, OSError):
+                    pass
             try:
                 conn.close()
             except OSError:  # pragma: no cover - defensive
                 pass
         if process is None:
             return
-        process.join(timeout=0.05)
+        process.join(timeout=1.0 if graceful else 0.05)
         if process.is_alive():
             process.terminate()
             process.join(timeout=1.0)
@@ -607,100 +594,18 @@ class SubprocessPTIDaemon:
     # Analysis
     # ------------------------------------------------------------------
 
-    def _decode(self, payload) -> tuple[bool, str | None, list | None, dict]:
-        """Validate the child's reply shape (corruption containment)."""
-        if not isinstance(payload, tuple) or len(payload) != 4:
-            raise CorruptReply(f"malformed daemon reply: {payload!r:.120}")
-        safe, from_cache, tokens, child_deltas = payload
-        if not isinstance(safe, bool) or not isinstance(child_deltas, dict):
-            raise CorruptReply(f"malformed daemon reply fields: {payload!r:.120}")
-        if from_cache is not None and not isinstance(from_cache, str):
-            raise CorruptReply(f"malformed from_cache: {from_cache!r:.120}")
-        if tokens is not None and not isinstance(tokens, list):
-            raise CorruptReply(f"malformed tokens: {tokens!r:.120}")
-        return safe, from_cache, tokens, child_deltas
-
-    def _round_trip(self, query: str, deadline: Deadline) -> DaemonReply:
-        """One spawn-if-needed + send + bounded receive attempt.
-
-        Serialized on the I/O lock (the pipe is strict FIFO); the child
-        checkout is additionally atomic under the lifecycle lock so a
-        concurrent ``close()`` or ``refresh_fragments()`` can never observe
-        a half-assigned ``(_conn, _process)`` pair or leak a child.
-        """
-        with self._io_lock:
-            return self._round_trip_io(query, deadline)
-
-    def _round_trip_io(self, query: str, deadline: Deadline) -> DaemonReply:
-        with self._lifecycle:
-            if self.persistent:
-                if self._process is None or not self._process.is_alive():
-                    self._discard_child(self._conn, self._process)
-                    self._conn, self._process = self._spawn()
-                conn, process = self._conn, self._process
-            else:
-                conn, process = self._spawn()
-        t0 = time.perf_counter()
-        try:
-            try:
-                conn.send(query)
-                timeout = deadline.bound(self.recv_timeout)
-                if timeout is not None and not conn.poll(timeout):
-                    self.timeouts += 1
-                    raise DaemonTimeout(
-                        f"daemon reply not received within {timeout:.3f}s"
-                    )
-                payload = conn.recv()
-            except (EOFError, BrokenPipeError, ConnectionError, OSError) as exc:
-                self.crashes += 1
-                raise DaemonCrash(f"daemon pipe failed: {exc!r}") from exc
-            try:
-                safe, from_cache, tokens, child_deltas = self._decode(payload)
-            except CorruptReply:
-                self.corrupt_replies += 1
-                raise
-        except PTIFailure:
-            # The pipe is dead or desynchronized; this child is unusable.
-            self._discard_child(conn, process)
-            raise
-        elapsed = time.perf_counter() - t0
-        # Attribute the child's analysis stages, and count only the residual
-        # (serialisation + pipe transit + scheduling) as IPC.
-        analysis = 0.0
-        for stage, dt in child_deltas.items():
-            self.timings.add(stage, dt)
-            analysis += dt
-        self.timings.add("ipc", max(elapsed - analysis, 0.0))
-        if not self.persistent:
-            try:
-                conn.send(None)
-                conn.close()
-            except (BrokenPipeError, OSError):  # pragma: no cover - defensive
-                pass
-            self._reap(None, process)
-        return DaemonReply(
-            safe=safe,
-            result=AnalysisResult(
-                technique=Technique.PTI, safe=safe, from_cache=from_cache
-            ),
-            tokens=tokens,
-            from_cache=from_cache,
-        )
-
-    def _round_trip_batch(
-        self, queries: list[str], deadline: Deadline
+    def _exchange(
+        self, queries: list[str], frames: list[bytearray], deadline: Deadline
     ) -> list[DaemonReply]:
-        """One batched round-trip: one send, one deadline clamp, one recv.
+        """One spawn-if-needed pass sending ``frames`` and reading replies.
 
-        The request is packed into a single pre-sized buffer
-        (``wire.pack_batch_request``) and handed to ``send_bytes`` -- no
-        per-query pickling, no length-prefix concatenation.  The reply is
-        sniffed: a packed frame decodes without pickle; a pickled verdict
-        list (the child's fallback for token streams the packed format
-        cannot express exactly) goes through the same per-item shape
-        validation as the legacy protocol.  Either way a count mismatch or
-        malformed payload raises ``CorruptReply`` -- the batch fails
-        closed as a unit, never partially.
+        Each frame (at most ``wire.MAX_BATCH`` queries) is one send, one
+        deadline-clamped ``poll`` and one receive.  Serialized on the I/O
+        lock (the pipe is strict FIFO); the child checkout is additionally
+        atomic under the lifecycle lock so a concurrent ``close()`` or
+        ``refresh_fragments()`` can never observe a half-assigned
+        ``(_conn, _process)`` pair or leak a child.  Any failed frame
+        discards the child and fails the whole batch -- never partially.
         """
         with self._io_lock:
             with self._lifecycle:
@@ -711,127 +616,92 @@ class SubprocessPTIDaemon:
                     conn, process = self._conn, self._process
                 else:
                     conn, process = self._spawn()
+            replies: list[DaemonReply] = []
+            analysis = 0.0
             t0 = time.perf_counter()
             try:
-                try:
-                    request = wire.pack_batch_request(queries)
-                    conn.send_bytes(request)
-                    timeout = deadline.bound(self.recv_timeout)
-                    if timeout is not None and not conn.poll(timeout):
-                        self.timeouts += 1
-                        raise DaemonTimeout(
-                            f"daemon batch reply not received within {timeout:.3f}s"
+                for start, frame in zip(range(0, len(queries), wire.MAX_BATCH), frames):
+                    try:
+                        conn.send_bytes(frame)
+                        timeout = deadline.bound(self.recv_timeout)
+                        if timeout is not None and not conn.poll(timeout):
+                            self.timeouts += 1
+                            raise DaemonTimeout(
+                                f"daemon reply not received within {timeout:.3f}s"
+                            )
+                        payload = conn.recv_bytes()
+                    except (EOFError, BrokenPipeError, ConnectionError, OSError) as exc:
+                        self.crashes += 1
+                        raise DaemonCrash(f"daemon pipe failed: {exc!r}") from exc
+                    try:
+                        decoded, child_deltas = self._decode_batch(
+                            queries[start : start + wire.MAX_BATCH], payload
                         )
-                    payload = conn.recv_bytes()
-                except (EOFError, BrokenPipeError, ConnectionError, OSError) as exc:
-                    self.crashes += 1
-                    raise DaemonCrash(f"daemon pipe failed: {exc!r}") from exc
-                try:
-                    decoded, child_deltas = self._decode_batch(queries, payload)
-                except CorruptReply:
-                    self.corrupt_replies += 1
-                    raise
+                    except CorruptReply:
+                        self.corrupt_replies += 1
+                        raise
+                    replies.extend(decoded)
+                    # Attribute the child's analysis stages; only the
+                    # residual (codec + pipe transit + scheduling) is IPC.
+                    for stage, dt in child_deltas.items():
+                        self.timings.add(stage, dt)
+                        analysis += dt
             except PTIFailure:
+                # The pipe is dead or desynchronized; this child is unusable.
                 self._discard_child(conn, process)
                 raise
-            elapsed = time.perf_counter() - t0
-            analysis = 0.0
-            for stage, dt in child_deltas.items():
-                self.timings.add(stage, dt)
-                analysis += dt
-            self.timings.add("ipc", max(elapsed - analysis, 0.0))
+            self.timings.add("ipc", max(time.perf_counter() - t0 - analysis, 0.0))
             if not self.persistent:
-                try:
-                    conn.send(None)
-                    conn.close()
-                except (BrokenPipeError, OSError):  # pragma: no cover - defensive
-                    pass
-                self._reap(None, process)
-            return decoded
+                self._reap(conn, process, graceful=True)
+            return replies
 
     def _decode_batch(
         self, queries: list[str], payload: bytes
     ) -> tuple[list[DaemonReply], dict[str, float]]:
-        """Validate + decode one batch reply payload (packed or pickled)."""
-        if wire.is_frame(payload):
-            try:
-                verdicts, child_deltas = wire.unpack_batch_reply(payload)
-            except wire.WireFormatError as exc:
-                raise CorruptReply(f"malformed batch frame: {exc}") from exc
+        """Validate + decode one reply frame (anything else: ``CorruptReply``)."""
+        try:
+            verdicts, child_deltas = wire.unpack_batch_reply(payload)
             if len(verdicts) != len(queries):
                 raise CorruptReply(
                     f"batch reply count {len(verdicts)} != request {len(queries)}"
                 )
-            replies: list[DaemonReply] = []
-            for query, (safe, from_cache, spans) in zip(queries, verdicts):
-                try:
-                    tokens = (
-                        None
-                        if spans is None
-                        else wire.tokens_from_spans(query, spans)
-                    )
-                except wire.WireFormatError as exc:
-                    raise CorruptReply(f"malformed batch token span: {exc}") from exc
-                replies.append(
-                    DaemonReply(
-                        safe=safe,
-                        result=AnalysisResult(
-                            technique=Technique.PTI, safe=safe, from_cache=from_cache
-                        ),
-                        tokens=tokens,
-                        from_cache=from_cache,
-                    )
-                )
-            return replies, child_deltas
-        # Child fell back to a pickled verdict list (rare: a token stream
-        # the packed format refuses to ship lossily).
-        try:
-            items = pickle.loads(payload)
-        except Exception as exc:
-            raise CorruptReply(f"unpicklable batch reply: {exc!r}") from exc
-        if not isinstance(items, list) or len(items) != len(queries):
-            raise CorruptReply(f"malformed batch reply list: {items!r:.120}")
-        replies = []
-        child_deltas: dict[str, float] = {}
-        for item in items:
-            safe, from_cache, tokens, child_deltas = self._decode(item)
-            replies.append(
+            replies = [
                 DaemonReply(
                     safe=safe,
                     result=AnalysisResult(
                         technique=Technique.PTI, safe=safe, from_cache=from_cache
                     ),
-                    tokens=tokens,
+                    tokens=None
+                    if spans is None
+                    else wire.tokens_from_spans(query, spans),
                     from_cache=from_cache,
                 )
-            )
-        # Every item carries the same batch-level delta block; attributing
-        # the last one once is the packed-path equivalent.
+                for query, (safe, from_cache, spans) in zip(queries, verdicts)
+            ]
+        except wire.WireFormatError as exc:
+            raise CorruptReply(f"malformed reply frame: {exc}") from exc
         return replies, child_deltas
 
     def analyze_batch(
         self, queries: list[str], deadline: Deadline | None = None
     ) -> list[DaemonReply]:
-        """Ship a whole batch to the child in one IPC exchange.
+        """Ship a batch to the child and wait (boundedly) for its verdicts.
 
-        Same resilience contract as :meth:`analyze_query` -- breaker gate,
-        bounded receive, retry with backoff, typed failures only -- but
-        paid once per *batch*: the batch succeeds or fails closed as a
-        unit.  Oversized batches are refused before any I/O with the
-        reason recorded (``oversized_batches``); daemons whose child loop
-        does not speak the packed protocol degrade to per-query calls.
+        The batch travels as packed frames of at most ``wire.MAX_BATCH``
+        queries each, all under the one deadline, and succeeds or fails
+        closed as a unit.  A persistent daemon that died between calls
+        (crash, OOM-kill) is respawned transparently -- losing only its
+        caches, never failing open: a query is executed only after a live
+        daemon vouches for it.  Transient failures are retried, re-sending
+        the whole batch, with jittered exponential backoff; a batch that
+        *deterministically* kills the child (a poison query) exhausts the
+        attempts and surfaces as
+        :class:`~repro.core.resilience.DaemonUnavailable` with the failure
+        chain recorded -- never as a raw ``EOFError`` in the request path.
+        When the breaker is open, no spawn is attempted at all.
         """
         if not queries:
             return []
-        if not self.supports_batch_wire:
-            return [self.analyze_query(q, deadline) for q in queries]
-        if len(queries) > wire.MAX_BATCH:
-            with self._stats_lock:
-                self.oversized_batches += 1
-            raise PTIFailure(
-                f"batch of {len(queries)} queries exceeds wire MAX_BATCH="
-                f"{wire.MAX_BATCH}; split the batch"
-            )
         if deadline is None:
             deadline = Deadline.unbounded()
         if self.breaker is not None and not self.breaker.allow():
@@ -841,6 +711,13 @@ class SubprocessPTIDaemon:
                 "circuit breaker open: daemon spawn/IPC suspended",
                 breaker_open=True,
             )
+        try:
+            frames = [
+                wire.pack_batch_request(queries[start : start + wire.MAX_BATCH])
+                for start in range(0, len(queries), wire.MAX_BATCH)
+            ]
+        except wire.WireFormatError as exc:
+            raise PTIFailure(f"request cannot be framed: {exc}") from exc
         with self._stats_lock:
             self.batches += 1
         last_failure: PTIFailure | None = None
@@ -851,9 +728,9 @@ class SubprocessPTIDaemon:
                 delay = deadline.bound(self.retry.delay(attempt - 1, self._rng))
                 if delay:
                     time.sleep(delay)
-            deadline.check("pti-daemon-batch")
+            deadline.check("pti-daemon")
             try:
-                replies = self._round_trip_batch(queries, deadline)
+                replies = self._exchange(queries, frames, deadline)
             except PTIFailure as failure:
                 last_failure = failure
                 if self.breaker is not None:
@@ -868,62 +745,15 @@ class SubprocessPTIDaemon:
             self.unavailable += 1
         reason = last_failure.reason if last_failure is not None else "unknown"
         raise DaemonUnavailable(
-            f"daemon batch analysis failed after {self.retry.max_attempts} "
+            f"daemon analysis failed after {self.retry.max_attempts} "
             f"attempt(s): {reason}"
         ) from last_failure
 
     def analyze_query(
         self, query: str, deadline: Deadline | None = None
     ) -> DaemonReply:
-        """Ship one query to the child and wait (boundedly) for its verdict.
-
-        A persistent daemon that died between queries (crash, OOM-kill) is
-        respawned transparently -- losing only its caches, never failing
-        open: a query is executed only after a live daemon vouches for it.
-        Transient failures are retried with jittered exponential backoff;
-        a query that *deterministically* kills the child (a poison query)
-        exhausts the attempts and surfaces as
-        :class:`~repro.core.resilience.DaemonUnavailable` with the failure
-        chain recorded -- never as a raw ``EOFError`` in the request path.
-        When the breaker is open, no spawn is attempted at all.
-        """
-        if deadline is None:
-            deadline = Deadline.unbounded()
-        if self.breaker is not None and not self.breaker.allow():
-            with self._stats_lock:
-                self.unavailable += 1
-            raise DaemonUnavailable(
-                "circuit breaker open: daemon spawn/IPC suspended",
-                breaker_open=True,
-            )
-        last_failure: PTIFailure | None = None
-        for attempt in range(self.retry.max_attempts):
-            if attempt:
-                with self._stats_lock:
-                    self.retries += 1
-                delay = deadline.bound(self.retry.delay(attempt - 1, self._rng))
-                if delay:
-                    time.sleep(delay)
-            deadline.check("pti-daemon")
-            try:
-                reply = self._round_trip(query, deadline)
-            except PTIFailure as failure:
-                last_failure = failure
-                if self.breaker is not None:
-                    self.breaker.record_failure()
-                    if not self.breaker.allow():
-                        break
-                continue
-            if self.breaker is not None:
-                self.breaker.record_success()
-            return reply
-        with self._stats_lock:
-            self.unavailable += 1
-        reason = last_failure.reason if last_failure is not None else "unknown"
-        raise DaemonUnavailable(
-            f"daemon analysis failed after {self.retry.max_attempts} "
-            f"attempt(s): {reason}"
-        ) from last_failure
+        """One query: :meth:`analyze_batch` of one."""
+        return self.analyze_batch([query], deadline)[0]
 
     # ------------------------------------------------------------------
     # Observability
@@ -939,7 +769,6 @@ class SubprocessPTIDaemon:
             "corrupt_replies": self.corrupt_replies,
             "unavailable": self.unavailable,
             "batches": self.batches,
-            "oversized_batches": self.oversized_batches,
             "snapshot_applies": self.snapshot_applies,
             "snapshot_fallbacks": self.snapshot_fallbacks,
         }
@@ -970,23 +799,7 @@ class SubprocessPTIDaemon:
         with self._lifecycle:
             conn, self._conn = self._conn, None
             process, self._process = self._process, None
-        if conn is not None:
-            try:
-                conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - defensive
-                pass
-        if process is not None:
-            process.join(timeout=1.0)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=1.0)
-            if process.is_alive():  # pragma: no cover - SIGTERM blocked
-                process.kill()
-                process.join(timeout=1.0)
+        self._reap(conn, process, graceful=True)
 
     def __enter__(self) -> "SubprocessPTIDaemon":
         return self

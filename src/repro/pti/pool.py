@@ -102,9 +102,10 @@ class DaemonPool:
     """Bounded pool of PTI daemon workers with explicit overload policy.
 
     Drop-in for the single :class:`~repro.pti.daemon.SubprocessPTIDaemon`
-    slot of :class:`~repro.core.JozaEngine`: exposes ``analyze_query``
-    (deadline-aware), ``store``, ``refresh_fragments``,
-    ``resilience_snapshot`` and ``close``.
+    slot of :class:`~repro.core.JozaEngine`: exposes ``analyze_batch``
+    (deadline-aware; ``analyze_query`` is a batch of one), ``store``,
+    ``refresh_fragments``, ``resilience_snapshot`` and ``close``.  Workers
+    are called only through their own ``analyze_batch``.
 
     Args:
         store: fragment vocabulary served to workers.
@@ -232,65 +233,24 @@ class DaemonPool:
             setattr(self, counter, getattr(self, counter) + 1)
         return PoolSaturated(reason, fail_closed=fail_closed)
 
-    def analyze_query(
-        self, query: str, deadline: Deadline | None = None
-    ) -> DaemonReply:
-        """Admit, check out a worker, run the query, return the worker.
+    def analyze_batch(
+        self, queries: list[str], deadline: Deadline | None = None
+    ) -> list[DaemonReply]:
+        """Admit, check out a worker, run the batch, return the worker.
+
+        The batch counts as a single request against the in-flight bound
+        and occupies one worker pipe for one batched exchange -- that is
+        the point: under batch load the pool serves ``size`` *batches*
+        concurrently instead of ``size`` queries.  A shed batch is shed
+        whole; the engine records a verdict for every query in it either
+        way.
 
         Raises :class:`~repro.core.resilience.PoolSaturated` on shed,
         :class:`~repro.core.resilience.DaemonUnavailable` when the pool is
         closed, and otherwise propagates exactly what the worker's
-        ``analyze_query`` raises (the typed
+        ``analyze_batch`` raises (the typed
         :class:`~repro.core.resilience.PTIFailure` family /
         :class:`~repro.core.resilience.DeadlineExceeded`).
-        """
-        if self._closed:
-            raise DaemonUnavailable("daemon pool is closed")
-        if deadline is None:
-            deadline = Deadline.unbounded()
-        if not self._admission.acquire(blocking=False):
-            raise self._shed(
-                f"shed: admission queue full "
-                f"(in_flight={self.size + self.max_queue})",
-                "sheds_queue_full",
-            )
-        try:
-            with self._lock:
-                self._inflight += 1
-            worker = self._checkout(deadline)
-            try:
-                reply = worker.daemon.analyze_query(query, deadline=deadline)
-            except PTIFailure:
-                worker.failures += 1
-                worker.consecutive_failures += 1
-                self._release(worker)
-                raise
-            except BaseException:
-                # Deadline expiry / interrupts are not the worker's fault.
-                self._release(worker)
-                raise
-            worker.served += 1
-            worker.consecutive_failures = 0
-            self._release(worker)
-            return reply
-        finally:
-            with self._lock:
-                self._inflight -= 1
-            self._admission.release()
-
-    def analyze_batch(
-        self, queries: list[str], deadline: Deadline | None = None
-    ) -> list[DaemonReply]:
-        """Run a whole batch through ONE admission slot and ONE worker.
-
-        The batch counts as a single request against the in-flight bound
-        and occupies one worker pipe for one batched round-trip -- that is
-        the point: under batch load the pool serves ``size`` *batches*
-        concurrently instead of ``size`` queries.  Shed/failure semantics
-        are identical to :meth:`analyze_query`, applied to the batch as a
-        unit (a shed batch is shed whole; the engine records a verdict for
-        every query in it either way).  Workers whose daemon predates
-        ``analyze_batch`` degrade to per-query calls on the same checkout.
         """
         if not queries:
             return []
@@ -309,20 +269,14 @@ class DaemonPool:
                 self._inflight += 1
             worker = self._checkout(deadline)
             try:
-                batch = getattr(worker.daemon, "analyze_batch", None)
-                if callable(batch):
-                    replies = batch(queries, deadline=deadline)
-                else:
-                    replies = [
-                        worker.daemon.analyze_query(q, deadline=deadline)
-                        for q in queries
-                    ]
+                replies = worker.daemon.analyze_batch(queries, deadline)
             except PTIFailure:
                 worker.failures += 1
                 worker.consecutive_failures += 1
                 self._release(worker)
                 raise
             except BaseException:
+                # Deadline expiry / interrupts are not the worker's fault.
                 self._release(worker)
                 raise
             worker.served += len(queries)
@@ -333,6 +287,12 @@ class DaemonPool:
             with self._lock:
                 self._inflight -= 1
             self._admission.release()
+
+    def analyze_query(
+        self, query: str, deadline: Deadline | None = None
+    ) -> DaemonReply:
+        """One query: :meth:`analyze_batch` of one."""
+        return self.analyze_batch([query], deadline)[0]
 
     def _checkout(self, deadline: Deadline) -> PoolWorker:
         timeout = deadline.bound(self.admission_timeout)

@@ -1,12 +1,10 @@
 """Zero-copy batch wire format for the PTI daemon pipe (DESIGN.md §11).
 
-The legacy daemon protocol pickles one query per ``Connection.send`` and
-one ``(safe, from_cache, tokens, deltas)`` tuple per reply.  Pickle is
-convenient but costs a full object-graph walk per query -- per-token
-dataclass reduction dominated the wire time in profiles -- and forces one
-IPC exchange (and one deadline clamp) per query.
-
-This module packs a whole *batch* into one struct-packed frame each way:
+The PTI daemon pipe carries nothing but the frames defined here: request,
+reply and store snapshot (plus its ack).  Pickle would cost a full
+object-graph walk per query -- per-token dataclass reduction dominated the
+wire time in profiles -- so a whole *batch* travels as one struct-packed
+frame each way:
 
 ``request``::
 
@@ -37,20 +35,19 @@ Key properties:
   ``text`` (lowercased keyword, backtick-unquoted identifier, verbatim
   otherwise).  :func:`spans_from_tokens` *verifies* that derivation per
   token at pack time and refuses (``WireFormatError``) on any token it
-  could not reconstruct byte-exactly -- the daemon loop then falls back to
-  a pickled reply rather than ship a lossy one.
+  could not reconstruct byte-exactly -- the daemon loop then ships that
+  reply's verdicts without tokens (the parent re-lexes) rather than ship
+  a lossy one.
 - **Fail-closed decoding.**  Every unpack validates magic, version, kind,
   counts, bounds and exact frame length; anything off raises
   :class:`WireFormatError`, which the parent converts to
   :class:`~repro.core.resilience.CorruptReply` (a typed PTI failure --
   never a verdict).
-- **Protocol coexistence.**  Packed frames start with ``b"JZ"`` while every
-  pickle starts with ``b"\\x80"`` (protocol 2+ opcode), so a single child
-  loop can serve both by sniffing :func:`is_frame` on the raw bytes.
 
 Bounds: :data:`MAX_BATCH` queries per frame and :data:`MAX_FRAME` bytes
-per frame.  Oversized batches are a *caller* error, rejected before any
-I/O with a recorded reason, so a runaway batcher cannot wedge the pipe.
+per frame.  The daemon splits a larger batch into several frames under
+one deadline; the packers refuse anything beyond the bounds, so a runaway
+batcher cannot wedge the pipe.
 
 Gateway frames (DESIGN.md section 12).  The async guard gateway
 (``repro/service/``) speaks the same magic/version/kind header over unix
@@ -116,7 +113,6 @@ __all__ = [
     "GW_ERR_OVERSIZED",
     "GW_ERR_DRAINING",
     "GW_ERR_INTERNAL",
-    "is_frame",
     "peek_kind",
     "pack_batch_request",
     "unpack_batch_request",
@@ -146,10 +142,10 @@ KIND_GW_ERROR = 5
 KIND_SNAPSHOT = 6
 KIND_SNAPSHOT_ACK = 7
 
-#: Hard per-frame bounds.  A batch larger than MAX_BATCH is rejected
-#: *before* any I/O; a frame larger than MAX_FRAME is rejected by both
-#: packer and unpacker (a length-prefix bomb cannot allocate unbounded
-#: memory in either process).
+#: Hard per-frame bounds.  A frame never carries more than MAX_BATCH
+#: queries (larger daemon batches are split); a frame larger than
+#: MAX_FRAME bytes is rejected by both packer and unpacker (a
+#: length-prefix bomb cannot allocate unbounded memory in either process).
 MAX_BATCH = 256
 MAX_FRAME = 16 * 1024 * 1024
 
@@ -195,16 +191,6 @@ _CODE_TYPES = {code: ttype for ttype, code in _TYPE_CODES.items()}
 
 class WireFormatError(ValueError):
     """A frame (or a batch about to become one) violates the wire format."""
-
-
-def is_frame(buf: bytes) -> bool:
-    """Whether ``buf`` is a packed frame (vs a legacy pickle payload).
-
-    Unambiguous: packed frames start with ``b"JZ"``; every pickle the
-    legacy protocol produces starts with the protocol-2+ opcode
-    ``b"\\x80"``.
-    """
-    return buf[:2] == MAGIC
 
 
 def peek_kind(frame: bytes) -> int:

@@ -16,9 +16,8 @@ Robustness invariants, each tested:
 - **Admission control**: at most ``workers + max_queue`` requests are in
   flight; excess is shed.  Every shed -- queue full, no worker in time,
   expired -- is answered with recorded fail-closed verdicts, never a
-  silent drop: gateway-level sheds have no surviving analysis technique,
-  so ``OverloadPolicy`` degradation applies only inside workers (their
-  ``DaemonPool``), not here.
+  silent drop: gateway-level sheds have no surviving analysis technique
+  to degrade to.
 - **Worker fault isolation**: a hung, crashed or corrupt worker fails only
   its own in-flight batch (resolved fail-closed); the worker is replaced
   after ``replace_after`` consecutive failures or immediately when dead.
@@ -42,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from ..core.policy import JozaConfig
-from ..core.resilience import OverloadPolicy, RingLog
+from ..core.resilience import RingLog
 from ..pti import wire
 from .codec import encode_verdict, failsafe_dict
 from .worker import GatewayWorker, WorkerFailure
@@ -75,11 +74,8 @@ class GatewayConfig:
     host: str | None = None
     #: TCP port (0 = ephemeral, resolved after :meth:`AsyncGateway.start`).
     port: int = 0
-    #: Worker processes (one engine each).
+    #: Worker processes (one engine each, PTI in-process).
     workers: int = 2
-    #: PTI daemon grandchildren per worker (0 = in-process PTI daemon).
-    worker_pool_size: int = 0
-    worker_pool_max_queue: int = 8
     #: Requests allowed to *wait* beyond the ``workers`` in service;
     #: ``workers + max_queue`` is the hard in-flight bound.
     max_queue: int = 16
@@ -90,9 +86,6 @@ class GatewayConfig:
     #: Max seconds an admitted request waits for a free worker (further
     #: clamped to the request's remaining budget).
     admission_timeout: float = 1.0
-    #: Worker-internal overload policy (forwarded to each worker's
-    #: ``DaemonPool``; gateway-level sheds are always fail-closed).
-    overload_policy: OverloadPolicy = OverloadPolicy.SHED_FAIL_CLOSED
     #: Consecutive worker-call failures that trigger replacement.
     replace_after: int = 3
     #: Seconds granted to in-flight work after SIGTERM before workers are
@@ -109,14 +102,15 @@ class GatewayConfig:
     #: Models real analysis cost in throughput benches so cross-process
     #: overlap is measurable even on a single-core runner; 0 in production.
     worker_pace_seconds: float = 0.0
-    #: Base RNG seed forwarded to workers (worker ``i`` gets ``seed + i``).
+    #: Base RNG seed of the fleet.  Workers host in-process PTI daemons
+    #: and draw no random numbers, so it currently has no effect; it is
+    #: accepted so seeded callers (``serve --seed``) keep working.
     seed: int | None = None
     #: Multi-tenant mode: tenant-id -> overlay fragment list.  The
     #: gateway's ``fragments`` become the shared base vocabulary (interned
     #: once per worker), each tenant engine sees base + its overlay, and
     #: the wire ``client_id`` routes to the tenant's engine.  ``None`` =
-    #: classic single-tenant gateway.  ``worker_pool_size`` only applies
-    #: in single-tenant mode.
+    #: classic single-tenant gateway.
     tenants: dict[str, list[str]] | None = None
     #: Durable state directory (DESIGN.md section 15).  When set, the
     #: gateway restores vocabulary + overlays + audit from it *before*
@@ -277,8 +271,6 @@ class AsyncGateway:
         with self._lock:
             worker_id = self._next_worker_id
             self._next_worker_id += 1
-        seed = None if self.gw.seed is None else self.gw.seed + worker_id
-        with self._lock:
             # Replacement workers spawn with the *current* tenant overlays
             # (reload_tenant keeps this map fresh), so a respawn after a
             # reload never resurrects a pre-reload vocabulary.
@@ -294,11 +286,7 @@ class AsyncGateway:
             worker_id,
             self.fragments,
             self.config,
-            pool_size=self.gw.worker_pool_size,
-            pool_max_queue=self.gw.worker_pool_max_queue,
-            overload_policy=self.gw.overload_policy,
             pace_seconds=self.gw.worker_pace_seconds,
-            seed=seed,
             tenants=tenants,
         )
 

@@ -1,14 +1,14 @@
 """Gateway worker processes: one full Joza engine fleet per child.
 
 Each :class:`GatewayWorker` wraps one long-lived child process hosting
-either a single :class:`~repro.core.JozaEngine` (optionally fronting a
-:class:`~repro.pti.pool.DaemonPool` of PTI daemon grandchildren) or, in
-multi-tenant mode, a :class:`~repro.tenancy.TenantRegistry` with one
-engine per tenant over interned :class:`~repro.tenancy.TenantStore`
-state.  The child is reached over an anonymous pipe with the same
-trusted-pair pickle protocol the PTI daemon uses.  The GIL never
-serialises two workers: analysis parallelism across clients comes from
-*processes*, the asyncio gateway only shuffles bytes.
+either a single :class:`~repro.core.JozaEngine` with an in-process PTI
+daemon or, in multi-tenant mode, a :class:`~repro.tenancy.TenantRegistry`
+with one engine per tenant over interned
+:class:`~repro.tenancy.TenantStore` state.  The child is reached over
+an anonymous pipe carrying pickled ``(op, ...)`` tuples between the two
+trusted ends.  The GIL never serialises two workers: analysis parallelism
+across clients comes from *processes*, the asyncio gateway only shuffles
+bytes.
 
 In multi-tenant mode the gateway wire's ``client_id`` is the tenant id:
 inspects route to that tenant's engine, and a client naming an
@@ -33,7 +33,7 @@ from typing import Mapping, Sequence
 
 from ..core.engine import AttackRecord, JozaEngine
 from ..core.policy import JozaConfig
-from ..core.resilience import Deadline, OverloadPolicy
+from ..core.resilience import Deadline
 from ..phpapp.context import CapturedInput, RequestContext
 from ..pti.fragments import FragmentStore
 from .codec import failsafe_dict, verdict_to_dict
@@ -57,65 +57,28 @@ class WorkerFailure(Exception):
         self.reason = reason
 
 
-def _build_engine(
-    fragments,
-    config: JozaConfig,
-    pool_size: int,
-    pool_max_queue: int,
-    overload_policy: str,
-    seed: int | None,
-) -> JozaEngine:
-    store = FragmentStore(fragments)
-    if pool_size > 0:
-        from ..pti.pool import DaemonPool
-
-        daemon = DaemonPool(
-            store,
-            config.daemon,
-            size=pool_size,
-            max_queue=pool_max_queue,
-            overload_policy=OverloadPolicy(overload_policy),
-            seed=seed,
-        )
-        return JozaEngine(store, config, daemon=daemon)
-    return JozaEngine(store, config)
-
-
 class _EngineFleet:
     """Child-side engine set: one default engine, or one per tenant.
 
     Single-tenant mode (``tenants is None``) is the legacy shape: one
-    engine over a plain :class:`FragmentStore`, optionally fronting a
-    daemon pool.  Multi-tenant mode builds a
-    :class:`~repro.tenancy.TenantRegistry` whose shared base is the
-    worker's fragment list and provisions one in-process engine per
-    tenant over its interned :class:`~repro.tenancy.TenantStore` --
-    ``pool_size`` intentionally does not apply there (a daemon pool per
-    tenant would fork ``pool_size`` grandchildren per tenant).
+    engine over a plain :class:`FragmentStore`.  Multi-tenant mode builds
+    a :class:`~repro.tenancy.TenantRegistry` whose shared base is the
+    worker's fragment list and provisions one engine per tenant over its
+    interned :class:`~repro.tenancy.TenantStore`.  Either way PTI runs
+    in-process: the worker process already isolates the fleet's faults.
     """
 
     def __init__(
         self,
         fragments,
         config: JozaConfig,
-        pool_size: int,
-        pool_max_queue: int,
-        overload_policy: str,
-        seed: int | None,
         tenants: Mapping[str, Sequence[str]] | None,
     ) -> None:
         self.registry = None
         self.engines: dict[str, JozaEngine] = {}
         self.default: JozaEngine | None = None
         if tenants is None:
-            self.default = _build_engine(
-                fragments,
-                config,
-                pool_size,
-                pool_max_queue,
-                overload_policy,
-                seed,
-            )
+            self.default = JozaEngine(FragmentStore(fragments), config)
             return
         from ..tenancy import TenantRegistry
 
@@ -166,11 +129,7 @@ def _gateway_worker_loop(
     conn,
     fragments,
     config: JozaConfig,
-    pool_size: int,
-    pool_max_queue: int,
-    overload_policy: str,
     pace_seconds: float,
-    seed: int | None,
     tenants: Mapping[str, Sequence[str]] | None = None,
 ) -> None:
     """Child entry point: serve inspect/report/snapshot ops until None/EOF.
@@ -180,15 +139,7 @@ def _gateway_worker_loop(
     reply means the *whole batch* must be resolved fail-closed by the
     parent; the child never invents partial results.
     """
-    fleet = _EngineFleet(
-        fragments,
-        config,
-        pool_size,
-        pool_max_queue,
-        overload_policy,
-        seed,
-        tenants,
-    )
+    fleet = _EngineFleet(fragments, config, tenants)
     try:
         while True:
             try:
@@ -282,13 +233,9 @@ class GatewayWorker:
         fragments,
         config: JozaConfig,
         *,
-        pool_size: int = 0,
-        pool_max_queue: int = 8,
-        overload_policy: OverloadPolicy = OverloadPolicy.SHED_FAIL_CLOSED,
         pace_seconds: float = 0.0,
         recv_timeout: float = 10.0,
         recv_grace: float = 0.25,
-        seed: int | None = None,
         tenants: Mapping[str, Sequence[str]] | None = None,
     ) -> None:
         self.worker_id = worker_id
@@ -306,11 +253,7 @@ class GatewayWorker:
                 child_conn,
                 list(fragments),
                 config,
-                pool_size,
-                pool_max_queue,
-                overload_policy.value,
                 pace_seconds,
-                seed,
                 (
                     None
                     if tenants is None

@@ -7,8 +7,8 @@ The pieces consumed elsewhere in the system:
 - :func:`parse_statement` -- AST construction for the database engine.
 - :func:`critical_tokens` -- the critical-token extraction shared by NTI and
   PTI (paper Sections II/III).
-- :func:`structure_signature` / :func:`try_structure_signature` -- keys for
-  the PTI query-structure cache (Section VI-A).
+- :func:`skeletonize` -- literal-masked query skeletons, the key of the
+  shape fast path and of the PTI structure cache (Section VI-A).
 """
 
 from .ast_nodes import (
@@ -42,13 +42,6 @@ from .ast_nodes import (
 from .lexer import tokenize, tokenize_significant
 from .parser import Parser, SqlParseError, critical_tokens, parse_statement
 from .skeleton import LiteralSlot, Skeleton, skeletonize
-from .structure import (
-    signature_and_tokens,
-    structure_signature,
-    token_signature,
-    try_query_signature,
-    try_structure_signature,
-)
 from .tokens import (
     SQL_FUNCTIONS,
     SQL_KEYWORDS,
@@ -94,11 +87,6 @@ __all__ = [
     "LiteralSlot",
     "Skeleton",
     "skeletonize",
-    "structure_signature",
-    "try_structure_signature",
-    "try_query_signature",
-    "token_signature",
-    "signature_and_tokens",
     "SQL_FUNCTIONS",
     "SQL_KEYWORDS",
     "Token",

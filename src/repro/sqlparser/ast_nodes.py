@@ -1,17 +1,9 @@
 """AST node definitions for the SQL subset.
 
-Nodes are plain frozen dataclasses.  Two design constraints come from the
-paper:
-
-- The **query structure cache** (Section IV-C/VI-A) keys on "abstract syntax
-  trees of parsed queries without storing contents of data nodes".  Every
-  node therefore implements ``structure_key()``, a hashable skeleton in which
-  literal values are replaced by a type marker while all structural elements
-  (keywords, operators, function names, clause shapes) are preserved.
-- The **database engine** executes these nodes directly, so the node set
-  covers the statements the testbed applications actually issue, including
-  everything exploits need (UNION, subqueries, sleep/benchmark calls,
-  tautological predicates, comments).
+Nodes are plain frozen dataclasses.  The **database engine** executes them
+directly, so the node set covers the statements the testbed applications
+actually issue, including everything exploits need (UNION, subqueries,
+sleep/benchmark calls, tautological predicates, comments).
 """
 
 from __future__ import annotations
@@ -63,10 +55,6 @@ class Node:
 
     __slots__ = ()
 
-    def structure_key(self) -> tuple:
-        """Hashable structural skeleton with data-node contents erased."""
-        raise NotImplementedError
-
 
 class Expr(Node):
     """Base class for expressions."""
@@ -82,12 +70,6 @@ class Literal(Expr):
 
     value: object
 
-    def structure_key(self) -> tuple:
-        # Contents erased; only the broad type survives, so e.g.
-        # ``WHERE id = 1`` and ``WHERE id = 2`` share a structure key while
-        # ``WHERE id = 1 OR 1=1`` does not.
-        return ("lit", type(self.value).__name__)
-
 
 @dataclass(frozen=True)
 class ColumnRef(Expr):
@@ -96,18 +78,12 @@ class ColumnRef(Expr):
     name: str
     table: str | None = None
 
-    def structure_key(self) -> tuple:
-        return ("col", self.table, self.name.lower() if self.name else None)
-
 
 @dataclass(frozen=True)
 class Star(Expr):
     """The ``*`` select item (optionally ``t.*``)."""
 
     table: str | None = None
-
-    def structure_key(self) -> tuple:
-        return ("star", self.table)
 
 
 @dataclass(frozen=True)
@@ -118,9 +94,6 @@ class Placeholder(Expr):
 
     name: str
 
-    def structure_key(self) -> tuple:
-        return ("ph", self.name)
-
 
 @dataclass(frozen=True)
 class Unary(Expr):
@@ -130,9 +103,6 @@ class Unary(Expr):
 
     op: str
     operand: Expr
-
-    def structure_key(self) -> tuple:
-        return ("unary", self.op, self.operand.structure_key())
 
 
 @dataclass(frozen=True)
@@ -145,9 +115,6 @@ class Binary(Expr):
     left: Expr
     right: Expr
 
-    def structure_key(self) -> tuple:
-        return ("bin", self.op, self.left.structure_key(), self.right.structure_key())
-
 
 @dataclass(frozen=True)
 class FunctionCall(Expr):
@@ -157,14 +124,6 @@ class FunctionCall(Expr):
     args: tuple[Expr, ...] = ()
     distinct: bool = False
 
-    def structure_key(self) -> tuple:
-        return (
-            "call",
-            self.name.lower(),
-            self.distinct,
-            tuple(a.structure_key() for a in self.args),
-        )
-
 
 @dataclass(frozen=True)
 class InList(Expr):
@@ -173,14 +132,6 @@ class InList(Expr):
     needle: Expr
     items: tuple[Expr, ...]
     negated: bool = False
-
-    def structure_key(self) -> tuple:
-        return (
-            "in",
-            self.negated,
-            self.needle.structure_key(),
-            tuple(i.structure_key() for i in self.items),
-        )
 
 
 @dataclass(frozen=True)
@@ -192,15 +143,6 @@ class Between(Expr):
     high: Expr
     negated: bool = False
 
-    def structure_key(self) -> tuple:
-        return (
-            "between",
-            self.negated,
-            self.needle.structure_key(),
-            self.low.structure_key(),
-            self.high.structure_key(),
-        )
-
 
 @dataclass(frozen=True)
 class IsNull(Expr):
@@ -208,9 +150,6 @@ class IsNull(Expr):
 
     operand: Expr
     negated: bool = False
-
-    def structure_key(self) -> tuple:
-        return ("isnull", self.negated, self.operand.structure_key())
 
 
 @dataclass(frozen=True)
@@ -221,14 +160,6 @@ class Like(Expr):
     pattern: Expr
     negated: bool = False
 
-    def structure_key(self) -> tuple:
-        return (
-            "like",
-            self.negated,
-            self.operand.structure_key(),
-            self.pattern.structure_key(),
-        )
-
 
 @dataclass(frozen=True)
 class CaseExpr(Expr):
@@ -237,14 +168,6 @@ class CaseExpr(Expr):
     operand: Expr | None
     whens: tuple[tuple[Expr, Expr], ...]
     default: Expr | None = None
-
-    def structure_key(self) -> tuple:
-        return (
-            "case",
-            self.operand.structure_key() if self.operand else None,
-            tuple((w.structure_key(), t.structure_key()) for w, t in self.whens),
-            self.default.structure_key() if self.default else None,
-        )
 
 
 @dataclass(frozen=True)
@@ -255,9 +178,6 @@ class SubqueryExpr(Expr):
 
     select: "Select | Union"
 
-    def structure_key(self) -> tuple:
-        return ("subq", self.select.structure_key())
-
 
 @dataclass(frozen=True)
 class ExistsExpr(Expr):
@@ -267,9 +187,6 @@ class ExistsExpr(Expr):
 
     select: "Select | Union"
 
-    def structure_key(self) -> tuple:
-        return ("exists", self.select.structure_key())
-
 
 @dataclass(frozen=True)
 class SelectItem(Node):
@@ -277,9 +194,6 @@ class SelectItem(Node):
 
     expr: Expr
     alias: str | None = None
-
-    def structure_key(self) -> tuple:
-        return ("item", self.expr.structure_key(), self.alias)
 
 
 @dataclass(frozen=True)
@@ -290,14 +204,6 @@ class TableRef(Node):
     alias: str | None = None
     subquery: "Select | Union | None" = None
 
-    def structure_key(self) -> tuple:
-        return (
-            "table",
-            self.name.lower() if self.name else None,
-            self.alias,
-            self.subquery.structure_key() if self.subquery else None,
-        )
-
 
 @dataclass(frozen=True)
 class Join(Node):
@@ -307,14 +213,6 @@ class Join(Node):
     table: TableRef
     condition: Expr | None = None
 
-    def structure_key(self) -> tuple:
-        return (
-            "join",
-            self.kind,
-            self.table.structure_key(),
-            self.condition.structure_key() if self.condition else None,
-        )
-
 
 @dataclass(frozen=True)
 class OrderItem(Node):
@@ -322,9 +220,6 @@ class OrderItem(Node):
 
     expr: Expr
     descending: bool = False
-
-    def structure_key(self) -> tuple:
-        return ("order", self.expr.structure_key(), self.descending)
 
 
 class Statement(Node):
@@ -348,21 +243,6 @@ class Select(Statement):
     offset: Expr | None = None
     distinct: bool = False
 
-    def structure_key(self) -> tuple:
-        return (
-            "select",
-            self.distinct,
-            tuple(i.structure_key() for i in self.items),
-            self.table.structure_key() if self.table else None,
-            tuple(j.structure_key() for j in self.joins),
-            self.where.structure_key() if self.where else None,
-            tuple(g.structure_key() for g in self.group_by),
-            self.having.structure_key() if self.having else None,
-            tuple(o.structure_key() for o in self.order_by),
-            self.limit.structure_key() if self.limit else None,
-            self.offset.structure_key() if self.offset else None,
-        )
-
 
 @dataclass(frozen=True)
 class Union(Statement):
@@ -373,16 +253,6 @@ class Union(Statement):
     order_by: tuple[OrderItem, ...] = ()
     limit: Expr | None = None
     offset: Expr | None = None
-
-    def structure_key(self) -> tuple:
-        return (
-            "union",
-            self.all,
-            tuple(s.structure_key() for s in self.selects),
-            tuple(o.structure_key() for o in self.order_by),
-            self.limit.structure_key() if self.limit else None,
-            self.offset.structure_key() if self.offset else None,
-        )
 
 
 @dataclass(frozen=True)
@@ -395,16 +265,6 @@ class Insert(Statement):
     select: Select | Union | None = None
     replace: bool = False
 
-    def structure_key(self) -> tuple:
-        return (
-            "insert",
-            self.replace,
-            self.table.lower(),
-            tuple(c.lower() for c in self.columns),
-            tuple(tuple(e.structure_key() for e in row) for row in self.rows),
-            self.select.structure_key() if self.select else None,
-        )
-
 
 @dataclass(frozen=True)
 class Update(Statement):
@@ -415,15 +275,6 @@ class Update(Statement):
     where: Expr | None = None
     limit: Expr | None = None
 
-    def structure_key(self) -> tuple:
-        return (
-            "update",
-            self.table.lower(),
-            tuple((c.lower(), e.structure_key()) for c, e in self.assignments),
-            self.where.structure_key() if self.where else None,
-            self.limit.structure_key() if self.limit else None,
-        )
-
 
 @dataclass(frozen=True)
 class Delete(Statement):
@@ -433,10 +284,3 @@ class Delete(Statement):
     where: Expr | None = None
     limit: Expr | None = None
 
-    def structure_key(self) -> tuple:
-        return (
-            "delete",
-            self.table.lower(),
-            self.where.structure_key() if self.where else None,
-            self.limit.structure_key() if self.limit else None,
-        )

@@ -1,12 +1,11 @@
 """Recursive-descent parser for the MySQL-flavoured SQL subset.
 
-The parser serves three masters:
+The parser serves two masters:
 
 - the :mod:`repro.database` engine executes the AST it produces;
 - the PTI daemon parses every intercepted query "to determine the critical
   set of tokens before attempting to match these tokens" (Section VI-A), via
-  :func:`critical_tokens`;
-- the query structure cache hashes ``Statement.structure_key()``.
+  :func:`critical_tokens`.
 
 Comments are skipped during parsing (they do not affect execution) but
 remain visible to the taint analyses through the token stream.

@@ -13,11 +13,10 @@ canonicalizes a query into
 - the **literal slot spans**: the ``[start, end)`` offsets and kind of each
   masked literal in the original query.
 
-This is deliberately *stricter* than the PTI structure cache's
-whitespace-collapsing :func:`~repro.sqlparser.structure.token_signature`:
-PTI fragment matching is exact on raw query text, so a reusable analysis
-plan needs the inter-literal text to be byte-identical, not merely
-token-identical.
+The key is deliberately *stricter* than a whitespace-collapsing token
+signature: PTI fragment matching is exact on raw query text, so a reusable
+analysis plan needs the inter-literal text to be byte-identical, not merely
+token-identical.  The same key serves the daemon's structure cache.
 
 Span agreement with the lexer is a hard invariant: the slot spans must be
 exactly the spans :func:`~repro.sqlparser.lexer.tokenize` assigns to its

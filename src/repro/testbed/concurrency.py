@@ -24,15 +24,17 @@ provides three:
   schedules single-threaded; :func:`diff_verdicts` compares.
 
 :class:`PacedPTIDaemon` supports the concurrent-throughput benchmark: its
-child sleeps a configurable pace per query, modeling the service time of
-the paper's native analysis daemon at WordPress vocabulary scale.  Pool
-speedup must come from *overlapping* those service times (parent threads
-block in ``poll``/``recv`` with the GIL released), which is exactly the
-deployment claim the benchmark verifies on a single-core host.
+child sleeps a configurable pace per exchange (per query under
+``inspect``), modeling the service time of the paper's native analysis
+daemon at WordPress vocabulary scale.  Pool speedup must come from
+*overlapping* those service times (parent threads block in
+``poll``/``recv`` with the GIL released), which is exactly the deployment
+claim the benchmark verifies on a single-core host.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import threading
 import time
@@ -73,11 +75,13 @@ CORRUPT_MARKER = "/*chaos:corrupt*/"
 class MarkerFaultDaemon:
     """In-process daemon whose faults are a pure function of the query.
 
-    Speaks the daemon protocol (``analyze_query(query, deadline=...)``,
+    Speaks the daemon protocol (``analyze_batch(queries, deadline)``,
     ``store``), so it sits in the engine's daemon slot or behind a
-    :class:`~repro.pti.pool.DaemonPool` via a factory.  Thread-safe: the
-    wrapped :class:`~repro.pti.daemon.PTIDaemon` serializes its pipeline
-    internally, and the marker check touches only the immutable query.
+    :class:`~repro.pti.pool.DaemonPool` via a factory; a marker query
+    fails its whole batch, as a fault would a whole exchange.
+    Thread-safe: the wrapped :class:`~repro.pti.daemon.PTIDaemon`
+    serializes its pipeline internally, and the marker check touches only
+    the immutable query.
     """
 
     def __init__(self, inner: PTIDaemon) -> None:
@@ -101,6 +105,9 @@ class MarkerFaultDaemon:
         with self._lock:
             self.faults_fired += 1
 
+    def analyze_batch(self, queries: list[str], deadline: Deadline | None = None):
+        return [self.analyze_query(query, deadline) for query in queries]
+
     def analyze_query(self, query: str, deadline: Deadline | None = None):
         with self._lock:
             self.calls += 1
@@ -121,40 +128,19 @@ class MarkerFaultDaemon:
 # ----------------------------------------------------------------------
 
 
-def _paced_daemon_loop(conn, fragments, config, pace_seconds: float) -> None:
-    """Child loop: a real PTI daemon whose every reply costs ``pace``.
+def _pace(pace_seconds: float, queries: list[str]) -> None:
+    """Child-side hook: every exchange costs ``pace_seconds``.
 
-    The sleep models the native daemon's per-query analysis service time
-    at production vocabulary scale; the parent blocks in ``poll`` with the
+    The sleep models the native daemon's analysis service time at
+    production vocabulary scale; the parent blocks in ``poll`` with the
     GIL released, so N workers' paces overlap -- the effect the
     concurrent-throughput benchmark measures.
     """
-    daemon = PTIDaemon(FragmentStore(fragments), config)
-    previous = daemon.timings.snapshot()
-    while True:
-        try:
-            message = conn.recv()
-        except EOFError:
-            break
-        if message is None:
-            break
-        if pace_seconds > 0.0:
-            time.sleep(pace_seconds)
-        reply = daemon.analyze_query(message)
-        current = daemon.timings.snapshot()
-        deltas = {k: current[k] - previous.get(k, 0.0) for k in current}
-        previous = current
-        conn.send((reply.safe, reply.from_cache, reply.tokens, deltas))
-    conn.close()
+    time.sleep(pace_seconds)
 
 
 class PacedPTIDaemon(SubprocessPTIDaemon):
-    """A subprocess daemon whose child takes ``pace_seconds`` per query."""
-
-    #: The pacing child loop speaks only the legacy pickle protocol;
-    #: batch calls degrade to per-query round-trips (keeping the pacing
-    #: per query, which is what the concurrency harness measures).
-    supports_batch_wire = False
+    """A subprocess daemon whose child takes ``pace_seconds`` per exchange."""
 
     def __init__(
         self,
@@ -167,11 +153,10 @@ class PacedPTIDaemon(SubprocessPTIDaemon):
         super().__init__(store, config, **kwargs)
         self.pace_seconds = pace_seconds
 
-    def _loop_target(self):
-        return _paced_daemon_loop
-
-    def _loop_args(self, child_conn) -> tuple:
-        return (child_conn, self.fragments, self.config, self.pace_seconds)
+    def _fault_hook(self):
+        if self.pace_seconds <= 0.0:
+            return None
+        return functools.partial(_pace, self.pace_seconds)
 
 
 # ----------------------------------------------------------------------

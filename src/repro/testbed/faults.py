@@ -6,12 +6,15 @@ and invariants want adversaries.  This module provides two of them, both
 driven by a reproducible :class:`FaultSchedule`:
 
 - :class:`ChaosPTIDaemon` -- a :class:`~repro.pti.daemon.SubprocessPTIDaemon`
-  whose *children* misbehave for real: they crash mid-query (``os._exit``),
-  hang (sleep far past every timeout), reply slowly, reply garbage, and die
-  deterministically on poison queries.  This exercises the full production
-  stack: ``poll``-bounded receives, kill-and-respawn, backoff, the circuit
-  breaker.  A cross-respawn shared counter keeps the schedule positional
-  (query *i* gets fault *i* no matter how many children died before it).
+  whose *children* misbehave for real: they crash mid-exchange
+  (``os._exit``), hang (sleep far past every timeout), reply slowly, reply
+  garbage, and die deterministically on poison queries.  The children
+  speak the production packed wire, so a fault hits a whole exchange (one
+  request frame, i.e. every query of a batch).  This exercises the full
+  production stack: ``poll``-bounded receives, kill-and-respawn, backoff,
+  the circuit breaker.  A cross-respawn shared counter keeps the schedule
+  positional (exchange *i* gets fault *i* no matter how many children died
+  before it).
 
 - :class:`FlakyDaemon` -- an in-process injector raising the same typed
   failures the resilient wrapper can surface, without any real processes.
@@ -19,7 +22,7 @@ driven by a reproducible :class:`FaultSchedule`:
   fault schedules per minute, asserting the engine's never-fail-open
   resolution, which would be hopelessly slow with real children.
 
-Both speak the daemon protocol (``analyze_query(query, deadline=...)``), so
+Both speak the daemon protocol (``analyze_batch(queries, deadline)``), so
 either can sit in the engine's daemon slot.
 
 Poison queries are content-keyed (the :data:`POISON_MARKER` substring or an
@@ -30,6 +33,7 @@ crash the single-respawn-retry seed code could not survive.
 from __future__ import annotations
 
 import enum
+import functools
 import multiprocessing
 import os
 import random
@@ -62,7 +66,7 @@ POISON_MARKER = "/*chaos:poison*/"
 class FaultKind(enum.Enum):
     """The injectable fault classes (tentpole fault taxonomy)."""
 
-    CRASH = "crash"  # child dies mid-query (SIGKILL-style, no cleanup)
+    CRASH = "crash"  # child dies mid-exchange (SIGKILL-style, no cleanup)
     HANG = "hang"  # child goes silent far past every timeout
     SLOW = "slow"  # child replies, but late
     CORRUPT = "corrupt"  # child replies garbage (shape-invalid message)
@@ -72,11 +76,12 @@ class FaultKind(enum.Enum):
 class FaultSchedule:
     """A reproducible position -> fault mapping.
 
-    Positions are *global analysis indices*: the i-th query the (possibly
-    respawned-many-times) daemon is asked to analyse.  Retried queries
-    consume fresh positions, which is exactly transient-fault semantics: a
-    crash at position k makes the retry run at position k+1, where the
-    schedule usually holds no fault.
+    Positions are *global exchange indices*: the i-th request the (possibly
+    respawned-many-times) daemon is asked to serve -- one query for
+    ``inspect``, a whole batch for ``inspect_batch``; :class:`FlakyDaemon`
+    counts queries.  Retries consume fresh positions, which is exactly
+    transient-fault semantics: a crash at position k makes the retry run
+    at position k+1, where the schedule usually holds no fault.
     """
 
     faults: dict[int, FaultKind] = field(default_factory=dict)
@@ -146,65 +151,47 @@ class FakeClock:
 # ----------------------------------------------------------------------
 
 
-def _chaos_daemon_loop(
-    conn,
-    fragments: list[str],
-    config: DaemonConfig,
+def _chaos_exchange(
     schedule: FaultSchedule,
     counter,
     hang_seconds: float,
     slow_seconds: float,
-) -> None:
-    """Child entry point: a PTI daemon with scheduled misbehavior."""
-    daemon = PTIDaemon(FragmentStore(fragments), config)
-    previous = daemon.timings.snapshot()
-    while True:
-        try:
-            message = conn.recv()
-        except EOFError:
-            break
-        if message is None:
-            break
-        if POISON_MARKER in message:
-            # Deterministic: this query kills every child ever spawned.
-            os._exit(139)
-        with counter.get_lock():
-            index = counter.value
-            counter.value += 1
-        fault = schedule.fault_at(index)
-        if fault is FaultKind.CRASH:
-            os._exit(137)
-        if fault is FaultKind.HANG:
-            # Go silent for far longer than any sane receive timeout; the
-            # parent is expected to declare us hung and kill us.
-            time.sleep(hang_seconds)
-            os._exit(134)
-        if fault is FaultKind.SLOW:
-            time.sleep(slow_seconds)
-        if fault is FaultKind.CORRUPT:
-            conn.send(("\x00garbage", -1))
-            continue
-        reply = daemon.analyze_query(message)
-        current = daemon.timings.snapshot()
-        deltas = {k: current[k] - previous.get(k, 0.0) for k in current}
-        previous = current
-        conn.send((reply.safe, reply.from_cache, reply.tokens, deltas))
-    conn.close()
+    queries: list[str],
+) -> bytes | None:
+    """Child-side fault hook: misbehave on schedule, once per exchange.
+
+    Returns garbage bytes to send instead of the reply (CORRUPT), or
+    ``None`` to let the production loop analyse and reply.
+    """
+    if any(POISON_MARKER in query for query in queries):
+        # Deterministic: this query kills every child ever spawned.
+        os._exit(139)
+    with counter.get_lock():
+        index = counter.value
+        counter.value += 1
+    fault = schedule.fault_at(index)
+    if fault is FaultKind.CRASH:
+        os._exit(137)
+    if fault is FaultKind.HANG:
+        # Go silent for far longer than any sane receive timeout; the
+        # parent is expected to declare us hung and kill us.
+        time.sleep(hang_seconds)
+        os._exit(134)
+    if fault is FaultKind.SLOW:
+        time.sleep(slow_seconds)
+    if fault is FaultKind.CORRUPT:
+        return b"\x00garbage"
+    return None
 
 
 class ChaosPTIDaemon(SubprocessPTIDaemon):
     """A subprocess PTI daemon whose children misbehave on schedule.
 
     Everything parent-side is the production
-    :class:`~repro.pti.daemon.SubprocessPTIDaemon` -- the chaos lives
-    entirely in the child loop, so the recovery machinery under test is
-    byte-for-byte the deployed one.
+    :class:`~repro.pti.daemon.SubprocessPTIDaemon`, and the child runs the
+    production loop with a fault hook -- so the recovery machinery under
+    test is byte-for-byte the deployed one.
     """
-
-    #: The chaos child loop speaks only the legacy pickle protocol;
-    #: batch calls degrade to per-query round-trips (each of which the
-    #: fault schedule can still hit).
-    supports_batch_wire = False
 
     def __init__(
         self,
@@ -223,14 +210,9 @@ class ChaosPTIDaemon(SubprocessPTIDaemon):
         # Shared across respawns so the schedule stays positional.
         self._counter = multiprocessing.Value("q", 0)
 
-    def _loop_target(self):
-        return _chaos_daemon_loop
-
-    def _loop_args(self, child_conn) -> tuple:
-        return (
-            child_conn,
-            self.fragments,
-            self.config,
+    def _fault_hook(self):
+        return functools.partial(
+            _chaos_exchange,
             self.schedule,
             self._counter,
             self.hang_seconds,
@@ -239,7 +221,7 @@ class ChaosPTIDaemon(SubprocessPTIDaemon):
 
     @property
     def queries_seen(self) -> int:
-        """Global analysis positions consumed so far (includes retries)."""
+        """Global exchange positions consumed so far (includes retries)."""
         return int(self._counter.value)
 
     def clear_faults(self) -> None:
@@ -289,6 +271,10 @@ class FlakyDaemon:
     @property
     def store(self) -> FragmentStore:
         return self.inner.store
+
+    def analyze_batch(self, queries: list[str], deadline: Deadline | None = None):
+        """Each query consumes a position; any fault fails the whole batch."""
+        return [self.analyze_query(query, deadline) for query in queries]
 
     def analyze_query(self, query: str, deadline: Deadline | None = None):
         index = self.calls

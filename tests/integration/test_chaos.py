@@ -33,6 +33,7 @@ from repro.core import (
 )
 from repro.phpapp.context import CapturedInput, RequestContext
 from repro.pti import FragmentStore
+from repro.testbed.concurrency import PacedPTIDaemon
 from repro.testbed.faults import (
     POISON_MARKER,
     ChaosPTIDaemon,
@@ -273,3 +274,52 @@ def test_chaos_counters_surface_in_audit_export():
     assert resilience["daemon"]["crashes"] >= 1
     assert resilience["daemon"]["corrupt_replies"] >= 1
     assert "breaker" in resilience["daemon"]
+
+
+def test_crash_under_inspect_batch_fails_the_whole_batch_and_retries_it_whole():
+    # The chaos child speaks the packed wire: one schedule position per
+    # exchange, and a whole batch is one exchange.
+    schedule = FaultSchedule.fixed({0: FaultKind.CRASH, 1: FaultKind.CRASH})
+    engine, daemon = make_engine(
+        schedule,
+        retry=RetryPolicy(max_attempts=2, base_delay=0.002, max_delay=0.01),
+    )
+    queries = [f"SELECT a FROM t WHERE id = {i}" for i in range(4)]
+    with daemon:
+        # Both attempts crash: every query of the batch fails closed.
+        verdicts = engine.inspect_batch(queries, RequestContext())
+        assert all(not v.safe and v.failsafe for v in verdicts)
+        assert engine.stats.failsafe_blocks == len(queries)
+        # The retry re-sent the whole batch as one exchange.
+        assert daemon.retries == 1 and daemon.crashes == 2
+        assert daemon.queries_seen == 2
+        # The outage ends with the schedule: the next batch is one
+        # exchange and every query is analysed.
+        verdicts = engine.inspect_batch(queries, RequestContext())
+        assert all(v.safe and not v.failsafe for v in verdicts)
+        assert all(v.pti is not None for v in verdicts)
+        assert daemon.queries_seen == 3
+
+
+@pytest.mark.parametrize(
+    "make_daemon",
+    [
+        lambda store: ChaosPTIDaemon(store, schedule=FaultSchedule.none()),
+        lambda store: PacedPTIDaemon(store, pace_seconds=0.001),
+    ],
+    ids=["chaos", "paced"],
+)
+def test_snapshot_push_reaches_testbed_children_without_respawn(make_daemon):
+    query = "SELECT b FROM u WHERE id = 1"
+    with make_daemon(FragmentStore(FRAGMENTS)) as daemon:
+        assert not daemon.analyze_query(query).safe  # not yet covered
+        pid = daemon._process.pid
+        daemon.apply_snapshot(
+            FragmentStore(FRAGMENTS + ["SELECT b FROM u WHERE id = "])
+        )
+        snapshot = daemon.resilience_snapshot()
+        assert snapshot["snapshot_applies"] == 1
+        assert snapshot["snapshot_fallbacks"] == 0
+        assert daemon.analyze_query(query).safe  # the live child swapped
+        assert daemon.spawns == 1 and daemon._process.pid == pid
+

@@ -205,9 +205,9 @@ class _SlowDaemon:
     def refresh_fragments(self, store: FragmentStore) -> None:
         self.inner.refresh_fragments(store)
 
-    def analyze_query(self, query: str, deadline=None):
+    def analyze_batch(self, queries: list[str], deadline=None):
         time.sleep(self.pace)
-        return self.inner.analyze_query(query, deadline=deadline)
+        return self.inner.analyze_batch(queries, deadline=deadline)
 
     def close(self) -> None:  # pragma: no cover - nothing to reap
         pass

@@ -1,10 +1,13 @@
 """Integration tests: the real subprocess PTI daemon over pipes."""
 
+import pickle
+
 import pytest
 
-from repro.core import JozaConfig, JozaEngine
+from repro.core import JozaConfig, JozaEngine, RetryPolicy, ShapeCacheConfig
 from repro.phpapp import HttpRequest
-from repro.pti import DaemonConfig, FragmentStore, SubprocessPTIDaemon
+from repro.phpapp.context import CapturedInput, RequestContext
+from repro.pti import DaemonConfig, FragmentStore, SubprocessPTIDaemon, wire
 from repro.testbed import build_testbed, make_request, plugin_by_name
 
 FRAGMENTS = ["SELECT a FROM t WHERE id = ", " OR ", " LIMIT 5"]
@@ -103,3 +106,31 @@ def test_engine_pti_matcher_threads_into_subprocess_daemon():
             make_request(defn, "-1 UNION SELECT 1, user_pass, 3 FROM wp_users#")
         )
         assert attack.blocked
+
+
+def test_pickled_request_ends_the_child_loop_and_fails_closed(monkeypatch):
+    """The pipe speaks packed frames only: a pickle is never answered."""
+    store = FragmentStore(FRAGMENTS)
+    daemon = SubprocessPTIDaemon(store, retry=RetryPolicy(max_attempts=1))
+    engine = JozaEngine(
+        store, JozaConfig(shape=ShapeCacheConfig(enabled=False)), daemon=daemon
+    )
+    context = RequestContext(inputs=[CapturedInput("get", "id", "1")])
+    try:
+        assert engine.inspect("SELECT a FROM t WHERE id = 1", context).safe
+        process = daemon._process
+        # What the removed single-query protocol put on the pipe: one
+        # pickled query string per message.
+        monkeypatch.setattr(
+            wire, "pack_batch_request", lambda queries: pickle.dumps(queries[0])
+        )
+        verdict = engine.inspect("SELECT a FROM t WHERE id = 2", context)
+        assert not verdict.safe and verdict.failsafe
+        assert verdict.pti is None  # no verdict was made up for the pickle
+        process.join(timeout=5.0)
+        assert not process.is_alive()  # the child ended its loop
+        assert process.exitcode == 0
+        assert daemon.crashes == 1
+    finally:
+        daemon.close()
+

@@ -40,8 +40,8 @@ class InProcessWorker:
         self.closed = False
         self.refreshes = 0
 
-    def analyze_query(self, query, deadline=None) -> DaemonReply:
-        return self.inner.analyze_query(query, deadline=deadline)
+    def analyze_batch(self, queries, deadline=None) -> list[DaemonReply]:
+        return self.inner.analyze_batch(queries, deadline=deadline)
 
     def refresh_fragments(self, store):
         self.refreshes += 1
@@ -59,16 +59,16 @@ class BlockingWorker(InProcessWorker):
         self.release = threading.Event()
         self.entered = threading.Event()
 
-    def analyze_query(self, query, deadline=None) -> DaemonReply:
+    def analyze_batch(self, queries, deadline=None) -> list[DaemonReply]:
         self.entered.set()
         assert self.release.wait(timeout=30.0), "test forgot to release"
-        return super().analyze_query(query, deadline=deadline)
+        return super().analyze_batch(queries, deadline=deadline)
 
 
 class FailingWorker(InProcessWorker):
     """Fails every request with a typed daemon crash."""
 
-    def analyze_query(self, query, deadline=None) -> DaemonReply:
+    def analyze_batch(self, queries, deadline=None) -> list[DaemonReply]:
         raise DaemonCrash("fake worker crash")
 
 
@@ -232,16 +232,16 @@ def test_pool_replaces_worker_after_consecutive_failures():
 
 def test_pool_success_resets_failure_streak(monkeypatch):
     pool, created = make_pool(InProcessWorker, size=1, replace_after=2)
-    original = InProcessWorker.analyze_query
+    original = InProcessWorker.analyze_batch
     fail_next = {"value": True}
 
-    def flaky(self, query, deadline=None):
+    def flaky(self, queries, deadline=None):
         if fail_next["value"]:
             fail_next["value"] = False
             raise DaemonCrash("transient")
-        return original(self, query, deadline=deadline)
+        return original(self, queries, deadline=deadline)
 
-    monkeypatch.setattr(InProcessWorker, "analyze_query", flaky)
+    monkeypatch.setattr(InProcessWorker, "analyze_batch", flaky)
     with pytest.raises(DaemonCrash):
         pool.analyze_query(SAFE_QUERY)
     assert pool.analyze_query(SAFE_QUERY).safe

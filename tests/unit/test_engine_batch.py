@@ -86,20 +86,15 @@ def test_second_batch_serves_warm_shapes_without_daemon_exchange():
 
 
 class RecordingBatchDaemon(PTIDaemon):
-    """In-process daemon counting batched vs per-query entry points."""
+    """In-process daemon recording every ``analyze_batch`` call."""
 
     def __init__(self, store):
         super().__init__(store, DaemonConfig())
-        self.batch_calls = 0
-        self.single_calls = 0
+        self.batches = []
 
     def analyze_batch(self, queries, deadline=None):
-        self.batch_calls += 1
+        self.batches.append(list(queries))
         return super().analyze_batch(queries, deadline=deadline)
-
-    def analyze_query(self, query, deadline=None):
-        self.single_calls += 1
-        return super().analyze_query(query, deadline=deadline)
 
 
 def test_cold_queries_share_one_daemon_exchange():
@@ -107,30 +102,24 @@ def test_cold_queries_share_one_daemon_exchange():
     engine = JozaEngine(store, JozaConfig())
     daemon = RecordingBatchDaemon(store)
     engine.daemon = daemon
-    engine.inspect_batch(SAFE_QUERIES + [ATTACK_QUERY], ctx("x"))
-    assert daemon.batch_calls == 1
-    assert daemon.single_calls == 0
+    queries = SAFE_QUERIES + [ATTACK_QUERY]
+    engine.inspect_batch(queries, ctx("x"))
+    assert daemon.batches == [queries]  # one call carrying every cold query
 
 
-def test_daemon_without_batch_support_degrades_to_serial_calls():
-    class SingleOnlyDaemon:
-        def __init__(self, inner):
-            self.inner = inner
-            self.store = inner.store
-            self.calls = 0
-
-        def analyze_query(self, query, deadline=None):
-            self.calls += 1
-            return self.inner.analyze_query(query, deadline=deadline)
-
+def test_inspect_reaches_the_daemon_only_through_analyze_batch():
     store = FragmentStore(FRAGMENTS)
     engine = JozaEngine(store, JozaConfig())
-    daemon = SingleOnlyDaemon(PTIDaemon(store, DaemonConfig()))
+    daemon = RecordingBatchDaemon(store)
     engine.daemon = daemon
-    verdicts = engine.inspect_batch(SAFE_QUERIES, ctx("1"))
-    assert [v.safe for v in verdicts] == [True, True, True]
-    assert daemon.calls == len(SAFE_QUERIES)
-    assert engine.stats.batch_daemon_batches == 0
+    engine.inspect(SAFE_QUERIES[0], ctx("1"))
+    assert daemon.batches == [[SAFE_QUERIES[0]]]
+    # inspect keeps its own fixed costs: no batch counter moves.
+    assert engine.stats.batch_counters() == {
+        "batch_calls": 0,
+        "batch_queries": 0,
+        "batch_daemon_batches": 0,
+    }
 
 
 def test_failed_batch_exchange_fails_closed_per_query():
@@ -139,9 +128,6 @@ def test_failed_batch_exchange_fails_closed_per_query():
 
         def analyze_batch(self, queries, deadline=None):
             raise DaemonUnavailable("injected batch outage")
-
-        def analyze_query(self, query, deadline=None):  # pragma: no cover
-            raise AssertionError("batch path must not fall back silently")
 
     engine = JozaEngine.from_fragments(FRAGMENTS)
     engine.daemon = DeadBatchDaemon()
@@ -160,9 +146,6 @@ def test_batch_reply_count_mismatch_fails_closed():
 
         def analyze_batch(self, queries, deadline=None):
             return [self.inner.analyze_query(queries[0], deadline=deadline)]
-
-        def analyze_query(self, query, deadline=None):  # pragma: no cover
-            raise AssertionError("unused")
 
     store = FragmentStore(FRAGMENTS)
     engine = JozaEngine(store, JozaConfig())

@@ -190,7 +190,9 @@ def test_nti_deadline_exhaustion_fails_closed():
     engine = JozaEngine(store, config)
 
     class SlowNTI:
-        def analyze(self, query, context, tokens=None, deadline=None):
+        def analyze(
+            self, query, context, tokens=None, deadline=None, values=None
+        ):
             clock.advance(2.0)  # blow the budget...
             deadline.check("nti")  # ...and notice
             raise AssertionError("unreachable")

@@ -9,10 +9,11 @@ Three concerns, mirroring the module's contract:
 - **Fail-closed decoding** -- every truncation of a valid frame, every
   corrupted header field and any trailing garbage raises
   :class:`~repro.pti.wire.WireFormatError`; the daemon's batch decoder
-  converts that (and count mismatches, and unpicklable payloads) to
-  :class:`~repro.core.resilience.CorruptReply`, never a verdict.
-- **Bounds** -- oversized batches are refused before any I/O with the
-  reason recorded on the daemon's resilience counters.
+  converts that (and count mismatches, and non-frame payloads such as
+  pickles) to :class:`~repro.core.resilience.CorruptReply`, never a
+  verdict.
+- **Bounds** -- a daemon batch beyond ``MAX_BATCH`` is split into frames,
+  not refused.
 """
 
 import pickle
@@ -21,9 +22,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.resilience import CorruptReply, PTIFailure
+from repro.core import JozaEngine
+from repro.core.resilience import CorruptReply
+from repro.phpapp.context import RequestContext
 from repro.pti import wire
-from repro.pti.daemon import SubprocessPTIDaemon
+from repro.pti.daemon import DaemonReply, SubprocessPTIDaemon, _reply_frame
 from repro.pti.fragments import FragmentStore
 from repro.sqlparser.parser import critical_tokens
 from repro.sqlparser.tokens import Token, TokenType
@@ -60,7 +63,7 @@ DELTAS = st.fixed_dictionaries(
 @settings(max_examples=100, deadline=None)
 def test_request_round_trip(queries):
     frame = wire.pack_batch_request(queries)
-    assert wire.is_frame(frame)
+    assert wire.peek_kind(frame) == wire.KIND_REQUEST
     assert wire.unpack_batch_request(bytes(frame)) == queries
 
 
@@ -75,7 +78,7 @@ def test_request_round_trips_lone_surrogates():
 @settings(max_examples=100, deadline=None)
 def test_reply_round_trip(verdicts, deltas):
     frame = wire.pack_batch_reply(verdicts, deltas)
-    assert wire.is_frame(frame)
+    assert wire.peek_kind(frame) == wire.KIND_REPLY
     decoded, decoded_deltas = wire.unpack_batch_reply(bytes(frame))
     assert len(decoded) == len(verdicts)
     for (safe, cache, spans), (dsafe, dcache, dspans) in zip(verdicts, decoded):
@@ -106,12 +109,6 @@ def test_token_spans_round_trip_exactly():
                 back.end,
                 back.value,
             )
-
-
-def test_pickle_payloads_are_never_frames():
-    for obj in (None, "SELECT 1", (True, None, [], {}), [1, 2, 3]):
-        assert not wire.is_frame(pickle.dumps(obj))
-    assert wire.is_frame(wire.pack_batch_request(["q"]))
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +198,6 @@ EPOCHS = st.integers(min_value=0, max_value=2**62)
 @settings(max_examples=100, deadline=None)
 def test_snapshot_round_trip(fragments, epoch, tenant):
     frame = wire.pack_store_snapshot(fragments, epoch, tenant=tenant)
-    assert wire.is_frame(bytes(frame))
     assert wire.peek_kind(frame) == wire.KIND_SNAPSHOT
     got_tenant, got_epoch, got_fragments = wire.unpack_store_snapshot(frame)
     assert got_tenant == tenant
@@ -273,7 +269,7 @@ def _daemon():
 def test_decode_batch_corrupt_payloads_raise_corrupt_reply():
     daemon = _daemon()
     queries = ["SELECT 1", "SELECT 2"]
-    # Neither a frame nor a pickle.
+    # Not a frame.
     with pytest.raises(CorruptReply):
         daemon._decode_batch(queries, b"\x00garbage")
     # A frame, but truncated.
@@ -283,33 +279,47 @@ def test_decode_batch_corrupt_payloads_raise_corrupt_reply():
     # A well-formed frame whose count disagrees with the request.
     with pytest.raises(CorruptReply):
         daemon._decode_batch(["only-one"], frame)
-    # A pickle of the wrong shape.
+    # Pickles are never replies, whatever their shape -- including the
+    # per-query tuples an older child sent.
     with pytest.raises(CorruptReply):
         daemon._decode_batch(queries, pickle.dumps({"not": "a list"}))
     with pytest.raises(CorruptReply):
         daemon._decode_batch(queries, pickle.dumps([(True, None, None, {})]))
+    with pytest.raises(CorruptReply):
+        daemon._decode_batch(
+            queries, pickle.dumps([(True, None, None, {}), (True, None, None, {})])
+        )
 
 
-def test_decode_batch_accepts_pickled_fallback():
+def test_reply_frame_ships_verdicts_without_unpackable_tokens():
     daemon = _daemon()
     deltas = {stage: 0.0 for stage in wire.STAGES}
-    payload = pickle.dumps(
-        [(True, "query", None, deltas), (False, None, None, deltas)]
-    )
-    replies, child_deltas = daemon._decode_batch(["a", "b"], payload)
-    assert [r.safe for r in replies] == [True, False]
-    assert [r.from_cache for r in replies] == ["query", None]
-    assert child_deltas == deltas
+    query = "SELECT a FROM t"
+    tokens = critical_tokens(query)
+    forged = Token(TokenType.KEYWORD, "SELECT", 0, 6, value="NOT-THE-DERIVATION")
+    replies = [
+        DaemonReply(safe=True, result=None, tokens=tokens, from_cache=None),
+        DaemonReply(safe=False, result=None, tokens=[forged], from_cache=None),
+    ]
+    decoded, _ = daemon._decode_batch([query, query], _reply_frame(replies, deltas))
+    # Exact verdicts either way; tokens the frame cannot carry exactly are
+    # left for the parent to lex rather than shipped lossily.
+    assert [r.safe for r in decoded] == [True, False]
+    assert [r.tokens for r in decoded] == [None, None]
+    packable, _ = daemon._decode_batch([query], _reply_frame(replies[:1], deltas))
+    assert packable[0].tokens == tokens
 
 
-def test_oversized_batch_refused_before_io_with_recorded_reason():
-    daemon = _daemon()
-    queries = ["SELECT 1"] * (wire.MAX_BATCH + 1)
-    with pytest.raises(PTIFailure) as excinfo:
-        daemon.analyze_batch(queries)
-    assert "MAX_BATCH" in str(excinfo.value)
-    assert daemon.oversized_batches == 1
-    snapshot = daemon.resilience_snapshot()
-    assert snapshot["oversized_batches"] == 1
-    assert snapshot["batches"] == 0  # refused before counting as a batch
-    assert daemon.spawns == 0  # no I/O, no child
+def test_batch_beyond_max_batch_is_split_into_frames():
+    fragments = ["SELECT * FROM t WHERE id=", " LIMIT 1"]
+    store = FragmentStore(fragments)
+    queries = [f"SELECT * FROM t WHERE id={i} LIMIT 1" for i in range(300)]
+    assert len(queries) > wire.MAX_BATCH
+    with SubprocessPTIDaemon(store) as daemon:
+        engine = JozaEngine(store, daemon=daemon)
+        verdicts = engine.inspect_batch(queries, RequestContext(inputs=[]))
+        assert all(v.safe and not v.failsafe for v in verdicts)
+        assert all(v.pti is not None and v.pti.safe for v in verdicts)
+        assert engine.stats.failsafe_blocks == 0
+        assert daemon.batches == 1  # one call, several frames
+        assert daemon.spawns == 1

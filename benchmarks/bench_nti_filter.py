@@ -9,9 +9,8 @@ cache off so every request pays the real matching cost) under three
 configurations:
 
 - ``filtered`` -- ``prefilter="auto"``: q-gram pigeonhole pruning +
-  anchored verification + packed small-candidate lanes (the production
-  default);
-- ``unfiltered`` -- ``prefilter="off"``: the pre-PR pipeline (exact
+  anchored verification (the production default);
+- ``unfiltered`` -- ``prefilter="off"``: the plain pipeline (exact
   containment, char/bigram bounds, full bit-parallel scan per survivor);
 - ``oracle`` -- ``prefilter="off", matcher="dp"``: the Sellers DP
   reference, used for the zero-divergence assertion (every request's
@@ -27,8 +26,8 @@ Gates (pytest smoke + script mode):
 
 The sidecar (``benchmarks/results/BENCH_nti_filter.json``) carries
 p50/p99 per rung and mode, the filter's pruning-rate counters
-(seeds probed, q-gram/packed prune rates, anchored-window fraction) and
-the filtered-vs-unfiltered ablation rows.
+(seeds probed, q-gram prune rate, anchored-window fraction) and the
+filtered-vs-unfiltered ablation rows.
 
 Run standalone::
 
@@ -143,7 +142,7 @@ def wp_context_values(live_value: str, count: int, seed: int) -> list[str]:
 
     The noise mirrors what a real CMS request drags along (Table VII's
     workload carries dozens of inputs per request): session/auth cookie
-    hashes, tiny flags and locale codes (the packed regime), numeric ids,
+    hashes, tiny flags and locale codes, numeric ids,
     slugs, and natural-language form text whose character/bigram profile
     overlaps SQL enough to defeat the cheap bounds (the q-gram regime).
     """
@@ -375,11 +374,6 @@ def render(payload: dict) -> str:
                 f"{stats['qgram_prune_rate']:.2f} "
                 f"({stats['pruned_qgram']:.0f} pruned, "
                 f"{stats['seeds_probed']:.0f} seeds probed)",
-            ),
-            (
-                "packed prune rate @64",
-                f"{stats['packed_prune_rate']:.2f} "
-                f"({stats['pruned_packed']:.0f} of {stats['packed_lanes']:.0f} lanes)",
             ),
             (
                 "anchored window fraction @64",

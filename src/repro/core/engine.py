@@ -487,8 +487,7 @@ class JozaEngine:
         # Batch-level NTI candidate memo (exact: candidate_inputs depends
         # on the query only through len(query)).  candidate_inputs returns
         # an immutable tuple, so the memo hands the same object to every
-        # query of the batch -- and the NTI prefilter's per-query gram
-        # index rides the shared TextProfile for the same reuse.
+        # query of the batch.
         threshold = self.config.nti.threshold
         memo: dict[int, tuple[str, ...]] = {}
 

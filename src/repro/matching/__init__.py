@@ -16,19 +16,15 @@ Public surface:
   :data:`repro.matching.DEFAULT_NTI_THRESHOLD` -- the paper's
   difference-ratio acceptance test.
 - :mod:`repro.matching.filter` -- the multi-candidate filter kernel:
-  q-gram pigeonhole prefilter with anchored verification
-  (:func:`qgram_filtered_match`) and packed multi-lane small-pattern
-  verification (:func:`packed_survivors`); :func:`edit_budget` is the
-  shared threshold-to-distance-budget arithmetic.
+  the q-gram pigeonhole prefilter, whose pieces are probed with
+  ``str.find`` and whose hits anchor the verifying scans
+  (:func:`qgram_filtered_match`); :func:`edit_budget` is the shared
+  threshold-to-distance-budget arithmetic.
 """
 
 from .bitparallel import build_peq, levenshtein_bitparallel, substring_scan
 from .filter import (
-    QGRAM,
-    PACKED_MAX_PATTERN,
-    build_gram_index,
     edit_budget,
-    packed_survivors,
     pigeonhole_pieces,
     qgram_applicable,
     qgram_filtered_match,
@@ -64,11 +60,7 @@ __all__ = [
     "levenshtein_two_row",
     "build_peq",
     "substring_scan",
-    "QGRAM",
-    "PACKED_MAX_PATTERN",
-    "build_gram_index",
     "edit_budget",
-    "packed_survivors",
     "pigeonhole_pieces",
     "qgram_applicable",
     "qgram_filtered_match",

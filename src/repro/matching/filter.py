@@ -1,22 +1,16 @@
-"""Multi-candidate NTI filter kernel: q-gram pigeonhole + vertical packing.
+"""Multi-candidate NTI filter kernel: the q-gram pigeonhole prefilter.
 
 The NTI hot loop runs one approximate-substring scan per candidate input
 per query -- ``O(candidates * |query|)`` even when almost no input can
-possibly match.  This module supplies the two filter primitives that cut
-that cost without changing a single verdict or span:
+possibly match.  :func:`qgram_filtered_match` cuts that cost without
+changing a single verdict or span.
 
-**q-gram pigeonhole prefilter** (:func:`qgram_filtered_match`).  For a
-pattern of length ``n`` under edit budget ``k``, split the pattern into
-``k + 1`` contiguous pieces.  Any substring of the text within ``k`` edits
-of the pattern admits an optimal alignment in which the ``k`` edit
+For a pattern of length ``n`` under edit budget ``k``, split the pattern
+into ``k + 1`` contiguous pieces.  Any substring of the text within ``k``
+edits of the pattern admits an optimal alignment in which the ``k`` edit
 operations are distributed over the pieces; by pigeonhole at least one
 piece receives none of them and therefore occurs in the text *exactly*.
-Probing the pieces -- whole via C-level ``str.find`` while a query's
-probe volume is low, or against a per-text 3-gram position index
-(:func:`build_gram_index`) once enough probes accumulate to amortise the
-``O(|text|)`` build (the index lives on the query's profile, shared
-across every candidate and, via the profile cache, across requests; see
-:data:`PROBE_INDEX_BUILD`) -- either
+Probing each piece whole with C-level ``str.find`` either
 
 - finds no exact piece occurrence: the candidate provably has no match
   within budget and the scan is skipped entirely (the common case for the
@@ -40,24 +34,9 @@ reproduced with the same bounded-window walk-back
 (:func:`repro.matching.bitparallel.recover_start`) the unfiltered
 bit-parallel core uses, over the full text.
 
-**Vertical packing** (:func:`packed_survivors`).  Pigeonhole needs pieces
-of at least the gram width, so patterns shorter than ``3 * (k + 1)``
-characters fall outside it -- exactly the small-candidate regime (IDs,
-flags, short slugs) where per-candidate scans are pure interpreter
-overhead.  Those candidates' Myers/Sellers states are packed into one
-big-int word, one *lane* per candidate with a guard bit blocking
-inter-lane carries, and verified in a single pass over the text: the word
-update costs the same ~12 big-int operations as one single-pattern column
-but advances every lane at once.  Per-lane scores are tracked in a second
-packed word via the high-bit deltas, and a SWAR threshold test marks the
-lanes whose score ever dips within budget.  Lanes that never do are
-proven matchless (their lane replays the exact single-pattern Sellers
-recurrence); surviving lanes are re-verified by the ordinary exact
-matcher.
-
-Both primitives are *filters* in the strict sense: they may prune work,
-never change a result.  The property suite enforces byte-identical
-matches against the unfiltered DP oracle.
+The prefilter is a *filter* in the strict sense: it may prune work, never
+change a result.  The property suite enforces byte-identical verdicts
+against the unfiltered DP pipeline and the executable NTI spec.
 """
 
 from __future__ import annotations
@@ -65,48 +44,88 @@ from __future__ import annotations
 from .bitparallel import build_peq, recover_start, substring_scan
 
 __all__ = [
-    "QGRAM",
     "MIN_PIECE",
-    "PACKED_MAX_PATTERN",
-    "PROBE_INDEX_BUILD",
     "FULL_SCAN",
-    "build_bigram_index",
-    "build_gram_index",
-    "build_seed_indexes",
+    "FilterStats",
     "edit_budget",
     "pigeonhole_pieces",
     "qgram_applicable",
     "qgram_filtered_match",
-    "packed_survivors",
 ]
 
-#: Gram width of the per-text position index.  3 balances selectivity
-#: (SQL keywords and payload fragments rarely share trigrams with benign
-#: text by accident) against index size (O(|text|) entries).
-QGRAM = 3
-
-#: Smallest probe-able piece.  Pieces of 3+ characters probe the trigram
-#: index; 2-character pieces fall back to the (less selective) bigram
-#: position index, extending pigeonhole coverage down to the short
-#: patterns the trigram split cannot reach.
+#: Smallest piece worth probing: single characters recur so often in SQL
+#: text that their windows rarely prune.
 MIN_PIECE = 2
-
-#: Upper pattern length for the vertical-packing regime.  Chosen so a
-#: lane (pattern cells + guard) stays within a comfortable uniform width
-#: and so the regime is exactly the complement of pigeonhole
-#: applicability at production thresholds.
-PACKED_MAX_PATTERN = 8
 
 #: Sentinel: the filter declined (windows too wide / degenerate ties);
 #: the caller must fall through to the unfiltered core.
 FULL_SCAN = object()
 
-#: Pigeonhole probes a query profile absorbs before its trigram index is
-#: built.  Below this, piece probing goes through C-level ``str.find``
-#: (no per-query setup at all); past it -- high fan-in requests, or a
-#: cached profile accumulating probes across requests -- the ``O(m)``
-#: index build amortises and every later probe gets shared dict lookups.
-PROBE_INDEX_BUILD = 48
+
+class FilterStats:
+    """Effectiveness counters for the NTI filter kernel.
+
+    Plain unlocked ``int`` attributes, incremented in place by the
+    analyzer loop and :func:`qgram_filtered_match` (GIL-atomic enough for
+    observability; the same convention as the cache hit counters).  All
+    derived ratios are computed in :meth:`as_dict` so the hot path only
+    ever does ``+=``.  Surfaced through ``NTIAnalyzer.filter_stats()``
+    into ``cache_stats()["nti"]`` and the engine's ``resilience_report()``.
+    """
+
+    __slots__ = (
+        "seeds_probed",
+        "seed_hits",
+        "pruned_qgram",
+        "pruned_zero_budget",
+        "anchored_scans",
+        "anchored_window_chars",
+        "anchored_text_chars",
+        "fallthrough_full_scan",
+        "exact_hits",
+    )
+
+    def __init__(self) -> None:
+        #: pigeonhole pieces probed against the text
+        self.seeds_probed = 0
+        #: probes whose piece occurred verbatim (seed windows opened)
+        self.seed_hits = 0
+        #: candidates proven matchless by the pigeonhole (no scan run)
+        self.pruned_qgram = 0
+        #: zero-budget candidates resolved by the containment probe alone
+        self.pruned_zero_budget = 0
+        #: candidates verified by anchored (windowed) scans
+        self.anchored_scans = 0
+        #: total text chars covered by merged anchor windows
+        self.anchored_window_chars = 0
+        #: total text chars the unfiltered scans would have covered
+        self.anchored_text_chars = 0
+        #: candidates where the filter declined and the full scan ran
+        self.fallthrough_full_scan = 0
+        #: candidates resolved by the exact-containment fast path
+        self.exact_hits = 0
+
+    def as_dict(self) -> dict[str, float]:
+        """Flat float mapping for ``cache_stats()`` / bench sidecars."""
+        anchored = self.anchored_scans
+        probed = self.pruned_qgram + anchored
+        return {
+            "seeds_probed": float(self.seeds_probed),
+            "seed_hits": float(self.seed_hits),
+            "pruned_qgram": float(self.pruned_qgram),
+            "pruned_zero_budget": float(self.pruned_zero_budget),
+            "anchored_scans": float(self.anchored_scans),
+            "anchored_window_chars": float(self.anchored_window_chars),
+            "anchored_text_chars": float(self.anchored_text_chars),
+            "anchored_window_fraction": (
+                self.anchored_window_chars / self.anchored_text_chars
+                if self.anchored_text_chars
+                else 0.0
+            ),
+            "fallthrough_full_scan": float(self.fallthrough_full_scan),
+            "qgram_prune_rate": (self.pruned_qgram / probed) if probed else 0.0,
+            "exact_hits": float(self.exact_hits),
+        }
 
 
 def edit_budget(length: int, threshold: float) -> int:
@@ -121,54 +140,6 @@ def edit_budget(length: int, threshold: float) -> int:
     all call it so the budgets can never drift apart.
     """
     return int(threshold * length / (1.0 - threshold)) if threshold else 0
-
-
-def build_gram_index(text: str) -> dict[str, list[int]]:
-    """Position index of every ``QGRAM``-gram of ``text``.
-
-    ``index[g]`` is the ascending list of offsets at which gram ``g``
-    occurs (treat as immutable).  Built once per query text (``O(|text|)``)
-    and attached to the query's
-    :class:`~repro.matching.substring.TextProfile`, so it is shared across
-    every candidate input of the query and -- through the cross-request
-    profile cache -- across requests.
-    """
-    positions: dict[str, list[int]] = {}
-    for i in range(len(text) - QGRAM + 1):
-        gram = text[i : i + QGRAM]
-        bucket = positions.get(gram)
-        if bucket is None:
-            positions[gram] = [i]
-        else:
-            bucket.append(i)
-    return positions
-
-
-def build_bigram_index(text: str) -> dict[str, list[int]]:
-    """Position index of every bigram of ``text`` (see :func:`build_gram_index`).
-
-    Extends pigeonhole coverage to 2-character pieces (short patterns
-    under tight budgets, where the trigram split does not exist).  Kept
-    separate from the trigram index so callers can defer building it: at
-    the default NTI threshold every probe-able pattern splits into 3+
-    character pieces and the bigram index is never touched.
-    """
-    positions: dict[str, list[int]] = {}
-    for i in range(len(text) - 1):
-        gram = text[i : i + 2]
-        bucket = positions.get(gram)
-        if bucket is None:
-            positions[gram] = [i]
-        else:
-            bucket.append(i)
-    return positions
-
-
-def build_seed_indexes(
-    text: str,
-) -> tuple[dict[str, list[int]], dict[str, list[int]]]:
-    """Both pigeonhole position indexes of ``text``: ``(trigrams, bigrams)``."""
-    return build_gram_index(text), build_bigram_index(text)
 
 
 #: Memo for :func:`pigeonhole_pieces`: the ``(length, budget)`` domain on
@@ -203,15 +174,10 @@ def pigeonhole_pieces(length: int, budget: int) -> list[tuple[int, int]]:
     return out
 
 
-def qgram_applicable(
-    length: int, budget: int | None, min_piece: int = QGRAM
-) -> bool:
+def qgram_applicable(length: int, budget: int | None) -> bool:
     """Whether the pigeonhole filter applies to a pattern of this length.
 
-    Every piece must be at least ``min_piece`` characters so it can be
-    probed against a position index: ``QGRAM`` (the default) when only the
-    trigram index is available, :data:`MIN_PIECE` when the caller also
-    supplies a bigram index to :func:`qgram_filtered_match`.  ``budget``
+    Every piece must be at least :data:`MIN_PIECE` characters.  ``budget``
     must be known (the filter prunes *against* it) and smaller than the
     pattern (otherwise pieces are empty and everything trivially
     "matches").
@@ -219,7 +185,7 @@ def qgram_applicable(
     return (
         budget is not None
         and budget >= 0
-        and length >= min_piece * (budget + 1)
+        and length >= MIN_PIECE * (budget + 1)
     )
 
 
@@ -239,14 +205,7 @@ def _merge_windows(windows: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return merged
 
 
-def qgram_filtered_match(
-    pattern: str,
-    text: str,
-    budget: int,
-    grams: dict[str, list[int]] | None = None,
-    stats=None,
-    bigrams=None,
-):
+def qgram_filtered_match(pattern: str, text: str, budget: int, stats=None):
     """Pigeonhole-filtered exact substring match under ``budget`` edits.
 
     Returns one of:
@@ -260,63 +219,33 @@ def qgram_filtered_match(
       the text, or the tie landscape is degenerate); the caller must run
       the unfiltered core.
 
-    ``grams`` selects the probing tier.  With ``None`` each piece is
-    probed whole via C-level ``str.find`` -- no per-query setup, the
-    right tier until a query's probe volume can amortise an index build.
-    With a trigram position index, pieces probe by leading gram plus
-    verbatim extension (``bigrams`` -- a dict or a zero-argument factory
-    -- extends index probing to 2-char pieces).  The tiers may anchor
-    slightly different window sets, but every window set covers all true
-    matches, so any returned tuple is identical either way.
+    Each piece is probed whole with C-level ``str.find``: no per-query
+    setup, so a request whose candidates all prune costs only its probes.
+    ``stats`` is an optional :class:`FilterStats` updated in place.
 
-    Precondition: ``qgram_applicable(len(pattern), budget)`` and the usual
-    front-end heuristics (exact containment, length/char/bigram bounds)
-    have already run -- in particular ``pattern`` does *not* occur
-    verbatim in ``text``.
+    Precondition: ``qgram_applicable(len(pattern), budget)`` holds and the
+    exact-containment probe has already missed -- ``pattern`` does *not*
+    occur verbatim in ``text``.
     """
     n = len(pattern)
     m = len(text)
-    # -- seed probe: each piece's leading gram, then verbatim extension --
+    # -- seed probe: every exact occurrence of every piece --------------
     windows: list[tuple[int, int]] = []
     pieces = pigeonhole_pieces(n, budget)
     if stats is not None:
         stats.seeds_probed += len(pieces)
-    startswith = text.startswith
     find = text.find
     append = windows.append
     for offset, plen in pieces:
-        if grams is None:
-            # Index-free tier: one C-level find() settles a miss; hits
-            # are enumerated the same way (and are exact whole-piece
-            # occurrences, so no extension step is needed).
-            if plen < MIN_PIECE:
-                return FULL_SCAN
-            piece = pattern[offset : offset + plen]
-            hits = []
-            pos = find(piece)
-            while pos >= 0:
-                hits.append(pos)
-                pos = find(piece, pos + 1)
-        elif plen >= QGRAM:
-            positions = grams.get(pattern[offset : offset + QGRAM])
-            if not positions:
-                hits = []
-            elif plen > QGRAM:
-                piece = pattern[offset : offset + plen]
-                hits = [pos for pos in positions if startswith(piece, pos)]
-            else:
-                hits = positions
-        elif bigrams is not None and plen >= MIN_PIECE:
-            # ``bigrams`` may be a zero-argument factory (the profile's
-            # lazily-built index): resolved only when a short piece is
-            # actually probed.
-            if callable(bigrams):
-                bigrams = bigrams()
-            hits = bigrams.get(pattern[offset : offset + MIN_PIECE]) or []
-        else:
-            # A piece too short to probe voids the pigeonhole argument;
-            # only reachable if the caller skipped qgram_applicable().
+        if plen < MIN_PIECE:
+            # Only reachable if the caller skipped qgram_applicable().
             return FULL_SCAN
+        piece = pattern[offset : offset + plen]
+        hits = []
+        pos = find(piece)
+        while pos >= 0:
+            hits.append(pos)
+            pos = find(piece, pos + 1)
         if not hits:
             continue
         if stats is not None:
@@ -384,130 +313,3 @@ def qgram_filtered_match(
             if best_len >= max_len:
                 break  # no later candidate can be strictly longer
     return d_star, best_start, best_end
-
-
-# ----------------------------------------------------------------------
-# Vertical packing: many small candidates, one big-int scan
-# ----------------------------------------------------------------------
-
-#: Lanes per packed word.  Bounds the big-int width (lanes * lane width
-#: bits) so individual word operations stay cheap; candidate sets larger
-#: than this are scanned in chunks.
-PACKED_MAX_LANES = 64
-
-
-def packed_survivors(
-    patterns: list[str],
-    budgets: list[int],
-    text: str,
-    stats=None,
-) -> list[bool]:
-    """Which of several small patterns *might* match ``text`` within budget.
-
-    Runs the Sellers substring scan for every pattern simultaneously: one
-    lane per pattern inside shared big-int state vectors, one column
-    update per text character for all lanes together.  Returns a boolean
-    per pattern: ``False`` means the pattern's exact last-row score never
-    reached its budget anywhere in the text -- a *proof* of no match
-    (each lane replays the single-pattern recurrence exactly; the guard
-    bit blocks inter-lane carries and the per-lane masks pin Sellers'
-    free-start semantics).  ``True`` means a match is possible and the
-    caller must run the exact matcher on that pattern.
-
-    Preconditions: every pattern is non-empty, at most
-    :data:`PACKED_MAX_PATTERN` characters, and its budget is
-    ``< len(pattern)`` (candidates with ``budget >= len(pattern)`` match
-    trivially and should not be routed here).
-    """
-    count = len(patterns)
-    if count == 0:
-        return []
-    if count > PACKED_MAX_LANES:
-        out: list[bool] = []
-        for base in range(0, count, PACKED_MAX_LANES):
-            out.extend(
-                packed_survivors(
-                    patterns[base : base + PACKED_MAX_LANES],
-                    budgets[base : base + PACKED_MAX_LANES],
-                    text,
-                    stats,
-                )
-            )
-        return out
-
-    max_m = max(len(p) for p in patterns)
-    # Lane layout (uniform width W): pattern cells top-aligned at
-    # [W-1-m, W-2], guard bit at W-1, dead padding below.  Top alignment
-    # puts every lane's last-row indicator bit at the same offset W-2, so
-    # one shared shift aligns all score deltas.  W >= 6 keeps room for the
-    # SWAR score lanes (4 value bits + threshold indicator bit 5).
-    lane_width = max(max_m + 2, 6)
-    high_offset = lane_width - 2
-
-    cell_mask = 0       # all pattern-cell bits
-    row1_mask = 0       # pattern-cell bits minus each lane's row 0
-    high_mask = 0       # each lane's last-row bit (offset W-2)
-    top_vec = 0         # score-lane threshold indicator bits (offset 5)
-    budget_vec = 0      # per-lane budgets in the score-lane layout
-    score_vec = 0       # per-lane running last-row scores
-    peq: dict[str, int] = {}
-    vp = 0
-    for index, (pattern, budget) in enumerate(zip(patterns, budgets)):
-        base = index * lane_width
-        m = len(pattern)
-        cell_base = base + lane_width - 1 - m
-        lane_cells = ((1 << m) - 1) << cell_base
-        cell_mask |= lane_cells
-        row1_mask |= lane_cells & ~(1 << cell_base)
-        high_mask |= 1 << (base + high_offset)
-        top_vec |= 1 << (base + 5)
-        budget_vec |= budget << base
-        score_vec |= m << base
-        vp |= lane_cells
-        bit = 1 << cell_base
-        for ch in pattern:
-            peq[ch] = peq.get(ch, 0) | bit
-            bit <<= 1
-    full_mask = (1 << (count * lane_width)) - 1
-    vn = 0
-    survivors = 0
-    threshold_base = budget_vec + top_vec
-    get = peq.get
-
-    if stats is not None:
-        stats.packed_scans += 1
-        stats.packed_lanes += count
-
-    for ch in text:
-        eq = get(ch, 0)
-        x0 = eq & vp
-        d0 = ((x0 + vp) ^ vp) | eq | vn
-        hp = (vn | ~(d0 | vp)) & full_mask
-        hn = vp & d0
-        # Packed score update: every lane's last-row delta arrives at the
-        # shared high offset; one shift aligns them all with the score
-        # lanes.  Values stay in [0, m] per lane, so no cross-lane carry.
-        score_vec += ((hp & high_mask) >> high_offset) - (
-            (hn & high_mask) >> high_offset
-        )
-        # SWAR threshold test: per lane, budget + 32 - score has bit 5 set
-        # iff score <= budget.  All lane values stay in [24, 40]: no
-        # borrow or carry crosses a lane.
-        survivors |= (threshold_base - score_vec) & top_vec
-        if survivors == top_vec:
-            break  # every lane already within budget somewhere
-        # Sellers semantics per lane: the shifted horizontal deltas enter
-        # row 1 and above only (row 0 stays pinned at zero), and the
-        # guard/padding bits of the vertical deltas are cleared so the
-        # next column's carry chain stays inside its lane.
-        x = (hp << 1) & row1_mask
-        vp = ((hn << 1) | ~(d0 | x)) & cell_mask
-        vn = x & d0 & cell_mask
-
-    out = []
-    for index in range(count):
-        alive = bool(survivors & (1 << (index * lane_width + 5)))
-        if stats is not None and not alive:
-            stats.pruned_packed += 1
-        out.append(alive)
-    return out

@@ -3,8 +3,10 @@
 Paper Section III-A: *"Function substring_distance computes a difference
 ratio which is the string distance between an input and a query divided by
 the length of the matched query substring."*  A ratio of zero means the input
-appears verbatim in the query; a ratio below the configured threshold counts
-as a match and the matched region is marked negatively tainted.
+appears verbatim in the query; a ratio at or below the configured threshold
+counts as a match and the matched region is marked negatively tainted (the
+paper's pseudo-code writes ``<``; DESIGN.md section 5 records the
+divergence).
 
 The worked example in Figure 2C: a 17-character payload picks up five
 backslashes from magic quotes, the matched query region is 22 characters, so
@@ -66,9 +68,6 @@ def match_with_ratio(
     *,
     matcher: str = "auto",
     profile: "TextProfile | Callable[[], TextProfile] | None" = None,
-    prefilter: bool = False,
-    bounds: bool = True,
-    stats=None,
 ) -> RatioMatch | None:
     """Locate ``pattern`` in ``text`` and accept it if the ratio clears ``threshold``.
 
@@ -84,11 +83,7 @@ def match_with_ratio(
     an optional precomputed :class:`TextProfile` of ``text`` -- or a lazy
     zero-argument factory for one -- so NTI can amortise the pruning tables
     across every input of a request without building them for inputs that
-    short-circuit on exact containment.  ``prefilter``/``stats`` enable the
-    q-gram pigeonhole prefilter and its counters, and ``bounds=False``
-    skips the char/bigram bound heuristics (see
-    :func:`repro.matching.substring.best_substring_match`); results are
-    byte-identical whichever pruning layers run.
+    short-circuit on exact containment.
 
     Returns ``None`` when no substring of ``text`` matches ``pattern``
     closely enough.
@@ -104,9 +99,6 @@ def match_with_ratio(
         max_distance=budget,
         matcher=matcher,
         profile=profile,
-        prefilter=prefilter,
-        bounds=bounds,
-        stats=stats,
     )
     if match is None:
         return None

@@ -49,15 +49,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .bitparallel import build_peq, recover_start, substring_scan
-from .filter import (
-    FULL_SCAN,
-    MIN_PIECE,
-    PROBE_INDEX_BUILD,
-    build_bigram_index,
-    build_gram_index,
-    qgram_applicable,
-    qgram_filtered_match,
-)
 
 __all__ = [
     "MATCHER_CHOICES",
@@ -109,7 +100,7 @@ class TextProfile:
     ``(input, query)`` pair.
     """
 
-    __slots__ = ("text", "_chars", "_bigrams", "_tri", "_bi", "_probes")
+    __slots__ = ("text", "_chars", "_bigrams")
 
     def __init__(self, text: str) -> None:
         self.text = text
@@ -122,9 +113,6 @@ class TextProfile:
             gram = text[i : i + 2]
             bigrams[gram] = bigrams.get(gram, 0) + 1
         self._bigrams = bigrams
-        self._tri = None
-        self._bi = None
-        self._probes = 0
 
     @classmethod
     def from_tables(
@@ -141,57 +129,7 @@ class TextProfile:
         profile.text = text
         profile._chars = chars
         profile._bigrams = bigrams
-        profile._tri = None
-        profile._bi = None
-        profile._probes = 0
         return profile
-
-    def gram_index(self) -> dict[str, list[int]]:
-        """Lazily-built 3-gram position index for the q-gram prefilter.
-
-        ``O(m)`` on first use, then shared across every candidate input of
-        the query -- and, because the profile itself is cached across
-        requests, across repeated queries too.  Built lazily so workloads
-        running with the prefilter off (or resolved away) never pay for it;
-        works identically for :meth:`from_tables` profiles since the full
-        text is always stored.
-        """
-        grams = self._tri
-        if grams is None:
-            grams = self._tri = build_gram_index(self.text)
-        return grams
-
-    def bigram_index(self) -> dict[str, list[int]]:
-        """Lazily-built bigram position index (2-character pigeonhole pieces).
-
-        Built independently of :meth:`gram_index`: at the default NTI
-        threshold every probe-able pattern splits into 3+ character pieces,
-        so most workloads never pay for this one.
-        """
-        grams = self._bi
-        if grams is None:
-            grams = self._bi = build_bigram_index(self.text)
-        return grams
-
-    def seed_index(self) -> dict[str, list[int]] | None:
-        """Adaptive trigram index: ``None`` until probe volume amortises it.
-
-        Each call counts one pigeonhole probe against this profile.  While
-        the count is below
-        :data:`~repro.matching.filter.PROBE_INDEX_BUILD` the caller should
-        probe pieces with C-level ``str.find`` (an index build would cost
-        more than it saves); past the threshold -- a high fan-in request,
-        or a cached profile accumulating probes across requests -- the
-        index is built once and every later probe shares it.
-        """
-        grams = self._tri
-        if grams is not None:
-            return grams
-        probes = self._probes + 1
-        self._probes = probes
-        if probes >= PROBE_INDEX_BUILD:
-            return self.gram_index()
-        return None
 
     def char_bound(self, pattern: str) -> int:
         """Lower bound on the substring distance from character multiplicities.
@@ -238,16 +176,6 @@ class TextProfile:
         return missing // 2
 
 
-def _char_budget_bound(pattern: str, text: str) -> int:
-    """Ad-hoc character-frequency bound (builds a throwaway profile)."""
-    return TextProfile(text).char_bound(pattern)
-
-
-def _bigram_bound(pattern: str, text: str) -> int:
-    """Ad-hoc bigram bound (builds a throwaway profile)."""
-    return TextProfile(text).bigram_bound(pattern)
-
-
 def resolve_matcher(matcher: str, pattern_length: int) -> str:
     """Resolve a matcher selector to a concrete core (``dp``/``bitparallel``)."""
     if matcher == "auto":
@@ -270,9 +198,6 @@ def best_substring_match(
     *,
     matcher: str = "auto",
     profile: "TextProfile | Callable[[], TextProfile] | None" = None,
-    prefilter: bool = False,
-    bounds: bool = True,
-    stats=None,
 ) -> SubstringMatch | None:
     """Find the best approximate occurrence of ``pattern`` within ``text``.
 
@@ -293,26 +218,6 @@ def best_substring_match(
             (an exact ``str.find`` hit never needs the tables), letting
             callers share a lazily-built profile across patterns without
             paying for it on exact-containment traffic.
-        prefilter: when true (and a budget is given and ``matcher`` is not
-            the DP oracle), run the q-gram pigeonhole prefilter
-            (:mod:`repro.matching.filter`) *before* the char/bigram bound
-            heuristics: a budget of zero is resolved by the exact-containment
-            check alone, and otherwise the pattern's pieces are probed
-            against the profile's lazily-built gram indexes to either prove
-            no match within budget without scanning, or anchor the scan to
-            windows around the exact piece hits.  Results are byte-identical
-            either way; ``matcher="dp"`` is never filtered, keeping it a
-            pure differential oracle.
-        bounds: when false, skip the char/bigram bound heuristics (and,
-            with ``prefilter`` also off, the profile-table materialisation
-            they require).  For callers whose front end has already
-            established that the bounds cannot fire -- e.g. the batched
-            NTI path resolving a candidate whose pigeonhole windows
-            covered half the query -- the ``O(query)`` table build is the
-            single largest avoidable cost.  Never changes the result.
-        stats: optional mutable counter object (see
-            :class:`repro.nti.prefilter.FilterStats`) updated in place
-            with prefilter effectiveness counters.
 
     Returns:
         The :class:`SubstringMatch` with minimal distance (ties broken by
@@ -334,46 +239,18 @@ def best_substring_match(
         # Heuristic 2: a pattern much longer than the text cannot fit.
         if n - m > max_distance:
             return None
-        if not (bounds or prefilter):
-            tables = None
-        elif profile is None:
+        if profile is None:
             tables = TextProfile(text)
         elif callable(profile):
             tables = profile()
         else:
             tables = profile
-        # The pigeonhole prefilter runs *before* the per-pattern bound
-        # tables: its probe costs O(budget) index lookups versus the
-        # bounds' O(n) dict building, and a prune or anchored hit makes
-        # the bounds (and the core scan) unnecessary altogether.
-        if prefilter and matcher != "dp" and m > 0:
-            if max_distance <= 0:
-                # find() already missed: a distance-0 match is impossible.
-                return None
-            if qgram_applicable(n, max_distance, MIN_PIECE):
-                grams = tables.seed_index()
-                result = qgram_filtered_match(
-                    pattern,
-                    text,
-                    max_distance,
-                    grams,
-                    stats,
-                    tables.bigram_index if grams is not None else None,
-                )
-                if result is None:
-                    return None
-                if result is not FULL_SCAN:
-                    distance, start, end = result
-                    return SubstringMatch(distance, start, end)
-                if stats is not None:
-                    stats.fallthrough_full_scan += 1
-        if bounds:
-            # Heuristic 3: character-frequency lower bound.
-            if tables.char_bound(pattern) > max_distance:
-                return None
-            # Heuristic 4: q-gram lower bound (tighter, slightly costlier).
-            if tables.bigram_bound(pattern) > max_distance:
-                return None
+        # Heuristic 3: character-frequency lower bound.
+        if tables.char_bound(pattern) > max_distance:
+            return None
+        # Heuristic 4: q-gram lower bound (tighter, slightly costlier).
+        if tables.bigram_bound(pattern) > max_distance:
+            return None
 
     if m == 0:
         if max_distance is not None and n > max_distance:

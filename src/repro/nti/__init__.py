@@ -1,8 +1,8 @@
 """Negative taint inference component (paper Section III-A)."""
 
+from ..matching.filter import FilterStats
 from .cache import NTIQueryCache, NTIQueryEntry
-from .inference import NTIAnalyzer, NTIConfig
-from .prefilter import PREFILTER_CHOICES, FilterStats
+from .inference import PREFILTER_CHOICES, NTIAnalyzer, NTIConfig
 from .sources import candidate_inputs
 
 __all__ = [

@@ -1,6 +1,6 @@
 """Negative taint inference (NTI).
 
-Implements the algorithm of paper Section III-A:
+Implements the algorithm of paper Section III-A, whose pseudo-code reads:
 
 .. code-block:: text
 
@@ -11,9 +11,11 @@ Implements the algorithm of paper Section III-A:
             if diff_ratio < threshold
                 mark_negative_taint(q, p)
 
-followed by the detection rule: the query is an attack iff some *single*
-input's inferred marking fully covers at least one critical token.  Two
-false-positive guards come straight from the paper:
+This implementation marks at ``diff_ratio <= threshold`` (a divergence
+recorded in DESIGN.md section 5), followed by the detection rule: the
+query is an attack iff some *single* input's inferred marking fully
+covers at least one critical token.  Two false-positive guards come
+straight from the paper:
 
 - markings inferred from different inputs are never combined (otherwise
   one-letter inputs ``O`` and ``R`` would taint every ``OR``);
@@ -21,24 +23,39 @@ false-positive guards come straight from the paper:
   input like ``1`` matching the data position of ``WHERE ID=1`` is benign.
 
 Performance structure (the per-request hot path of the whole system):
+one loop over the candidate inputs, where each candidate stops at the
+first tier that settles it --
 
-- the matching core is selectable (:attr:`NTIConfig.matcher`): Myers'
-  bit-parallel scan by default, the Sellers DP as oracle;
-- the query's pruning tables (:class:`~repro.matching.substring.TextProfile`)
-  are built once per query and shared across every candidate input;
-- a cross-request LRU keyed by query (:class:`~repro.nti.cache.NTIQueryCache`)
-  keeps each query's pruning tables and its ``input value -> match``
-  results, the NTI analogue of the PTI query cache.  An analysis touches
-  it once per query, not once per candidate input.
+- the query's memo: a cross-request LRU keyed by query
+  (:class:`~repro.nti.cache.NTIQueryCache`) keeps each query's pruning
+  tables and its ``input value -> match`` results, the NTI analogue of the
+  PTI query cache, touched once per query rather than once per input;
+- exact containment (``str.find``), then the zero-budget prune;
+- the q-gram pigeonhole probe (:mod:`repro.matching.filter`): a proven
+  no-match, or an exact match from scans anchored at piece hits;
+- on a probe decline, or where the probe does not apply, the plain
+  :func:`~repro.matching.ratio.match_with_ratio` pipeline: the query's
+  char/bigram bounds (:class:`~repro.matching.substring.TextProfile`,
+  built once per query and shared across inputs), then the matching core
+  (:attr:`NTIConfig.matcher`: Myers' bit-parallel scan by default, the
+  Sellers DP as oracle).
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 from ..core.resilience import Deadline
 from ..core.verdict import AnalysisResult, Detection, TaintMarking, Technique
+from ..matching.filter import (
+    FULL_SCAN,
+    FilterStats,
+    edit_budget,
+    qgram_applicable,
+    qgram_filtered_match,
+)
 from ..matching.ratio import (
     DEFAULT_NTI_THRESHOLD,
     RatioMatch,
@@ -50,29 +67,15 @@ from ..phpapp.context import RequestContext
 from ..sqlparser.parser import critical_tokens
 from ..sqlparser.tokens import Token
 from .cache import NTIQueryCache, NTIQueryEntry
-from .prefilter import (
-    FULL_SCAN,
-    MIN_PIECE,
-    PACKED_MAX_PATTERN,
-    PREFILTER_CHOICES,
-    FilterStats,
-    edit_budget,
-    packed_survivors,
-    qgram_applicable,
-    qgram_filtered_match,
-)
 from .sources import candidate_inputs
 
-__all__ = ["NTIConfig", "NTIAnalyzer"]
+__all__ = ["PREFILTER_CHOICES", "NTIConfig", "NTIAnalyzer"]
+
+#: Accepted values for :attr:`NTIConfig.prefilter`.
+PREFILTER_CHOICES = ("auto", "off")
 
 #: Distinguishes "not memoised" from a memoised negative (``None``) result.
 _MISSING = object()
-
-# Amortisation guard for the batched front-end: the packed pass pays one
-# whole-query scan, which a handful of lanes cannot amortise, so below
-# this floor deferred candidates degrade to the plain per-value pipeline
-# (results are identical either way -- only work is routed).
-MIN_PACKED_LANES = 3
 
 
 @dataclass(frozen=True)
@@ -91,12 +94,13 @@ class NTIConfig:
             ``"bitparallel"``.  All produce identical matches; the knob
             exists for the matcher ablation and differential testing.
         prefilter: candidate-filter selector -- ``"auto"`` (default:
-            q-gram pigeonhole prefilter plus packed multi-lane
-            verification for small candidates), ``"qgram"`` (pigeonhole
-            only) or ``"off"`` (no filtering).  Filters prune work, never
-            change results; with ``matcher="dp"`` no filtering is ever
-            applied regardless, keeping the DP pipeline the verbatim
-            differential oracle.
+            exact containment, the zero-budget prune and the q-gram
+            pigeonhole probe run in front of the matcher) or ``"off"``
+            (every candidate runs the plain
+            :func:`~repro.matching.ratio.match_with_ratio` pipeline).
+            Filters prune work, never change results; with
+            ``matcher="dp"`` no filtering is ever applied regardless,
+            keeping the DP pipeline the verbatim differential oracle.
         cache_size: capacity of the cross-request per-query cache,
             counted in queries: each entry holds one query's pruning
             tables and its input match results.  ``0`` disables it (the
@@ -149,9 +153,6 @@ class NTIAnalyzer:
             and self.config.matcher != "dp"
             and 0.0 <= self.config.threshold < 1.0
         )
-        self._pack_active = (
-            self._filter_active and self.config.prefilter == "auto"
-        )
 
     def cache_stats(self) -> dict[str, dict[str, float]]:
         """Per-query cache and prefilter counters (bench reporting hook).
@@ -194,206 +195,6 @@ class NTIAnalyzer:
             value = value()
             holder[0] = value
         return value
-
-    def _match(
-        self,
-        value: str,
-        query: str,
-        holder: list,
-        memo: dict | None,
-        filtered: bool | None = None,
-        bounds: bool = True,
-    ) -> RatioMatch | None:
-        """One memoised substring-match computation.
-
-        ``memo`` is the query's ``input -> result`` dict from its cache
-        entry (``None`` with the cache off).  ``filtered`` overrides the
-        analyzer-level prefilter activation: the batched path passes
-        ``False`` for candidates whose pigeonhole probe already declined,
-        so the pipeline does not probe them a second time.
-        ``bounds=False`` additionally skips the char/bigram
-        bound heuristics -- and with them the ``O(query)`` profile-table
-        build -- for candidates the batch front end already knows the
-        bounds cannot prune.  Results are identical either way.
-        """
-        if memo is not None:
-            cached = memo.get(value, _MISSING)
-            if cached is not _MISSING:
-                return cached
-        result = match_with_ratio(
-            value,
-            query,
-            self.config.threshold,
-            matcher=self.config.matcher,
-            # Lazy: the pruning tables are only built/fetched if the match
-            # gets past the exact-containment short circuit.
-            profile=lambda: self._profile_for(query, holder),
-            prefilter=self._filter_active if filtered is None else filtered,
-            bounds=bounds,
-            stats=self._stats,
-        )
-        if memo is not None:
-            memo[value] = result
-        return result
-
-    def _match_packed(
-        self,
-        query: str,
-        values,
-        holder: list,
-        deadline: Deadline | None,
-        memo: dict | None,
-    ) -> list[RatioMatch | None]:
-        """Resolve every candidate inline, batching small misses through one scan.
-
-        The batched front-end replicates the match pipeline's decision
-        tree without its per-value call stack: exact containment, the
-        zero-budget prune, and the pigeonhole probe (prune / exact
-        anchored match) all resolve in this loop.  Candidates split by
-        size: the packed regime (at most :data:`PACKED_MAX_PATTERN`
-        chars) skips the probe and is *deferred* -- the Myers lanes of
-        all deferred candidates are verified together by a single
-        :func:`~repro.matching.filter.packed_survivors` pass over the
-        query, and only surviving lanes pay for an exact match -- while
-        larger candidates are probed, and on a probe decline fall through
-        to the ordinary pipeline with the probe disabled (it already
-        declined once).  Returns one entry per value, order preserved,
-        each entry exactly what :meth:`_match` would have produced.
-        """
-        threshold = self.config.threshold
-        min_len = self.config.min_input_length
-        stats = self._stats
-        # Probe tier: pieces probe the query text directly via str.find
-        # unless this query's profile is already materialised (carried in
-        # by the caller, or kept in the query's cache entry from an earlier
-        # request), in which case its adaptive seed index can serve.  Never
-        # build tables just to probe -- a request whose candidates all
-        # prune stays O(probes).
-        seed_prof = holder[0]
-        if callable(seed_prof):
-            seed_prof = None
-        results: list[RatioMatch | None] = []
-        pending: list[int] = []
-        pending_budgets: list[int] = []
-        for value in values:
-            if deadline is not None:
-                deadline.check("nti")
-            n = len(value)
-            if n < min_len:
-                results.append(None)
-                continue
-            if memo is not None:
-                cached = memo.get(value, _MISSING)
-                if cached is not _MISSING:
-                    results.append(cached)
-                    continue
-            if not value:
-                results.append(self._match(value, query, holder, memo))
-                continue
-            idx = query.find(value)
-            if idx >= 0:
-                # Byte-identical to the pipeline's exact containment
-                # short circuit (distance 0, ratio 0.0).
-                stats.exact_hits += 1
-                matched = RatioMatch(
-                    match=SubstringMatch(0, idx, idx + n), ratio=0.0
-                )
-                if memo is not None:
-                    memo[value] = matched
-                results.append(matched)
-                continue
-            budget = edit_budget(n, threshold)
-            if budget == 0:
-                # The containment probe missed and the budget admits no
-                # edits: provably no match, nothing left to compute.
-                stats.pruned_zero_budget += 1
-                if memo is not None:
-                    memo[value] = None
-                results.append(None)
-                continue
-            if budget < n and qgram_applicable(n, budget, MIN_PIECE):
-                grams = (
-                    seed_prof.seed_index() if seed_prof is not None else None
-                )
-                outcome = qgram_filtered_match(
-                    value,
-                    query,
-                    budget,
-                    grams,
-                    stats,
-                    seed_prof.bigram_index if grams is not None else None,
-                )
-                if outcome is None:
-                    if memo is not None:
-                        memo[value] = None
-                    results.append(None)
-                    continue
-                if outcome is not FULL_SCAN:
-                    # Mirror match_with_ratio's acceptance rule on the
-                    # exact anchored match.
-                    matched = SubstringMatch(*outcome)
-                    ratio = difference_ratio(matched)
-                    resolved = (
-                        RatioMatch(match=matched, ratio=ratio)
-                        if ratio <= threshold
-                        else None
-                    )
-                    if memo is not None:
-                        memo[value] = resolved
-                    results.append(resolved)
-                    continue
-                if n <= PACKED_MAX_PATTERN:
-                    # Seed-rich small candidate: defer to the shared packed
-                    # verification pass instead of a per-value scan.
-                    pending.append(len(results))
-                    pending_budgets.append(budget)
-                    results.append(None)  # placeholder, fixed up below
-                    continue
-                # Probe declined on a larger candidate: run the ordinary
-                # pipeline (char/bigram bounds still prune many of these
-                # cheaply) without probing a second time.
-                stats.fallthrough_full_scan += 1
-                results.append(
-                    self._match(value, query, holder, memo, filtered=False)
-                )
-                continue
-            if budget < n and n <= PACKED_MAX_PATTERN:
-                # Pieces would be too narrow to probe: small candidates
-                # ride the packed lanes.
-                pending.append(len(results))
-                pending_budgets.append(budget)
-                results.append(None)  # placeholder, fixed up below
-                continue
-            results.append(self._match(value, query, holder, memo))
-        if pending and len(pending) < MIN_PACKED_LANES:
-            # Too few lanes to amortise a whole-query packed scan: resolve
-            # them through the plain pipeline instead (short patterns, so
-            # a direct scan beats materialising bound tables).
-            for i in pending:
-                results[i] = self._match(
-                    values[i], query, holder, memo, filtered=False, bounds=False
-                )
-            pending = []
-        if pending:
-            if deadline is not None:
-                deadline.check("nti")
-            survivors = packed_survivors(
-                [values[i] for i in pending], pending_budgets, query, stats
-            )
-            for i, alive in zip(pending, survivors):
-                value = values[i]
-                if alive:
-                    # The lane's scan proved a within-budget match exists,
-                    # so the bounds cannot prune: go straight to the core.
-                    stats.packed_verified += 1
-                    results[i] = self._match(
-                        value, query, holder, memo, filtered=False, bounds=False
-                    )
-                elif memo is not None:
-                    # A pruned lane is a proof of no match within budget:
-                    # memoise the negative result like the exact path does.
-                    memo[value] = None
-        return results
 
     def analyze(
         self,
@@ -448,30 +249,71 @@ class NTIAnalyzer:
             if entry.profile is not None:
                 profile = entry.profile
         # Pruning tables depend only on the query: built at most once per
-        # analyze call, lazily on the first memo miss, then shared across
-        # all inputs.
+        # analyze call, lazily when the first input reaches the bound
+        # heuristics, then shared across all inputs.
         profile_holder: list = [profile]
-        # Packed mode resolves all candidates up front (small memo misses
-        # share one multi-lane scan); otherwise each value is matched
-        # inline.  Either way the per-value order, deadline checks and
-        # memo traffic are identical.
-        matches = (
-            self._match_packed(query, values, profile_holder, deadline, memo)
-            if self._pack_active
-            else None
-        )
-        min_len = self.config.min_input_length
-        for index, value in enumerate(values):
-            if matches is not None:
-                matched = matches[index]
-                if matched is None:
-                    continue
-            else:
-                if deadline is not None:
-                    deadline.check("nti")
-                if len(value) < min_len:
-                    continue
-                matched = self._match(value, query, profile_holder, memo)
+        threshold = self.config.threshold
+        matcher = self.config.matcher
+        filtered = self._filter_active
+        stats = self._stats
+        # Empty inputs carry no taint, whatever min_input_length says.
+        min_len = max(self.config.min_input_length, 1)
+        for value in values:
+            if deadline is not None:
+                deadline.check("nti")
+            n = len(value)
+            if n < min_len:
+                continue
+            matched = _MISSING if memo is None else memo.get(value, _MISSING)
+            if matched is _MISSING:
+                # Tiers in cost order; FULL_SCAN marks a candidate that no
+                # tier settled, which the plain pipeline then resolves.
+                matched = FULL_SCAN
+                if filtered:
+                    idx = query.find(value)
+                    if idx >= 0:
+                        # Byte-identical to the pipeline's exact-containment
+                        # short circuit (distance 0, ratio 0.0).
+                        stats.exact_hits += 1
+                        matched = RatioMatch(
+                            match=SubstringMatch(0, idx, idx + n), ratio=0.0
+                        )
+                    else:
+                        budget = edit_budget(n, threshold)
+                        if budget == 0:
+                            # Containment missed and no edit is allowed.
+                            stats.pruned_zero_budget += 1
+                            matched = None
+                        elif qgram_applicable(n, budget):
+                            outcome = qgram_filtered_match(
+                                value, query, budget, stats
+                            )
+                            if outcome is FULL_SCAN:
+                                stats.fallthrough_full_scan += 1
+                            elif outcome is None:
+                                matched = None
+                            else:
+                                # match_with_ratio's acceptance rule on
+                                # the exact anchored match.
+                                anchored = SubstringMatch(*outcome)
+                                ratio = difference_ratio(anchored)
+                                matched = (
+                                    RatioMatch(match=anchored, ratio=ratio)
+                                    if ratio <= threshold
+                                    else None
+                                )
+                if matched is FULL_SCAN:
+                    matched = match_with_ratio(
+                        value,
+                        query,
+                        threshold,
+                        matcher=matcher,
+                        # Lazy: the tables are built only if the bound
+                        # heuristics are reached.
+                        profile=partial(self._profile_for, query, profile_holder),
+                    )
+                if memo is not None:
+                    memo[value] = matched
             if matched is None:
                 continue
             # Hoist the span once (RatioMatch.start/end are forwarding

@@ -1,9 +1,9 @@
-"""Property-based equivalence of the NTI filter kernel and the DP oracle.
+"""Property-based equivalence of the NTI pipelines, the DP oracle and the spec.
 
-The contract of the whole PR: the q-gram pigeonhole prefilter and the
-packed small-candidate scan may *prune* work, never change a result.
-Every test here compares the filtered pipeline against the verbatim
-unfiltered ``matcher="dp"`` oracle -- byte-identical verdicts, markings
+The q-gram pigeonhole prefilter may *prune* work, never change a result.
+The tests here compare the default analyzer against the unfiltered
+``matcher="dp"`` oracle and against the executable NTI spec
+(``tests/reference/nti_spec.py``) -- byte-identical verdicts, markings
 and spans -- over random inputs, the paper's Taintless evasion shapes
 (quote stuffing, token splitting, whitespace padding) and high-codepoint
 text.
@@ -13,19 +13,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.attacks.payloads import quote_comment_block, split_inside_critical_tokens
-from repro.matching import best_substring_match, match_with_ratio
-from repro.matching.filter import PACKED_MAX_PATTERN, edit_budget, packed_survivors
+from repro.matching import match_with_ratio
+from repro.matching.filter import edit_budget
 from repro.nti import NTIAnalyzer, NTIConfig, candidate_inputs
 from repro.phpapp.context import CapturedInput, RequestContext
 from repro.phpapp.transforms import addslashes
+from tests.reference.nti_spec import nti_spec
 
-# SQL-ish characters plus a few multi-byte/high-codepoint ones: the gram
-# index and the packed Peq tables are keyed by raw code points, so wide
+# SQL-ish characters plus a few multi-byte/high-codepoint ones: the piece
+# probes and the Peq tables are keyed by raw code points, so wide
 # characters must round-trip exactly.
 sql_alphabet = st.sampled_from(list("ABCDEFORSELCTWHRID=1'\"-# ()%,.") + ["é", "中", "𐍈"])
 sql_text = st.text(alphabet=sql_alphabet, max_size=48)
 value_text = st.text(alphabet=sql_alphabet, min_size=1, max_size=24)
-small_value = st.text(alphabet=sql_alphabet, min_size=1, max_size=PACKED_MAX_PATTERN)
 thresholds = st.sampled_from([0.0, 0.1, 0.2, 0.25, 0.33, 0.45])
 
 PAYLOADS = [
@@ -40,6 +40,64 @@ def oracle_config(**kw):
     return NTIConfig(matcher="dp", prefilter="off", **kw)
 
 
+def context_of(values, source="get"):
+    return RequestContext(
+        inputs=[CapturedInput(source, f"p{i}", v) for i, v in enumerate(values)]
+    )
+
+
+def evasion_case(payload, quotes, magic_quotes):
+    """``(query, inputs)`` for one Taintless-style mutation of ``payload``.
+
+    Quote-stuffed comment blocks (optionally doubled by magic quotes, the
+    Figure 2C arithmetic), split payload parts arriving through separate
+    parameters, whitespace padding.
+    """
+    block = quote_comment_block(quotes) if quotes else ""
+    stuffed = payload[:1] + block + payload[1:]
+    try:
+        parts = split_inside_critical_tokens(payload, 3)
+    except ValueError:
+        parts = ()  # payload's critical tokens are all single characters
+    values = [stuffed, payload + " " * 8, *parts]
+    sent = [addslashes(v) if magic_quotes else v for v in values]
+    query = "SELECT * FROM t WHERE ID=" + sent[0] + " AND N='" + sent[-1] + "'"
+    return query, values
+
+
+@st.composite
+def near_cases(draw):
+    """``(query, [input])``: a query substring with one to three random edits.
+
+    Queries are long next to the input so the pigeonhole probe anchors
+    instead of declining, and the edits put ratios on and around every
+    threshold, where an off-by-one in an acceptance test shows.
+    """
+    query = draw(st.text(alphabet=sql_alphabet, min_size=40, max_size=120))
+    start = draw(st.integers(min_value=0, max_value=len(query) - 4))
+    end = draw(st.integers(min_value=start + 4, max_value=min(len(query), start + 12)))
+    value = list(query[start:end])
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        pos = draw(st.integers(min_value=0, max_value=len(value) - 1))
+        op = draw(st.sampled_from("sid"))
+        if op == "s":
+            value[pos] = draw(sql_alphabet)
+        elif op == "i":
+            value.insert(pos, draw(sql_alphabet))
+        elif len(value) > 1:
+            del value[pos]
+    return query, ["".join(value)]
+
+
+random_cases = st.tuples(sql_text, st.lists(value_text, min_size=1, max_size=8))
+evasion_cases = st.builds(
+    evasion_case,
+    st.sampled_from(PAYLOADS),
+    st.integers(min_value=0, max_value=40),
+    st.booleans(),
+)
+
+
 def assert_results_agree(query: str, context: RequestContext, threshold: float):
     filtered = NTIAnalyzer(NTIConfig(threshold=threshold)).analyze(query, context)
     oracle = NTIAnalyzer(oracle_config(threshold=threshold)).analyze(query, context)
@@ -51,19 +109,17 @@ def assert_results_agree(query: str, context: RequestContext, threshold: float):
 @given(value_text, sql_text, thresholds)
 def test_filtered_match_equals_dp_oracle(pattern, text, threshold):
     oracle = match_with_ratio(pattern, text, threshold, matcher="dp")
-    filtered = match_with_ratio(
-        pattern, text, threshold, matcher="auto", prefilter=True
+    result = NTIAnalyzer(NTIConfig(threshold=threshold)).analyze(
+        text, context_of([pattern]), tokens=[]
     )
-    assert filtered == oracle
+    got = [(m.start, m.end, m.ratio) for m in result.markings]
+    assert got == ([] if oracle is None else [(oracle.start, oracle.end, oracle.ratio)])
 
 
 @settings(max_examples=60)
 @given(st.lists(value_text, min_size=1, max_size=8), sql_text, thresholds)
 def test_analyzer_pipelines_agree_on_random_contexts(values, query, threshold):
-    context = RequestContext(
-        inputs=[CapturedInput("get", f"p{i}", v) for i, v in enumerate(values)]
-    )
-    assert_results_agree(query, context, threshold)
+    assert_results_agree(query, context_of(values), threshold)
 
 
 @settings(max_examples=40)
@@ -76,44 +132,31 @@ def test_analyzer_pipelines_agree_on_random_contexts(values, query, threshold):
 def test_analyzer_pipelines_agree_on_evasion_shapes(
     payload, quotes, magic_quotes, threshold
 ):
-    # Taintless-style mutations: quote-stuffed comment blocks (optionally
-    # doubled by magic quotes, the Figure 2C arithmetic), split payload
-    # parts arriving through separate parameters, whitespace padding.
-    block = quote_comment_block(quotes) if quotes else ""
-    stuffed = payload[:1] + block + payload[1:]
-    try:
-        parts = split_inside_critical_tokens(payload, 3)
-    except ValueError:
-        parts = ()  # payload's critical tokens are all single characters
-    values = [stuffed, payload + " " * 8, *parts]
-    sent = [addslashes(v) if magic_quotes else v for v in values]
-    query = "SELECT * FROM t WHERE ID=" + sent[0] + " AND N='" + sent[-1] + "'"
-    context = RequestContext(
-        inputs=[CapturedInput("post", f"p{i}", v) for i, v in enumerate(values)]
+    query, values = evasion_case(payload, quotes, magic_quotes)
+    assert_results_agree(query, context_of(values, source="post"), threshold)
+
+
+@settings(max_examples=150)
+@given(st.one_of(random_cases, evasion_cases, near_cases()), thresholds)
+def test_default_analyzer_equals_nti_spec(case, threshold):
+    query, values = case
+    got = NTIAnalyzer(NTIConfig(threshold=threshold)).analyze(
+        query, context_of(values)
     )
-    assert_results_agree(query, context, threshold)
-
-
-@given(st.lists(small_value, min_size=1, max_size=20), sql_text)
-def test_packed_scan_never_drops_a_true_match(patterns, text):
-    budgets = [min(len(p) - 1, 2) for p in patterns]
-    alive = packed_survivors(patterns, budgets, text)
-    for pattern, budget, survived in zip(patterns, budgets, alive):
-        truth = best_substring_match(pattern, text, budget, matcher="dp")
-        if truth is not None:
-            assert survived  # pruning a real match would change verdicts
-        # (survived-but-no-match is fine: the filter only promises no
-        # false prunes, the exact matcher resolves survivors.)
+    safe, markings, detections = nti_spec(query, values, threshold)
+    assert got.safe == safe
+    assert [(m.start, m.end, m.origin, m.ratio) for m in got.markings] == markings
+    assert [
+        (d.token_text, d.token_start, d.token_end, d.input_value)
+        for d in got.detections
+    ] == detections
 
 
 @given(st.lists(st.text(alphabet=sql_alphabet, max_size=40), max_size=8),
        st.integers(min_value=0, max_value=30), thresholds)
 def test_candidate_cutoff_equals_per_value_budget(values, qlen, threshold):
     query = "q" * qlen
-    context = RequestContext(
-        inputs=[CapturedInput("get", f"p{i}", v) for i, v in enumerate(values)]
-    )
-    got = candidate_inputs(context, query, threshold)
+    got = candidate_inputs(context_of(values), query, threshold)
     seen = set()
     expected = []
     for value in values:

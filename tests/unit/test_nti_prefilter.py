@@ -1,22 +1,17 @@
-"""Unit tests for the NTI filter kernel (q-gram pigeonhole + packing)."""
+"""Unit tests for the NTI filter kernel (q-gram pigeonhole prefilter)."""
 
 import pytest
 
 from repro.matching.filter import (
     FULL_SCAN,
-    PACKED_MAX_PATTERN,
-    QGRAM,
-    build_gram_index,
-    build_seed_indexes,
+    MIN_PIECE,
     edit_budget,
-    packed_survivors,
     pigeonhole_pieces,
     qgram_applicable,
     qgram_filtered_match,
 )
-from repro.matching.substring import TextProfile, best_substring_match
+from repro.matching.substring import best_substring_match
 from repro.nti import FilterStats, NTIAnalyzer, NTIConfig
-from repro.nti.prefilter import packable
 from repro.phpapp.context import CapturedInput, RequestContext
 
 
@@ -48,39 +43,20 @@ def test_pigeonhole_pieces_partition_the_pattern():
             assert max(lengths) - min(lengths) <= 1
 
 
-def test_build_gram_index_positions():
-    index = build_gram_index("abcabc")
-    assert index["abc"] == [0, 3]
-    assert index["bca"] == [1]
-    assert "xyz" not in index
-    assert build_gram_index("ab") == {}  # shorter than one gram
-
-
-def test_build_seed_indexes_match_single_pass_builders():
-    text = "SELECT * FROM t WHERE ID=1"
-    trigrams, bigrams = build_seed_indexes(text)
-    assert trigrams == build_gram_index(text)
-    assert bigrams["SE"] == [0]
-    assert bigrams["ID"] == [len(text) - 4]
-    assert all(
-        text[p : p + 2] == gram for gram, ps in bigrams.items() for p in ps
-    )
-
-
 def test_qgram_applicable_boundaries():
-    # Every piece must be at least QGRAM chars wide.
-    assert qgram_applicable(QGRAM, 0)
-    assert not qgram_applicable(QGRAM - 1, 0)
-    assert qgram_applicable(2 * QGRAM, 1)
-    assert not qgram_applicable(2 * QGRAM - 1, 1)
+    # Every piece must be at least MIN_PIECE chars wide.
+    assert qgram_applicable(MIN_PIECE, 0)
+    assert not qgram_applicable(MIN_PIECE - 1, 0)
+    assert qgram_applicable(2 * MIN_PIECE, 1)
+    assert not qgram_applicable(2 * MIN_PIECE - 1, 1)
     assert not qgram_applicable(10, None)
 
 
 def test_qgram_filter_prunes_without_scanning():
     stats = FilterStats()
-    grams = build_gram_index("SELECT * FROM t WHERE ID=1")
-    # No 3-gram of the pattern occurs in the text: proven no-match.
-    assert qgram_filtered_match("zzzzzzzzzz", "SELECT * FROM t WHERE ID=1", 2, grams, stats) is None
+    # No piece of the pattern occurs in the text: proven no-match.
+    assert qgram_filtered_match("zzzzzzzzzz", "SELECT * FROM t WHERE ID=1", 2, stats) is None
+    assert stats.seeds_probed == 3
     assert stats.pruned_qgram == 1
     assert stats.anchored_scans == 0
 
@@ -95,7 +71,7 @@ def test_qgram_filter_matches_oracle_spans():
         budget = edit_budget(len(pattern), threshold)
         if text.find(pattern) >= 0 or not qgram_applicable(len(pattern), budget):
             continue
-        got = qgram_filtered_match(pattern, text, budget, build_gram_index(text))
+        got = qgram_filtered_match(pattern, text, budget)
         oracle = best_substring_match(pattern, text, budget, matcher="dp")
         if got is FULL_SCAN:
             continue
@@ -109,90 +85,27 @@ def test_qgram_filter_declines_when_windows_cover_text():
     # Seeds everywhere: merged windows span the text, filter must decline
     # rather than scan the whole text twice.
     text = "abcabcabcabcabc"
-    grams = build_gram_index(text)
-    assert qgram_filtered_match("abcabcabc", text, 1, grams) in (FULL_SCAN,)
-
-
-# -- packed small-candidate scan ---------------------------------------
-
-
-def test_packed_survivors_exact_outcomes():
-    text = "SELECT * FROM t WHERE ID=1"
-    patterns = ["ID=1", "zzzz", "WHERE", "qqq"]
-    budgets = [0, 1, 1, 0]
-    alive = packed_survivors(patterns, budgets, text)
-    assert alive[0] is True      # verbatim substring
-    assert alive[1] is False     # nothing close
-    assert alive[2] is True      # verbatim substring, budget 1
-    assert alive[3] is False
-
-
-def test_packed_survivors_agree_with_oracle_per_lane():
-    text = "INSERT INTO logs VALUES('a','b')"
-    patterns = ["logs", "lgs", "VALU", "xyzw", "('a'", "b')", "IN", "QQ"]
-    budgets = [min(len(p) - 1, 1) for p in patterns]
-    alive = packed_survivors(patterns, budgets, text)
-    for pattern, budget, survived in zip(patterns, budgets, alive):
-        oracle = best_substring_match(pattern, text, budget, matcher="dp")
-        if oracle is not None:
-            assert survived
-        if not survived:
-            assert oracle is None
-
-
-def test_packed_survivors_chunks_past_lane_cap():
-    text = "abcdefgh" * 4
-    patterns = ["abc"] * 70 + ["zzz"] * 70
-    budgets = [0] * 140
-    alive = packed_survivors(patterns, budgets, text)
-    assert alive[:70] == [True] * 70
-    assert alive[70:] == [False] * 70
-
-
-def test_packed_survivors_empty_input():
-    assert packed_survivors([], [], "anything") == []
-
-
-def test_packable_predicate():
-    assert packable("abc", 1)
-    assert not packable("abc", 3)                      # budget >= length
-    assert not packable("x" * (PACKED_MAX_PATTERN + 1), 1)
-    assert not packable("", 0)
-
-
-# -- profile integration ------------------------------------------------
-
-
-def test_text_profile_gram_index_is_lazy_and_shared():
-    profile = TextProfile("SELECT 1")
-    first = profile.gram_index()
-    assert first["SEL"] == [0]
-    assert profile.gram_index() is first  # built once, reused
-
-
-def test_from_tables_profile_builds_gram_index():
-    base = TextProfile("SELECT 1")
-    assembled = TextProfile.from_tables("SELECT 1", base._chars, base._bigrams)
-    assert assembled.gram_index() == base.gram_index()
+    assert qgram_filtered_match("abcabcabc", text, 1) is FULL_SCAN
 
 
 # -- analyzer integration ----------------------------------------------
 
 
 def test_nti_config_rejects_unknown_prefilter():
-    with pytest.raises(ValueError):
-        NTIConfig(prefilter="bloom")
+    for choice in ("bloom", "qgram"):
+        with pytest.raises(ValueError):
+            NTIConfig(prefilter=choice)
 
 
 def test_prefilter_choices_are_config_compatible():
-    for choice in ("auto", "off", "qgram"):
+    for choice in ("auto", "off"):
         NTIConfig(prefilter=choice)
 
 
 def test_filtered_analyzer_equals_oracle_on_attack_and_benign():
     query = "SELECT * FROM t WHERE ID=-1 OR 1=1"
     attack = ctx("-1 OR 1=1", "benign comment body", "tiny")
-    for prefilter in ("auto", "qgram", "off"):
+    for prefilter in ("auto", "off"):
         nti = NTIAnalyzer(NTIConfig(prefilter=prefilter))
         oracle = NTIAnalyzer(NTIConfig(matcher="dp", prefilter="off"))
         got = nti.analyze(query, attack)
@@ -208,27 +121,35 @@ def test_filter_stats_surface_and_count():
     # its trigrams: the value is pruned by the pigeonhole probe (where the
     # plain bigram bound would have let it through to a scan).  "WHERE
     # IX=1" seeds an anchored scan; "zz" has edit budget zero, so the
-    # missed containment probe alone settles it.  The "qq"/"ww"/"vv"
-    # fillers pad the request past the probe amortisation floor.
+    # missed containment probe alone settles it.
     query = (
         "SELECT * FROM t WHERE ID=1 AND col='filler filler filler filler'"
         " -- ab bc cd de ef fg gh hi ij jk kl lm mn no op"
     )
-    nti.analyze(
-        query, ctx("abcdefghijklmnop", "WHERE IX=1", "zz", "qq", "ww", "vv")
-    )
+    nti.analyze(query, ctx("abcdefghijklmnop", "WHERE IX=1", "zz"))
     stats = nti.filter_stats()
     assert stats["pruned_qgram"] >= 1
     assert stats["anchored_scans"] >= 1
     assert stats["seeds_probed"] >= 1
     assert stats["pruned_zero_budget"] >= 1
     assert nti.cache_stats()["filter"] == stats
-    # Seed-rich degenerate text plus enough small candidates to clear the
-    # lane amortisation floor: they ride the packed lane path together.
-    nti.analyze("abcabcabcabcabc", ctx("abcXYZ", "abcQRS", "abcJKL"))
-    stats = nti.filter_stats()
-    assert stats["packed_lanes"] >= 3
-    assert stats["pruned_packed"] >= 3
+    # Seed-rich degenerate text: every candidate's pieces hit so densely
+    # that the windows cover the query, the probe declines (FULL_SCAN),
+    # and the plain pipeline resolves each candidate without probing it
+    # a second time.
+    values = ("abcXYZ", "abcQRS", "abcJKL")
+    pieces = sum(
+        len(pigeonhole_pieces(len(v), edit_budget(len(v), 0.2))) for v in values
+    )
+    assert nti.analyze("abcabcabcabcabc", ctx(*values)).safe
+    after = nti.filter_stats()
+    assert after["seeds_probed"] - stats["seeds_probed"] == pieces
+    assert (
+        after["fallthrough_full_scan"] - stats["fallthrough_full_scan"]
+        == len(values)
+    )
+    for key in ("pruned_qgram", "anchored_scans", "pruned_zero_budget", "exact_hits"):
+        assert after[key] == stats[key]
 
 
 def test_dp_matcher_is_never_filtered():
@@ -239,19 +160,3 @@ def test_dp_matcher_is_never_filtered():
     )
     stats = nti.filter_stats()
     assert all(v == 0 for v in stats.values())
-
-
-def test_packed_negative_results_are_cached():
-    nti = NTIAnalyzer(NTIConfig())
-    # Small candidates far from any query substring (distance 3 > budget
-    # 1): the packed lanes prune all three, and the negative results must
-    # be memoised like any other.
-    query = "abcabcabcabcabc"
-    context = ctx("abcXYZ", "abcQRS", "abcJKL")
-    assert nti.analyze(query, context).safe
-    assert nti.filter_stats()["pruned_packed"] >= 3
-    misses = nti.cache_stats()["match"]["misses"]
-    assert nti.analyze(query, context).safe
-    after = nti.cache_stats()["match"]
-    assert after["misses"] == misses  # second pass served from cache
-    assert after["hits"] >= 1

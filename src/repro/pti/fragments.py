@@ -28,13 +28,7 @@ import threading
 from typing import Iterable, NamedTuple
 
 from ..phpapp.source import extract_fragments
-from ..sqlparser.tokens import (
-    CRITICAL_OPERATORS,
-    Token,
-    TokenType,
-    is_sql_function,
-    is_sql_keyword,
-)
+from ..sqlparser.tokens import CRITICAL_OPERATORS, Token, TokenType
 
 __all__ = [
     "FragmentStore",

@@ -31,9 +31,9 @@ Key properties:
   ``query[start:end]`` -- sharing the query string it already holds -- and
   recomputes the semantic value.  This is *exact*, not approximate: the
   critical-token types that cross the wire (KEYWORD, IDENTIFIER, OPERATOR,
-  PUNCTUATION, COMMENT) all derive ``value`` deterministically from
-  ``text`` (lowercased keyword, backtick-unquoted identifier, verbatim
-  otherwise).  :func:`spans_from_tokens` *verifies* that derivation per
+  PUNCTUATION, COMMENT) all derive ``value`` from ``text`` by the lexer's
+  own rule, :func:`~repro.sqlparser.lexer.token_value`, which both ends
+  call.  :func:`spans_from_tokens` *verifies* that derivation per
   token at pack time and refuses (``WireFormatError``) on any token it
   could not reconstruct byte-exactly -- the daemon loop then ships that
   reply's verdicts without tokens (the parent re-lexes) rather than ship
@@ -89,7 +89,7 @@ import math
 import struct
 from typing import Iterable, NamedTuple, Sequence
 
-from ..sqlparser.lexer import _string_value
+from ..sqlparser.lexer import token_value
 from ..sqlparser.tokens import Token, TokenType
 
 __all__ = [
@@ -210,21 +210,6 @@ def peek_kind(frame: bytes) -> int:
     return kind
 
 
-def _derived_value(ttype: TokenType, text: str) -> object:
-    """The semantic value the lexer assigns to a critical token's text.
-
-    Single source of truth for both ends of the wire: the packer verifies
-    a token's actual value equals this derivation (else it refuses to
-    pack), and the unpacker applies it -- making span round-trips
-    byte-exact by construction.
-    """
-    if ttype is TokenType.KEYWORD:
-        return text.lower()
-    if ttype is TokenType.IDENTIFIER and text[:1] == "`":
-        return _string_value(text, "`")
-    return text
-
-
 def spans_from_tokens(tokens: Iterable[Token]) -> list[tuple[int, int, int]]:
     """Compress tokens to ``(type_code, start, end)`` wire spans.
 
@@ -239,7 +224,7 @@ def spans_from_tokens(tokens: Iterable[Token]) -> list[tuple[int, int, int]]:
         code = _TYPE_CODES.get(token.type)
         if code is None:
             raise WireFormatError(f"token type not wire-packable: {token.type}")
-        if token.value != _derived_value(token.type, token.text):
+        if token.value != token_value(token.type, token.text):
             raise WireFormatError(f"token value not derivable from span: {token!r}")
         spans.append((code, token.start, token.end))
     return spans
@@ -251,9 +236,9 @@ def tokens_from_spans(
     """Rebuild exact :class:`Token` objects from wire spans.
 
     ``text`` is resliced from ``query`` (sharing the string the caller
-    already holds) and ``value`` recomputed via the lexer's derivation
-    rules; the result is equal, field for field, to the tokens the remote
-    lexer produced.
+    already holds) and ``value`` recomputed by
+    :func:`~repro.sqlparser.lexer.token_value`; the result is equal, field
+    for field, to the tokens the remote lexer produced.
     """
     n = len(query)
     out: list[Token] = []
@@ -266,7 +251,7 @@ def tokens_from_spans(
                 f"token span [{start}:{end}) outside query of length {n}"
             )
         text = query[start:end]
-        out.append(Token(ttype, text, start, end, value=_derived_value(ttype, text)))
+        out.append(Token(ttype, text, start, end, value=token_value(ttype, text)))
     return out
 
 

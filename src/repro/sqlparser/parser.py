@@ -1,11 +1,10 @@
 """Recursive-descent parser for the MySQL-flavoured SQL subset.
 
-The parser serves two masters:
-
-- the :mod:`repro.database` engine executes the AST it produces;
-- the PTI daemon parses every intercepted query "to determine the critical
-  set of tokens before attempting to match these tokens" (Section VI-A), via
-  :func:`critical_tokens`.
+The :mod:`repro.database` engine executes the AST it produces.  The PTI
+daemon parses every intercepted query "to determine the critical set of
+tokens before attempting to match these tokens" (Section VI-A); that step
+is :func:`critical_tokens`, a walk of the lexical grammar defined in
+:mod:`repro.sqlparser.lexer` and exported from here as well.
 
 Comments are skipped during parsing (they do not affect execution) but
 remain visible to the taint analyses through the token stream.
@@ -19,7 +18,7 @@ still inspected.
 from __future__ import annotations
 
 from . import ast_nodes as ast
-from .lexer import tokenize_significant
+from .lexer import critical_tokens, tokenize_significant
 from .tokens import Token, TokenType, is_sql_function
 
 __all__ = ["SqlParseError", "parse_statement", "critical_tokens", "Parser"]
@@ -49,10 +48,11 @@ _PRECEDENCE: list[tuple[str, ...]] = [
 class Parser:
     """Single-statement SQL parser over a significant-token stream."""
 
-    def __init__(self, query: str, stream: list[Token] | None = None) -> None:
+    def __init__(self, query: str) -> None:
         self.query = query
-        significant = stream if stream is not None else tokenize_significant(query)
-        self.tokens = [t for t in significant if t.type is not TokenType.COMMENT]
+        self.tokens = [
+            t for t in tokenize_significant(query) if t.type is not TokenType.COMMENT
+        ]
         self.pos = 0
 
     # ------------------------------------------------------------------
@@ -680,33 +680,3 @@ class Parser:
 def parse_statement(query: str) -> ast.Statement:
     """Parse one SQL statement, raising :class:`SqlParseError` on failure."""
     return Parser(query).parse()
-
-
-def critical_tokens(
-    query: str,
-    stream: list[Token] | None = None,
-    strict: bool = False,
-) -> list[Token]:
-    """Extract the security-critical tokens of ``query``.
-
-    Returns keywords, operators, punctuation, comments and built-in function
-    names in call position, in source order.  This is the token set both
-    inference components check for taint coverage.  Works on unparseable
-    queries -- it is purely lexical.  ``stream`` lets callers reuse an
-    existing :func:`tokenize_significant` pass.  ``strict`` applies the
-    Ray/Ligatti-style policy in which identifiers are critical too (see
-    :meth:`Token.is_critical`).
-    """
-    if stream is None:
-        stream = tokenize_significant(query)
-    critical: list[Token] = []
-    for idx, tok in enumerate(stream):
-        nxt = stream[idx + 1] if idx + 1 < len(stream) else None
-        next_is_call = (
-            nxt is not None
-            and nxt.type is TokenType.PUNCTUATION
-            and nxt.text == "("
-        )
-        if tok.is_critical(next_is_call=next_is_call, strict=strict):
-            critical.append(tok)
-    return critical

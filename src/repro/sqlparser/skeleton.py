@@ -20,11 +20,10 @@ token-identical.  The same key serves the daemon's structure cache.
 
 Span agreement with the lexer is a hard invariant: the slot spans must be
 exactly the spans :func:`~repro.sqlparser.lexer.tokenize` assigns to its
-``STRING``/``NUMBER`` tokens (property-tested).  The scanner therefore
-consumes quoted identifiers, comments and identifier words as opaque
-regions -- so quotes inside comments, digits inside identifiers and ``--``
-markers inside strings can never be misread -- and reuses the lexer's
-numeric-span rules via the shared regex below.
+``STRING``/``NUMBER`` tokens.  The scanner is compiled from the lexer's own
+quoting, comment and number sub-patterns, so both read one grammar, and
+property tests hold the slots equal to the lexical spec in
+``tests/reference/lexer_spec.py``.
 
 Unlike :func:`tokenize`, skeletonization allocates no per-token objects:
 one compiled-regex pass plus slicing.  That cost asymmetry is what makes
@@ -35,6 +34,15 @@ from __future__ import annotations
 
 import re
 from typing import NamedTuple
+
+from .lexer import (
+    BACKTICK_PATTERN,
+    COMMENT_PATTERN,
+    DIGIT_NUMBER_PATTERN,
+    DOT_NUMBER_PATTERN,
+    IDENT_CHAR_PATTERN,
+    STRING_PATTERN,
+)
 
 __all__ = [
     "SLOT_STRING",
@@ -58,75 +66,50 @@ SLOT_NUMBER = "n"
 STRING_MARK = "\x00s"
 NUMBER_MARK = "\x00n"
 
-# One alternation per opaque/maskable region, mirroring the lexer exactly:
+# The scanner reuses the lexer's sub-patterns (repro/sqlparser/lexer.py) for
+# every region whose extent matters, and adds only what masking needs:
 #
-# - quoted strings: backslash escapes (incl. a lone trailing backslash) and
-#   doubled-quote escapes; unterminated strings run to end of input
-#   (lexer's ``_lex_quoted``);
-# - backtick identifiers: doubled-backtick escape only, no backslash;
-# - comments: ``/* ... */`` (unterminated swallows the rest), ``-- ...``
-#   and ``# ...`` to end of line;
-# - numbers: hex, decimal/float/scientific with the exact acceptance rules
-#   of ``_scan_number`` (exponent only after a digit, one dot, bare ``0x``
-#   falls back to ``0``).  Digit-initial alternatives carry a negative
-#   lookbehind for ASCII identifier characters: a digit run preceded by an
-#   ASCII word char is part of that identifier (``abc123`` never yields a
-#   number slot), which is exactly what an explicit identifier alternative
-#   used to enforce by consuming the whole word.  The lookbehind keeps the
-#   semantics while letting the scanner skip pure-ASCII identifiers
-#   entirely -- the per-match Python loop body then runs only for actual
-#   literals, comments and the rare non-ASCII word, which is what makes
-#   warm-path skeletonization cheap.  Dot-initial ``.5`` has no guard
-#   (``.`` is not an identifier character, so it can never sit inside a
-#   word), matching the lexer's behaviour on ``a.5``;
-# - non-ASCII words: a one-character lookbehind cannot classify a digit
-#   preceded by a char above 0x7f -- the lexer treats such a char as
-#   identifier *continuation* (``a\xa05`` is one identifier) but as
-#   *whitespace* when it would start a token and ``isspace()`` holds
-#   (``\x850`` lexes as whitespace + NUMBER).  Words containing any char
-#   above 0x7f are therefore consumed as opaque regions, with the lexer's
-#   exact start rule (``isspace`` wins over ident-start) enforced on the
-#   word's first character.  Pure-ASCII words never match this alternative,
-#   so the common case stays loop-free;
-# - skip runs: a last-resort alternative gulping runs of characters that
-#   can never start or influence a maskable region -- ASCII letters,
-#   ``_``/``$``, ASCII whitespace and operator punctuation.  Deliberately
-#   excluded: digits and ``.`` (a greedy gulp starting earlier would
-#   swallow a number that must become a slot), quote/backtick/comment
-#   starters (single quote, double quote, backtick, ``/``, ``-``, ``#``) and everything
-#   above 0x7f (ident-vs-whitespace ambiguity, handled above).  The gulp
-#   changes no semantics -- its characters were gap text anyway -- it only
-#   moves the scan from per-character alternation attempts to one C-level
-#   run per stretch of boring text, tried *after* the non-ASCII word
-#   alternative so it can never split ``a\xa05``-style identifiers.
+# - string literals (group 1) and numbers (group 2) become slots; backtick
+#   identifiers and comments are consumed whole, so a quote inside a
+#   comment or a ``--`` inside a string is never misread, and copied
+#   verbatim as part of the shape;
+# - digit-initial numbers carry a lookbehind for ASCII identifier
+#   characters: a digit run right after one is part of that identifier
+#   (``abc123`` never yields a slot).  That lets the scanner skip ASCII
+#   words without matching them one by one.  ``.5`` needs no guard: ``.``
+#   never sits inside a word, and the lexer reads ``a.5`` as ``a``, ``.5``;
+# - words and ``:name`` placeholders containing a character above 0x7f
+#   are consumed whole, because a one-character lookbehind cannot tell
+#   whether a digit after such a character is inside a word (``a\xa05`` is
+#   one identifier, ``:\x850`` one placeholder) or starts a number after
+#   whitespace (``\x850`` is a space, then ``0``).  The match may start on
+#   an ASCII identifier character, digits included, when the scan stands
+#   inside a word; a word may not start on a character that ``str.isspace``
+#   claims (``(?!\s)``), exactly as in the lexer;
+# - a gulp alternative, tried last, takes runs of characters that can never
+#   start or change a slot: ASCII letters, ``_``/``$``, ASCII whitespace and
+#   operator punctuation.  Digits, ``.``, quote and comment starters and
+#   everything above 0x7f are left out, and a run never ends right before a
+#   character above 0x7f (it gives that word back to the alternative
+#   above).  The gulp changes no semantics; it turns per-character
+#   alternation attempts into one C-level run per stretch of plain text.
+#   A skeleton read off the lexer's one-match-per-token pattern instead
+#   measured 1.8-2.2x slower on the benchmark's query mixes (2-vCPU VM).
 #
 # Anything not matched (lone ``.``, stray digits after identifiers,
 # backslashes, ...) is copied verbatim as gap text between matches.
-
-#: Characters above 0x7f the lexer's top-level ``isspace()`` check claims
-#: before identifier scanning ever sees them (U+3000 is the last Unicode
-#: space, but scan the whole BMP rather than trust that fact).
-_HIGH_SPACES = "".join(chr(c) for c in range(0x80, 0x10000) if chr(c).isspace())
-
 _SCANNER = re.compile(
-    rf"""
-      (?P<squote>'(?:''|\\[\s\S]?|[^'\\])*(?:'|\Z))
-    | (?P<dquote>"(?:""|\\[\s\S]?|[^"\\])*(?:"|\Z))
-    | (?P<btick>`(?:``|[^`])*(?:`|\Z))
-    | (?P<comment>/\*[\s\S]*?(?:\*/|\Z)|--[^\n]*|\#[^\n]*)
-    | (?P<number>(?<![0-9A-Za-z_$])
-        (?:0[xX][0-9a-fA-F]+
-          |[0-9]+\.[0-9]+(?:[eE][+-]?[0-9]+)?
-          |[0-9]+[eE][+-]?[0-9]+
-          |[0-9]+\.?)
-        |\.[0-9]+(?:[eE][+-]?[0-9]+)?)
-    | (?P<ident>(?:[A-Za-z_$][0-9A-Za-z_$]*[^\x00-\x7f]
-                  |(?![{_HIGH_SPACES}])[^\x00-\x7f])
-                (?:[0-9A-Za-z_$]|[^\x00-\x7f])*)
-    | (?P<skip>[A-Za-z_$\x20\t\n\r\x0b\x0c,*=<>()+;:?%&|!^~@\[\]{{}}]+)
-    """,
-    re.VERBOSE,
+    "|".join(
+        (
+            f"({STRING_PATTERN})",
+            f"((?<![0-9A-Za-z_$])(?:{DIGIT_NUMBER_PATTERN})|{DOT_NUMBER_PATTERN})",
+            f"{BACKTICK_PATTERN}|{COMMENT_PATTERN}",
+            rf"(?:[0-9A-Za-z_$]+|:|(?!\s))[^\x00-\x7f]{IDENT_CHAR_PATTERN}*",
+            r"[A-Za-z_$\x20\t\n\r\x0b\x0c,*=<>()+;:?%&|!^~@\[\]{}]+(?![^\x00-\x7f])",
+        )
+    )
 )
+_G_STRING = 1
 
 
 class LiteralSlot(NamedTuple):
@@ -161,96 +144,8 @@ class Skeleton(NamedTuple):
     slots: tuple[LiteralSlot, ...]
 
 
-# Group numbers of the scanner alternation, in source order; matching on
-# ``lastindex`` (an int) avoids the ``lastgroup`` name lookup in the hot
-# loop.  All inner groups are non-capturing, so ``lastindex`` is exactly
-# the matched alternative.
-_G_SQUOTE, _G_DQUOTE, _G_BTICK, _G_COMMENT, _G_NUMBER, _G_IDENT, _G_SKIP = range(
-    1, 8
-)
-
-# Bytes twin of ``_SCANNER`` for the ASCII fast path.  Two deliberate
-# differences, both sound only because the subject is pure ASCII:
-#
-# - the non-ASCII word alternative is dropped entirely -- it requires at
-#   least one byte above 0x7f, which an ASCII subject cannot contain, so
-#   removing it changes nothing while saving the engine one alternation
-#   attempt per scan position;
-# - byte offsets equal character offsets, so the spans this scanner
-#   reports can be stored directly in :class:`LiteralSlot` (which is
-#   defined in character offsets -- the lexer-agreement invariant).
-#
-# Every other alternative is byte-for-byte the same pattern, so the two
-# scanners accept identical ASCII languages (property-tested).
-_SCANNER_ASCII = re.compile(
-    rb"""
-      (?P<squote>'(?:''|\\[\s\S]?|[^'\\])*(?:'|\Z))
-    | (?P<dquote>"(?:""|\\[\s\S]?|[^"\\])*(?:"|\Z))
-    | (?P<btick>`(?:``|[^`])*(?:`|\Z))
-    | (?P<comment>/\*[\s\S]*?(?:\*/|\Z)|--[^\n]*|\#[^\n]*)
-    | (?P<number>(?<![0-9A-Za-z_$])
-        (?:0[xX][0-9a-fA-F]+
-          |[0-9]+\.[0-9]+(?:[eE][+-]?[0-9]+)?
-          |[0-9]+[eE][+-]?[0-9]+
-          |[0-9]+\.?)
-        |\.[0-9]+(?:[eE][+-]?[0-9]+)?)
-    | (?P<skip>[A-Za-z_$\x20\t\n\r\x0b\x0c,*=<>()+;:?%&|!^~@\[\]{}]+)
-    """,
-    re.VERBOSE,
-)
-
-# ASCII scanner group numbers (no ident alternative, so skip is group 6).
-_GA_NUMBER = 5
-
-_STRING_MARK_B = b"\x00s"
-_NUMBER_MARK_B = b"\x00n"
-
-
-def _skeletonize_ascii(query: str, data: bytes) -> Skeleton:
-    """Skeletonize a pure-ASCII query without intermediate string slices.
-
-    Two-phase splice instead of fragment accumulation: the scan loop only
-    *collects* slot spans (no per-gap slicing at all), then the key is
-    built by copying the query bytes once into a :class:`bytearray` and
-    replacing each slot span with its two-byte marker **in reverse order**
-    -- right-to-left splicing means earlier spans never shift, so no
-    offset bookkeeping, and each replacement is a single C-level
-    ``memmove``.  Gap text is therefore never materialised as an
-    intermediate ``str``/``bytes`` object the way the string path's
-    slice-and-join is.
-
-    ``latin-1`` is the decoder because it is the identity on every byte
-    value: the payload bytes are ASCII and the only non-ASCII bytes are
-    our ``\\x00`` markers, so the key is character-identical to what the
-    string path produces (property-tested).
-
-    Queries with no literals at all -- the common warm-cache case for
-    fully-parameterised shapes -- exit early and reuse the query string
-    itself as the key: zero copies beyond the ``encode`` dispatch probe.
-    """
-    slots: list[LiteralSlot] = []
-    add_slot = slots.append
-    for match in _SCANNER_ASCII.finditer(data):
-        index = match.lastindex
-        if index == _GA_NUMBER:
-            kind = SLOT_NUMBER
-        elif index <= _G_DQUOTE:
-            kind = SLOT_STRING
-        else:
-            # btick / comment / skip regions: consumed, kept verbatim.
-            continue
-        start, end = match.span()
-        add_slot(LiteralSlot(start, end, kind))
-    if not slots:
-        return Skeleton(key=query, slots=())
-    out = bytearray(data)
-    for start, end, kind in reversed(slots):
-        out[start:end] = _NUMBER_MARK_B if kind == SLOT_NUMBER else _STRING_MARK_B
-    return Skeleton(key=out.decode("latin-1"), slots=tuple(slots))
-
-
-def _skeletonize_unicode(query: str) -> Skeleton:
-    """String-path skeletonization for queries containing non-ASCII text."""
+def skeletonize(query: str) -> Skeleton:
+    """Compute the literal-masked skeleton of ``query`` in one regex pass."""
     parts: list[str] = []
     slots: list[LiteralSlot] = []
     copied = 0
@@ -258,15 +153,15 @@ def _skeletonize_unicode(query: str) -> Skeleton:
     add_slot = slots.append
     for match in _SCANNER.finditer(query):
         index = match.lastindex
-        if index == _G_NUMBER:
-            mark, kind = NUMBER_MARK, SLOT_NUMBER
-        elif index <= _G_DQUOTE:
+        if index is None:
+            # Backtick, comment, word and gulp matches hold no capturing
+            # group: consumed so their contents cannot be misread as
+            # literals, but copied verbatim -- they are part of the shape.
+            continue
+        if index == _G_STRING:
             mark, kind = STRING_MARK, SLOT_STRING
         else:
-            # btick / comment / ident regions are consumed (so their
-            # contents cannot be misread as literals) but copied verbatim:
-            # they are part of the shape.
-            continue
+            mark, kind = NUMBER_MARK, SLOT_NUMBER
         start, end = match.span()
         if copied != start:
             append(query[copied:start])
@@ -275,24 +170,6 @@ def _skeletonize_unicode(query: str) -> Skeleton:
         copied = end
     append(query[copied:])
     return Skeleton(key="".join(parts), slots=tuple(slots))
-
-
-def skeletonize(query: str) -> Skeleton:
-    """Compute the literal-masked skeleton of ``query`` in one regex pass.
-
-    Pure-ASCII queries (the overwhelming share of real SQL traffic) take
-    an allocation-free bytes path: one ``encode`` to get a byte view,
-    a bytes-compiled scanner, and a single pre-sized output buffer --
-    byte offsets equal character offsets for ASCII, so the slot spans are
-    shared with :func:`~repro.sqlparser.lexer.tokenize` unchanged.
-    Queries with any non-ASCII character fall back to the string scanner,
-    which handles the ident-vs-whitespace subtleties above 0x7f.
-    """
-    try:
-        data = query.encode("ascii")
-    except UnicodeEncodeError:
-        return _skeletonize_unicode(query)
-    return _skeletonize_ascii(query, data)
 
 
 def witness_segments(

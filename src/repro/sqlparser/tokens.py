@@ -1,4 +1,4 @@
-"""SQL token model and critical-token classification.
+"""SQL token model and the critical-token vocabulary.
 
 Both taint inference components reason about *critical tokens* (paper
 Sections II and III): SQL keywords, built-in function names, operators and
@@ -111,15 +111,17 @@ class _TokenBase(NamedTuple):
 class Token(_TokenBase):
     """A lexed SQL token with its exact source span.
 
-    A ``NamedTuple`` rather than a (frozen) dataclass: the lexer allocates
-    one of these per token of every analysed query -- whitespace and
-    stray-character operators included -- so this is the hottest allocation
-    site in the whole pipeline.  Tuple construction is several times
+    A ``NamedTuple`` rather than a (frozen) dataclass: ``critical_tokens``
+    allocates one of these per critical token of every analysed query, and
+    ``tokenize`` one per token, whitespace and stray-character operators
+    included, so this is a hot allocation site.  Tuple construction is several times
     cheaper than a frozen-dataclass ``__init__`` (which pays
     ``object.__setattr__`` per field), the instances carry no ``__dict__``,
-    and attribute reads compile to C-level item access.  Equality, hashing
-    and pickling (tokens cross the daemon pipe) keep the exact semantics of
-    the previous frozen dataclass: all five fields participate.
+    and attribute reads compile to C-level item access.  Equality and
+    hashing keep the exact semantics of the previous frozen dataclass: all
+    five fields participate.  No pipe carries tokens as objects: the daemon
+    pipe sends critical tokens as ``(type, start, end)`` spans and the
+    receiver rebuilds them (:mod:`repro.pti.wire`).
 
     The NamedTuple metaclass refuses ``__new__`` overrides in its own body,
     so the layout lives in :class:`_TokenBase` and this subclass layers the
@@ -151,39 +153,6 @@ class Token(_TokenBase):
         if value is None:
             value = text
         return tuple.__new__(cls, (type, text, start, end, value))
-
-    @property
-    def upper(self) -> str:
-        """Uppercased token text, convenient for keyword comparisons."""
-        return self.text.upper()
-
-    def is_critical(self, *, next_is_call: bool = False, strict: bool = False) -> bool:
-        """Whether this token is security-critical per the paper's model.
-
-        Critical: SQL keywords, comparison/logical operators
-        (:data:`CRITICAL_OPERATORS`), the statement delimiter ``;``,
-        comments (each one whole token), and built-in function names in
-        call position (``next_is_call``), e.g. the ``username()`` of
-        Figure 3B.  Literals, placeholders, ordinary identifiers,
-        arithmetic signs and grouping punctuation are data.
-
-        ``strict`` switches to a Ray/Ligatti-style policy (paper Section
-        II): *identifiers* become critical too, so applications that pass
-        field or table names through user input are rejected.  The paper
-        deliberately does not use this ("many programs ... would break");
-        it is offered as the adjustable-policy knob Section II mentions.
-        """
-        if self.type in (TokenType.KEYWORD, TokenType.COMMENT):
-            return True
-        if self.type is TokenType.OPERATOR:
-            return self.text in CRITICAL_OPERATORS
-        if self.type is TokenType.PUNCTUATION:
-            return self.text in CRITICAL_PUNCTUATION
-        if self.type is TokenType.IDENTIFIER:
-            if strict:
-                return True
-            return next_is_call and is_sql_function(self.text)
-        return False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Token({self.type.name}, {self.text!r}, {self.start}:{self.end})"

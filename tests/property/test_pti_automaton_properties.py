@@ -10,7 +10,9 @@ Two layers of differential testing (DESIGN.md section 9):
   produce the same verdict, detection spans and marking spans as the
   paper-faithful ``matcher="scan"`` engine, including on Taintless-style
   attack payloads and the evasion classes of the paper (comment
-  obfuscation, case games, stacked statements).
+  obfuscation, case games, stacked statements); both must give the
+  verdict and detection spans of the executable PTI rule,
+  ``tests/reference/pti_spec.py``.
 
 Witness *origins* may differ between matchers (the scan's choice is
 MRU-stateful); spans and verdicts may not.
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.pti import FragmentAutomaton, FragmentStore, PTIAnalyzer, PTIConfig
 from repro.sqlparser.parser import critical_tokens
+from tests.reference.pti_spec import pti_spec
 
 # A deliberately tiny alphabet: maximizes overlapping / nested / repeated
 # occurrences, the regime where automaton bookkeeping can go wrong.
@@ -126,13 +129,20 @@ def _signature(result):
     )
 
 
+def _spec_signature(fragments, query):
+    safe, detections = pti_spec(query, fragments)
+    return safe, [(start, end) for __, start, end in detections]
+
+
 @given(SQL_FRAGMENTS, attack_queries)
 @settings(max_examples=200)
 def test_analyze_automaton_equals_analyze_scan(fragments, query):
     store = FragmentStore(fragments)
     scan = PTIAnalyzer(store, PTIConfig(matcher="scan"))
     auto = PTIAnalyzer(store, PTIConfig(matcher="automaton"))
-    assert _signature(scan.analyze(query)) == _signature(auto.analyze(query))
+    signature = _signature(auto.analyze(query))
+    assert _signature(scan.analyze(query)) == signature
+    assert signature[:2] == _spec_signature(fragments, query)
 
 
 @given(fragment_sets, texts)
@@ -142,7 +152,9 @@ def test_analyze_engines_agree_on_arbitrary_text(fragments, text):
     store = FragmentStore(fragments)
     scan = PTIAnalyzer(store, PTIConfig(matcher="scan"))
     auto = PTIAnalyzer(store, PTIConfig(matcher="automaton"))
-    assert _signature(scan.analyze(text)) == _signature(auto.analyze(text))
+    signature = _signature(auto.analyze(text))
+    assert _signature(scan.analyze(text)) == signature
+    assert signature[:2] == _spec_signature(fragments, text)
 
 
 @given(SQL_FRAGMENTS, attack_queries)

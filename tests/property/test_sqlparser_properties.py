@@ -1,4 +1,8 @@
-"""Property-based tests for the SQL lexer/parser/skeleton layer."""
+"""Property-based tests for the SQL lexer/parser/skeleton layer.
+
+``tokenize``, ``critical_tokens`` and the skeleton's literal slots are all
+held equal to the per-character lexical spec, ``tests/reference/lexer_spec.py``.
+"""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,16 +14,26 @@ from repro.sqlparser import (
     tokenize,
     tokenize_significant,
 )
-from repro.sqlparser.skeleton import SLOT_NUMBER, SLOT_STRING
 from repro.sqlparser.tokens import TokenType
+from tests.reference import lexer_spec
 
 any_text = st.text(max_size=60)
+#: SQL-ish pieces plus the characters where ``str.isspace`` and the
+#: identifier rules part: a space above 0x7f is whitespace where a token
+#: starts but an identifier character inside a word or placeholder.
 sqlish = st.lists(
     st.sampled_from(
-        list("abcdefgXYZ0123456789 '\"`()=<>,;#*-/%_.") + ["SELECT ", " OR "]
+        list("abcdefgXYZ0123456789 '\"`()=<>,;#*-/%_.\\?:@!|&^~+$\n")
+        + ["SELECT ", " OR ", "sleep", "0x", "1e", "/*", "*/", "--", "x "]
+        + ["\xa0", "\u3000", "\x85", "\x1c", "\u00b2", "a\xa05", "\x850"]
     ),
     max_size=30,
 ).map("".join)
+
+
+def _fields(tokens):
+    """Every token field, plus the type of the value (``1`` vs ``1.0``)."""
+    return [(t.type, t.text, t.start, t.end, t.value, type(t.value)) for t in tokens]
 
 
 @given(any_text)
@@ -59,33 +73,39 @@ def test_critical_tokens_text_matches_source(text):
         assert text[token.start : token.end] == token.text
 
 
-# -- skeletonizer/lexer span agreement (the shape fast path's invariant) ----
+# -- equality with the lexical spec -------------------------------------------
 
 
-def _lexer_literal_spans(text):
-    out = []
-    for token in tokenize(text):
-        if token.type is TokenType.STRING:
-            out.append((token.start, token.end, SLOT_STRING))
-        elif token.type is TokenType.NUMBER:
-            out.append((token.start, token.end, SLOT_NUMBER))
-    return out
+@given(st.one_of(any_text, sqlish))
+@settings(max_examples=300)
+def test_tokenize_equals_spec(text):
+    assert _fields(tokenize(text)) == _fields(lexer_spec.tokenize(text))
+
+
+@given(st.one_of(any_text, sqlish), st.booleans())
+@settings(max_examples=300)
+def test_critical_tokens_equal_spec(text, strict):
+    assert _fields(critical_tokens(text, strict=strict)) == _fields(
+        lexer_spec.critical_tokens(text, strict=strict)
+    )
+
+
+# -- skeletonizer/spec span agreement (the shape fast path's invariant) -------
+
+
+def _slots(text):
+    return [(s.start, s.end, s.kind) for s in skeletonize(text).slots]
 
 
 @given(any_text)
 def test_skeleton_slots_agree_with_lexer_any_text(text):
-    skeleton = skeletonize(text)
-    assert [
-        (s.start, s.end, s.kind) for s in skeleton.slots
-    ] == _lexer_literal_spans(text)
+    assert _slots(text) == lexer_spec.literal_spans(text)
 
 
 @given(sqlish)
+@settings(max_examples=300)
 def test_skeleton_slots_agree_with_lexer_sqlish(text):
-    skeleton = skeletonize(text)
-    assert [
-        (s.start, s.end, s.kind) for s in skeleton.slots
-    ] == _lexer_literal_spans(text)
+    assert _slots(text) == lexer_spec.literal_spans(text)
 
 
 @given(sqlish)

@@ -1,4 +1,4 @@
-"""Executable references: plain transcriptions of the paper's rules.
+"""Executable references: plain transcriptions of the paper's rules and lexer.
 
 Kept out of ``src/`` on purpose.  Property suites compare the production
 pipelines against these, so a reference must stay short enough to check

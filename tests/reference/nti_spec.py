@@ -15,8 +15,8 @@ For each distinct non-empty input, in capture order:
    from different inputs are never combined.
 
 There is no exact-containment shortcut, no length cutoff, no bound and no
-budget: every input runs the full DP.  Only the critical-token lexer is
-shared with the implementation.
+budget: every input runs the full DP.  Critical tokens come from
+``lexer_spec``, so the spec shares no code with the implementation.
 
 The paper does not say which substring wins a tie, so the spec fixes the
 rule every matcher in ``repro.matching`` reproduces: lowest distance, then
@@ -27,7 +27,7 @@ character, which fixes the start.
 Python 3.9 compatible: tier-1 CI runs 3.9.
 """
 
-from repro.sqlparser.parser import critical_tokens
+from tests.reference.lexer_spec import critical_tokens
 
 
 def sellers(pattern, query):

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.sqlparser import Token, TokenType, tokenize, tokenize_significant
+from repro.sqlparser import (
+    Token,
+    TokenType,
+    critical_tokens,
+    tokenize,
+    tokenize_significant,
+)
+from repro.sqlparser.lexer import token_value
 
 
 def texts(query):
@@ -157,3 +164,20 @@ def test_at_sysvar_lexes():
 
 def test_never_raises_on_garbage():
     tokenize("\\'\"``))((;;%%%$$@@##~~~")  # must not raise
+
+
+def test_token_value_rebuilds_every_lexed_value():
+    q = "SELECT `a``b`, 'x''y\\n', \"q\", 0x1F, 1.5e3, 7, .5 FROM t -- c"
+    for tok in tokenize(q):
+        value = token_value(tok.type, tok.text)
+        assert value == tok.value and type(value) is type(tok.value), tok
+
+
+def test_function_name_is_critical_only_when_called():
+    def critical(q):
+        return [t.text for t in critical_tokens(q)]
+
+    assert critical("SELECT sleep (1)") == ["SELECT", "sleep"]
+    assert critical("SELECT sleep") == ["SELECT"]
+    # The next significant token decides; a comment counts as one.
+    assert critical("SELECT sleep/**/(1)") == ["SELECT", "/**/"]

@@ -1,35 +1,26 @@
 """Skeletonizer unit tests: slot spans must agree with the lexer exactly.
 
 The shape fast path's soundness argument starts from one hard invariant:
-``skeletonize(q).slots`` are exactly the spans :func:`tokenize` assigns to
-its STRING/NUMBER tokens (see ``repro/sqlparser/skeleton.py``).  These
-tests pin that agreement on every lexer edge case the satellite task names
--- escaped quotes inside block comments, unterminated literals, hex and
-scientific number literals, ``--`` comments at EOF -- plus the quoting and
-numeric corner cases the lexer itself special-cases.
+``skeletonize(q).slots`` are exactly the spans the lexer assigns to its
+STRING/NUMBER tokens (see ``repro/sqlparser/skeleton.py``).  These tests
+pin that agreement, against the per-character lexical spec in
+``tests/reference/lexer_spec.py``, on the lexer's edge cases -- escaped
+quotes inside block comments, unterminated literals, hex and scientific
+number literals, ``--`` comments at EOF, spaces above 0x7f inside words
+and placeholders -- plus the quoting and numeric corner cases the lexer
+itself special-cases.
 """
 
 import pytest
 
-from repro.sqlparser import Skeleton, skeletonize, tokenize
+from repro.sqlparser import Skeleton, skeletonize
 from repro.sqlparser.skeleton import (
     NUMBER_MARK,
     SLOT_NUMBER,
     SLOT_STRING,
     STRING_MARK,
 )
-from repro.sqlparser.tokens import TokenType
-
-
-def lexer_literal_spans(query: str) -> list[tuple[int, int, str]]:
-    """The STRING/NUMBER token spans of the lexer (the reference)."""
-    out = []
-    for token in tokenize(query):
-        if token.type is TokenType.STRING:
-            out.append((token.start, token.end, SLOT_STRING))
-        elif token.type is TokenType.NUMBER:
-            out.append((token.start, token.end, SLOT_NUMBER))
-    return out
+from tests.reference.lexer_spec import literal_spans
 
 
 def reconstruct(query: str, skeleton: Skeleton) -> str:
@@ -49,7 +40,7 @@ def assert_agrees(query: str) -> None:
     skeleton = skeletonize(query)
     assert [
         (slot.start, slot.end, slot.kind) for slot in skeleton.slots
-    ] == lexer_literal_spans(query), query
+    ] == literal_spans(query), query
     assert reconstruct(query, skeleton) == query
 
 
@@ -88,6 +79,14 @@ EDGE_CASES = [
     "SELECT abc123 FROM tbl2 WHERE c0 = 5",
     "SELECT café1 FROM t",  # non-ASCII identifier characters
     "SELECT $var1 FROM t",
+    # --- spaces above 0x7f: inside a word or placeholder they are identifier
+    # characters, where a token starts they are whitespace ----------------
+    "SELECT a\xa05 FROM t",
+    "SELECT x ab\xa05 FROM t",  # a gulped run must not split the word
+    "SELECT x a5\xa05 FROM t",
+    "SELECT x :\x850 FROM t",  # placeholder, not ':' + space + number
+    "SELECT \x850, 1\u30002 FROM t",
+    "SELECT \u00b25, \x1c5 FROM t",
     # --- placeholders and operators -----------------------------------
     "SELECT a FROM t WHERE id = ? AND x = :name5",
     "SELECT a FROM t WHERE a<=>b AND c - 1 = -2",

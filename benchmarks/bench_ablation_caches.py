@@ -21,16 +21,22 @@ from repro.core import JozaConfig
 from repro.pti.daemon import DaemonConfig
 from repro.pti.inference import PTIConfig
 
+# Every row pins the scan matcher, as Table V and Fig. 7 do: under
+# ``matcher="auto"`` a store of 16 or more fragments runs the automaton, for
+# which the MRU list and the token index do not exist, and the rows that
+# toggle them would all measure the same thing.
+SCAN = PTIConfig(matcher="scan")
+
 CONFIGS = [
-    ("all optimizations", DaemonConfig()),
-    ("no query cache", DaemonConfig(use_query_cache=False)),
-    ("no structure cache", DaemonConfig(use_structure_cache=False)),
+    ("all optimizations", DaemonConfig(pti=SCAN)),
+    ("no query cache", DaemonConfig(use_query_cache=False, pti=SCAN)),
+    ("no structure cache", DaemonConfig(use_structure_cache=False, pti=SCAN)),
     (
         "index only (no caches, no MRU)",
         DaemonConfig(
             use_query_cache=False,
             use_structure_cache=False,
-            pti=PTIConfig(use_mru=False),
+            pti=PTIConfig(use_mru=False, matcher="scan"),
         ),
     ),
     (
@@ -38,7 +44,7 @@ CONFIGS = [
         DaemonConfig(
             use_query_cache=False,
             use_structure_cache=False,
-            pti=PTIConfig(use_token_index=False),
+            pti=PTIConfig(use_token_index=False, matcher="scan"),
         ),
     ),
     (
@@ -46,7 +52,7 @@ CONFIGS = [
         DaemonConfig(
             use_query_cache=False,
             use_structure_cache=False,
-            pti=PTIConfig(use_mru=False, use_token_index=False),
+            pti=PTIConfig(use_mru=False, use_token_index=False, matcher="scan"),
         ),
     ),
 ]

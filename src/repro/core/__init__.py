@@ -2,13 +2,7 @@
 
 from .engine import AttackRecord, EngineStats, JozaEngine
 from .policy import JozaConfig, RecoveryPolicy
-from .shapecache import (
-    PlanToken,
-    ShapeCache,
-    ShapeCacheConfig,
-    ShapePlan,
-    build_plan,
-)
+from .shapecache import ShapeCache, ShapeCacheConfig, ShapePlan, build_plan
 from .resilience import (
     BreakerState,
     CircuitBreaker,
@@ -40,7 +34,6 @@ __all__ = [
     "JozaEngine",
     "JozaConfig",
     "RecoveryPolicy",
-    "PlanToken",
     "ShapeCache",
     "ShapeCacheConfig",
     "ShapePlan",

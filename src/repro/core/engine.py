@@ -34,6 +34,7 @@ from ..nti.inference import NTIAnalyzer
 from ..nti.sources import candidate_inputs
 from ..phpapp.application import QueryBlockedError, WebApplication
 from ..phpapp.context import RequestContext
+from ..pti.caches import witness_misses
 from ..pti.daemon import PTIDaemon
 from ..pti.fragments import FragmentStore
 from ..pti.inference import PTIAnalyzer
@@ -314,9 +315,11 @@ class JozaEngine:
         prunes; DESIGN.md section 9) for the daemon's analyzer and for the
         shape fast path's recheck analyzer respectively.
 
-        Each cache leaf carries ``hits`` / ``misses`` / ``hit_rate`` /
-        ``entries`` (floats, bench-reporting convention).  ``nti.match`` is
-        the per-query NTI cache and counts per query (see
+        Each cache leaf is its :class:`~repro.pti.caches.EpochLRU`
+        reading (``hits`` / ``misses`` / ``hit_rate`` / ``entries`` /
+        ``capacity`` / ``invalidations`` / ``insertions`` / ``stale_puts``
+        / ``epoch``, floats by the bench-reporting convention).
+        ``nti.match`` is the per-query NTI cache and counts per query (see
         :meth:`~repro.nti.inference.NTIAnalyzer.cache_stats`); ``nti.filter``
         holds the prefilter counters.  PTI entries appear only when
         the daemon object exposes its caches (the in-process
@@ -327,17 +330,10 @@ class JozaEngine:
             "nti": self.nti.cache_stats()
         }
         pti: dict[str, dict[str, float]] = {}
-        for name, attr in (("query", "query_cache"), ("structure", "structure_cache")):
-            cache = getattr(self.daemon, attr, None)
-            stats = getattr(cache, "stats", None)
-            if cache is None or stats is None:
-                continue
-            pti[name] = {
-                "hits": float(stats.hits),
-                "misses": float(stats.misses),
-                "hit_rate": stats.hit_rate,
-                "entries": float(len(cache)),
-            }
+        for name in ("query", "structure"):
+            cache = getattr(self.daemon, f"{name}_cache", None)
+            if cache is not None:
+                pti[name] = cache.snapshot_stats()
         analyzer = getattr(self.daemon, "analyzer", None)
         matcher_stats = getattr(analyzer, "matcher_stats", None)
         if callable(matcher_stats):
@@ -713,28 +709,16 @@ class JozaEngine:
             spans, tokens = plan.instantiate_trusted(query, skeleton.slots)
             if spans is None:
                 return None
-            if plan.recheck_count:
-                # Tokens whose build-time coverage witness crossed a
-                # literal slot: coverage depends on this instance's
-                # literals, re-prove it.  The stored witness usually
-                # re-occurs at the same token-relative offset (one verbatim
-                # startswith, inlined from ShapePlan.witness_holds); only
-                # misses pay the fragment search -- and under the automaton
-                # matcher all misses of one query share a single streaming
-                # pass via the analyzer's occurrence-index memo.
-                startswith = query.startswith
-                for index, witness, rel, wlen in plan.recheck_witnesses:
-                    start, end = spans[index]
-                    pos = start - rel
-                    if (
-                        witness is not None
-                        and pos >= 0
-                        and end <= pos + wlen
-                        and startswith(witness, pos)
-                    ):
-                        continue
-                    if analyzer.cover_token_witness(query, tokens[index]) is None:
-                        return None
+            # Tokens whose build-time coverage witness crossed a literal
+            # slot: coverage depends on this instance's literals, re-prove
+            # it.  The stored witness usually re-occurs at the same
+            # token-relative offset (one verbatim startswith); only misses
+            # pay the fragment search -- and under the automaton matcher
+            # all misses of one query share a single streaming pass via
+            # the analyzer's occurrence-index memo.
+            for index in witness_misses(query, plan.recheck_witnesses, tokens):
+                if analyzer.cover_token_witness(query, tokens[index]) is None:
+                    return None
             pti_result = AnalysisResult(
                 technique=Technique.PTI, safe=True, from_cache="shape"
             )
@@ -761,16 +745,7 @@ class JozaEngine:
                 ]
                 if values:
                     nti_result = self.nti.analyze(
-                        query,
-                        context,
-                        tokens,
-                        deadline=deadline,
-                        values=values,
-                        # Lazy factory for the exact pruning tables,
-                        # assembled from the plan's segment template --
-                        # O(slot text), not O(query), and only if some
-                        # input survives the exact-containment check.
-                        profile=lambda: plan.profile_for(query, skeleton.slots),
+                        query, context, tokens, deadline=deadline, values=values
                     )
                 else:
                     # Every input provably unable to cover any critical
@@ -1085,11 +1060,7 @@ class JozaEngine:
         verdict = self.inspect(query, context)
         if verdict.safe:
             return
-        if verdict.detected_by():
-            self.stats.bump(attacks_blocked=1)
-        self.attack_log.append(
-            AttackRecord(query=query, verdict=verdict, request_path=context.path)
-        )
+        self.record_block(verdict, context.path)
         terminate = self.config.policy is RecoveryPolicy.TERMINATE
         flagged = ", ".join(sorted(t.value for t in verdict.detected_by()))
         if flagged:
@@ -1104,6 +1075,29 @@ class JozaEngine:
     # ------------------------------------------------------------------
     # Audit
     # ------------------------------------------------------------------
+
+    def record_block(
+        self,
+        verdict: QueryVerdict,
+        request_path: str,
+        client_id: str | None = None,
+    ) -> None:
+        """Log one blocked verdict to the audit ring.
+
+        Detections also count in ``attacks_blocked``; failsafe blocks are
+        logged with their flag but not counted as attacks.  ``client_id``
+        attributes the block to a gateway client or tenant.
+        """
+        if verdict.detected_by():
+            self.stats.bump(attacks_blocked=1)
+        self.attack_log.append(
+            AttackRecord(
+                query=verdict.query,
+                verdict=verdict,
+                request_path=request_path,
+                client_id=client_id,
+            )
+        )
 
     def attach_durability(self, durable) -> None:
         """Bind a :class:`~repro.persist.DurableState` to this engine.

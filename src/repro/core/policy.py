@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 from dataclasses import dataclass, field
 
 from ..nti.inference import NTIConfig
 from ..pti.daemon import DaemonConfig
-from ..pti.inference import PTI_MATCHER_CHOICES
 from .resilience import FailurePolicy, ResilienceConfig
 from .shapecache import ShapeCacheConfig
 
@@ -60,23 +58,7 @@ class JozaConfig:
     #: Breaks applications that pass field/table names through input (the
     #: reason the paper defaults to the pragmatic stance, Section II).
     strict_tokens: bool = False
-    #: PTI matching-engine selector, threaded into ``daemon.pti.matcher``
-    #: (and from there into subprocess daemon children and the shape fast
-    #: path's recheck analyzer): ``"auto"`` | ``"scan"`` | ``"automaton"``
-    #: (DESIGN.md section 9).  ``"auto"`` leaves whatever the embedded
-    #: :class:`~repro.pti.inference.PTIConfig` selected; a non-default
-    #: value overrides it, mirroring the NTI ``matcher`` knob.
-    pti_matcher: str = "auto"
 
     def __post_init__(self) -> None:
         if self.strict_tokens:
             self.daemon.strict_tokens = True
-        if self.pti_matcher not in PTI_MATCHER_CHOICES:
-            raise ValueError(
-                f"unknown pti matcher {self.pti_matcher!r}; "
-                f"expected one of {PTI_MATCHER_CHOICES}"
-            )
-        if self.pti_matcher != "auto":
-            self.daemon.pti = dataclasses.replace(
-                self.daemon.pti, matcher=self.pti_matcher
-            )

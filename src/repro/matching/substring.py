@@ -114,23 +114,6 @@ class TextProfile:
             bigrams[gram] = bigrams.get(gram, 0) + 1
         self._bigrams = bigrams
 
-    @classmethod
-    def from_tables(
-        cls, text: str, chars: dict[str, int], bigrams: dict[str, int]
-    ) -> "TextProfile":
-        """Wrap precomputed multiset tables without rescanning ``text``.
-
-        Callers must supply the *exact* character and bigram multisets of
-        ``text`` -- the shape fast path assembles them incrementally from
-        per-shape segment tables plus the current literal slots, which is
-        ``O(slot text)`` instead of ``O(query)``.
-        """
-        profile = cls.__new__(cls)
-        profile.text = text
-        profile._chars = chars
-        profile._bigrams = bigrams
-        return profile
-
     def char_bound(self, pattern: str) -> int:
         """Lower bound on the substring distance from character multiplicities.
 

@@ -14,31 +14,28 @@ and matcher.  One bounded LRU keyed by query therefore holds both:
   non-match.  Negative results are cached too: benign traffic is the
   common case, and a cached "no match" skips the whole pruning-plus-scan
   pipeline.
-- :class:`NTIQueryCache` -- the LRU of entries.  An analysis locks and
-  touches it once per query (:meth:`NTIQueryCache.entry`), then reads and
-  writes the entry's dict without further locking, so a query whose
-  inputs never recur pays one dict lookup per candidate instead of two
-  locked LRU operations.
+- :class:`NTIQueryCache` -- the LRU of entries, an
+  :class:`~repro.pti.caches.EpochLRU` at its default epoch (nothing here
+  depends on the fragment store).  An analysis locks and touches it once
+  per query (:meth:`NTIQueryCache.entry`), then reads and writes the
+  entry's dict without further locking, so a query whose inputs never
+  recur pays one dict lookup per candidate instead of two locked LRU
+  operations.
 
 Concurrency: two threads analysing the same query share one entry.  Every
 write stores a value any other writer would also have computed (the
 results are pure and ``RatioMatch``/``SubstringMatch`` are frozen), and
 single dict-slot assignments are atomic under the GIL, so the worst
 interleaving costs a recomputation, never a wrong result.
-
-Hit/miss accounting reuses :class:`repro.pti.caches.CacheStats` so the
-bench reporting layer can surface NTI and PTI cache behaviour uniformly.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from itertools import islice
 
 from ..matching.ratio import RatioMatch
 from ..matching.substring import TextProfile
-from ..pti.caches import CacheStats
+from ..pti.caches import EpochLRU
 
 __all__ = ["NTIQueryCache", "NTIQueryEntry", "MAX_INPUTS_PER_QUERY"]
 
@@ -66,7 +63,7 @@ class NTIQueryEntry:
                 matches.pop(value, None)
 
 
-class NTIQueryCache:
+class NTIQueryCache(EpochLRU):
     """Bounded LRU: query string -> :class:`NTIQueryEntry`.
 
     ``capacity`` counts queries.  Hits and misses count per query: a hit
@@ -74,31 +71,6 @@ class NTIQueryCache:
     results it holds were reused.
     """
 
-    def __init__(self, capacity: int = 512) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._store: OrderedDict[str, NTIQueryEntry] = OrderedDict()
-        self._lock = threading.Lock()
-        self.stats = CacheStats()
-
     def entry(self, query: str) -> NTIQueryEntry:
         """The query's entry, created (and counted as a miss) when absent."""
-        with self._lock:
-            store = self._store
-            entry = store.get(query)
-            if entry is not None:
-                store.move_to_end(query)
-                self.stats.hits += 1
-                return entry
-            self.stats.misses += 1
-            entry = store[query] = NTIQueryEntry()
-            if len(store) > self.capacity:
-                store.popitem(last=False)
-            return entry
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def __contains__(self, query: str) -> bool:
-        return query in self._store
+        return self.setdefault(query, NTIQueryEntry)

@@ -43,7 +43,6 @@ first tier that settles it --
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 
@@ -86,9 +85,6 @@ class NTIConfig:
         threshold: maximum difference ratio accepted as a match.  The paper
             discusses the sensitivity of this knob at length (Section
             III-A); 0.20 matches Figure 2C's arithmetic.
-        min_input_length: inputs shorter than this are never matched.  The
-            default of 1 relies purely on the whole-token rule, as the
-            paper does.
         matcher: matching-core selector -- ``"auto"`` (bit-parallel except
             for tiny inputs), ``"dp"`` (Sellers oracle) or
             ``"bitparallel"``.  All produce identical matches; the knob
@@ -109,7 +105,6 @@ class NTIConfig:
     """
 
     threshold: float = DEFAULT_NTI_THRESHOLD
-    min_input_length: int = 1
     matcher: str = "auto"
     prefilter: str = "auto"
     cache_size: int = 512
@@ -162,14 +157,8 @@ class NTIAnalyzer:
         the number of resident queries.  Absent when the cache is off.
         """
         out: dict[str, dict[str, float]] = {}
-        cache = self.cache
-        if cache is not None:
-            out["match"] = {
-                "hits": cache.stats.hits,
-                "misses": cache.stats.misses,
-                "hit_rate": cache.stats.hit_rate,
-                "entries": len(cache),
-            }
+        if self.cache is not None:
+            out["match"] = self.cache.snapshot_stats()
         out["filter"] = self._stats.as_dict()
         return out
 
@@ -181,19 +170,13 @@ class NTIAnalyzer:
     def _profile_for(query: str, holder: list) -> TextProfile:
         """Lazily build the query's pruning tables (once per query).
 
-        ``holder[0]`` may start out as ``None`` (build), a ready
-        :class:`TextProfile` (from the query's cache entry or the caller),
-        or a zero-argument factory (the shape fast path's incremental
-        assembly); whatever it was, the resolved profile is memoised back
-        into the holder so later inputs of the same query reuse it.
+        ``holder[0]`` starts out as the query's cached profile or ``None``;
+        a built profile is memoised back into the holder so later inputs of
+        the same query reuse it.
         """
         value = holder[0]
         if value is None:
-            value = TextProfile(query)
-            holder[0] = value
-        elif callable(value):
-            value = value()
-            holder[0] = value
+            value = holder[0] = TextProfile(query)
         return value
 
     def analyze(
@@ -203,7 +186,6 @@ class NTIAnalyzer:
         tokens: list[Token] | None = None,
         deadline: Deadline | None = None,
         values: list[str] | None = None,
-        profile: "TextProfile | Callable[[], TextProfile] | None" = None,
     ) -> AnalysisResult:
         """Run NTI over one query.
 
@@ -227,12 +209,6 @@ class NTIAnalyzer:
                 output after pruning inputs that provably cannot cover any
                 critical token of the cached shape; ``None`` (the default)
                 enumerates the context as usual.
-            profile: optional pre-built pruning tables for ``query``, or a
-                zero-argument factory for them.  Must be *exact* (equal to
-                ``TextProfile(query)``); the shape fast path passes a lazy
-                factory assembling one from its per-shape segment template
-                instead of rescanning the query -- invoked only if some
-                input actually reaches the bound heuristics.
         """
         crit = tokens if tokens is not None else critical_tokens(query)
         markings: list[TaintMarking] = []
@@ -243,11 +219,11 @@ class NTIAnalyzer:
         # tables and its input -> result memo across requests.
         entry: NTIQueryEntry | None = None
         memo = None
+        profile = None
         if self.cache is not None and values:
             entry = self.cache.entry(query)
             memo = entry.matches
-            if entry.profile is not None:
-                profile = entry.profile
+            profile = entry.profile
         # Pruning tables depend only on the query: built at most once per
         # analyze call, lazily when the first input reaches the bound
         # heuristics, then shared across all inputs.
@@ -256,14 +232,12 @@ class NTIAnalyzer:
         matcher = self.config.matcher
         filtered = self._filter_active
         stats = self._stats
-        # Empty inputs carry no taint, whatever min_input_length says.
-        min_len = max(self.config.min_input_length, 1)
         for value in values:
             if deadline is not None:
                 deadline.check("nti")
             n = len(value)
-            if n < min_len:
-                continue
+            if not n:
+                continue  # empty inputs carry no taint
             matched = _MISSING if memo is None else memo.get(value, _MISSING)
             if matched is _MISSING:
                 # Tiers in cost order; FULL_SCAN marks a candidate that no
@@ -345,9 +319,7 @@ class NTIAnalyzer:
                         )
                     )
         if entry is not None:
-            resolved = profile_holder[0]
-            if entry.profile is None and type(resolved) is TextProfile:
-                entry.profile = resolved
+            entry.profile = profile_holder[0]
             entry.trim()
         return AnalysisResult(
             technique=Technique.NTI,

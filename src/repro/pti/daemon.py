@@ -117,8 +117,6 @@ class DaemonConfig:
     use_query_cache: bool = True
     use_structure_cache: bool = True
     pti: PTIConfig = field(default_factory=PTIConfig)
-    query_cache_capacity: int = 10_000
-    structure_cache_capacity: int = 10_000
     strict_tokens: bool = False
 
 
@@ -130,20 +128,20 @@ class PTIDaemon:
     ) -> None:
         self.config = config or DaemonConfig()
         self.analyzer = PTIAnalyzer(store, self.config.pti)
-        self.query_cache = QueryCache(self.config.query_cache_capacity)
-        self.structure_cache = StructureCache(self.config.structure_cache_capacity)
+        #: Both caches hold results for the fragment-store epoch they were
+        #: proven under: any in-place store mutation (add/remove/reload)
+        #: flushes them on next use (:class:`~repro.pti.caches.EpochLRU`).
+        self.query_cache = QueryCache()
+        self.structure_cache = StructureCache()
         self.timings = StageTimings()
         self.queries_analyzed = 0
-        #: Serializes the analysis pipeline.  The individual caches are
-        #: independently locked, but the epoch-flush is check-then-act and
-        #: the stage timings are read-modify-write; one in-process daemon
-        #: shared by N threads must not interleave them.  In-process match
-        #: work is GIL-serialized anyway -- parallel PTI throughput comes
-        #: from the subprocess pool (DESIGN.md section 10).
+        #: Serializes the analysis pipeline.  The caches lock themselves,
+        #: but the stage timings are read-modify-write and the analyzer's
+        #: derived state is rebuilt per epoch; one in-process daemon shared
+        #: by N threads must not interleave them.  In-process match work is
+        #: GIL-serialized anyway -- parallel PTI throughput comes from the
+        #: subprocess pool (DESIGN.md section 10).
         self._lock = threading.RLock()
-        #: Fragment-store epoch the caches were built under; any in-place
-        #: store mutation (add/remove/reload) flushes them on next use.
-        self._cache_epoch = store.epoch
 
     @property
     def store(self) -> FragmentStore:
@@ -159,7 +157,6 @@ class PTIDaemon:
             self.analyzer = PTIAnalyzer(store, self.config.pti)
             self.query_cache.clear()
             self.structure_cache.clear()
-            self._cache_epoch = store.epoch
 
     def warm(self) -> None:
         """Precompile the matcher for the current epoch (warm handoff).
@@ -213,18 +210,14 @@ class PTIDaemon:
         self.queries_analyzed += 1
         if deadline is not None:
             deadline.check("pti")
-        store = self.analyzer.store
-        if store.epoch != self._cache_epoch:
-            # The vocabulary changed in place (plugin add/remove): every
-            # cached verdict was computed against the old epoch.  The
-            # analyzer guards its own derived state (MRU prune, automaton
-            # recompile) via the same epoch on its next call.
-            self._cache_epoch = store.epoch
-            self.query_cache.clear()
-            self.structure_cache.clear()
+        # Every cache access names the store's epoch: a vocabulary changed
+        # in place (plugin add/remove) flushes results computed against the
+        # old one.  The analyzer guards its own derived state (MRU prune,
+        # automaton recompile) via the same epoch on its next call.
+        epoch = self.analyzer.store.epoch
         if self.config.use_query_cache:
             t0 = time.perf_counter()
-            cached = self.query_cache.get(query)
+            cached = self.query_cache.get(query, epoch)
             self.timings.add("cache", time.perf_counter() - t0)
             if cached is not None:
                 safe, cached_tokens = cached
@@ -244,11 +237,11 @@ class PTIDaemon:
         self.timings.add("parse", time.perf_counter() - t0)
         if skeleton is not None:
             t0 = time.perf_counter()
-            hit = self.structure_cache.serves(skeleton.key, query, tokens)
+            hit = self.structure_cache.serves(skeleton.key, query, tokens, epoch)
             self.timings.add("cache", time.perf_counter() - t0)
             if hit:
                 if self.config.use_query_cache:
-                    self.query_cache.put(query, (True, tokens))
+                    self.query_cache.put(query, (True, tokens), epoch)
                 return DaemonReply(
                     safe=True,
                     result=AnalysisResult(
@@ -264,14 +257,16 @@ class PTIDaemon:
         self.timings.add("match", time.perf_counter() - t0)
         t0 = time.perf_counter()
         if self.config.use_query_cache:
-            self.query_cache.put(query, (result.safe, tokens))
+            self.query_cache.put(query, (result.safe, tokens), epoch)
         # Only SAFE verdicts are cacheable by skeleton, together with the
         # witnesses a later instance must re-prove (StructureCache).
         # Unsafe verdicts are not structural facts, and attacks are rare
         # enough that re-analysing them costs nothing -- "malicious queries
         # may require scanning the entire set of fragments" (Section VI-A).
         if skeleton is not None and result.safe:
-            self.structure_cache.remember(skeleton, len(query), tokens, witnesses)
+            self.structure_cache.remember(
+                skeleton, len(query), tokens, witnesses, epoch
+            )
         self.timings.add("cache", time.perf_counter() - t0)
         return DaemonReply(safe=result.safe, result=result, tokens=tokens)
 

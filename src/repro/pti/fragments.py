@@ -257,12 +257,16 @@ class FragmentStore:
             # index extends the current one instead of re-scanning the
             # whole vocabulary -- journal replay applies thousands of add
             # records over wp.com-scale stores, and a full rebuild per
-            # record turns recovery O(records x vocabulary).
-            new_index = dict(state.index)
-            for offset, fragment in enumerate(added):
-                position = len(state.fragments) + offset
+            # record turns recovery O(records x vocabulary).  Each touched
+            # bucket is extended once per batch: growing a tuple position
+            # by position costs time quadratic in the bucket's size.
+            grown: dict[str, list[int]] = {}
+            for position, fragment in enumerate(added, len(state.fragments)):
                 for key in fragment_index_keys(fragment):
-                    new_index[key] = new_index.get(key, ()) + (position,)
+                    grown.setdefault(key, []).append(position)
+            new_index = dict(state.index)
+            for key, positions in grown.items():
+                new_index[key] = new_index.get(key, ()) + tuple(positions)
             self._state = _StoreState(
                 new_fragments,
                 frozenset(seen),

@@ -75,12 +75,16 @@ class PTIConfig:
     """Tunables for the PTI component.
 
     Attributes:
-        use_mru: try the most-recently-used fragment list first (scan
-            matcher only; the automaton has no per-token search to skip).
+        use_mru: try the most-recently-used fragment list first.
         use_token_index: restrict the fragment scan to index candidates;
             disabling both knobs yields the unoptimized full scan of the
             paper's initial implementation (Figure 7's "unoptimized" bar).
-        mru_capacity: size of the MRU list.
+            Both are scan-matcher knobs (the automaton has no per-token
+            search to skip), so they are inert whenever the scan does not
+            run -- including under ``matcher="auto"`` once the store holds
+            :data:`AUTO_AUTOMATON_MIN_FRAGMENTS` (16) or more fragments.
+            The Table V, Fig. 7 and cache-ablation benches pin
+            ``matcher="scan"`` for that reason.
         matcher: matching-engine selector -- ``"auto"`` (automaton for
             vocabularies of at least
             :data:`AUTO_AUTOMATON_MIN_FRAGMENTS` fragments, scan below),
@@ -91,7 +95,6 @@ class PTIConfig:
 
     use_mru: bool = True
     use_token_index: bool = True
-    mru_capacity: int = 64
     matcher: str = "auto"
 
     def __post_init__(self) -> None:
@@ -110,7 +113,7 @@ class PTIAnalyzer:
     ) -> None:
         self.store = store
         self.config = config or PTIConfig()
-        self.mru = MRUFragmentCache(self.config.mru_capacity)
+        self.mru = MRUFragmentCache()
         #: Guards the derived-state block (epoch guard, compiled automaton,
         #: occurrence memo) so concurrent callers cannot interleave a stale
         #: prune with a fresh compile.  Reentrant because the public

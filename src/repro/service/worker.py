@@ -31,7 +31,7 @@ import threading
 import time
 from typing import Mapping, Sequence
 
-from ..core.engine import AttackRecord, JozaEngine
+from ..core.engine import JozaEngine
 from ..core.policy import JozaConfig
 from ..core.resilience import Deadline
 from ..phpapp.context import CapturedInput, RequestContext
@@ -194,18 +194,8 @@ def _handle(fleet: _EngineFleet, message, pace_seconds: float):
         deadline = Deadline(budget)
         verdicts = engine.inspect_batch(queries, context, deadline)
         for verdict in verdicts:
-            if verdict.safe:
-                continue
-            if verdict.detected_by():
-                engine.stats.bump(attacks_blocked=1)
-            engine.attack_log.append(
-                AttackRecord(
-                    query=verdict.query,
-                    verdict=verdict,
-                    request_path=path,
-                    client_id=client_id or None,
-                )
-            )
+            if not verdict.safe:
+                engine.record_block(verdict, path, client_id or None)
         return ("ok", [verdict_to_dict(v) for v in verdicts])
     if op == "snapshot":
         _, tenant_id, overlay = message

@@ -52,7 +52,6 @@ __all__ = [
     "LiteralSlot",
     "Skeleton",
     "skeletonize",
-    "witness_segments",
 ]
 
 #: Slot kinds (typed slots: a string literal never shares a shape with a
@@ -171,37 +170,3 @@ def skeletonize(query: str) -> Skeleton:
     append(query[copied:])
     return Skeleton(key="".join(parts), slots=tuple(slots))
 
-
-def witness_segments(
-    slots: tuple[LiteralSlot, ...],
-    length: int,
-    tokens,
-    witnesses,
-) -> list[tuple[int, bool]] | None:
-    """Place each token's coverage witness relative to the literal slots.
-
-    ``slots`` are the skeleton slots of a query of ``length`` characters;
-    ``witnesses`` holds one ``(fragment, occurrence start)`` pair per
-    token (PTI's coverage witness).  For every token returns
-    ``(segment, crosses)``: the index of the inter-literal segment holding
-    the token (= number of slots entirely before it) and whether the
-    witness occurrence reaches outside that segment.  A contained
-    occurrence re-occurs, shifted rigidly with the token, in every query
-    with the same skeleton key; a crossing one depends on literal text and
-    must be re-proven per query.  Returns ``None`` when a token overlaps a
-    slot or has no witness (no reusable coverage proof exists).
-    """
-    nslots = len(slots)
-    placed: list[tuple[int, bool]] = []
-    seg = 0
-    for token, witness in zip(tokens, witnesses):
-        while seg < nslots and slots[seg].end <= token.start:
-            seg += 1
-        if witness is None or (seg < nslots and token.end > slots[seg].start):
-            return None
-        fragment, pos = witness
-        seg_start = slots[seg - 1].end if seg else 0
-        seg_end = slots[seg].start if seg < nslots else length
-        contained = seg_start <= pos and pos + len(fragment) <= seg_end
-        placed.append((seg, not contained))
-    return placed

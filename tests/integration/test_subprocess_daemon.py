@@ -92,10 +92,12 @@ def test_subprocess_daemon_matcher_parity(matcher):
 
 
 def test_engine_pti_matcher_threads_into_subprocess_daemon():
-    """JozaConfig(pti_matcher=...) reaches the subprocess child's analyzer."""
+    """``DaemonConfig(pti=PTIConfig(matcher=...))`` reaches the child's analyzer."""
+    from repro.pti import PTIConfig
+
     app = build_testbed(num_posts=4)
     store = FragmentStore.from_sources(app.all_sources())
-    cfg = JozaConfig(pti_matcher="automaton")
+    cfg = JozaConfig(daemon=DaemonConfig(pti=PTIConfig(matcher="automaton")))
     assert cfg.daemon.pti.matcher == "automaton"
     with SubprocessPTIDaemon(store, cfg.daemon) as daemon:
         engine = JozaEngine(store, cfg, daemon=daemon)

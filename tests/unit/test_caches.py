@@ -25,6 +25,16 @@ def test_lru_eviction_order():
     assert cache.get("c") == 3
 
 
+def test_rejected_entry_is_a_miss_and_keeps_its_recency():
+    cache = QueryCache(capacity=2)
+    cache.put("a", 1)
+    cache.put("b", 2)
+    assert cache.get("a", valid=lambda value: False) is None
+    cache.put("c", 3)  # evicts a: the rejected read did not refresh it
+    assert "a" not in cache and "b" in cache
+    assert (cache.stats.hits, cache.stats.misses) == (0, 1)
+
+
 def test_put_overwrites():
     cache = StructureCache()
     cache.put("sig", True)

@@ -1,6 +1,11 @@
 """Unit tests for the fragment store."""
 
-from repro.pti.fragments import FragmentStore, fragment_index_keys, token_index_key
+from repro.pti.fragments import (
+    FragmentStore,
+    _build_index,
+    fragment_index_keys,
+    token_index_key,
+)
 from repro.sqlparser import critical_tokens
 
 
@@ -104,6 +109,13 @@ def test_incremental_add_updates_index():
     store.add(" UNION ALL ")
     assert store.candidates_for("union") == [" UNION ALL "]
     assert store.candidates_for("all") == [" UNION ALL "]
+    # One batch whose fragments share keys, added onto a non-empty store:
+    # the index extends each bucket exactly as a full rebuild would.
+    store.add_many(
+        ["SELECT a FROM t", " UNION ALL SELECT ", "SELECT b FROM t", " ALL "]
+    )
+    assert store.candidates_for("union") == [" UNION ALL ", " UNION ALL SELECT "]
+    assert store._state.index == _build_index(store.fragments)
 
 
 # ---------------------------------------------------------------------------

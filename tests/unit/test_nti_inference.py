@@ -84,13 +84,6 @@ def test_threshold_zero_requires_exact():
     assert nti.analyze(f"SELECT {transformed}", ctx(payload + "'")).safe
 
 
-def test_min_input_length_config():
-    nti = NTIAnalyzer(NTIConfig(min_input_length=4))
-    # "OR" (2 chars) is below the floor and never matched.
-    result = nti.analyze("SELECT 1 OR 2", ctx("OR"))
-    assert result.safe
-
-
 def test_precomputed_tokens_used():
     nti = NTIAnalyzer()
     payload = "1 OR 2"

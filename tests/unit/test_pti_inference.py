@@ -78,7 +78,7 @@ def test_literals_never_need_coverage():
 
 
 def test_mru_promotes_recent_fragments():
-    pti = analyzer("SELECT 1", " OR ", mru_capacity=4, use_mru=True)
+    pti = analyzer("SELECT 1", " OR ", use_mru=True)
     pti.analyze("SELECT 1 OR 2")
     assert " OR " in pti.mru
     assert "SELECT 1" in pti.mru

@@ -3,13 +3,13 @@
 import pytest
 
 from repro.core.shapecache import (
-    PlanToken,
     ShapeCache,
     ShapeCacheConfig,
     ShapePlan,
     build_plan,
 )
 from repro.pti import FragmentStore, PTIAnalyzer
+from repro.pti.caches import witness_misses
 from repro.sqlparser import critical_tokens, skeletonize
 
 TEMPLATE_FRAGMENTS = [
@@ -35,10 +35,8 @@ def make_plan(query=Q1, fragments=TEMPLATE_FRAGMENTS):
 def test_build_plan_covers_all_critical_tokens():
     plan = make_plan()
     assert plan is not None
-    assert [t.text for t in plan.tokens] == [
-        t.text for t in critical_tokens(Q1)
-    ]
-    assert plan.min_token_len == min(len(t.text) for t in plan.tokens)
+    assert list(plan.tok_texts) == [t.text for t in critical_tokens(Q1)]
+    assert plan.min_token_len == min(len(t) for t in plan.tok_texts)
 
 
 def test_build_plan_refuses_uncovered_shapes():
@@ -54,7 +52,7 @@ def test_build_plan_classifies_segment_confined_witnesses_as_stable():
     fragments = ["SELECT * FROM posts WHERE id = ", " ORDER BY date DESC"]
     plan = make_plan(query, fragments)
     assert plan is not None
-    assert plan.recheck_count == 0
+    assert plan.recheck_witnesses == ()
 
 
 def test_build_plan_flags_quote_spanning_fragments_for_recheck():
@@ -63,9 +61,9 @@ def test_build_plan_flags_quote_spanning_fragments_for_recheck():
     # boundary, so every token they cover must be re-proven per instance.
     plan = make_plan()
     assert plan is not None
-    flagged = {t.text for t in plan.tokens if t.recheck}
+    flagged = {plan.tok_texts[index] for index, *_ in plan.recheck_witnesses}
     assert flagged == {"AND", "=", "ORDER", "BY", "DESC"}
-    assert plan.recheck_count == 5
+    assert len(plan.recheck_witnesses) == 5
 
 
 def test_build_plan_flags_slot_crossing_witnesses_for_recheck():
@@ -75,7 +73,7 @@ def test_build_plan_flags_slot_crossing_witnesses_for_recheck():
     fragments = ["SELECT a FROM t WHERE id = 7 AND b = ", " = "]
     plan = make_plan(query, fragments)
     assert plan is not None
-    flagged = {t.text for t in plan.tokens if t.recheck}
+    flagged = {plan.tok_texts[index] for index, *_ in plan.recheck_witnesses}
     assert "AND" in flagged
 
 
@@ -161,7 +159,7 @@ def test_input_prefilter_charset_rule():
 
 
 def test_empty_plan_never_matches_inputs():
-    plan = ShapePlan("k", (), ())
+    plan = ShapePlan("k", (), (), (), ())
     assert not plan.input_can_cover("anything", 0.2)
 
 
@@ -216,45 +214,12 @@ def test_config_defaults():
 
 
 def test_plan_token_is_frozen():
-    token = PlanToken(
-        type=None, text="OR", value="or", start=0, end=2, segment=0, recheck=False
-    )
-    with pytest.raises(Exception):
-        token.text = "AND"
-
-
-# ---------------------------------------------------------------------------
-# ShapePlan.profile_for (incremental NTI pruning tables)
-# ---------------------------------------------------------------------------
-
-
-PROFILE_QUERIES = [
-    # plain template
-    ("SELECT * FROM posts WHERE id = 7 AND status = 'published' ORDER BY date DESC",
-     "SELECT * FROM posts WHERE id = 99999 AND status = 'a''b' ORDER BY date DESC"),
-    # leading and trailing literals (empty first/last segments)
-    ("7 = 7", "123 = 456"),
-    # adjacent literals (empty middle segment)
-    ("SELECT 1'x'", "SELECT 42'yz'"),
-    # single-character query
-    ("5", "1234"),
-]
-
-
-@pytest.mark.parametrize("template,instance", PROFILE_QUERIES)
-def test_profile_for_matches_full_scan_exactly(template, instance):
-    from repro.matching.substring import TextProfile
-
-    t_skel = skeletonize(template)
-    i_skel = skeletonize(instance)
-    assert t_skel.key == i_skel.key  # same shape by construction
-    plan = ShapePlan(t_skel.key, t_skel.slots, ())
-    for query, skel in ((template, t_skel), (instance, i_skel)):
-        fast = plan.profile_for(query, skel.slots)
-        full = TextProfile(query)
-        assert fast._chars == full._chars, query
-        assert fast._bigrams == full._bigrams, query
-        assert fast.text == query
+    plan = make_plan()
+    # Every per-token array and witness record is an immutable tuple.
+    with pytest.raises(TypeError):
+        plan.tok_texts[0] = "AND"
+    with pytest.raises(TypeError):
+        plan.recheck_witnesses[0] = (0, "x", 0, 1)
 
 
 def test_witness_holds_verbatim_and_rejects_drift():
@@ -262,15 +227,18 @@ def test_witness_holds_verbatim_and_rejects_drift():
     fragments = ["SELECT a FROM t WHERE id = 7 AND b = ", " = "]
     plan = make_plan(query, fragments)
     assert plan is not None
-    and_index = next(
-        i for i, t in enumerate(plan.tokens) if t.text == "AND" and t.recheck
+    and_record = next(
+        record
+        for record in plan.recheck_witnesses
+        if plan.tok_texts[record[0]] == "AND"
     )
-    token = plan.tokens[and_index]
     # Same literal: the witness re-occurs at the stored relative offset.
-    assert plan.witness_holds(query, token, token.start, token.end)
+    assert witness_misses(query, [and_record], critical_tokens(query)) == []
     # Different literal: the slot-crossing witness text no longer matches.
     other = "SELECT a FROM t WHERE id = 9 AND b = 8"
-    assert not plan.witness_holds(other, token, token.start, token.end)
+    assert witness_misses(other, [and_record], critical_tokens(other)) == [
+        and_record[0]
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,13 @@ from .caches import QueryCache, StructureCache
 from .fragments import FragmentStore
 from .inference import PTIAnalyzer, PTIConfig
 
-__all__ = ["DaemonReply", "StageTimings", "PTIDaemon", "SubprocessPTIDaemon"]
+__all__ = [
+    "DaemonReply",
+    "StageTimings",
+    "PTIDaemon",
+    "SubprocessPTIDaemon",
+    "reap_child",
+]
 
 
 class StageTimings:
@@ -355,6 +361,38 @@ def _daemon_loop(conn, fragments: list[str], config: DaemonConfig, fault=None) -
     conn.close()
 
 
+def reap_child(
+    conn, process: multiprocessing.Process | None, *, graceful: bool = False
+) -> None:
+    """Tear one child down: close the pipe, then join -> terminate -> kill.
+
+    The one reaper of both framed pipes (PTI daemon children and gateway
+    workers).  ``graceful`` first sends the shutdown message (an empty
+    one) and gives the child a second to exit on its own.  Children in an
+    unknown state (hung, mid-crash, pipe desynchronized) skip straight to
+    signals with bounded joins -- never leave a zombie behind.
+    """
+    if conn is not None:
+        if graceful:
+            try:
+                conn.send_bytes(b"")
+            except OSError:
+                pass
+        try:
+            conn.close()
+        except OSError:  # pragma: no cover - defensive
+            pass
+    if process is None:
+        return
+    process.join(timeout=1.0 if graceful else 0.05)
+    if process.is_alive():
+        process.terminate()
+        process.join(timeout=1.0)
+    if process.is_alive():  # pragma: no cover - SIGTERM blocked
+        process.kill()
+        process.join(timeout=1.0)
+
+
 class SubprocessPTIDaemon:
     """A real PTI daemon child process reached over an anonymous pipe.
 
@@ -540,37 +578,6 @@ class SubprocessPTIDaemon:
         self.timings.add("spawn", time.perf_counter() - t0)
         return parent_conn, process
 
-    @staticmethod
-    def _reap(
-        conn, process: multiprocessing.Process | None, *, graceful: bool = False
-    ) -> None:
-        """Tear one child down: close the pipe, then join -> terminate -> kill.
-
-        ``graceful`` first sends the shutdown message (an empty one) and
-        gives the child a second to exit on its own.  Children in an
-        unknown state (hung, mid-crash, pipe desynchronized) skip straight
-        to signals with bounded joins -- never leave a zombie behind.
-        """
-        if conn is not None:
-            if graceful:
-                try:
-                    conn.send_bytes(b"")
-                except (BrokenPipeError, OSError):
-                    pass
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - defensive
-                pass
-        if process is None:
-            return
-        process.join(timeout=1.0 if graceful else 0.05)
-        if process.is_alive():
-            process.terminate()
-            process.join(timeout=1.0)
-        if process.is_alive():  # pragma: no cover - SIGTERM blocked
-            process.kill()
-            process.join(timeout=1.0)
-
     def _discard_child(self, conn, process) -> None:
         """Drop a failed child; clears persistent state when it matches.
 
@@ -583,7 +590,7 @@ class SubprocessPTIDaemon:
             if self.persistent and conn is self._conn:
                 self._conn = None
                 self._process = None
-        self._reap(conn, process)
+        reap_child(conn, process)
 
     # ------------------------------------------------------------------
     # Analysis
@@ -647,7 +654,7 @@ class SubprocessPTIDaemon:
                 raise
             self.timings.add("ipc", max(time.perf_counter() - t0 - analysis, 0.0))
             if not self.persistent:
-                self._reap(conn, process, graceful=True)
+                reap_child(conn, process, graceful=True)
             return replies
 
     def _decode_batch(
@@ -794,7 +801,7 @@ class SubprocessPTIDaemon:
         with self._lifecycle:
             conn, self._conn = self._conn, None
             process, self._process = self._process, None
-        self._reap(conn, process, graceful=True)
+        reap_child(conn, process, graceful=True)
 
     def __enter__(self) -> "SubprocessPTIDaemon":
         return self

@@ -1,7 +1,10 @@
-"""Zero-copy batch wire format for the PTI daemon pipe (DESIGN.md §11).
+"""Zero-copy batch wire format for the PTI daemon and gateway pipes (DESIGN.md §11-12).
 
-The PTI daemon pipe carries nothing but the frames defined here: request,
-reply and store snapshot (plus its ack).  Pickle would cost a full
+The PTI daemon pipe and the gateway worker pipe carry nothing but the
+frames defined here; on both, an empty message is the shutdown and any
+other bytes that are not one of the frames the child accepts (a pickle
+included) end the child's loop.  The daemon pipe carries request, reply
+and store snapshot (plus its ack).  Pickle would cost a full
 object-graph walk per query -- per-token dataclass reduction dominated the
 wire time in profiles -- so a whole *batch* travels as one struct-packed
 frame each way:
@@ -77,14 +80,29 @@ reading its payload:
     header (count = 1)
     code:B | message len:H | utf-8
 
+``report`` (kind 8)::
+
+    header (count = 1)
+    byte_len:I | UTF-8 JSON object
+
 The framing layer treats verdict payloads as opaque bytes -- the gateway
 codec owns their JSON schema -- so every byte-level failure mode (torn
 frame, corrupt header, bad length, trailing junk) is caught here as
 :class:`WireFormatError` and both ends resolve it fail-closed.
+
+The gateway worker pipe (DESIGN.md section 12) reuses these frames
+without the socket length prefix: the gateway sends a ``gateway request``
+carrying the remaining budget and the worker answers with the ``gateway
+reply`` the client receives (each verdict encoded once, in the worker) or
+a ``gateway error`` for its own failures; tenant overlay pushes are a
+``store snapshot`` answered by a ``snapshot ack``; a ``report`` with an
+empty object asks for the worker's engine report, which comes back as a
+``report``.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import struct
 from typing import Iterable, NamedTuple, Sequence
@@ -102,6 +120,7 @@ __all__ = [
     "KIND_GW_ERROR",
     "KIND_SNAPSHOT",
     "KIND_SNAPSHOT_ACK",
+    "KIND_REPORT",
     "MAX_BATCH",
     "MAX_FRAME",
     "MAX_INPUTS",
@@ -128,6 +147,8 @@ __all__ = [
     "unpack_store_snapshot",
     "pack_snapshot_ack",
     "unpack_snapshot_ack",
+    "pack_report",
+    "unpack_report",
     "spans_from_tokens",
     "tokens_from_spans",
 ]
@@ -141,6 +162,7 @@ KIND_GW_REPLY = 4
 KIND_GW_ERROR = 5
 KIND_SNAPSHOT = 6
 KIND_SNAPSHOT_ACK = 7
+KIND_REPORT = 8
 
 #: Hard per-frame bounds.  A frame never carries more than MAX_BATCH
 #: queries (larger daemon batches are split); a frame larger than
@@ -672,15 +694,18 @@ def unpack_gateway_error(frame: bytes) -> tuple[int, str]:
 # ----------------------------------------------------------------------
 #
 # One frame replicates one ``_StoreState`` snapshot -- the whole fragment
-# tuple plus its epoch and owning tenant -- to a daemon child or gateway
-# worker on epoch bump (DESIGN.md section 13).  Packed once per epoch by
-# the registry/pool and reused for every push of that epoch, so a fleet
-# of N workers pays one serialisation, not N.  The header ``count`` field
-# is fixed at 1 (one store per frame); the real fragment count is a u32
-# in the body because paper-scale vocabularies exceed the u16 header
-# field.  The child acknowledges with a KIND_SNAPSHOT_ACK echoing the
-# epoch, sent only after the new vocabulary is applied *and warmed*, so
-# the pusher knows the swap is complete.
+# tuple plus its epoch and owning tenant -- to a daemon child on epoch
+# bump (DESIGN.md section 13).  Packed once per epoch by the
+# registry/pool and reused for every push of that epoch, so a fleet of N
+# workers pays one serialisation, not N.  The header ``count`` field is
+# fixed at 1 (one store per frame); the real fragment count is a u32 in
+# the body because paper-scale vocabularies exceed the u16 header field.
+# The child acknowledges with a KIND_SNAPSHOT_ACK echoing the epoch, sent
+# only after the new vocabulary is applied *and warmed*, so the pusher
+# knows the swap is complete.  A gateway worker receives one tenant's
+# overlay in the same frame (packed once per reload for the whole fleet)
+# and acks the epoch its own tenant registry assigned, since the gateway
+# keeps no store epochs.
 
 _I64 = struct.Struct("<q")
 
@@ -777,3 +802,42 @@ def unpack_snapshot_ack(frame: bytes) -> int:
         raise WireFormatError(f"snapshot ack of {len(frame)} bytes is malformed")
     (epoch,) = _I64.unpack_from(frame, _HEADER.size)
     return epoch
+
+
+# ----------------------------------------------------------------------
+# Report frames (gateway worker operator surface)
+# ----------------------------------------------------------------------
+
+
+def pack_report(report: dict) -> bytes:
+    """Pack one JSON object (a worker's engine report, or ``{}`` to ask)."""
+    raw = json.dumps(report, separators=(",", ":")).encode("utf-8")
+    frame = _HEADER.pack(MAGIC, VERSION, KIND_REPORT, 1) + _U32.pack(len(raw)) + raw
+    if len(frame) > MAX_FRAME:
+        raise WireFormatError(
+            f"frame of {len(frame)} bytes exceeds MAX_FRAME={MAX_FRAME}"
+        )
+    return frame
+
+
+def unpack_report(frame: bytes) -> dict:
+    """Decode a report frame back to its JSON object (fail-closed)."""
+    count = _check_header(frame, KIND_REPORT)
+    if count != 1:
+        raise WireFormatError(f"report frame count must be 1, got {count}")
+    offset = _HEADER.size
+    if offset + _U32.size > len(frame):
+        raise WireFormatError("truncated report length")
+    (blen,) = _U32.unpack_from(frame, offset)
+    offset += _U32.size
+    if offset + blen != len(frame):
+        raise WireFormatError(
+            f"report payload of {len(frame) - offset} bytes, header says {blen}"
+        )
+    try:
+        report = json.loads(bytes(frame[offset:]).decode("utf-8"))
+    except (UnicodeDecodeError, ValueError) as exc:
+        raise WireFormatError(f"undecodable report: {exc}") from exc
+    if not isinstance(report, dict):
+        raise WireFormatError(f"report must be a JSON object, got {type(report)}")
+    return report

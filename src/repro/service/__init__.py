@@ -5,8 +5,8 @@ web applications (Section V); this package is that deployment shape for
 the reproduction: an asyncio gateway speaking the length-prefixed binary
 protocol of :mod:`repro.pti.wire` over unix / TCP sockets, dispatching to
 a fleet of worker *processes* (one :class:`~repro.core.JozaEngine` each,
-optionally backed by a :class:`~repro.pti.pool.DaemonPool`) so N app
-servers share one guard without sharing a GIL.
+PTI in-process) over pipes that carry the same frames, so N app servers
+share one guard without sharing a GIL.
 
 Every failure mode -- torn frame, dead worker, saturated queue, expired
 deadline, mid-drain arrival -- resolves to a recorded fail-closed verdict
@@ -27,16 +27,11 @@ from .gateway import (
     GatewayThread,
     serve,
 )
-from .client import (
-    AsyncGatewayClient,
-    GatewayClient,
-    GatewayError,
-)
+from .client import GatewayClient, GatewayError
 from .worker import GatewayWorker, WorkerFailure
 
 __all__ = [
     "AsyncGateway",
-    "AsyncGatewayClient",
     "CodecError",
     "GatewayClient",
     "GatewayConfig",

@@ -1,13 +1,13 @@
-"""Gateway clients (sync + async), fail-closed by construction.
+"""The gateway client, fail-closed by construction.
 
-Both clients expose ``inspect(queries, ...) -> list[verdict dict]`` and
-raise :class:`GatewayError` when no trustworthy verdict could be obtained
--- connection refused, retries exhausted, breaker open, protocol error,
-undecodable payload.  Callers must treat :class:`GatewayError` exactly
-like an unsafe verdict: the query does not run.  There is deliberately no
-"assume safe on error" knob.
+:class:`GatewayClient` exposes ``inspect(queries, ...) -> list[verdict
+dict]`` and raises :class:`GatewayError` when no trustworthy verdict could
+be obtained -- connection refused, retries exhausted, breaker open,
+protocol error, undecodable payload.  Callers must treat
+:class:`GatewayError` exactly like an unsafe verdict: the query does not
+run.  There is deliberately no "assume safe on error" knob.
 
-The sync client reuses the engine's own resilience primitives: a
+The client reuses the engine's own resilience primitives: a
 :class:`~repro.core.resilience.RetryPolicy` (jittered backoff, seeded for
 reproducible chaos runs) around connect/IPC and a
 :class:`~repro.core.resilience.CircuitBreaker` so a dead sidecar costs
@@ -16,7 +16,6 @@ each request one refused call, not one connect timeout.
 
 from __future__ import annotations
 
-import asyncio
 import random
 import socket
 import struct
@@ -27,7 +26,7 @@ from ..core.resilience import CircuitBreaker, RetryPolicy
 from ..pti import wire
 from .codec import CodecError, decode_verdict
 
-__all__ = ["GatewayClient", "AsyncGatewayClient", "GatewayError"]
+__all__ = ["GatewayClient", "GatewayError"]
 
 
 class GatewayError(Exception):
@@ -59,7 +58,7 @@ def _recv_exactly(sock: socket.socket, n: int) -> bytes:
 
 
 def _decode_reply(frame: bytes, expected: int) -> list[dict]:
-    """Shared reply validation: reply frame -> verdict dicts, fail closed."""
+    """Reply validation: reply frame -> verdict dicts, fail closed."""
     try:
         kind = wire.peek_kind(frame)
         if kind == wire.KIND_GW_ERROR:
@@ -218,102 +217,3 @@ class GatewayClient:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-class AsyncGatewayClient:
-    """Asyncio gateway client (one connection, strictly sequential calls)."""
-
-    def __init__(
-        self,
-        *,
-        unix_path: str | None = None,
-        host: str | None = None,
-        port: int = 0,
-        client_id: str = "",
-        timeout: float = 10.0,
-    ) -> None:
-        if unix_path is None and host is None:
-            raise ValueError("need a unix_path or a host to connect to")
-        self.unix_path = unix_path
-        self.host = host
-        self.port = port
-        self.client_id = client_id
-        self.timeout = timeout
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
-
-    async def _connect(self) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-        if self._reader is not None and self._writer is not None:
-            return self._reader, self._writer
-        if self.unix_path is not None:
-            reader, writer = await asyncio.open_unix_connection(self.unix_path)
-        else:
-            reader, writer = await asyncio.open_connection(
-                self.host, self.port
-            )
-        self._reader, self._writer = reader, writer
-        return reader, writer
-
-    async def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-        self._reader = self._writer = None
-
-    async def inspect(
-        self,
-        queries: Sequence[str],
-        *,
-        path: str = "/",
-        inputs: Sequence[tuple[str, str, str]] = (),
-        budget: float | None = None,
-    ) -> list[dict]:
-        """Async twin of :meth:`GatewayClient.inspect` (fail-closed)."""
-        if not queries:
-            return []
-        frame = wire.pack_gateway_request(
-            list(queries),
-            client_id=self.client_id,
-            path=path,
-            inputs=list(inputs),
-            budget=budget,
-        )
-        try:
-            reader, writer = await self._connect()
-            writer.write(wire.PREFIX.pack(len(frame)) + frame)
-            await writer.drain()
-            header = await asyncio.wait_for(
-                reader.readexactly(wire.PREFIX.size), timeout=self.timeout
-            )
-            (length,) = wire.PREFIX.unpack(header)
-            if length == 0 or length > wire.MAX_FRAME:
-                raise GatewayError(f"reply frame of {length} bytes refused")
-            reply = await asyncio.wait_for(
-                reader.readexactly(length), timeout=self.timeout
-            )
-        except GatewayError:
-            await self.close()
-            raise
-        except (
-            OSError,
-            asyncio.IncompleteReadError,
-            asyncio.TimeoutError,
-        ) as exc:
-            await self.close()
-            raise GatewayError(
-                f"transport failure: {type(exc).__name__}: {exc}"
-            ) from exc
-        try:
-            return _decode_reply(reply, len(queries))
-        except GatewayError:
-            await self.close()
-            raise
-
-    async def __aenter__(self) -> "AsyncGatewayClient":
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.close()

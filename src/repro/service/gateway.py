@@ -5,7 +5,9 @@ TCP connections and shuffles length-prefixed frames; all analysis happens
 in a fleet of :class:`~repro.service.worker.GatewayWorker` processes,
 checked out of a free queue (least-loaded by construction: a worker is
 either free or serving exactly one batch) and bridged through a thread
-pool executor so pipe round-trips never block the loop.
+pool executor so pipe round-trips never block the loop.  The worker pipe
+carries the same :mod:`~repro.pti.wire` frames as the sockets: the worker
+encodes each verdict once and its reply frame is relayed to the client.
 
 Robustness invariants, each tested:
 
@@ -43,7 +45,7 @@ from typing import Callable, Sequence
 from ..core.policy import JozaConfig
 from ..core.resilience import RingLog
 from ..pti import wire
-from .codec import encode_verdict, failsafe_dict
+from .codec import decode_verdict, encode_verdict, failsafe_dict
 from .worker import GatewayWorker, WorkerFailure
 
 __all__ = [
@@ -62,6 +64,9 @@ REASON_QUEUE_FULL = "gateway: admission queue full"
 REASON_NO_WORKER = "gateway: no worker available in time"
 REASON_DRAINING = "gateway: draining (SIGTERM)"
 REASON_WORKER_FAILED = "gateway: worker failure"
+#: Audit reason for a reply too large for one frame (the client gets a
+#: ``GW_ERR_INTERNAL`` error instead of verdicts).
+REASON_UNFRAMEABLE = "gateway: reply cannot be framed"
 
 
 @dataclass
@@ -176,6 +181,9 @@ class GatewayStats:
     #: Unsafe verdicts / audit events the durability journal refused
     #: (disk trouble); the reply path is never taken down by these.
     audit_persist_failures: int = 0
+    #: Requests whose failsafe reply exceeded ``wire.MAX_FRAME`` and were
+    #: answered with a ``GW_ERR_INTERNAL`` error instead.
+    unframeable_replies: int = 0
     _lock: threading.Lock = field(
         default_factory=threading.Lock, init=False, repr=False, compare=False
     )
@@ -209,6 +217,7 @@ class GatewayStats:
                     "snapshot_pushes",
                     "snapshot_push_failures",
                     "audit_persist_failures",
+                    "unframeable_replies",
                 )
             }
 
@@ -551,14 +560,28 @@ class AsyncGateway:
     def _failsafe_reply(
         self, request: wire.GatewayRequest, conn_id: str, reason: str
     ) -> bytes:
-        """Recorded fail-closed verdicts for every query of a shed request."""
+        """Recorded fail-closed verdicts for every query of a shed request.
+
+        Each verdict carries its query, so a request can fit in a frame
+        while its reply does not (JSON escapes inflate non-ASCII text up
+        to 6x).  That request is answered with a ``GW_ERR_INTERNAL`` error,
+        which the client fails closed without retrying.
+        """
+        try:
+            reply = wire.pack_gateway_reply(
+                [
+                    encode_verdict(failsafe_dict(query, reason))
+                    for query in request.queries
+                ]
+            )
+        except wire.WireFormatError:
+            self.stats.bump(unframeable_replies=1)
+            reason = f"{REASON_UNFRAMEABLE} ({reason})"
+            reply = wire.pack_gateway_error(
+                wire.GW_ERR_INTERNAL, REASON_UNFRAMEABLE
+            )
         self._audit_shed(request, conn_id, reason)
-        return wire.pack_gateway_reply(
-            [
-                encode_verdict(failsafe_dict(query, reason))
-                for query in request.queries
-            ]
-        )
+        return reply
 
     async def _process_frame(self, frame: bytes, conn_id: str) -> bytes:
         self.stats.bump(frames_received=1)
@@ -654,14 +677,8 @@ class AsyncGateway:
             requests_accepted=1, queries_inspected=len(request.queries)
         )
         try:
-            dicts = await self._loop.run_in_executor(
-                self._executor,
-                worker.inspect,
-                request.client_id,
-                request.path,
-                request.inputs,
-                request.queries,
-                budget,
+            reply, payloads = await self._loop.run_in_executor(
+                self._executor, worker.inspect, request, budget
             )
         except WorkerFailure as exc:
             worker.consecutive_failures += 1
@@ -675,9 +692,10 @@ class AsyncGateway:
             # gateway (workers are disposable processes whose rings die
             # with them).  Persistence failures surface via the sink
             # counters, never on the reply path.
-            for verdict in dicts:
-                if not verdict.get("safe", False):
-                    try:
+            for payload in payloads:
+                try:
+                    verdict = decode_verdict(payload)
+                    if not verdict["safe"]:
                         self.durable.append_audit(
                             {
                                 "conn_id": conn_id,
@@ -686,13 +704,13 @@ class AsyncGateway:
                                 "verdict": verdict,
                             }
                         )
-                    except Exception:
-                        self.stats.bump(audit_persist_failures=1)
+                except Exception:
+                    self.stats.bump(audit_persist_failures=1)
             try:
                 self.durable.maybe_checkpoint()
             except Exception:
                 self.stats.bump(audit_persist_failures=1)
-        return wire.pack_gateway_reply([encode_verdict(d) for d in dicts])
+        return reply
 
     async def _maybe_replace(self, worker: GatewayWorker) -> GatewayWorker:
         """Health check after every checkout; replace dead/failing workers."""
@@ -735,6 +753,10 @@ class AsyncGateway:
         if self.gw.tenants is None:
             raise RuntimeError("gateway is not in tenant mode")
         overlay = list(overlay)
+        # Packed once for the whole fleet, before anything is journaled or
+        # published: an overlay too large to frame refuses the reload.  The
+        # epoch field is unused here; each worker acks its own new epoch.
+        frame = wire.pack_store_snapshot(overlay, 0, tenant_id)
         with self._lock:
             if tenant_id not in self.gw.tenants:
                 raise KeyError(f"unknown tenant {tenant_id!r}")
@@ -750,7 +772,7 @@ class AsyncGateway:
         for worker in workers:
             try:
                 epoch = await self._loop.run_in_executor(
-                    self._executor, worker.push_snapshot, tenant_id, overlay
+                    self._executor, worker.push_snapshot, frame
                 )
                 epochs[worker.worker_id] = epoch
                 self.stats.bump(snapshot_pushes=1)

@@ -4,24 +4,33 @@ Each :class:`GatewayWorker` wraps one long-lived child process hosting
 either a single :class:`~repro.core.JozaEngine` with an in-process PTI
 daemon or, in multi-tenant mode, a :class:`~repro.tenancy.TenantRegistry`
 with one engine per tenant over interned
-:class:`~repro.tenancy.TenantStore` state.  The child is reached over
-an anonymous pipe carrying pickled ``(op, ...)`` tuples between the two
-trusted ends.  The GIL never serialises two workers: analysis parallelism
-across clients comes from *processes*, the asyncio gateway only shuffles
-bytes.
+:class:`~repro.tenancy.TenantStore` state.  The GIL never serialises two
+workers: analysis parallelism across clients comes from *processes*, the
+asyncio gateway only shuffles bytes.
+
+The pipe carries :mod:`~repro.pti.wire` frames and nothing else
+(DESIGN.md sections 11-12).  The gateway sends the client's request
+re-packed with its remaining budget; the child answers with the
+``GW_REPLY`` the client will receive, encoding each verdict once, or a
+``GW_ERROR`` (``GW_ERR_INTERNAL``) for its own failures.  Tenant overlay
+pushes are snapshot frames answered by a snapshot ack, the operator
+report is a report frame, and an empty frame stops the child.  Any other
+bytes (a pickle included) end the child's loop, so the parent sees EOF
+and fails the batch closed.
 
 In multi-tenant mode the gateway wire's ``client_id`` is the tenant id:
 inspects route to that tenant's engine, and a client naming an
 unregistered tenant gets fail-closed verdicts (never another tenant's
-vocabulary).  Tenant fragment reloads arrive as ``("snapshot", tenant,
-overlay)`` ops and apply in place via the registry's warm handoff -- the
-worker process is never restarted for a vocabulary change.
+vocabulary).  A tenant overlay reload applies in place via the registry's
+warm handoff -- the worker process is never restarted for a vocabulary
+change.
 
-Resilience contract (mirrors ``SubprocessPTIDaemon``): :meth:`inspect`
-either returns one verdict dict per query or raises
-:class:`WorkerFailure`; pipe errors and silent hangs never escape raw.  A
-failed worker is reaped with the terminate -> kill escalation so no zombie
-survives it.
+Resilience contract (mirrors ``SubprocessPTIDaemon``): every call either
+returns its decoded answer or raises :class:`WorkerFailure`; pipe errors
+and silent hangs never escape raw.  A worker whose pipe failed, went
+silent or answered with something that is not the expected frame is
+reaped with the terminate -> kill escalation so no zombie survives it; a
+``GW_ERROR`` answer leaves it alive.
 """
 
 from __future__ import annotations
@@ -35,8 +44,10 @@ from ..core.engine import JozaEngine
 from ..core.policy import JozaConfig
 from ..core.resilience import Deadline
 from ..phpapp.context import CapturedInput, RequestContext
+from ..pti import wire
+from ..pti.daemon import reap_child
 from ..pti.fragments import FragmentStore
-from .codec import failsafe_dict, verdict_to_dict
+from .codec import encode_verdict, failsafe_dict, verdict_to_dict
 
 __all__ = [
     "GatewayWorker",
@@ -47,6 +58,10 @@ __all__ = [
 
 #: Refusal reason for inspects naming a tenant the worker does not host.
 REASON_UNKNOWN_TENANT = "worker: unknown tenant"
+
+#: Longest failure message a worker puts in its ``GW_ERROR`` frame (the
+#: frame's message field is bounded; the reason only needs to be greppable).
+_MAX_ERROR_CHARS = 1024
 
 
 class WorkerFailure(Exception):
@@ -96,7 +111,7 @@ class _EngineFleet:
     def snapshot(self, tenant_id: str, overlay) -> int:
         """Warm-handoff reload of one tenant's overlay; returns new epoch."""
         if self.registry is None:
-            raise RuntimeError("snapshot op requires tenant mode")
+            raise RuntimeError("snapshot push requires tenant mode")
         if tenant_id not in self.registry:
             raise KeyError(f"unknown tenant {tenant_id!r}")
         return self.registry.reload_tenant(tenant_id, overlay, warm=True)
@@ -112,17 +127,46 @@ class _EngineFleet:
         }
         return report
 
-    def close(self) -> None:
-        engines = list(self.engines.values())
-        if self.default is not None:
-            engines.append(self.default)
-        for engine in engines:
-            close = getattr(engine.daemon, "close", None)
-            if callable(close):
-                try:
-                    close()
-                except Exception:  # pragma: no cover - teardown
-                    pass
+
+def _inspect(
+    fleet: _EngineFleet, request: wire.GatewayRequest, pace_seconds: float
+) -> bytes:
+    """The ``GW_REPLY`` frame for one request: each verdict encoded once."""
+    engine = fleet.route(request.client_id)
+    if engine is None:
+        # Tenant mode and the client named a tenant this worker does not
+        # host.  Fail closed per query -- routing to any other tenant's
+        # vocabulary would be a cross-tenant leak.
+        reason = f"{REASON_UNKNOWN_TENANT}: {request.client_id!r}"
+        verdicts = [
+            failsafe_dict(query, reason, tenant=request.client_id)
+            for query in request.queries
+        ]
+    else:
+        if pace_seconds > 0.0:
+            # Models per-request service time so throughput benches show
+            # cross-process overlap even on a single-core runner.
+            time.sleep(pace_seconds)
+        context = RequestContext(
+            inputs=[CapturedInput(s, n, v) for s, n, v in request.inputs],
+            path=request.path,
+        )
+        results = engine.inspect_batch(
+            request.queries, context, Deadline(request.budget)
+        )
+        for verdict in results:
+            if not verdict.safe:
+                engine.record_block(verdict, request.path, request.client_id or None)
+        verdicts = [verdict_to_dict(v) for v in results]
+    return wire.pack_gateway_reply([encode_verdict(v) for v in verdicts])
+
+
+#: The frames a worker child accepts, by kind, with their decoders.
+_DECODERS = {
+    wire.KIND_GW_REQUEST: wire.unpack_gateway_request,
+    wire.KIND_SNAPSHOT: wire.unpack_store_snapshot,
+    wire.KIND_REPORT: wire.unpack_report,
+}
 
 
 def _gateway_worker_loop(
@@ -132,79 +176,43 @@ def _gateway_worker_loop(
     pace_seconds: float,
     tenants: Mapping[str, Sequence[str]] | None = None,
 ) -> None:
-    """Child entry point: serve inspect/report/snapshot ops until None/EOF.
+    """Child entry point: answer each frame with one frame until told to stop.
 
-    Every inspect answers with ``("ok", [verdict_dict, ...])`` -- one dict
-    per query, in order -- or ``("err", reason)``.  An ``("err", ...)``
-    reply means the *whole batch* must be resolved fail-closed by the
-    parent; the child never invents partial results.
+    A request is answered with one ``GW_REPLY`` -- one verdict per query,
+    in order -- or, when anything in the child fails (the analysis, or a
+    reply too large to frame), with one ``GW_ERROR`` that the parent
+    resolves fail-closed for the *whole batch*; the child never invents
+    partial results.  The empty shutdown frame, EOF and any message that
+    is not one of :data:`_DECODERS` (a pickle included) end the loop.
     """
     fleet = _EngineFleet(fragments, config, tenants)
-    try:
+    with conn:
         while True:
             try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                break
-            if message is None:
+                buf = conn.recv_bytes()
+                kind = wire.peek_kind(buf)
+                message = _DECODERS[kind](buf)
+            except (EOFError, OSError, KeyError, wire.WireFormatError):
                 break
             try:
-                reply = _handle(fleet, message, pace_seconds)
+                if kind == wire.KIND_GW_REQUEST:
+                    reply = _inspect(fleet, message, pace_seconds)
+                elif kind == wire.KIND_SNAPSHOT:
+                    tenant_id, _epoch, overlay = message
+                    reply = wire.pack_snapshot_ack(
+                        fleet.snapshot(tenant_id, overlay)
+                    )
+                else:
+                    reply = wire.pack_report(fleet.report())
             except Exception as exc:  # noqa: BLE001 - child must answer
-                reply = ("err", f"{type(exc).__name__}: {exc}")
+                reply = wire.pack_gateway_error(
+                    wire.GW_ERR_INTERNAL,
+                    f"{type(exc).__name__}: {exc}"[:_MAX_ERROR_CHARS],
+                )
             try:
-                conn.send(reply)
-            except (BrokenPipeError, OSError):
+                conn.send_bytes(reply)
+            except OSError:
                 break
-    finally:
-        fleet.close()
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover - teardown
-            pass
-
-
-def _handle(fleet: _EngineFleet, message, pace_seconds: float):
-    if not isinstance(message, tuple) or not message:
-        return ("err", f"malformed worker message: {message!r}")
-    op = message[0]
-    if op == "inspect":
-        _, client_id, path, inputs, queries, budget = message
-        engine = fleet.route(client_id)
-        if engine is None:
-            # Tenant mode and the client named a tenant this worker does
-            # not host.  Fail closed per query -- routing to any other
-            # tenant's vocabulary would be a cross-tenant leak.
-            reason = f"{REASON_UNKNOWN_TENANT}: {client_id!r}"
-            return (
-                "ok",
-                [
-                    failsafe_dict(query, reason, tenant=client_id)
-                    for query in queries
-                ],
-            )
-        if pace_seconds > 0.0:
-            # Models per-request service time so throughput benches show
-            # cross-process overlap even on a single-core runner.
-            time.sleep(pace_seconds)
-        context = RequestContext(
-            inputs=[CapturedInput(s, n, v) for s, n, v in inputs],
-            path=path,
-        )
-        deadline = Deadline(budget)
-        verdicts = engine.inspect_batch(queries, context, deadline)
-        for verdict in verdicts:
-            if not verdict.safe:
-                engine.record_block(verdict, path, client_id or None)
-        return ("ok", [verdict_to_dict(v) for v in verdicts])
-    if op == "snapshot":
-        _, tenant_id, overlay = message
-        return ("ok", fleet.snapshot(tenant_id, overlay))
-    if op == "report":
-        return ("ok", fleet.report())
-    if op == "ping":
-        return ("ok", "pong")
-    return ("err", f"unknown worker op: {op!r}")
 
 
 class GatewayWorker:
@@ -269,105 +277,91 @@ class GatewayWorker:
     # Round trips
     # ------------------------------------------------------------------
 
-    def _round_trip(self, message, timeout: float):
-        """One send + poll-bounded recv; any fault reaps the child."""
+    def _call(self, frame, decode, timeout: float):
+        """One send + poll-bounded receive: ``(reply bytes, decode(reply))``.
+
+        A ``GW_ERROR`` answer raises :class:`WorkerFailure` and keeps the
+        child (it survived its own failure; ``consecutive_failures``
+        drives replacement).  A dead or silent pipe, or a reply that is
+        not the frame ``decode`` expects, reaps the child first.
+        """
         with self._io_lock:
             try:
-                self._conn.send(message)
+                self._conn.send_bytes(frame)
                 if not self._conn.poll(timeout):
                     raise WorkerFailure(
                         f"worker {self.worker_id} silent for {timeout:.3f}s"
                     )
-                reply = self._conn.recv()
+                reply = self._conn.recv_bytes()
             except WorkerFailure:
                 self._reap()
                 raise
-            except (BrokenPipeError, EOFError, OSError) as exc:
+            except (EOFError, OSError) as exc:
                 self._reap()
                 raise WorkerFailure(
                     f"worker {self.worker_id} pipe failure: "
                     f"{type(exc).__name__}"
                 ) from exc
-        if (
-            not isinstance(reply, tuple)
-            or len(reply) != 2
-            or reply[0] not in ("ok", "err")
-        ):
+        try:
+            if wire.peek_kind(reply) != wire.KIND_GW_ERROR:
+                return reply, decode(reply)
+            _code, message = wire.unpack_gateway_error(reply)
+        except wire.WireFormatError as exc:
             self._reap()
             raise WorkerFailure(
-                f"worker {self.worker_id} corrupt reply: {reply!r}"
-            )
-        if reply[0] == "err":
-            # The child survives its own analysis errors; don't reap, the
-            # caller decides (consecutive_failures drives replacement).
-            raise WorkerFailure(f"worker {self.worker_id}: {reply[1]}")
-        return reply[1]
+                f"worker {self.worker_id} corrupt reply: {exc}"
+            ) from exc
+        raise WorkerFailure(f"worker {self.worker_id}: {message}")
 
     def inspect(
-        self,
-        client_id: str,
-        path: str,
-        inputs,
-        queries,
-        budget: float | None,
-    ) -> list[dict]:
-        """Analyse one batch; returns one verdict dict per query, in order."""
+        self, request: wire.GatewayRequest, budget: float | None
+    ) -> tuple[bytes, list[bytes]]:
+        """Analyse one request under ``budget`` (seconds left, None = unbounded).
+
+        Returns the worker's ``GW_REPLY`` frame, ready to relay to the
+        client, and its verdict payloads (one per query, in order).
+        """
         timeout = (
             self.recv_timeout
             if budget is None
             else max(budget, 0.0) + self.recv_grace
         )
-        payload = self._round_trip(
-            ("inspect", client_id, path, list(inputs), list(queries), budget),
-            timeout,
+        frame = wire.pack_gateway_request(
+            request.queries,
+            client_id=request.client_id,
+            path=request.path,
+            inputs=request.inputs,
+            budget=budget,
         )
-        if not isinstance(payload, list) or len(payload) != len(queries):
+        reply, payloads = self._call(frame, wire.unpack_gateway_reply, timeout)
+        if len(payloads) != len(request.queries):
             self._reap()
             raise WorkerFailure(
-                f"worker {self.worker_id} returned {len(payload)} verdicts "
-                f"for {len(queries)} queries"
-                if isinstance(payload, list)
-                else f"worker {self.worker_id} corrupt verdict list"
+                f"worker {self.worker_id} returned {len(payloads)} verdicts "
+                f"for {len(request.queries)} queries"
             )
-        return payload
+        return reply, payloads
 
-    def push_snapshot(
-        self,
-        tenant_id: str,
-        fragments,
-        timeout: float | None = None,
-    ) -> int:
+    def push_snapshot(self, frame: bytes, timeout: float | None = None) -> int:
         """Warm-handoff one tenant's overlay in the live child; new epoch.
 
-        The replication push of the tenancy epoch protocol: the child's
-        registry builds the successor state and composite automaton
-        off-path, swaps atomically, and keeps serving throughout -- the
+        ``frame`` is a store snapshot carrying the tenant id and overlay,
+        packed once per reload for the whole fleet.  The child's registry
+        builds the successor state and composite automaton off-path, swaps
+        atomically, keeps serving throughout and acks its new epoch -- the
         worker process is never restarted for a vocabulary change.
         """
-        epoch = self._round_trip(
-            ("snapshot", tenant_id, list(fragments)),
-            timeout or self.recv_timeout,
+        _, epoch = self._call(
+            frame, wire.unpack_snapshot_ack, timeout or self.recv_timeout
         )
-        if not isinstance(epoch, int):
-            raise WorkerFailure(
-                f"worker {self.worker_id} corrupt snapshot ack: {epoch!r}"
-            )
         return epoch
 
     def request_report(self, timeout: float | None = None) -> dict:
         """The child engine's ``resilience_report()`` (operator surface)."""
-        report = self._round_trip(("report",), timeout or self.recv_timeout)
-        if not isinstance(report, dict):
-            raise WorkerFailure(
-                f"worker {self.worker_id} corrupt report: {type(report)}"
-            )
+        _, report = self._call(
+            wire.pack_report({}), wire.unpack_report, timeout or self.recv_timeout
+        )
         return report
-
-    def ping(self, timeout: float = 2.0) -> bool:
-        try:
-            return self._round_trip(("ping",), timeout) == "pong"
-        except WorkerFailure:
-            return False
 
     # ------------------------------------------------------------------
     # Teardown
@@ -375,18 +369,7 @@ class GatewayWorker:
 
     def _reap(self) -> None:
         """Hard teardown: close pipe, terminate -> kill, bounded joins."""
-        try:
-            self._conn.close()
-        except OSError:  # pragma: no cover - defensive
-            pass
-        process = self._process
-        process.join(timeout=0.05)
-        if process.is_alive():
-            process.terminate()
-            process.join(timeout=1.0)
-        if process.is_alive():  # pragma: no cover - SIGTERM blocked
-            process.kill()
-            process.join(timeout=1.0)
+        reap_child(self._conn, self._process)
 
     def kill(self) -> None:
         """SIGKILL the child (chaos harness hook); no graceful anything."""
@@ -394,12 +377,7 @@ class GatewayWorker:
             self._process.kill()
             self._process.join(timeout=1.0)
 
-    def close(self, graceful_timeout: float = 1.0) -> None:
-        """Graceful shutdown: send None, bounded join, escalate if ignored."""
+    def close(self) -> None:
+        """Graceful shutdown: the empty frame, bounded join, then escalate."""
         with self._io_lock:
-            try:
-                self._conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-            self._process.join(timeout=graceful_timeout)
-            self._reap()
+            reap_child(self._conn, self._process, graceful=True)

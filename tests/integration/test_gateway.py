@@ -4,7 +4,9 @@ Five claims, each end-to-end over real sockets and real worker processes:
 
 1. **Verdict parity** -- the Table IV attack/benign matrix through the
    gateway is *byte-identical* (canonical verdict JSON) to a direct
-   in-process ``inspect_batch`` over the same fragments and config.
+   in-process ``inspect_batch`` over the same fragments and config, and
+   through the gateway, ``inspect`` and ``inspect_batch`` it decides as
+   the hybrid spec (``tests/reference/hybrid_spec.py``) does.
 2. **Never fail open under network chaos** -- a seeded ``netfaults``
    schedule (torn frames, garbage, oversized announcements, skewed
    deadlines, worker SIGKILL) yields zero fail-open outcomes, every shed
@@ -37,7 +39,7 @@ from repro.service import (
     GatewayThread,
 )
 from repro.service.codec import encode_verdict, verdict_to_dict
-from repro.core import JozaEngine
+from repro.core import JozaConfig, JozaEngine
 from repro.phpapp.context import CapturedInput, RequestContext
 from repro.testbed.concurrency import SWARM_FRAGMENTS, build_workload
 from repro.testbed.netfaults import (
@@ -47,6 +49,7 @@ from repro.testbed.netfaults import (
     fail_open_outcomes,
     run_chaos_session,
 )
+from tests.reference.hybrid_spec import hybrid_spec
 
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "1337"))
 
@@ -135,6 +138,63 @@ def test_gateway_verdicts_byte_identical_to_inprocess(tmp_path):
         client.close()
     finally:
         assert thread.stop()
+
+
+def spec_view(verdict):
+    """What the hybrid spec decides, read off one verdict dict: overall and
+    per-technique ``safe`` plus the PTI and NTI detection spans."""
+    pti, nti = verdict["pti"], verdict["nti"]
+    return (
+        verdict["safe"],
+        pti["safe"],
+        [(d["token_text"], d["token_start"], d["token_end"]) for d in pti["detections"]],
+        nti["safe"],
+        [
+            (d["token_text"], d["token_start"], d["token_end"], d["input_value"])
+            for d in nti["detections"]
+        ],
+    )
+
+
+def test_matrix_verdicts_equal_hybrid_spec(tmp_path):
+    """Gateway, ``inspect`` and ``inspect_batch`` all decide as the spec."""
+    threshold = JozaConfig().nti.threshold
+    expected = []
+    for query, values, is_attack in MATRIX:
+        safe, (pti_safe, pti_spans), (nti_safe, _, nti_spans) = hybrid_spec(
+            query, SWARM_FRAGMENTS, values, threshold
+        )
+        assert safe is (not is_attack)
+        expected.append((safe, pti_safe, pti_spans, nti_safe, nti_spans))
+
+    serial = JozaEngine.from_fragments(SWARM_FRAGMENTS)
+    batched = JozaEngine.from_fragments(SWARM_FRAGMENTS)
+    via_inspect, via_batch = [], []
+    for query, values, _ in MATRIX:
+        context = RequestContext(
+            inputs=[CapturedInput(s, n, v) for s, n, v in matrix_inputs(values)]
+        )
+        via_inspect.append(spec_view(verdict_to_dict(serial.inspect(query, context))))
+        via_batch.append(
+            spec_view(verdict_to_dict(batched.inspect_batch([query], context)[0]))
+        )
+    assert via_inspect == expected
+    assert via_batch == expected
+
+    gateway = make_gateway(tmp_path)
+    thread = GatewayThread(gateway).start()
+    try:
+        client = GatewayClient(unix_path=gateway.gw.unix_path, client_id="spec")
+        via_gateway = [
+            spec_view(
+                client.inspect([query], inputs=matrix_inputs(values), budget=5.0)[0]
+            )
+            for query, values, _ in MATRIX
+        ]
+        client.close()
+    finally:
+        assert thread.stop()
+    assert via_gateway == expected
 
 
 def test_chaos_soak_never_fails_open(tmp_path):

@@ -1,7 +1,7 @@
 """Unit + fuzz tests for the gateway wire frames and verdict codec.
 
-Mirrors the ``test_wire_format.py`` contract for the three gateway frame
-kinds (request / reply / error):
+Mirrors the ``test_wire_format.py`` contract for the gateway frame kinds
+(request / reply / error, and the worker pipe's report frame):
 
 - **Round-trip exactness** -- hypothesis-fuzzed, including non-ASCII, lone
   surrogates, NaN-encoded unbounded budgets and negative (clock-skewed)
@@ -48,6 +48,14 @@ BUDGETS = st.one_of(
         min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
     ),
 )
+
+
+#: A worker report in miniature: nested objects, lists, floats, unicode.
+SAMPLE_REPORT = {
+    "tenancy": {"tenants": 2, "handoff_swaps": 1},
+    "tenants": {"алфа": {"shape_fastpath": {"shape_hits": 3}, "busy_s": 0.25}},
+    "reasons": ["worker: unknown tenant", None],
+}
 
 
 def sample_request(**overrides) -> bytes:
@@ -132,6 +140,21 @@ def test_error_round_trip(code):
     assert wire.unpack_gateway_error(frame) == (code, "why it failed")
 
 
+def test_report_round_trip():
+    frame = wire.pack_report(SAMPLE_REPORT)
+    assert wire.peek_kind(frame) == wire.KIND_REPORT
+    assert wire.unpack_report(frame) == SAMPLE_REPORT
+    assert wire.unpack_report(wire.pack_report({})) == {}
+
+
+@pytest.mark.parametrize("payload", [b"[]", b"null", b"{", b"\xff"])
+def test_report_payload_must_be_a_json_object(payload):
+    frame = wire._HEADER.pack(wire.MAGIC, wire.VERSION, wire.KIND_REPORT, 1)
+    frame += wire._U32.pack(len(payload)) + payload
+    with pytest.raises(wire.WireFormatError):
+        wire.unpack_report(frame)
+
+
 # ---------------------------------------------------------------------------
 # Fail-closed decoding
 # ---------------------------------------------------------------------------
@@ -158,21 +181,35 @@ def test_every_prefix_truncation_of_error_fails_closed():
             wire.unpack_gateway_error(frame[:cut])
 
 
-@pytest.mark.parametrize(
-    "mutate, reason",
-    [
-        (lambda f: b"XX" + f[2:], "bad magic"),
-        (lambda f: f[:2] + bytes([99]) + f[3:], "bad version"),
-        (lambda f: f[:3] + bytes([7]) + f[4:], "unknown kind"),
-        (lambda f: f[:4] + b"\x00\x00" + f[6:], "zero count"),
-        (lambda f: f[:4] + b"\xff\xff" + f[6:], "count past MAX_BATCH"),
-        (lambda f: f + b"!", "trailing bytes"),
-    ],
-)
+def test_every_prefix_truncation_of_report_fails_closed():
+    frame = wire.pack_report(SAMPLE_REPORT)
+    for cut in range(len(frame)):
+        with pytest.raises(wire.WireFormatError):
+            wire.unpack_report(frame[:cut])
+
+
+HEADER_MUTATIONS = [
+    (lambda f: b"XX" + f[2:], "bad magic"),
+    (lambda f: f[:2] + bytes([99]) + f[3:], "bad version"),
+    (lambda f: f[:3] + bytes([7]) + f[4:], "unknown kind"),
+    (lambda f: f[:4] + b"\x00\x00" + f[6:], "zero count"),
+    (lambda f: f[:4] + b"\xff\xff" + f[6:], "count past MAX_BATCH"),
+    (lambda f: f + b"!", "trailing bytes"),
+]
+
+
+@pytest.mark.parametrize("mutate, reason", HEADER_MUTATIONS)
 def test_corrupt_header_fields_fail_closed(mutate, reason):
     frame = sample_request()
     with pytest.raises(wire.WireFormatError):
         wire.unpack_gateway_request(mutate(frame))
+
+
+@pytest.mark.parametrize("mutate, reason", HEADER_MUTATIONS)
+def test_corrupt_report_header_fields_fail_closed(mutate, reason):
+    frame = wire.pack_report(SAMPLE_REPORT)
+    with pytest.raises(wire.WireFormatError):
+        wire.unpack_report(mutate(frame))
 
 
 def test_peek_kind_rejects_foreign_bytes():

@@ -335,7 +335,6 @@ def run_storm(
         "fail_open": fail_open,
         "divergences": divergences,
         "handoff_swaps": report["handoff_swaps"],
-        "drained_epochs": report["drained_epochs"],
     }
 
 

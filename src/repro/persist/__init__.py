@@ -14,15 +14,15 @@ operational lifecycle of the application they protect:
   configurable group-commit fsync policy, torn-tail truncation on replay
   and a typed :class:`JournalCorrupt` refusal for mid-stream damage.
 - :mod:`repro.persist.checkpoint` -- periodic compacted snapshots reusing
-  the tenancy replication frame (``pack_store_snapshot``), written via
+  the store snapshot frame (``pack_store_snapshot``), written via
   temp-file + atomic rename; the journal is truncated only after the
   checkpoint is durably on disk.
 - :mod:`repro.persist.state` -- :class:`DurableFragmentStore` (a
   journaling :class:`~repro.pti.fragments.FragmentStore`) and
   :class:`DurableState` (one state directory: store + tenant overlays +
-  audit trail + recovery), plus :class:`FleetPersistence` for the
-  per-tenant-journal layout the :class:`~repro.tenancy.TenantRegistry`
-  uses.
+  audit trail + recovery).  A gateway started with a state directory
+  owns one :class:`DurableState`; it is the only writer of tenant
+  overlays, journaling each reload before pushing it to its workers.
 
 The recovery contract is **fail-closed**: ``recover(state_dir)`` either
 restores a verified durable prefix of the pre-crash state or raises
@@ -44,7 +44,6 @@ from .checkpoint import read_checkpoint, write_checkpoint
 from .state import (
     DurableFragmentStore,
     DurableState,
-    FleetPersistence,
     RecoveredState,
     recover,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "write_checkpoint",
     "DurableFragmentStore",
     "DurableState",
-    "FleetPersistence",
     "RecoveredState",
     "recover",
 ]

@@ -7,9 +7,8 @@ so recovery is O(state), not O(history), and the journal can be reset.
 File format: the journal's record framing (:mod:`repro.persist.journal`)
 with a distinct magic, holding exactly
 
-1. one ``REC_SNAPSHOT`` record embedding the tenancy replication frame
-   (:func:`repro.pti.wire.pack_store_snapshot` -- the same bytes a
-   respawned gateway worker rehydrates from),
+1. one ``REC_SNAPSHOT`` record embedding a store snapshot frame
+   (:func:`repro.pti.wire.pack_store_snapshot`, tenant field empty),
 2. zero or more ``REC_TENANT_OVERLAY`` records,
 3. zero or more ``REC_AUDIT`` records (the retained attack evidence),
 4. one ``REC_SEAL`` record asserting the count of records before it.
@@ -73,7 +72,6 @@ class Checkpoint:
 
     fragments: list[str]
     epoch: int
-    tenant: str = ""
     overlays: dict[str, list[str]] = field(default_factory=dict)
     audit: list[dict] = field(default_factory=list)
     journal_seq: int = 0
@@ -84,7 +82,6 @@ def write_checkpoint(
     *,
     fragments: Sequence[str],
     epoch: int,
-    tenant: str = "",
     overlays: Mapping[str, Sequence[str]] | None = None,
     audit: Sequence[dict] | None = None,
     journal_seq: int = 0,
@@ -96,7 +93,7 @@ def write_checkpoint(
     The journal may be truncated only after this returns -- by then the
     checkpoint and its directory entry are both fsynced.
     """
-    records = [encode_snapshot(pack_store_snapshot(fragments, epoch, tenant=tenant))]
+    records = [encode_snapshot(pack_store_snapshot(fragments, epoch))]
     for tenant_id in sorted(overlays or {}):
         records.append(encode_tenant_overlay(tenant_id, (overlays or {})[tenant_id]))
     for event in audit or ():
@@ -162,8 +159,8 @@ def read_checkpoint(path: str) -> Checkpoint | None:
         if kind == REC_SNAPSHOT:
             if checkpoint is not None:
                 raise JournalCorrupt("checkpoint holds multiple snapshots", path=path)
-            tenant, epoch, fragments = unpack_store_snapshot(bytes(body))
-            checkpoint = Checkpoint(fragments=list(fragments), epoch=epoch, tenant=tenant)
+            _tenant, epoch, fragments = unpack_store_snapshot(bytes(body))
+            checkpoint = Checkpoint(fragments=list(fragments), epoch=epoch)
         elif kind == REC_TENANT_OVERLAY:
             if checkpoint is None:
                 raise JournalCorrupt("overlay record precedes snapshot", path=path)

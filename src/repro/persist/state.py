@@ -1,4 +1,4 @@
-"""Durable state directories: journaling store, recovery, fleet layout.
+"""Durable state directories: journaling store and recovery.
 
 This module ties the journal and checkpoint primitives into the objects
 the rest of the guard uses (DESIGN.md section 15):
@@ -14,9 +14,6 @@ the rest of the guard uses (DESIGN.md section 15):
   ``journal.jz``) wrapping store, tenant overlays and the attack-audit
   tail, with group commit, periodic compaction and a crash-shaped
   ``abandon()`` for the harness and non-drain shutdowns.
-- :class:`FleetPersistence` -- the multi-tenant layout used by
-  :class:`~repro.tenancy.TenantRegistry`: one shared-base checkpoint
-  plus a per-tenant journal+checkpoint directory per overlay.
 """
 
 from __future__ import annotations
@@ -24,13 +21,12 @@ from __future__ import annotations
 import os
 import threading
 import time
-import urllib.parse
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from ..pti.fragments import FragmentStore
-from .checkpoint import Checkpoint, read_checkpoint, sweep_stale_tmp, write_checkpoint
+from .checkpoint import read_checkpoint, sweep_stale_tmp, write_checkpoint
 from .journal import (
     REC_AUDIT,
     REC_FRAG_ADD,
@@ -54,7 +50,6 @@ __all__ = [
     "JOURNAL_NAME",
     "DurableFragmentStore",
     "DurableState",
-    "FleetPersistence",
     "RecoveredState",
     "recover",
 ]
@@ -131,7 +126,6 @@ class RecoveredState:
 
     fragments: list[str]
     epoch: int
-    tenant: str = ""
     overlays: dict[str, list[str]] = field(default_factory=dict)
     audit: list[dict] = field(default_factory=list)
     #: "fresh" (empty dir), "checkpoint" (no journal records) or
@@ -184,7 +178,6 @@ def recover(state_dir: str) -> RecoveredState:
     if checkpoint is not None:
         recovered.fragments = list(checkpoint.fragments)
         recovered.epoch = checkpoint.epoch
-        recovered.tenant = checkpoint.tenant
         recovered.overlays = {t: list(f) for t, f in checkpoint.overlays.items()}
         recovered.audit = list(checkpoint.audit)
         recovered.journal_seq = checkpoint.journal_seq
@@ -257,7 +250,6 @@ class DurableState:
         state_dir: str,
         *,
         seed_fragments: Iterable[str] = (),
-        tenant: str = "",
         fsync: FsyncPolicy | str = FsyncPolicy.BATCH,
         batch_size: int = 64,
         checkpoint_every: int = 512,
@@ -283,14 +275,12 @@ class DurableState:
             self.store = DurableFragmentStore(seed_fragments)
             self.overlays: dict[str, list[str]] = {}
             self._audit: deque[dict] = deque(maxlen=audit_keep)
-            self.tenant = tenant
         else:
             self.store = DurableFragmentStore.restore(
                 self.recovered.fragments, self.recovered.epoch
             )
             self.overlays = dict(self.recovered.overlays)
             self._audit = deque(self.recovered.audit, maxlen=audit_keep)
-            self.tenant = self.recovered.tenant or tenant
 
         # Observability.
         self.checkpoints_written = 0
@@ -361,7 +351,6 @@ class DurableState:
             os.path.join(self.state_dir, CHECKPOINT_NAME),
             fragments=snapshot.fragments,
             epoch=snapshot.epoch,
-            tenant=self.tenant,
             overlays=self.overlays,
             audit=list(self._audit),
             journal_seq=self._journal.last_seq,
@@ -452,136 +441,3 @@ class DurableState:
             }
             report.update(self._journal.counters())
             return report
-
-
-class FleetPersistence:
-    """Multi-tenant durable layout for :class:`~repro.tenancy.TenantRegistry`.
-
-    ``state_dir/base-<quoted-name>.jz`` checkpoints each shared base
-    vocabulary (written when the base is defined -- base definitions are
-    rare administrative actions, so each gets a full atomic checkpoint
-    rather than a journal).  Each tenant gets its own journal+checkpoint
-    directory under ``state_dir/tenants/<quoted-tenant-id>/`` whose store
-    holds the tenant's *overlay* fragments; base names and tenant ids are
-    percent-quoted so arbitrary ids can never traverse outside the tree.
-    """
-
-    def __init__(
-        self,
-        state_dir: str,
-        *,
-        fsync: FsyncPolicy | str = FsyncPolicy.BATCH,
-        batch_size: int = 64,
-        checkpoint_every: int = 512,
-    ) -> None:
-        if isinstance(fsync, str):
-            fsync = FsyncPolicy.from_name(fsync)
-        os.makedirs(os.path.join(state_dir, "tenants"), exist_ok=True)
-        self.state_dir = state_dir
-        self.fsync_policy = fsync
-        self.batch_size = batch_size
-        self.checkpoint_every = checkpoint_every
-        self._tenants: dict[str, DurableState] = {}
-        self._lock = threading.RLock()
-
-    def _tenant_dir(self, tenant_id: str) -> str:
-        return os.path.join(
-            self.state_dir, "tenants", urllib.parse.quote(tenant_id, safe="")
-        )
-
-    # -- shared bases --------------------------------------------------
-
-    def _base_path(self, name: str) -> str:
-        return os.path.join(
-            self.state_dir, "base-" + urllib.parse.quote(name, safe="") + ".jz"
-        )
-
-    def record_base(self, name: str, fragments: Sequence[str]) -> None:
-        """Checkpoint one shared base set (atomic, fsynced)."""
-        sweep_stale_tmp(self.state_dir)
-        write_checkpoint(
-            self._base_path(name), fragments=fragments, epoch=0, tenant=name
-        )
-
-    def load_base(self, name: str) -> Checkpoint | None:
-        return read_checkpoint(self._base_path(name))
-
-    def recover_bases(self) -> dict[str, list[str]]:
-        """Recover every persisted base set (fail-closed per file)."""
-        sweep_stale_tmp(self.state_dir)
-        bases: dict[str, list[str]] = {}
-        for name in sorted(os.listdir(self.state_dir)):
-            if not (name.startswith("base-") and name.endswith(".jz")):
-                continue
-            checkpoint = read_checkpoint(os.path.join(self.state_dir, name))
-            if checkpoint is not None:
-                base_name = urllib.parse.unquote(name[len("base-") : -len(".jz")])
-                bases[base_name] = list(checkpoint.fragments)
-        return bases
-
-    # -- per-tenant overlays -------------------------------------------
-
-    def open_tenant(
-        self, tenant_id: str, seed_fragments: Sequence[str] = ()
-    ) -> DurableState:
-        with self._lock:
-            state = self._tenants.get(tenant_id)
-            if state is None:
-                state = DurableState(
-                    self._tenant_dir(tenant_id),
-                    seed_fragments=seed_fragments,
-                    tenant=tenant_id,
-                    fsync=self.fsync_policy,
-                    batch_size=self.batch_size,
-                    checkpoint_every=self.checkpoint_every,
-                )
-                self._tenants[tenant_id] = state
-            return state
-
-    def record_overlay(self, tenant_id: str, fragments: Sequence[str]) -> None:
-        """Journal a full overlay replacement for one tenant."""
-        state = self.open_tenant(tenant_id)
-        state.store.reload(fragments)
-        state.maybe_checkpoint()
-
-    def recover_overlays(self) -> dict[str, list[str]]:
-        """Recover every persisted tenant overlay (fail-closed per tenant)."""
-        overlays: dict[str, list[str]] = {}
-        tenants_dir = os.path.join(self.state_dir, "tenants")
-        try:
-            names = sorted(os.listdir(tenants_dir))
-        except FileNotFoundError:
-            return overlays
-        for name in names:
-            tenant_dir = os.path.join(tenants_dir, name)
-            if not os.path.isdir(tenant_dir):
-                continue
-            recovered = recover(tenant_dir)
-            overlays[urllib.parse.unquote(name)] = list(recovered.fragments)
-        return overlays
-
-    # -- lifecycle -----------------------------------------------------
-
-    def close(self) -> None:
-        with self._lock:
-            for state in self._tenants.values():
-                state.close()
-            self._tenants.clear()
-
-    def abandon(self) -> None:
-        with self._lock:
-            for state in self._tenants.values():
-                state.abandon()
-            self._tenants.clear()
-
-    def report(self) -> dict:
-        with self._lock:
-            return {
-                "state_dir": self.state_dir,
-                "fsync_policy": self.fsync_policy.value,
-                "open_tenants": len(self._tenants),
-                "tenants": {
-                    tenant_id: state.durability_report()
-                    for tenant_id, state in self._tenants.items()
-                },
-            }

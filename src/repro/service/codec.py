@@ -31,6 +31,7 @@ __all__ = [
     "encode_verdict",
     "decode_verdict",
     "failsafe_dict",
+    "payload_is_safe",
 ]
 
 
@@ -182,6 +183,18 @@ def encode_verdict(data: Mapping[str, Any]) -> bytes:
     return json.dumps(
         data, sort_keys=True, separators=(",", ":"), ensure_ascii=True
     ).encode("ascii")
+
+
+def payload_is_safe(payload: bytes) -> bool:
+    """Whether an :func:`encode_verdict` payload says ``"safe": true``.
+
+    The encoding sorts keys and ``"safe"`` sorts last of the seven verdict
+    keys, so every payload ends with its ``"safe"`` member: ``"safe":true}``
+    exactly when the verdict is safe, whatever its query or reasons hold.
+    The gateway uses this to journal a reply's unsafe verdicts without
+    decoding the safe ones.
+    """
+    return payload.endswith(b'"safe":true}')
 
 
 def decode_verdict(payload: bytes) -> dict:

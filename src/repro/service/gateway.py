@@ -45,7 +45,12 @@ from typing import Callable, Sequence
 from ..core.policy import JozaConfig
 from ..core.resilience import RingLog
 from ..pti import wire
-from .codec import decode_verdict, encode_verdict, failsafe_dict
+from .codec import (
+    decode_verdict,
+    encode_verdict,
+    failsafe_dict,
+    payload_is_safe,
+)
 from .worker import GatewayWorker, WorkerFailure
 
 __all__ = [
@@ -153,6 +158,8 @@ class GatewayStats:
     frames_received: int = 0
     requests_accepted: int = 0
     queries_inspected: int = 0
+    #: Replies handed to the transport (counted before the awaited
+    #: drain, so a client already holding its reply never reads it short).
     replies_sent: int = 0
     #: Admission sheds: in-flight bound hit ...
     shed_queue_full: int = 0
@@ -475,6 +482,13 @@ class AsyncGateway:
             await self._conn_loop(reader, writer, conn_id)
         except (ConnectionResetError, BrokenPipeError):
             pass  # mid-request disconnect: per-connection, fail closed
+        except asyncio.CancelledError:
+            # Loop teardown cancels the handlers of connections a client
+            # left open.  Finish the cleanup below and return: on Python
+            # <= 3.11 asyncio's stream callback calls ``exception()`` on
+            # the handler task, which raises for a cancelled task and is
+            # logged as an ERROR.
+            pass
         finally:
             self.stats.bump(connections_closed=1)
             try:
@@ -530,8 +544,8 @@ class AsyncGateway:
                 self.stats.bump(stalled_connections=1)
                 return
             reply = await self._process_frame(frame, conn_id)
-            await self._send_frame(writer, reply)
             self.stats.bump(replies_sent=1)
+            await self._send_frame(writer, reply)
 
     @staticmethod
     async def _send_frame(writer: asyncio.StreamWriter, frame: bytes) -> None:
@@ -693,6 +707,8 @@ class AsyncGateway:
             # with them).  Persistence failures surface via the sink
             # counters, never on the reply path.
             for payload in payloads:
+                if payload_is_safe(payload):
+                    continue
                 try:
                     verdict = decode_verdict(payload)
                     if not verdict["safe"]:

@@ -1,4 +1,4 @@
-"""Multi-tenant fragment state: interning, overlays, snapshot replication.
+"""Multi-tenant fragment state: interning, overlays, warm reloads.
 
 The paper deploys one PTI daemon per application; the ROADMAP north star
 is a fleet.  At fleet scale the fragment vocabulary grows a *tenant*
@@ -15,25 +15,24 @@ fragment set -- with two structural facts this package exploits
    shrink from O(vocabulary) to O(plugin delta).
 
 2. **Reloads must not stall serving.**  A tenant's fragment reload (plugin
-   update) builds the successor state *and its automaton* off-path, swaps
-   atomically, and pushes one packed snapshot frame
-   (:func:`repro.pti.wire.pack_store_snapshot`, serialized once per
-   epoch) to every replication target -- daemon-pool children hot-swap in
-   place, no respawn.  In-flight inspects drain on the old epoch; the
+   update) builds the successor state *and its automaton* off-path and
+   swaps atomically; in-flight inspects drain on the old epoch and the
    checkout hot path stays a single integer generation compare.
 
-:class:`TenantRegistry` is the control plane tying both together: it owns
-the interner, the shared bases, the tenant stores, the per-epoch frame
-cache and the push subscriptions, and reports the fleet state
-(``tenancy_report``) that the engine and gateway surface.
+:class:`TenantRegistry` ties both together inside each gateway worker: it
+owns the interner, the one shared base and the tenant stores, performs
+the warm handoff and reports the fleet state (``tenancy_report``).  The
+gateway is the only writer and replicator of tenant overlays: it packs
+one snapshot frame (:func:`repro.pti.wire.pack_store_snapshot`) per
+reload, pushes it to every worker and journals the overlay in its durable
+state.
 """
 
 from .interning import FragmentInterner, SharedBase
-from .registry import DEFAULT_BASE, TenantRegistry
+from .registry import TenantRegistry
 from .store import TenantStore
 
 __all__ = [
-    "DEFAULT_BASE",
     "FragmentInterner",
     "SharedBase",
     "TenantRegistry",

@@ -63,9 +63,9 @@ class SharedBase:
     Holds exactly the derived state a :class:`~repro.pti.fragments
     .FragmentStore` would build per tenant -- fragment tuple, membership
     frozenset, inverted index, compiled automaton -- computed once and
-    referenced everywhere.  Immutable by design: changing a fleet's base
-    set is a new :class:`SharedBase` (the registry re-bases tenants onto
-    it), never an in-place edit that would tear concurrent readers.
+    referenced everywhere.  Immutable by design: a different base set is
+    a new :class:`SharedBase` (a new registry), never an in-place edit
+    that would tear concurrent readers.
     """
 
     __slots__ = ("name", "fragments", "seen", "index", "_lock", "_automaton")

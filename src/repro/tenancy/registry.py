@@ -1,158 +1,69 @@
-"""TenantRegistry: the fleet control plane for fragment state.
+"""TenantRegistry: tenant-id -> versioned fragment store over one base.
 
-Maps tenant-id -> versioned :class:`~repro.tenancy.store.TenantStore`
-built over named :class:`~repro.tenancy.interning.SharedBase` sets, and
-owns the replication machinery around them (DESIGN.md section 13):
-
-- **one-shot serialisation**: each tenant's current ``_StoreState``
-  snapshot is packed into a wire frame at most once per epoch
-  (:meth:`snapshot_frame`); every push of that epoch -- to N daemon-pool
-  children, M gateway workers -- reuses the cached bytes.
-- **push on epoch bump**: :meth:`reload_tenant` performs the warm
-  handoff (successor state + composite automaton compiled off-path,
-  atomic swap), then pushes the new frame to every subscriber.
-  Replication targets therefore converge without any per-checkout
-  probing; a target that was busy applies at its release point.
-- **drain accounting**: an epoch is *drained* once the swap happened and
-  every subscriber push completed -- no replication target will start
-  new work under the old epoch (in-flight requests finish on it by
-  design; that is the epoch protocol, not a leak).
-
-Subscribers are callables ``(tenant_id, store, frame) -> None``; a
-raising subscriber is counted, never propagated -- replication is
-best-effort delivery over components that already fail closed on
-staleness (generation compare at checkout).
-
-Durability (DESIGN.md section 15): construct with a
-:class:`~repro.persist.FleetPersistence` and every control-plane
-mutation is made durable *before* it is published -- base definitions
-as atomic checkpoints, tenant overlays through per-tenant write-ahead
-journals -- so :meth:`TenantRegistry.recover` rebuilds the whole fleet
-topology after a crash.  A persistence failure refuses the mutation
-(fail-closed) rather than letting disk lag memory.
+Maps tenant-id -> :class:`~repro.tenancy.store.TenantStore`, each
+composed over the registry's one interned
+:class:`~repro.tenancy.interning.SharedBase` (DESIGN.md section 13).  A
+gateway worker child builds one registry and one engine per tenant;
+:meth:`TenantRegistry.reload_tenant` is the warm handoff it runs when the
+gateway pushes a tenant's new overlay (successor state and composite
+automaton compiled off-path, then an atomic swap).  The gateway owns
+replication and durability: it packs one snapshot frame per reload,
+pushes it to every worker and journals the overlay in its durable state.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable
+from typing import Iterable
 
-from ..pti import wire
 from .interning import FragmentInterner, SharedBase
 from .store import TenantStore
 
-__all__ = ["DEFAULT_BASE", "TenantRegistry"]
-
-#: Base-set name used when a registry is built from one fragment list.
-DEFAULT_BASE = "shared"
+__all__ = ["TenantRegistry"]
 
 
 class TenantRegistry:
-    """Tenant-id -> versioned fragment store, with interning + replication."""
+    """Tenant-id -> versioned fragment store over one interned base."""
 
-    def __init__(
-        self,
-        base_fragments: Iterable[str] = (),
-        *,
-        interner: FragmentInterner | None = None,
-        persistence=None,
-    ) -> None:
-        self.interner = interner or FragmentInterner()
-        #: Optional :class:`~repro.persist.FleetPersistence`; when set,
-        #: every topology mutation is journaled/checkpointed before the
-        #: in-memory publish.
-        self.persistence = persistence
-        self._lock = threading.RLock()
-        self._bases: dict[str, SharedBase] = {}
+    def __init__(self, base_fragments: Iterable[str] = ()) -> None:
+        self.interner = FragmentInterner()
+        self._lock = threading.Lock()
+        self._base = SharedBase(
+            "shared", self.interner.intern_many(base_fragments)
+        )
         self._tenants: dict[str, TenantStore] = {}
-        #: tenant-id -> (epoch, packed frame) -- the one-shot
-        #: serialisation cache.
-        self._frames: dict[str, tuple[int, bytes]] = {}
-        self._subscribers: list[Callable[[str, TenantStore, bytes], None]] = []
-        # Fleet counters (tenancy_report / resilience_report section).
-        self.snapshot_pushes = 0
-        self.push_failures = 0
         self.handoff_swaps = 0
-        self.drained_epochs = 0
-        base_fragments = tuple(base_fragments)
-        if base_fragments:
-            self.define_base(DEFAULT_BASE, base_fragments)
-
-    @classmethod
-    def recover(
-        cls,
-        persistence,
-        *,
-        interner: FragmentInterner | None = None,
-        base: str = DEFAULT_BASE,
-    ) -> "TenantRegistry":
-        """Rebuild a registry from a :class:`~repro.persist.FleetPersistence`.
-
-        Recovers every persisted base checkpoint and every per-tenant
-        journal (fail-closed: a corrupt tenant journal raises
-        :class:`~repro.persist.JournalCorrupt` and the whole recovery
-        refuses).  Recovered tenants are attached to ``base`` -- the
-        single-base topology the gateway deploys; multi-base layouts
-        re-pin tenants from application config after recovery.
-        """
-        registry = cls(interner=interner)
-        bases = persistence.recover_bases()
-        for name, fragments in bases.items():
-            registry.define_base(name, fragments)
-        if base not in registry._bases:
-            registry.define_base(base, ())
-        overlays = persistence.recover_overlays()
-        for tenant_id, overlay in overlays.items():
-            registry.add_tenant(tenant_id, overlay, base=base)
-        # Attach persistence only after replaying topology: recovery must
-        # not re-journal the records it was rebuilt from.  Then reopen the
-        # per-tenant durable states (persisted state wins over any seed)
-        # so subsequent reloads journal without a lazy first-touch open.
-        registry.persistence = persistence
-        for tenant_id in overlays:
-            persistence.open_tenant(tenant_id)
-        return registry
-
-    # ------------------------------------------------------------------
-    # Topology
-    # ------------------------------------------------------------------
-
-    def define_base(self, name: str, fragments: Iterable[str]) -> SharedBase:
-        """Register a shared base set (idempotent per name)."""
-        interned = self.interner.intern_many(fragments)
-        with self._lock:
-            if name in self._bases:
-                raise ValueError(f"base {name!r} already defined")
-            if self.persistence is not None:
-                # Durable before published: a failed checkpoint refuses
-                # the definition instead of leaving disk behind memory.
-                self.persistence.record_base(name, interned)
-            base = SharedBase(name, interned)
-            self._bases[name] = base
-            return base
-
-    def base(self, name: str = DEFAULT_BASE) -> SharedBase:
-        with self._lock:
-            return self._bases[name]
 
     def add_tenant(
-        self,
-        tenant_id: str,
-        overlay: Iterable[str] = (),
-        *,
-        base: str = DEFAULT_BASE,
+        self, tenant_id: str, overlay: Iterable[str] = ()
     ) -> TenantStore:
-        """Provision one tenant over a shared base plus its plugin delta."""
+        """Provision one tenant over the shared base plus its plugin delta."""
         overlay = self.interner.intern_many(overlay)
         with self._lock:
             if tenant_id in self._tenants:
                 raise ValueError(f"tenant {tenant_id!r} already registered")
-            shared = self._bases[base]
-            if self.persistence is not None:
-                self.persistence.open_tenant(tenant_id, seed_fragments=overlay)
-            store = TenantStore(shared, overlay, tenant_id=tenant_id)
+            store = TenantStore(self._base, overlay, tenant_id=tenant_id)
             self._tenants[tenant_id] = store
             return store
+
+    def reload_tenant(
+        self, tenant_id: str, overlay: Iterable[str], *, warm: bool = True
+    ) -> int:
+        """Warm-handoff reload of one tenant's overlay; returns the new epoch.
+
+        With ``warm`` the successor state and its composite automaton are
+        built before the atomic swap, so in-flight inspects finish on the
+        old epoch and the first one after the swap finds a ready matcher.
+        """
+        store = self.get(tenant_id)
+        store.reload_overlay(self.interner.intern_many(overlay), warm=warm)
+        with self._lock:
+            self.handoff_swaps += 1
+        return store.epoch
+
+    # ------------------------------------------------------------------
+    # Lookups
+    # ------------------------------------------------------------------
 
     def get(self, tenant_id: str) -> TenantStore:
         with self._lock:
@@ -171,100 +82,22 @@ class TenantRegistry:
             return list(self._tenants)
 
     # ------------------------------------------------------------------
-    # Replication
-    # ------------------------------------------------------------------
-
-    def subscribe(
-        self, push: Callable[[str, TenantStore, bytes], None]
-    ) -> None:
-        """Register a replication target for tenant epoch bumps."""
-        with self._lock:
-            self._subscribers.append(push)
-
-    def snapshot_frame(self, tenant_id: str) -> bytes:
-        """The packed snapshot frame of the tenant's current epoch.
-
-        Serialized at most once per epoch; concurrent pushes of the same
-        epoch share the cached bytes.
-        """
-        store = self.get(tenant_id)
-        state = store.snapshot()
-        with self._lock:
-            cached = self._frames.get(tenant_id)
-            if cached is not None and cached[0] == state.epoch:
-                return cached[1]
-        frame = bytes(
-            wire.pack_store_snapshot(
-                state.fragments, state.epoch, tenant=tenant_id
-            )
-        )
-        with self._lock:
-            current = self._frames.get(tenant_id)
-            # A racing reload may have cached a newer epoch; never
-            # regress the cache (the stale frame is still returned to
-            # this caller, whose push target will catch up on the next
-            # bump -- generation compare keeps it honest).
-            if current is None or current[0] <= state.epoch:
-                self._frames[tenant_id] = (state.epoch, frame)
-        return frame
-
-    def reload_tenant(
-        self, tenant_id: str, overlay: Iterable[str], *, warm: bool = True
-    ) -> int:
-        """Warm-handoff reload of one tenant's overlay + replication push.
-
-        Returns the new epoch.  The sequence is the section-13 protocol:
-        build successor state and composite automaton off-path
-        (``warm``), swap atomically, serialize the snapshot once, push
-        the frame to every subscriber.  Old-epoch work drains naturally;
-        once the pushes complete the old epoch is accounted drained (no
-        target will *start* work under it).
-        """
-        store = self.get(tenant_id)
-        overlay = self.interner.intern_many(overlay)
-        if self.persistence is not None:
-            # Journal the overlay before the swap: if the append fails the
-            # reload is refused and subscribers keep the old epoch.
-            self.persistence.record_overlay(tenant_id, overlay)
-        store.reload_overlay(overlay, warm=warm)
-        with self._lock:
-            self.handoff_swaps += 1
-            subscribers = list(self._subscribers)
-        frame = self.snapshot_frame(tenant_id)
-        for push in subscribers:
-            try:
-                push(tenant_id, store, frame)
-                with self._lock:
-                    self.snapshot_pushes += 1
-            except Exception:
-                with self._lock:
-                    self.push_failures += 1
-        with self._lock:
-            self.drained_epochs += 1
-        return store.epoch
-
-    # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
 
     def tenancy_report(self) -> dict[str, object]:
-        """Fleet-state section for resilience_report()/cache_stats()."""
+        """Fleet-state section of a gateway worker's report."""
         with self._lock:
-            tenants = dict(self._tenants)
-            bases = list(self._bases.values())
+            tenants = list(self._tenants.values())
             report: dict[str, object] = {
                 "tenants": len(tenants),
-                "bases": [base.stats() for base in bases],
-                "snapshot_pushes": self.snapshot_pushes,
-                "push_failures": self.push_failures,
+                "bases": [self._base.stats()],
                 "handoff_swaps": self.handoff_swaps,
-                "drained_epochs": self.drained_epochs,
-                "subscribers": len(self._subscribers),
             }
         interned = 0
         private = 0
         detached = 0
-        for store in tenants.values():
+        for store in tenants:
             stats = store.tenancy_stats()
             interned += stats["interned_fragments"]
             private += stats["private_fragments"]
@@ -273,6 +106,4 @@ class TenantRegistry:
         report["private_fragments"] = private
         report["detached_tenants"] = detached
         report["interner"] = self.interner.stats()
-        if self.persistence is not None:
-            report["durability"] = self.persistence.report()
         return report

@@ -5,13 +5,13 @@ The restart-equivalence and never-fail-open contracts (DESIGN.md section
 
 - **Gateway**: a gateway with ``--state-dir`` killed crash-shaped
   (``stop(drain=False)``) and restarted produces byte-identical verdicts
-  and still holds the journaled attack evidence; a corrupted state dir
-  makes ``start()`` refuse with :class:`JournalCorrupt` instead of
-  serving a wrong vocabulary.
-- **Tenancy**: a :class:`TenantRegistry` over :class:`FleetPersistence`
-  rebuilds the whole fleet topology -- shared bases and per-tenant
-  overlays, hostile tenant ids included -- via
-  :meth:`TenantRegistry.recover`.
+  and still holds the journaled attack evidence, journaling only the
+  unsafe verdicts it relays; a corrupted state dir makes ``start()``
+  refuse with :class:`JournalCorrupt` instead of serving a wrong
+  vocabulary.
+- **Tenancy**: a tenant-mode gateway restarted after a crash-shaped stop
+  serves each tenant's reloaded overlay, hostile tenant ids included,
+  from the same two files.
 - **Engine audit**: :meth:`JozaEngine.attach_durability` journals the
   attack ring through the sink, so evicted ring entries are recovered
   drops, not lost evidence.
@@ -32,18 +32,12 @@ import pytest
 
 from repro.cli import main
 from repro.core import JozaConfig, JozaEngine, ResilienceConfig
-from repro.persist import (
-    DurableState,
-    FleetPersistence,
-    FsyncPolicy,
-    JournalCorrupt,
-    recover,
-)
+from repro.persist import DurableState, FsyncPolicy, JournalCorrupt, recover
 from repro.phpapp.application import QueryBlockedError
 from repro.phpapp.context import CapturedInput, RequestContext
 from repro.service import AsyncGateway, GatewayClient, GatewayConfig, GatewayThread
+from repro.service import gateway as gateway_module
 from repro.service.codec import encode_verdict
-from repro.tenancy import TenantRegistry
 from repro.testbed.concurrency import SWARM_FRAGMENTS
 from repro.testbed.crashfaults import (
     StoreOracle,
@@ -175,30 +169,110 @@ def test_gateway_refuses_to_start_on_corrupt_state(tmp_path):
     assert poisoned.corruption_refusals == 1
 
 
+def test_gateway_journals_unsafe_verdicts_without_decoding_safe_ones(
+    tmp_path, monkeypatch
+):
+    decoded = []
+    real_decode = gateway_module.decode_verdict
+
+    def counting_decode(payload):
+        decoded.append(payload)
+        return real_decode(payload)
+
+    monkeypatch.setattr(gateway_module, "decode_verdict", counting_decode)
+    gateway = make_gateway(tmp_path)
+    thread = GatewayThread(gateway).start()
+    client = GatewayClient(unix_path=gateway.gw.unix_path, client_id="dur")
+    try:
+        benign = client.inspect(
+            [BENIGN, BENIGN], inputs=[("get", "p0", "7")], budget=5.0
+        )
+        assert [v["safe"] for v in benign] == [True, True]
+        assert decoded == []
+
+        mixed = client.inspect(
+            [BENIGN, ATTACK, BENIGN],
+            inputs=[("get", "p0", "7"), ("get", "p1", "1 OR 1=1")],
+            budget=5.0,
+        )
+        assert [v["safe"] for v in mixed] == [True, False, True]
+        assert len(decoded) == 1
+        journaled = [e["verdict"] for e in gateway.durable.audit_tail()]
+        assert journaled == [v for v in mixed if not v["safe"]]
+    finally:
+        client.close()
+        assert thread.stop()
+
+
 # ----------------------------------------------------------------------
-# Tenancy fleet recovery
+# Tenant overlays across a crash-shaped gateway restart
 # ----------------------------------------------------------------------
 
+HOSTILE_TENANT = "shop/../../etc"
+TENANTS = {
+    "blog": ["SELECT post FROM blog WHERE id="],
+    HOSTILE_TENANT: ["SELECT sku FROM shop WHERE id="],
+}
+RELOADED_BLOG = TENANTS["blog"] + [
+    "SELECT hits FROM blog_stats WHERE post_id="
+]
+#: Benign query only blog's reloaded overlay covers.
+RELOAD_PROBE = "SELECT hits FROM blog_stats WHERE post_id=7"
+SHOP_PROBE = "SELECT sku FROM shop WHERE id=7"
 
-def test_tenant_registry_recovers_fleet_topology(tmp_path):
-    fleet = FleetPersistence(str(tmp_path / "fleet"), fsync=FsyncPolicy.NEVER)
-    registry = TenantRegistry(SWARM_FRAGMENTS, persistence=fleet)
-    registry.add_tenant("blog", ["SELECT post FROM blog WHERE id = "])
-    registry.add_tenant("shop/../../etc", ["SELECT sku FROM shop WHERE id = "])
-    registry.reload_tenant(
-        "blog", ["SELECT post FROM blog WHERE id = ", "UPDATE blog SET hits = "]
-    )
-    fleet.abandon()  # crash-shaped shutdown
 
-    recovered = TenantRegistry.recover(
-        FleetPersistence(str(tmp_path / "fleet"), fsync=FsyncPolicy.NEVER)
-    )
-    assert sorted(recovered.tenant_ids()) == ["blog", "shop/../../etc"]
-    assert list(recovered.base().fragments) == list(SWARM_FRAGMENTS)
-    blog = recovered.get("blog").snapshot()
-    assert "UPDATE blog SET hits = " in blog.fragments
-    report = recovered.tenancy_report()
-    assert report["durability"]["open_tenants"] == 2
+def ask_tenant(gateway, tenant_id, query):
+    client = GatewayClient(unix_path=gateway.gw.unix_path, client_id=tenant_id)
+    try:
+        return client.inspect(
+            [query], inputs=[("get", "p0", "7")], budget=5.0
+        )[0]
+    finally:
+        client.close()
+
+
+def test_gateway_tenant_overlays_survive_crash_restart(tmp_path):
+    def tenant_gateway():
+        # A fresh copy of the original config on every boot: the gateway
+        # folds recovered overlays into its tenant map.
+        return make_gateway(
+            tmp_path,
+            tenants={tenant_id: list(o) for tenant_id, o in TENANTS.items()},
+        )
+
+    gateway = tenant_gateway()
+    thread = GatewayThread(gateway).start()
+    try:
+        assert ask_tenant(gateway, "blog", RELOAD_PROBE)["safe"] is False
+        thread.run_coro(gateway.reload_tenant("blog", RELOADED_BLOG))
+        assert ask_tenant(gateway, "blog", RELOAD_PROBE)["safe"] is True
+    finally:
+        thread.stop(drain=False)  # crash-shaped: no final checkpoint
+
+    restarted = tenant_gateway()
+    thread = GatewayThread(restarted).start()
+    try:
+        blog = ask_tenant(restarted, "blog", RELOAD_PROBE)
+        shop = ask_tenant(restarted, HOSTILE_TENANT, SHOP_PROBE)
+    finally:
+        assert thread.stop()
+
+    # The reloaded overlay wins over the config's original one.
+    assert blog["safe"] is True
+    # The hostile id round-trips as a tenant, not a path.
+    assert shop["safe"] is True and not shop["failsafe"]
+    recovered = restarted.durable.recovered
+    assert recovered.source == "checkpoint+journal"
+    # The hostile tenant was never reloaded: the journal holds it only
+    # because the first boot journaled every configured tenant.
+    assert recovered.overlays == {
+        "blog": RELOADED_BLOG,
+        HOSTILE_TENANT: TENANTS[HOSTILE_TENANT],
+    }
+    assert sorted(os.listdir(tmp_path / "state")) == [
+        "checkpoint.jz",
+        "journal.jz",
+    ]
 
 
 # ----------------------------------------------------------------------

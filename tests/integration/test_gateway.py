@@ -25,6 +25,7 @@ Wall-clock discipline: schedules are seeded (CHAOS_SEED env, default
 1337); budgets are sized to the in-process analysis cost, not to slow CI.
 """
 
+import logging
 import os
 import threading
 import time
@@ -442,6 +443,48 @@ def test_graceful_drain_resolves_inflight_and_leaves_no_zombies(tmp_path):
     assert gateway.worker_pids() == []
     assert gateway.drain_stats["drained"] is True
     client.close()
+
+
+def test_stop_with_open_client_connection_logs_no_asyncio_error(
+    tmp_path, caplog
+):
+    caplog.set_level(logging.WARNING, logger="asyncio")
+    gateway = make_gateway(tmp_path, workers=1)
+    thread = GatewayThread(gateway).start()
+    client = GatewayClient(unix_path=gateway.gw.unix_path, client_id="open")
+    try:
+        assert client.inspect(
+            ["SELECT * FROM records WHERE ID=7 LIMIT 5"],
+            inputs=[("get", "p0", "7")],
+            budget=5.0,
+        )[0]["safe"]
+        # The client's connection is still open while the loop stops.
+        assert thread.stop()
+    finally:
+        client.close()
+    errors = [
+        record.getMessage()
+        for record in caplog.records
+        if record.name == "asyncio" and record.levelno >= logging.ERROR
+    ]
+    assert errors == []
+
+
+def test_replies_sent_counts_a_reply_before_the_client_holds_it(tmp_path):
+    gateway = make_gateway(tmp_path, workers=1)
+    thread = GatewayThread(gateway).start()
+    client = GatewayClient(unix_path=gateway.gw.unix_path, client_id="count")
+    try:
+        for sent in range(1, 41):
+            client.inspect(
+                ["SELECT * FROM records WHERE ID=7 LIMIT 5"],
+                inputs=[("get", "p0", "7")],
+                budget=5.0,
+            )
+            assert gateway.stats.snapshot()["replies_sent"] == sent
+    finally:
+        client.close()
+        assert thread.stop()
 
 
 def _pid_running(pid: int) -> bool:

@@ -18,13 +18,15 @@ Mirrors the ``test_wire_format.py`` contract for the gateway frame kinds
 The codec half: canonical verdict JSON round-trips losslessly, is
 deterministic (the byte-parity acceptance check depends on it), and
 mangled payloads raise :class:`~repro.service.codec.CodecError` rather
-than ever yielding a dict whose ``safe`` is not a genuine bool.
+than ever yielding a dict whose ``safe`` is not a genuine bool.  The
+payload tail check the gateway journals by agrees with the decoded
+``safe`` on every encoded verdict.
 """
 
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.verdict import (
@@ -408,3 +410,80 @@ def test_dict_to_verdict_rejects_malformed_structures():
                 "nti": None,
             }
         )
+
+
+#: Verdict text, biased toward the canonical safe tail so queries,
+#: reasons and nested fields that quote it are drawn often.
+VERDICT_TEXT = st.one_of(
+    st.text(max_size=30),
+    st.builds(
+        lambda head, tail: head + '"safe":true}' + tail,
+        st.text(max_size=8),
+        st.sampled_from(["", "}", '"safe":true}']),
+    ),
+)
+
+
+def analysis_results(technique: Technique):
+    markings = st.builds(
+        TaintMarking,
+        st.integers(0, 200),
+        st.integers(0, 200),
+        st.just(technique),
+        VERDICT_TEXT,
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    detections = st.builds(
+        Detection,
+        technique=st.just(technique),
+        reason=VERDICT_TEXT,
+        token_text=VERDICT_TEXT,
+        token_start=st.integers(0, 200),
+        token_end=st.integers(0, 200),
+        input_value=st.none() | VERDICT_TEXT,
+    )
+    return st.none() | st.builds(
+        AnalysisResult,
+        st.just(technique),
+        st.booleans(),
+        st.lists(markings, max_size=2),
+        st.lists(detections, max_size=2),
+        st.sampled_from([None, "query", "structure"]),
+    )
+
+
+VERDICT_DICTS = st.one_of(
+    st.builds(
+        QueryVerdict,
+        query=VERDICT_TEXT,
+        safe=st.booleans(),
+        pti=analysis_results(Technique.PTI),
+        nti=analysis_results(Technique.NTI),
+        degraded=st.booleans(),
+        failsafe=st.booleans(),
+        failure_reasons=st.lists(VERDICT_TEXT, max_size=2),
+    ).map(codec.verdict_to_dict),
+    st.builds(
+        codec.failsafe_dict,
+        VERDICT_TEXT,
+        VERDICT_TEXT,
+        tenant=st.none() | VERDICT_TEXT,
+    ),
+)
+
+
+@given(VERDICT_DICTS)
+@example(codec.failsafe_dict('SELECT \'"safe":true}', '"safe":true}'))
+@example(codec.verdict_to_dict(make_verdict()))
+@settings(max_examples=300, deadline=None)
+def test_payload_is_safe_agrees_with_decoded_safe(data):
+    payload = codec.encode_verdict(data)
+    safe = codec.decode_verdict(payload)["safe"]
+    assert codec.payload_is_safe(payload) is safe
+
+
+def test_safe_is_the_last_verdict_key():
+    # payload_is_safe reads the tail of the sorted-key encoding: a key
+    # sorting after "safe" would move the safe flag off the tail.
+    assert max(codec.verdict_to_dict(make_verdict())) == "safe"
+    assert max(codec.failsafe_dict("q", "reason", tenant="t")) == "safe"

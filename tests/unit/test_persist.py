@@ -5,7 +5,7 @@ corruption), the checkpoint write protocol (tmp + fsync + atomic rename,
 seal verification), the WAL discipline of :class:`DurableFragmentStore`
 (journal-first, failed append refuses the mutation), recovery semantics
 (checkpoint + replay, sequence skip after a crash between checkpoint
-publication and journal truncation) and the fleet layout's path safety.
+publication and journal truncation).
 """
 
 import os
@@ -15,7 +15,6 @@ import pytest
 from repro.persist import (
     DurableFragmentStore,
     DurableState,
-    FleetPersistence,
     FsyncPolicy,
     JournalCorrupt,
     JournalWriter,
@@ -216,7 +215,6 @@ def test_checkpoint_round_trip(tmp_path):
         path,
         fragments=FRAGS,
         epoch=9,
-        tenant="wp",
         overlays={"t2": FRAGS[:1], "t1": FRAGS[:2]},
         audit=[{"q": "1 OR 1=1"}],
         journal_seq=41,
@@ -224,7 +222,6 @@ def test_checkpoint_round_trip(tmp_path):
     checkpoint = read_checkpoint(path)
     assert checkpoint.fragments == FRAGS
     assert checkpoint.epoch == 9
-    assert checkpoint.tenant == "wp"
     assert checkpoint.overlays == {"t1": FRAGS[:2], "t2": FRAGS[:1]}
     assert checkpoint.audit == [{"q": "1 OR 1=1"}]
     assert checkpoint.journal_seq == 41
@@ -234,7 +231,7 @@ def test_checkpoint_round_trip(tmp_path):
 def test_checkpoint_refuses_damage(tmp_path):
     path = str(tmp_path / "ck.jz")
     write_checkpoint(
-        path, fragments=FRAGS, epoch=3, tenant="", overlays={}, audit=[]
+        path, fragments=FRAGS, epoch=3, overlays={}, audit=[]
     )
     blob = open(path, "rb").read()
     # A checkpoint is only ever published whole: truncation is corruption
@@ -255,7 +252,7 @@ def test_checkpoint_refuses_damage(tmp_path):
 def test_checkpoint_write_is_atomic_and_sweeps_tmp(tmp_path):
     path = str(tmp_path / "ck.jz")
     write_checkpoint(
-        path, fragments=FRAGS, epoch=1, tenant="", overlays={}, audit=[]
+        path, fragments=FRAGS, epoch=1, overlays={}, audit=[]
     )
 
     def crash_before_rename(src, dst):
@@ -266,7 +263,6 @@ def test_checkpoint_write_is_atomic_and_sweeps_tmp(tmp_path):
             path,
             fragments=["NEW"],
             epoch=2,
-            tenant="",
             overlays={},
             audit=[],
             replace=crash_before_rename,
@@ -488,31 +484,3 @@ def test_durable_state_rejects_bad_knobs(tmp_path):
         JournalWriter(str(tmp_path / "j.jz"), batch_size=0)
     with pytest.raises(ValueError):
         JournalWriter(str(tmp_path / "j.jz"), start_seq=0)
-
-
-# ----------------------------------------------------------------------
-# FleetPersistence
-# ----------------------------------------------------------------------
-
-
-def test_fleet_persistence_round_trip_with_hostile_names(tmp_path):
-    fleet = FleetPersistence(str(tmp_path), fsync=FsyncPolicy.NEVER)
-    fleet.record_base("shared", FRAGS)
-    fleet.record_base("../escape", ["X "])
-    fleet.open_tenant("shop/../../etc", seed_fragments=["OV1 "])
-    fleet.record_overlay("shop/../../etc", ["OV2 "])
-    fleet.close()
-    # Quoting confines every durable file under the state tree.
-    for root, _dirs, files in os.walk(str(tmp_path)):
-        for name in files:
-            assert os.path.realpath(os.path.join(root, name)).startswith(
-                os.path.realpath(str(tmp_path))
-            )
-    reopened = FleetPersistence(str(tmp_path), fsync=FsyncPolicy.NEVER)
-    assert reopened.recover_bases() == {
-        "../escape": ["X "],
-        "shared": FRAGS,
-    }
-    assert reopened.recover_overlays() == {"shop/../../etc": ["OV2 "]}
-    report = reopened.report()
-    assert report["open_tenants"] == 0 and report["fsync_policy"] == "never"

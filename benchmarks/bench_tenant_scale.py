@@ -1,17 +1,13 @@
 """Multi-tenant fragment-state scaling bench (DESIGN.md section 13).
 
-Three claims of the sharded tenancy design, each gated:
+Two claims of the sharded tenancy design, each gated:
 
 1. **Interning wins the memory game** -- provisioning N tenants over a
    WordPress-core-sized shared base through :class:`TenantRegistry`
    (interned base store + composite automatons) costs >= ``GATE_MEMORY``x
    less heap than N naive per-tenant copies (dedicated ``FragmentStore``
    + compiled automaton each), measured with tracemalloc.
-2. **Steady-state checkout is free** -- a :class:`DaemonPool` serving
-   traffic performs *zero* refresh round-trips while the generation is
-   unchanged (counter-asserted), and exactly one per worker per epoch
-   bump.
-3. **Reload storms don't tax the fleet** -- while tenant overlays are
+2. **Reload storms don't tax the fleet** -- while tenant overlays are
    rolling-reloaded (warm handoff) in a background thread, inspect p99
    stays <= ``GATE_STORM_P99``x the quiescent p99, with zero fail-open
    verdicts and zero cross-tenant divergences (every tenant's post-storm
@@ -38,10 +34,7 @@ import tracemalloc
 from repro.bench.reporting import render_kv, save_json
 from repro.core import JozaEngine
 from repro.phpapp.context import CapturedInput, RequestContext
-from repro.pti.automaton import FragmentAutomaton
-from repro.pti.daemon import PTIDaemon
 from repro.pti.fragments import FragmentStore
-from repro.pti.pool import DaemonPool
 from repro.service.codec import encode_verdict, verdict_to_dict
 from repro.tenancy import TenantRegistry
 
@@ -169,62 +162,7 @@ def measure_memory(base: list[str], tenants: int, overlay_size: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# 2. Checkout overhead: zero refresh round-trips at steady state
-# ---------------------------------------------------------------------------
-
-
-class _InProcessPoolDaemon:
-    """Pool-compatible in-process daemon (no child process; the refresh
-    counters are the measurement, not IPC cost)."""
-
-    def __init__(self, store, config, index):
-        self.inner = PTIDaemon(store, config)
-        self.refreshes = 0
-
-    def analyze_batch(self, queries, deadline=None):
-        return self.inner.analyze_batch(queries, deadline=deadline)
-
-    def refresh_fragments(self, store):
-        self.refreshes += 1
-        self.inner.refresh_fragments(store)
-
-    def close(self):
-        pass
-
-
-def measure_checkout(base: list[str], requests: int) -> dict:
-    store = FragmentStore(base)
-    pool = DaemonPool(
-        store,
-        size=2,
-        daemon_factory=lambda s, c, i: _InProcessPoolDaemon(s, c, i),
-    )
-    query = MATRIX[0][0]
-    pool.analyze_query(query)  # warm both caches and the automaton
-    latencies = []
-    for _ in range(requests):
-        t0 = time.perf_counter()
-        pool.analyze_query(query)
-        latencies.append(time.perf_counter() - t0)
-    steady_refreshes = pool.refreshes
-    pool.refresh_fragments(FragmentStore(base + ["SELECT 1 /* bump */"]))
-    for _ in range(requests):
-        pool.analyze_query(query)
-    snap = pool.resilience_snapshot()
-    pool.close()
-    return {
-        "requests_per_phase": requests,
-        "steady_state_refreshes": steady_refreshes,
-        "refreshes_after_one_bump": snap["refreshes"],
-        "pool_size": snap["pool_size"],
-        "generation": snap["generation"],
-        "checkout_p50": percentile(latencies, 0.50),
-        "checkout_p99": percentile(latencies, 0.99),
-    }
-
-
-# ---------------------------------------------------------------------------
-# 3. Rolling reload storm: p99, fail-open, divergence
+# 2. Rolling reload storm: p99, fail-open, divergence
 # ---------------------------------------------------------------------------
 
 
@@ -347,7 +285,6 @@ def run_tenant_scale_bench(*, smoke: bool, seed: int) -> dict:
     if smoke:
         base = wordpress_core_fragments(80)
         memory = measure_memory(base, tenants=24, overlay_size=4)
-        checkout = measure_checkout(base, requests=150)
         storm = run_storm(
             base,
             tenants=8,
@@ -359,7 +296,6 @@ def run_tenant_scale_bench(*, smoke: bool, seed: int) -> dict:
     else:
         base = wordpress_core_fragments(300)
         memory = measure_memory(base, tenants=120, overlay_size=6)
-        checkout = measure_checkout(base, requests=600)
         storm = run_storm(
             base,
             tenants=24,
@@ -377,7 +313,6 @@ def run_tenant_scale_bench(*, smoke: bool, seed: int) -> dict:
             "gate_storm_p99_ratio": GATE_STORM_P99,
         },
         "memory": memory,
-        "checkout": checkout,
         "storm": storm,
     }
 
@@ -390,18 +325,6 @@ def check_gates(payload: dict) -> list[str]:
         failures.append(
             f"interning memory ratio {memory['memory_ratio']:.2f}x "
             f"< {gate}x at {memory['tenants']} tenants"
-        )
-    checkout = payload["checkout"]
-    if checkout["steady_state_refreshes"] != 0:
-        failures.append(
-            f"steady-state checkouts performed "
-            f"{checkout['steady_state_refreshes']} refresh round-trips "
-            "(must be zero)"
-        )
-    if checkout["refreshes_after_one_bump"] != checkout["pool_size"]:
-        failures.append(
-            f"one epoch bump cost {checkout['refreshes_after_one_bump']} "
-            f"refreshes for a pool of {checkout['pool_size']}"
         )
     storm = payload["storm"]
     if storm["fail_open"] != 0:
@@ -419,11 +342,7 @@ def check_gates(payload: dict) -> list[str]:
 
 
 def render(payload: dict) -> str:
-    memory, checkout, storm = (
-        payload["memory"],
-        payload["checkout"],
-        payload["storm"],
-    )
+    memory, storm = payload["memory"], payload["storm"]
     pairs = [
         (
             "memory / tenant (naive)",
@@ -437,16 +356,6 @@ def render(payload: dict) -> str:
             "interning ratio",
             f"{memory['memory_ratio']:.1f}x over {memory['tenants']} tenants "
             f"(gate {payload['config']['gate_memory_ratio']}x)",
-        ),
-        (
-            "steady-state refreshes",
-            f"{checkout['steady_state_refreshes']} in "
-            f"{checkout['requests_per_phase']} checkouts (gate 0)",
-        ),
-        (
-            "checkout p50 / p99",
-            f"{checkout['checkout_p50']*1e6:.0f} / "
-            f"{checkout['checkout_p99']*1e6:.0f} us",
         ),
         (
             "storm p99 vs quiescent",

@@ -13,8 +13,6 @@ from .resilience import (
     Deadline,
     DeadlineExceeded,
     FailurePolicy,
-    OverloadPolicy,
-    PoolSaturated,
     PTIFailure,
     ResilienceConfig,
     RetryPolicy,
@@ -47,8 +45,6 @@ __all__ = [
     "Deadline",
     "DeadlineExceeded",
     "FailurePolicy",
-    "OverloadPolicy",
-    "PoolSaturated",
     "PTIFailure",
     "ResilienceConfig",
     "RetryPolicy",

@@ -48,7 +48,6 @@ from .resilience import (
     Deadline,
     DeadlineExceeded,
     FailurePolicy,
-    PoolSaturated,
     PTIFailure,
     RingLog,
 )
@@ -125,9 +124,6 @@ class EngineStats:
     degraded_verdicts: int = 0
     #: Queries blocked because analysis was unavailable (not detections).
     failsafe_blocks: int = 0
-    #: Queries shed by pool admission control (queue full / no worker in
-    #: time); every shed is also resolved fail-closed or degraded above.
-    load_shed: int = 0
     #: Shape fast path (DESIGN.md "shape fast path"): queries fully served
     #: by a cached per-shape analysis plan ...
     shape_hits: int = 0
@@ -175,7 +171,6 @@ class EngineStats:
                 "breaker_open": self.breaker_open,
                 "degraded_verdicts": self.degraded_verdicts,
                 "failsafe_blocks": self.failsafe_blocks,
-                "load_shed": self.load_shed,
             }
 
     def shape_counters(self) -> dict[str, int]:
@@ -889,7 +884,7 @@ class JozaEngine:
         :meth:`_call_daemon_batch` -- the daemon is never called from
         here.  A reply is used as is; a captured failure is re-raised
         *inside* the ``try`` block below, so every failure class (deadline,
-        shed, typed PTI failure, unexpected exception) flows through
+        typed PTI failure, unexpected exception) flows through
         exactly the per-query resolution logic, whether the exchange
         carried one query or a batch.  ``candidates`` (a ``query ->
         list[str]`` callable) lets the batch reuse one memoised NTI
@@ -901,11 +896,6 @@ class JozaEngine:
 
         pti_result: AnalysisResult | None = None
         pti_failed = False
-        #: Pool admission control refused the query.  ``None`` = no shed;
-        #: ``True`` = SHED_FAIL_CLOSED (verdict must be failsafe);
-        #: ``False`` = DEGRADE_TO_OTHER_TECHNIQUE (NTI-only is acceptable
-        #: -- the operator opted in at the pool level).
-        shed_fail_closed: bool | None = None
         tokens = None
         if self.config.enable_pti:
             try:
@@ -916,11 +906,6 @@ class JozaEngine:
             except DeadlineExceeded as exc:
                 self.stats.bump(deadline_exceeded=1)
                 failure_reasons.append(f"pti: {exc}")
-                pti_failed = True
-            except PoolSaturated as exc:
-                self.stats.bump(load_shed=1)
-                shed_fail_closed = exc.fail_closed
-                failure_reasons.append(f"pti: {exc.reason}")
                 pti_failed = True
             except PTIFailure as exc:
                 if isinstance(exc, DaemonUnavailable) and exc.breaker_open:
@@ -935,13 +920,7 @@ class JozaEngine:
                 # decides the verdict, never the exception.
                 failure_reasons.append(f"pti: unexpected {exc!r}")
                 pti_failed = True
-            # A shed is deliberate load management: running the analysis
-            # in-process anyway would defeat it, so the fallback is skipped.
-            if (
-                pti_failed
-                and shed_fail_closed is None
-                and policy is FailurePolicy.FALLBACK_IN_PROCESS
-            ):
+            if pti_failed and policy is FailurePolicy.FALLBACK_IN_PROCESS:
                 fallback = self._fallback_pti()
                 if fallback is not None:
                     t0 = time.perf_counter()
@@ -1001,18 +980,8 @@ class JozaEngine:
         failsafe = False
         if pti_failed or nti_failed:
             survivor = nti_result if pti_failed else pti_result
-            # The pool's OverloadPolicy overrides the engine policy for
-            # shed requests: SHED_FAIL_CLOSED must block regardless of how
-            # forgiving the FailurePolicy is; DEGRADE_TO_OTHER_TECHNIQUE
-            # permits an NTI-only verdict even under a fail-closed engine
-            # policy (the operator opted in at the pool level).
-            allow_degrade = (
-                policy is FailurePolicy.DEGRADE_TO_OTHER_TECHNIQUE
-                or shed_fail_closed is False
-            )
             can_degrade = (
-                allow_degrade
-                and shed_fail_closed is not True
+                policy is FailurePolicy.DEGRADE_TO_OTHER_TECHNIQUE
                 and not (pti_failed and nti_failed)
                 and survivor is not None
             )

@@ -51,8 +51,6 @@ __all__ = [
     "DaemonCrash",
     "CorruptReply",
     "DaemonUnavailable",
-    "PoolSaturated",
-    "OverloadPolicy",
     "FailurePolicy",
     "RetryPolicy",
     "BreakerState",
@@ -182,44 +180,6 @@ class DaemonUnavailable(PTIFailure):
     def __init__(self, reason: str, *, breaker_open: bool = False) -> None:
         super().__init__(reason)
         self.breaker_open = breaker_open
-
-
-class PoolSaturated(PTIFailure):
-    """The daemon pool shed this request (admission queue full / no worker).
-
-    ``shed`` is always ``True`` (the engine keys its load-shedding counters
-    on it); ``fail_closed`` carries the pool's :class:`OverloadPolicy`
-    decision: ``True`` forces a failsafe block regardless of the engine's
-    :class:`FailurePolicy`, ``False`` lets the verdict degrade to the other
-    inference technique (the operator opted into availability-over-depth
-    at the pool level).
-    """
-
-    def __init__(self, reason: str, *, fail_closed: bool = True) -> None:
-        super().__init__(reason)
-        self.shed = True
-        self.fail_closed = fail_closed
-
-
-class OverloadPolicy(enum.Enum):
-    """What a saturated :class:`~repro.pti.pool.DaemonPool` does with excess.
-
-    ``SHED_FAIL_CLOSED`` (default): a request that cannot be admitted (the
-    bounded queue is full, or no worker frees up within the deadline-bounded
-    admission wait) is *shed*: the engine records a failsafe block with a
-    ``shed`` reason.  Overload degrades availability, never the security
-    invariant -- exactly the posture of :attr:`FailurePolicy.FAIL_CLOSED`
-    extended from "one faulty daemon" to "a saturated service".
-
-    ``DEGRADE_TO_OTHER_TECHNIQUE``: shed requests skip PTI and are vetted by
-    NTI alone (flagged ``degraded``, counted in ``degraded_verdicts``).
-    Meaningful because the hybrid's blind spots are complementary (paper
-    Table IV), but it *is* a security downgrade under overload -- an
-    attacker able to saturate the pool buys themselves NTI-only vetting.
-    """
-
-    SHED_FAIL_CLOSED = "shed_fail_closed"
-    DEGRADE_TO_OTHER_TECHNIQUE = "degrade_to_other_technique"
 
 
 class FailurePolicy(enum.Enum):

@@ -10,7 +10,6 @@ from .daemon import (
     SubprocessPTIDaemon,
 )
 from .fragments import FragmentStore
-from .pool import DaemonPool, PoolWorker
 from .inference import (
     AUTO_AUTOMATON_MIN_FRAGMENTS,
     PTI_MATCHER_CHOICES,
@@ -31,8 +30,6 @@ __all__ = [
     "StageTimings",
     "SubprocessPTIDaemon",
     "FragmentStore",
-    "DaemonPool",
-    "PoolWorker",
     "PTIAnalyzer",
     "PTIConfig",
     "PTI_MATCHER_CHOICES",

@@ -27,10 +27,10 @@ are the typed :class:`~repro.core.resilience.PTIFailure` family and
 into fail-closed or degraded verdicts, never letting a query through
 unvetted.
 
-One protocol (DESIGN.md section 11): every backend -- in-process,
-subprocess, pool -- is called through ``analyze_batch(queries,
-deadline)``, and the subprocess pipe carries nothing but packed
-:mod:`~repro.pti.wire` frames (request, reply, store snapshot).
+One protocol (DESIGN.md section 11): every backend -- in-process or
+subprocess -- is called through ``analyze_batch(queries, deadline)``, and
+the subprocess pipe carries nothing but packed :mod:`~repro.pti.wire`
+request and reply frames.
 """
 
 from __future__ import annotations
@@ -145,8 +145,8 @@ class PTIDaemon:
         #: but the stage timings are read-modify-write and the analyzer's
         #: derived state is rebuilt per epoch; one in-process daemon shared
         #: by N threads must not interleave them.  In-process match work is
-        #: GIL-serialized anyway -- parallel PTI throughput comes from the
-        #: subprocess pool (DESIGN.md section 10).
+        #: GIL-serialized anyway -- parallel analysis comes from the
+        #: gateway's worker fleet (DESIGN.md section 12).
         self._lock = threading.RLock()
 
     @property
@@ -165,12 +165,11 @@ class PTIDaemon:
             self.structure_cache.clear()
 
     def warm(self) -> None:
-        """Precompile the matcher for the current epoch (warm handoff).
+        """Precompile the matcher for the current epoch.
 
-        Called after :meth:`refresh_fragments` while the daemon is off the
-        request path (snapshot application in a child, pool worker
-        refresh) so the first query against the new vocabulary does not
-        pay the per-epoch automaton build inline.
+        Called while the daemon is off the request path (a benchmark's
+        setup, after :meth:`refresh_fragments`) so the first query against
+        the vocabulary does not pay the per-epoch automaton build inline.
         """
         with self._lock:
             self.analyzer.warm()
@@ -319,11 +318,11 @@ def _daemon_loop(conn, fragments: list[str], config: DaemonConfig, fault=None) -
     A request frame is answered with one reply frame -- one IPC exchange
     per frame -- carrying the child's per-stage timing deltas so the
     parent can attribute analysis time to parse/match/cache even across
-    the process boundary (needed for the Figure 7 breakdown).  A snapshot
-    frame swaps the vocabulary in place and is acked.  Anything else ends
-    the loop: the parent's shutdown message is an empty one, and a
-    malformed frame (a pickle included) makes the parent see EOF ->
-    ``DaemonCrash`` -> fail-closed, never a made-up verdict.
+    the process boundary (needed for the Figure 7 breakdown).  Anything
+    else ends the loop: the parent's shutdown message is an empty one, and
+    any other frame (a pickle or a store snapshot included) makes the
+    parent see EOF -> ``DaemonCrash`` -> fail-closed, never a made-up
+    verdict.
 
     ``fault`` is the testbed's hook (:mod:`repro.testbed.faults`,
     :mod:`repro.testbed.concurrency`): called with each request's queries
@@ -338,17 +337,6 @@ def _daemon_loop(conn, fragments: list[str], config: DaemonConfig, fault=None) -
         except EOFError:
             break
         try:
-            if wire.peek_kind(buf) == wire.KIND_SNAPSHOT:
-                # Replication push (tenancy warm handoff): swap the
-                # vocabulary in place -- no child respawn -- precompile
-                # the new epoch's automaton, then ack.  The parent holds
-                # this worker out of service until the ack, so the build
-                # never runs under a live query.
-                _tenant, epoch, new_fragments = wire.unpack_store_snapshot(buf)
-                daemon.refresh_fragments(FragmentStore(new_fragments))
-                daemon.warm()
-                conn.send_bytes(wire.pack_snapshot_ack(epoch))
-                continue
             queries = wire.unpack_batch_request(buf)
         except wire.WireFormatError:
             break
@@ -464,8 +452,6 @@ class SubprocessPTIDaemon:
         self.corrupt_replies = 0
         self.unavailable = 0
         self.batches = 0
-        self.snapshot_applies = 0
-        self.snapshot_fallbacks = 0
 
     # ------------------------------------------------------------------
     # Fragment access (engine fallback path + protect() refresh hook)
@@ -485,76 +471,6 @@ class SubprocessPTIDaemon:
             self.fragments = store.fragments
             self._store = store
         self.close()
-
-    def apply_snapshot(self, store: FragmentStore, frame=None) -> None:
-        """Hot-swap the child's vocabulary in place (replication push).
-
-        The fast-path alternative to :meth:`refresh_fragments`: instead of
-        killing the child and paying a full respawn on next use, a packed
-        snapshot frame (``frame``, packed once per epoch by the pusher and
-        shared across all workers; packed here when absent) is sent to the
-        live child, which rebuilds its store, precompiles the new epoch's
-        automaton and acks -- a warm handoff with no process churn.
-
-        Fail-safe: any pipe error, timeout or malformed ack discards the
-        child, and the next use respawns it over the *new* fragments --
-        a worker can end up cold, never stale.  Non-persistent daemons have
-        no child to push to and fall back to the close-and-respawn refresh.
-        """
-        if not self.persistent:
-            with self._stats_lock:
-                self.snapshot_fallbacks += 1
-            self.refresh_fragments(store)
-            return
-        with self._io_lock:
-            with self._lifecycle:
-                self.fragments = store.fragments
-                self._store = store
-                conn, process = self._conn, self._process
-                alive = process is not None and process.is_alive()
-            if not alive:
-                # No live child: nothing to push; the next spawn reads the
-                # new fragments.  Still counts as an apply (the swap is
-                # complete from the parent's perspective).
-                with self._stats_lock:
-                    self.snapshot_applies += 1
-                return
-            epoch = store.epoch
-            if frame is None:
-                frame = wire.pack_store_snapshot(store.fragments, epoch)
-            try:
-                try:
-                    conn.send_bytes(frame)
-                    timeout = self.recv_timeout if self.recv_timeout else 5.0
-                    if not conn.poll(timeout):
-                        self.timeouts += 1
-                        raise DaemonTimeout(
-                            f"snapshot ack not received within {timeout:.3f}s"
-                        )
-                    payload = conn.recv_bytes()
-                except (EOFError, BrokenPipeError, ConnectionError, OSError) as exc:
-                    self.crashes += 1
-                    raise DaemonCrash(f"daemon pipe failed: {exc!r}") from exc
-                try:
-                    acked = wire.unpack_snapshot_ack(payload)
-                except wire.WireFormatError as exc:
-                    self.corrupt_replies += 1
-                    raise CorruptReply(f"malformed snapshot ack: {exc}") from exc
-                if acked != epoch:
-                    self.corrupt_replies += 1
-                    raise CorruptReply(
-                        f"snapshot ack epoch {acked} != pushed epoch {epoch}"
-                    )
-            except PTIFailure:
-                # The child is in an unknown state; drop it.  The slots
-                # were already swapped, so the respawn is over the new
-                # vocabulary -- cold but correct.
-                self._discard_child(conn, process)
-                with self._stats_lock:
-                    self.snapshot_fallbacks += 1
-                return
-            with self._stats_lock:
-                self.snapshot_applies += 1
 
     # ------------------------------------------------------------------
     # Child lifecycle
@@ -771,8 +687,6 @@ class SubprocessPTIDaemon:
             "corrupt_replies": self.corrupt_replies,
             "unavailable": self.unavailable,
             "batches": self.batches,
-            "snapshot_applies": self.snapshot_applies,
-            "snapshot_fallbacks": self.snapshot_fallbacks,
         }
         if self.breaker is not None:
             out["breaker"] = self.breaker.snapshot()

@@ -120,8 +120,8 @@ class PTIAnalyzer:
         #: entry points nest (``analyze`` -> ``cover_token_witness`` ->
         #: ``occurrence_index``).  Held across the in-process match work --
         #: acceptable because in-process Python matching is GIL-serialized
-        #: anyway; parallel PTI throughput comes from the subprocess pool
-        #: (DESIGN.md section 10).
+        #: anyway; parallel analysis comes from the gateway's worker fleet
+        #: (DESIGN.md section 12).
         self._lock = threading.RLock()
         #: Total matching work performed (Fig. 7).  Unit depends on the
         #: matcher: fragment-vs-token containment checks for the scan,
@@ -216,10 +216,10 @@ class PTIAnalyzer:
             return index
 
     def warm(self) -> None:
-        """Precompile the resolved matcher's derived state (warm handoff).
+        """Precompile the resolved matcher's derived state.
 
-        Called off the request path (snapshot application in a daemon
-        child, worker refresh in the pool) so the first query after an
+        Called off the request path (:meth:`PTIDaemon.warm
+        <repro.pti.daemon.PTIDaemon.warm>`) so the first query after an
         epoch swap finds a ready automaton instead of paying the
         per-epoch build inline.  A no-op for the scan matcher.
         """

@@ -3,8 +3,8 @@
 The PTI daemon pipe and the gateway worker pipe carry nothing but the
 frames defined here; on both, an empty message is the shutdown and any
 other bytes that are not one of the frames the child accepts (a pickle
-included) end the child's loop.  The daemon pipe carries request, reply
-and store snapshot (plus its ack).  Pickle would cost a full
+included) end the child's loop.  The daemon pipe carries request and
+reply frames only.  Pickle would cost a full
 object-graph walk per query -- per-token dataclass reduction dominated the
 wire time in profiles -- so a whole *batch* travels as one struct-packed
 frame each way:
@@ -693,19 +693,16 @@ def unpack_gateway_error(frame: bytes) -> tuple[int, str]:
 # Fragment-store snapshot frames (tenancy replication push)
 # ----------------------------------------------------------------------
 #
-# One frame replicates one ``_StoreState`` snapshot -- the whole fragment
-# tuple plus its epoch and owning tenant -- to a daemon child on epoch
-# bump (DESIGN.md section 13).  Packed once per epoch by the
-# registry/pool and reused for every push of that epoch, so a fleet of N
-# workers pays one serialisation, not N.  The header ``count`` field is
-# fixed at 1 (one store per frame); the real fragment count is a u32 in
-# the body because paper-scale vocabularies exceed the u16 header field.
-# The child acknowledges with a KIND_SNAPSHOT_ACK echoing the epoch, sent
-# only after the new vocabulary is applied *and warmed*, so the pusher
-# knows the swap is complete.  A gateway worker receives one tenant's
-# overlay in the same frame (packed once per reload for the whole fleet)
-# and acks the epoch its own tenant registry assigned, since the gateway
-# keeps no store epochs.
+# One frame carries one fragment list plus its epoch and owning tenant
+# (DESIGN.md section 13): a tenant overlay the gateway pushes to its
+# workers, or a checkpoint's store.  The gateway packs it once per reload
+# for the whole fleet, so N workers pay one serialisation, not N.  The
+# header ``count`` field is fixed at 1 (one store per frame); the real
+# fragment count is a u32 in the body because paper-scale vocabularies
+# exceed the u16 header field.  A worker acknowledges with a
+# KIND_SNAPSHOT_ACK, sent only after the new overlay is applied *and
+# warmed*, echoing the epoch its own tenant registry assigned (the
+# gateway keeps no store epochs).
 
 _I64 = struct.Struct("<q")
 

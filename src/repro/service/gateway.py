@@ -39,7 +39,7 @@ import signal
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from ..core.policy import JozaConfig
@@ -242,7 +242,15 @@ class AsyncGateway:
     ) -> None:
         self.fragments = list(fragments)
         self.config = config or JozaConfig()
-        self.gw = gateway or GatewayConfig(host="127.0.0.1")
+        gw = gateway or GatewayConfig(host="127.0.0.1")
+        # A private copy: recovery and reload_tenant rewrite the overlay
+        # map (and start() resolves the port), never the caller's config.
+        self.gw = replace(
+            gw,
+            tenants=None
+            if gw.tenants is None
+            else {t: list(overlay) for t, overlay in gw.tenants.items()},
+        )
         self.stats = GatewayStats()
         #: Gateway-level audit: every shed / expired / refused request, one
         #: record per query, carrying connection and client (tenant) ids.

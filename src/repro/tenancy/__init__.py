@@ -16,8 +16,7 @@ fragment set -- with two structural facts this package exploits
 
 2. **Reloads must not stall serving.**  A tenant's fragment reload (plugin
    update) builds the successor state *and its automaton* off-path and
-   swaps atomically; in-flight inspects drain on the old epoch and the
-   checkout hot path stays a single integer generation compare.
+   swaps atomically; in-flight inspects drain on the old epoch.
 
 :class:`TenantRegistry` ties both together inside each gateway worker: it
 owns the interner, the one shared base and the tenant stores, performs

@@ -1,7 +1,7 @@
 """TenantStore: a FragmentStore composed of shared base + private overlay.
 
 Drop-in for :class:`~repro.pti.fragments.FragmentStore` everywhere the
-engine, daemon, pool and analyzers accept one -- same copy-on-write state
+engine, daemon and analyzers accept one -- same copy-on-write state
 protocol, same epoch semantics, same lock-free readers -- but the state
 it publishes *shares* the dominant structures with every sibling tenant:
 

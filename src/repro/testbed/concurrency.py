@@ -22,19 +22,10 @@ provides three:
   *same* fragment set).
 - :func:`serial_replay` -- the oracle: a fresh engine runs the exact same
   schedules single-threaded; :func:`diff_verdicts` compares.
-
-:class:`PacedPTIDaemon` supports the concurrent-throughput benchmark: its
-child sleeps a configurable pace per exchange (per query under
-``inspect``), modeling the service time of the paper's native analysis
-daemon at WordPress vocabulary scale.  Pool speedup must come from
-*overlapping* those service times (parent threads block in
-``poll``/``recv`` with the GIL released), which is exactly the deployment
-claim the benchmark verifies on a single-core host.
 """
 
 from __future__ import annotations
 
-import functools
 import random
 import threading
 import time
@@ -42,7 +33,7 @@ from dataclasses import dataclass, field
 
 from ..core.resilience import CorruptReply, DaemonCrash, DaemonTimeout, Deadline
 from ..phpapp.context import CapturedInput, RequestContext
-from ..pti.daemon import DaemonConfig, PTIDaemon, SubprocessPTIDaemon
+from ..pti.daemon import PTIDaemon
 from ..pti.fragments import FragmentStore
 from .faults import POISON_MARKER
 
@@ -51,7 +42,6 @@ __all__ = [
     "HANG_MARKER",
     "CORRUPT_MARKER",
     "MarkerFaultDaemon",
-    "PacedPTIDaemon",
     "WorkloadItem",
     "VerdictRecord",
     "SwarmResult",
@@ -76,8 +66,7 @@ class MarkerFaultDaemon:
     """In-process daemon whose faults are a pure function of the query.
 
     Speaks the daemon protocol (``analyze_batch(queries, deadline)``,
-    ``store``), so it sits in the engine's daemon slot or behind a
-    :class:`~repro.pti.pool.DaemonPool` via a factory; a marker query
+    ``store``), so it sits in the engine's daemon slot; a marker query
     fails its whole batch, as a fault would a whole exchange.
     Thread-safe: the wrapped :class:`~repro.pti.daemon.PTIDaemon`
     serializes its pipeline internally, and the marker check touches only
@@ -121,42 +110,6 @@ class MarkerFaultDaemon:
             self._fault()
             raise CorruptReply("chaos marker: injected corrupt reply")
         return self.inner.analyze_query(query, deadline=deadline)
-
-
-# ----------------------------------------------------------------------
-# Paced subprocess daemon (throughput benchmark support)
-# ----------------------------------------------------------------------
-
-
-def _pace(pace_seconds: float, queries: list[str]) -> None:
-    """Child-side hook: every exchange costs ``pace_seconds``.
-
-    The sleep models the native daemon's analysis service time at
-    production vocabulary scale; the parent blocks in ``poll`` with the
-    GIL released, so N workers' paces overlap -- the effect the
-    concurrent-throughput benchmark measures.
-    """
-    time.sleep(pace_seconds)
-
-
-class PacedPTIDaemon(SubprocessPTIDaemon):
-    """A subprocess daemon whose child takes ``pace_seconds`` per exchange."""
-
-    def __init__(
-        self,
-        store: FragmentStore,
-        config: DaemonConfig | None = None,
-        *,
-        pace_seconds: float = 0.005,
-        **kwargs,
-    ) -> None:
-        super().__init__(store, config, **kwargs)
-        self.pace_seconds = pace_seconds
-
-    def _fault_hook(self):
-        if self.pace_seconds <= 0.0:
-            return None
-        return functools.partial(_pace, self.pace_seconds)
 
 
 # ----------------------------------------------------------------------

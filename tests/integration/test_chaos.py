@@ -20,8 +20,6 @@ smoke-job territory.
 import os
 import time
 
-import pytest
-
 from repro.core import (
     CircuitBreaker,
     FailurePolicy,
@@ -33,7 +31,6 @@ from repro.core import (
 )
 from repro.phpapp.context import CapturedInput, RequestContext
 from repro.pti import FragmentStore
-from repro.testbed.concurrency import PacedPTIDaemon
 from repro.testbed.faults import (
     POISON_MARKER,
     ChaosPTIDaemon,
@@ -299,27 +296,4 @@ def test_crash_under_inspect_batch_fails_the_whole_batch_and_retries_it_whole():
         assert all(v.safe and not v.failsafe for v in verdicts)
         assert all(v.pti is not None for v in verdicts)
         assert daemon.queries_seen == 3
-
-
-@pytest.mark.parametrize(
-    "make_daemon",
-    [
-        lambda store: ChaosPTIDaemon(store, schedule=FaultSchedule.none()),
-        lambda store: PacedPTIDaemon(store, pace_seconds=0.001),
-    ],
-    ids=["chaos", "paced"],
-)
-def test_snapshot_push_reaches_testbed_children_without_respawn(make_daemon):
-    query = "SELECT b FROM u WHERE id = 1"
-    with make_daemon(FragmentStore(FRAGMENTS)) as daemon:
-        assert not daemon.analyze_query(query).safe  # not yet covered
-        pid = daemon._process.pid
-        daemon.apply_snapshot(
-            FragmentStore(FRAGMENTS + ["SELECT b FROM u WHERE id = "])
-        )
-        snapshot = daemon.resilience_snapshot()
-        assert snapshot["snapshot_applies"] == 1
-        assert snapshot["snapshot_fallbacks"] == 0
-        assert daemon.analyze_query(query).safe  # the live child swapped
-        assert daemon.spawns == 1 and daemon._process.pid == pid
 

@@ -212,3 +212,48 @@ def test_reload_tenant_is_warm_and_isolated(tmp_path):
         assert worker_report["tenancy"]["tenants"] == 2
     finally:
         assert thread.stop()
+
+
+def test_one_config_serves_two_gateways_in_turn(tmp_path):
+    """A gateway works on its own copy of the overlays: a reload on the
+    first gateway leaves the caller's config, and so a second gateway
+    built from it, on the configured overlays."""
+    tenants = {"alpha": list(ALPHA_OVERLAY), "beta": list(BETA_OVERLAY)}
+    config = GatewayConfig(
+        unix_path=str(tmp_path / "gw.sock"),
+        host=None,
+        workers=1,
+        max_deadline=5.0,
+        tenants={t: list(overlay) for t, overlay in tenants.items()},
+    )
+    query, values = ALPHA_ONLY_PROBE
+
+    def alpha_verdict(gateway):
+        client = GatewayClient(
+            unix_path=gateway.gw.unix_path, client_id="alpha"
+        )
+        try:
+            return client.inspect(
+                [query], inputs=matrix_inputs(values), budget=5.0
+            )[0]
+        finally:
+            client.close()
+
+    first = AsyncGateway(SWARM_FRAGMENTS, gateway=config)
+    thread = GatewayThread(first).start()
+    try:
+        assert alpha_verdict(first)["safe"]
+        reloaded = ["SELECT v2 FROM alpha_widgets_v2 WHERE slot_id="]
+        result = thread.run_coro(first.reload_tenant("alpha", reloaded))
+        assert not result["failures"]
+        assert not alpha_verdict(first)["safe"]  # the probe lost its fragment
+    finally:
+        assert thread.stop()
+    assert config.tenants == tenants
+
+    second = AsyncGateway(SWARM_FRAGMENTS, gateway=config)
+    thread = GatewayThread(second).start()
+    try:
+        assert alpha_verdict(second)["safe"]  # the configured overlay
+    finally:
+        assert thread.stop()

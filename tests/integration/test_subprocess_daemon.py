@@ -110,8 +110,20 @@ def test_engine_pti_matcher_threads_into_subprocess_daemon():
         assert attack.blocked
 
 
-def test_pickled_request_ends_the_child_loop_and_fails_closed(monkeypatch):
-    """The pipe speaks packed frames only: a pickle is never answered."""
+@pytest.mark.parametrize(
+    "frame",
+    [
+        # What the removed single-query protocol put on the pipe: one
+        # pickled query string per message.
+        lambda queries: pickle.dumps(queries[0]),
+        # A packed store snapshot: the child has no in-place vocabulary
+        # swap, so this too is a frame it does not answer.
+        lambda queries: wire.pack_store_snapshot(FRAGMENTS + [queries[0]], 2),
+    ],
+    ids=["pickle", "snapshot"],
+)
+def test_non_request_frame_ends_the_child_loop(monkeypatch, frame):
+    """The pipe speaks request frames only: anything else is never answered."""
     store = FragmentStore(FRAGMENTS)
     daemon = SubprocessPTIDaemon(store, retry=RetryPolicy(max_attempts=1))
     engine = JozaEngine(
@@ -121,14 +133,10 @@ def test_pickled_request_ends_the_child_loop_and_fails_closed(monkeypatch):
     try:
         assert engine.inspect("SELECT a FROM t WHERE id = 1", context).safe
         process = daemon._process
-        # What the removed single-query protocol put on the pipe: one
-        # pickled query string per message.
-        monkeypatch.setattr(
-            wire, "pack_batch_request", lambda queries: pickle.dumps(queries[0])
-        )
+        monkeypatch.setattr(wire, "pack_batch_request", frame)
         verdict = engine.inspect("SELECT a FROM t WHERE id = 2", context)
         assert not verdict.safe and verdict.failsafe
-        assert verdict.pti is None  # no verdict was made up for the pickle
+        assert verdict.pti is None  # no verdict was made up for the frame
         process.join(timeout=5.0)
         assert not process.is_alive()  # the child ended its loop
         assert process.exitcode == 0

@@ -46,7 +46,6 @@ MONOTONE_KEYS = (
     "breaker_open",
     "degraded_verdicts",
     "failsafe_blocks",
-    "load_shed",
 )
 SHAPE_KEYS = (
     "shape_hits",

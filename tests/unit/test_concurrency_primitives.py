@@ -18,8 +18,6 @@ import pytest
 from repro.core.resilience import (
     BreakerState,
     CircuitBreaker,
-    OverloadPolicy,
-    PoolSaturated,
     RingLog,
 )
 from repro.core.shapecache import ShapeCache, build_plan
@@ -277,21 +275,3 @@ def test_shapecache_stale_reader_misses_without_flushing():
     assert cache.get(key, epoch=6) is None
     assert cache.get(key, epoch=7) is plan
 
-
-# ---------------------------------------------------------------------------
-# PoolSaturated / OverloadPolicy surface
-# ---------------------------------------------------------------------------
-
-
-def test_pool_saturated_carries_shed_and_policy_flags():
-    shed = PoolSaturated("shed: queue full", fail_closed=True)
-    assert shed.shed is True
-    assert shed.fail_closed is True
-    assert "shed" in shed.reason
-    degrade = PoolSaturated("shed: no worker", fail_closed=False)
-    assert degrade.fail_closed is False
-    assert OverloadPolicy.SHED_FAIL_CLOSED.value == "shed_fail_closed"
-    assert (
-        OverloadPolicy.DEGRADE_TO_OTHER_TECHNIQUE.value
-        == "degrade_to_other_technique"
-    )

@@ -233,7 +233,8 @@ def test_checkpoint_refuses_damage(tmp_path):
     write_checkpoint(
         path, fragments=FRAGS, epoch=3, overlays={}, audit=[]
     )
-    blob = open(path, "rb").read()
+    with open(path, "rb") as handle:
+        blob = handle.read()
     # A checkpoint is only ever published whole: truncation is corruption
     # here, not a torn tail (the missing seal proves the short write).
     with open(path, "wb") as handle:
@@ -369,7 +370,8 @@ def test_recover_skips_records_a_checkpoint_already_absorbed(tmp_path):
     )
     _mutate(state)
     journal_path = os.path.join(str(tmp_path), "journal.jz")
-    stale_journal = open(journal_path, "rb").read()
+    with open(journal_path, "rb") as handle:
+        stale_journal = handle.read()
     state.checkpoint()  # compacts + truncates the journal
     state.abandon()
     # Crash landed between checkpoint publication and truncation: put the

@@ -1,22 +1,20 @@
-"""Durability overhead and recovery benchmark (DESIGN.md section 15).
+"""Durability recovery and checkpoint-storm benchmark (DESIGN.md section 15).
 
-Three measurements, each gated:
+Two measurements, each gated:
 
-1. **Fig. 8 journaling overhead** -- per-request p50 with the attack-audit
-   journal attached (default ``batch`` group-commit fsync) vs detached,
-   over a WordPress-like mix of benign requests and blocked attacks.
-   Gate: p50 overhead < 1% -- durability must be invisible on the hot
-   path (benign requests never touch the journal; attack evidence rides
-   the group commit).
-2. **Recovery time at wp.com fragment scale** -- ``recover()`` of a
-   crashed state dir whose checkpoint holds a wp.com-sized vocabulary
-   (~12k fragments) plus a journal of mutations and audit events.
-   Gate: recovery completes in seconds, not minutes (restart SLA).
-3. **Checkpoint storm vs quiescent** -- p99 append latency when every
+1. **Recovery time at wp.com fragment scale** -- ``recover()`` of a
+   crashed state dir whose checkpoint holds a wp.com-sized base
+   vocabulary (~12k fragments) plus a journal of tenant overlay reloads
+   and audit events.  Gate: recovery completes in seconds, not minutes
+   (restart SLA).
+2. **Checkpoint storm vs quiescent** -- p99 append latency when every
    few records force a full checkpoint (compaction in the write path)
    vs a quiescent journal.  Gate: a storming checkpoint cadence degrades
    bounded -- p99 stays under an absolute ceiling, so a misconfigured
    ``--checkpoint-every`` brows out latency, it does not stall the guard.
+
+The journal's cost on the request path is observed by perfbench's traced
+``gateway_tenants`` runs (``persist.appends``, ``persist.append_us``).
 
 Usage::
 
@@ -36,135 +34,21 @@ import tempfile
 import time
 
 from repro.bench.reporting import latency_summary, render_kv, save_json
-from repro.core import JozaEngine
 from repro.persist import DurableState, FsyncPolicy, recover
-from repro.phpapp.application import QueryBlockedError
-from repro.phpapp.context import CapturedInput, RequestContext
-from repro.testbed.concurrency import SWARM_FRAGMENTS
 
 SIDE_CAR = "BENCH_durability"
 
-GATE_OVERHEAD_P50_PCT = 1.0  # Fig. 8 hot-path gate at fsync=batch
 GATE_RECOVERY_SECONDS = 10.0  # wp.com-scale restart SLA
 GATE_STORM_P99_SECONDS = 0.25  # bounded degradation under storming cadence
 
-#: The request mix: benign reads dominate; a blocked attack every
-#: ``ATTACK_EVERY`` requests exercises the audit journal.
-BENIGN = [
-    ("SELECT * FROM records WHERE ID=7 LIMIT 5", [("get", "p0", "7")]),
-    ("SELECT name FROM users WHERE id=3 LIMIT 1", [("get", "p0", "3")]),
-    (
-        "SELECT COUNT(*) FROM comments WHERE post_id=12 AND approved=1",
-        [("get", "p0", "12")],
-    ),
-]
-ATTACK = (
-    "SELECT name FROM users WHERE id=1 OR 1=1 LIMIT 1",
-    [("get", "p0", "1 OR 1=1")],
-)
-ATTACK_EVERY = 20
-
-
-def _context(inputs):
-    return RequestContext(
-        inputs=[CapturedInput(s, n, v) for s, n, v in inputs]
-    )
-
-
-def _request_stream(requests: int):
-    for i in range(requests):
-        if i % ATTACK_EVERY == ATTACK_EVERY - 1:
-            yield ATTACK, True
-        else:
-            yield BENIGN[i % len(BENIGN)], False
-
-
-def _timed_pass(engine, requests: int) -> dict:
-    latencies = []
-    for (query, inputs), _is_attack in _request_stream(requests):
-        context = _context(inputs)
-        started = time.perf_counter()
-        try:
-            engine.check_query(query, context)
-        except QueryBlockedError:
-            pass
-        latencies.append(time.perf_counter() - started)
-    return latency_summary(latencies)
-
-
-def measure_fig8_overhead(*, requests: int, repeats: int = 8) -> dict:
-    """Per-request p50 with and without the journal attached.
-
-    The gate compares a ~20 microsecond p50, so raw back-to-back runs
-    are dominated by scheduler noise (a busy CI box drifts whole passes
-    by tens of percent), not by the journaling cost under test.  Both
-    engines are built and warmed up front; timed passes then run as
-    adjacent plain/journaled *pairs* and the reported overhead is the
-    median of the per-pair p50 ratios -- drift on a 100ms scale lands on
-    both halves of a pair, so it cancels, while a real journaling cost
-    appears in every pair.  Each leg's reported summary is its fastest
-    pass (the suite's wall-clock idiom).
-    """
-    tmpdir = tempfile.mkdtemp(prefix="joza-bench-dur-")
-    plain_engine = JozaEngine.from_fragments(SWARM_FRAGMENTS)
-    journaled_engine = JozaEngine.from_fragments(SWARM_FRAGMENTS)
-    state = DurableState(tmpdir, fsync=FsyncPolicy.BATCH)
-    journaled_engine.attach_durability(state)
-    # Warm caches so the timed passes see the steady state.
-    for engine in (plain_engine, journaled_engine):
-        for (query, inputs), _is_attack in _request_stream(requests // 10 + 20):
-            try:
-                engine.check_query(query, _context(inputs))
-            except QueryBlockedError:
-                pass
-    per_pass = max(150, requests // 2)
-    legs: dict[str, dict | None] = {"plain": None, "journaled": None}
-    pair_overheads = []
-    for _ in range(repeats):
-        pair = {}
-        for leg, engine in (
-            ("plain", plain_engine),
-            ("journaled", journaled_engine),
-        ):
-            candidate = _timed_pass(engine, per_pass)
-            pair[leg] = candidate["p50"]
-            if legs[leg] is None or candidate["p50"] < legs[leg]["p50"]:
-                legs[leg] = candidate
-        if pair["plain"]:
-            pair_overheads.append(
-                (pair["journaled"] - pair["plain"]) / pair["plain"] * 100
-            )
-    legs["journaled"]["durability"] = {
-        k: v
-        for k, v in state.durability_report().items()
-        if k in ("appends", "fsyncs", "audit_persisted", "bytes_written")
-    }
-    state.close()
-    shutil.rmtree(tmpdir, ignore_errors=True)
-    ordered = sorted(pair_overheads)
-    middle = len(ordered) // 2
-    median = (
-        (ordered[middle - 1] + ordered[middle]) / 2
-        if len(ordered) % 2 == 0
-        else ordered[middle]
-    )
-    # The gated estimator is the *minimum* pair overhead: a genuine
-    # journaling cost shows up in every adjacent pair, while scheduler
-    # contention inflates only the pairs whose journaled half hit a busy
-    # window -- so "some pair ran clean and still showed >= 1%" is the
-    # noise-immune form of the hot-path claim.
-    return {
-        "requests": per_pass * repeats,
-        "plain": legs["plain"],
-        "journaled": legs["journaled"],
-        "pair_overheads_pct": pair_overheads,
-        "overhead_p50_median_pct": median,
-        "overhead_p50_pct": min(pair_overheads) if pair_overheads else 0.0,
-    }
-
 
 def measure_recovery(*, fragments: int, mutations: int, audits: int) -> dict:
-    """Time recover() of a crashed wp.com-scale state directory."""
+    """Time recover() of a crashed wp.com-scale state directory.
+
+    ``mutations`` tenant overlay reloads (one record per tenant) and
+    ``audits`` audit events sit in the journal on top of the checkpointed
+    base vocabulary, so every recovery replays all of them.
+    """
     vocabulary = [
         f"SELECT col_{i} FROM wp_table_{i % 37} WHERE k_{i % 11} = "
         for i in range(fragments)
@@ -175,7 +59,9 @@ def measure_recovery(*, fragments: int, mutations: int, audits: int) -> dict:
             tmpdir, seed_fragments=vocabulary, fsync=FsyncPolicy.NEVER
         )
         for i in range(mutations):
-            state.store.add_many([f"SELECT late_{i} FROM t WHERE id = "])
+            state.set_overlay(
+                f"tenant-{i}", [f"SELECT late_{i} FROM t WHERE id = "]
+            )
         for i in range(audits):
             state.append_audit(
                 {"query": f"1 OR {i}={i}", "client": "bench", "n": i}
@@ -187,7 +73,9 @@ def measure_recovery(*, fragments: int, mutations: int, audits: int) -> dict:
             started = time.perf_counter()
             recovered = recover(tmpdir)
             timings.append(time.perf_counter() - started)
-        assert len(recovered.fragments) == fragments + mutations
+        assert len(recovered.fragments) == fragments
+        assert len(recovered.overlays) == mutations
+        assert len(recovered.audit) == audits
         checkpoint_bytes = os.path.getsize(
             os.path.join(tmpdir, "checkpoint.jz")
         )
@@ -242,7 +130,6 @@ def measure_checkpoint_storm(*, appends: int) -> dict:
 
 def run_durability_bench(*, smoke: bool) -> dict:
     scale = dict(
-        requests=600 if smoke else 1200,
         fragments=2_000 if smoke else 12_000,
         mutations=100 if smoke else 400,
         audits=100 if smoke else 400,
@@ -252,7 +139,6 @@ def run_durability_bench(*, smoke: bool) -> dict:
         "benchmark": SIDE_CAR,
         "mode": "smoke" if smoke else "full",
         "fsync_policy": "batch",
-        "fig8_overhead": measure_fig8_overhead(requests=scale["requests"]),
         "recovery": measure_recovery(
             fragments=scale["fragments"],
             mutations=scale["mutations"],
@@ -260,7 +146,6 @@ def run_durability_bench(*, smoke: bool) -> dict:
         ),
         "checkpoint_storm": measure_checkpoint_storm(appends=scale["appends"]),
         "gates": {
-            "overhead_p50_pct": GATE_OVERHEAD_P50_PCT,
             "recovery_seconds": GATE_RECOVERY_SECONDS,
             "storm_p99_seconds": GATE_STORM_P99_SECONDS,
         },
@@ -269,12 +154,6 @@ def run_durability_bench(*, smoke: bool) -> dict:
 
 def check_gates(payload: dict) -> list[str]:
     failures = []
-    overhead = payload["fig8_overhead"]["overhead_p50_pct"]
-    if overhead >= GATE_OVERHEAD_P50_PCT:
-        failures.append(
-            f"journaling p50 overhead {overhead:.3f}% >= "
-            f"{GATE_OVERHEAD_P50_PCT}% (fsync=batch must be hot-path free)"
-        )
     recovery = payload["recovery"]["recovery_seconds"]
     if recovery >= GATE_RECOVERY_SECONDS:
         failures.append(
@@ -291,26 +170,10 @@ def check_gates(payload: dict) -> list[str]:
 
 
 def render(payload: dict) -> str:
-    fig8 = payload["fig8_overhead"]
     recovery = payload["recovery"]
     storm = payload["checkpoint_storm"]
     pairs = [
         ("mode", payload["mode"]),
-        (
-            "fig8 p50 plain / journaled",
-            f"{fig8['plain']['p50'] * 1000:.4f} ms / "
-            f"{fig8['journaled']['p50'] * 1000:.4f} ms "
-            f"(overhead {fig8['overhead_p50_pct']:+.3f}%, gate <"
-            f"{GATE_OVERHEAD_P50_PCT}%)",
-        ),
-        (
-            "journal traffic during fig8 leg",
-            f"{fig8['journaled']['durability']['appends']} appends, "
-            f"{fig8['journaled']['durability']['fsyncs']} fsyncs "
-            f"(group commit), "
-            f"{fig8['journaled']['durability']['audit_persisted']} attacks"
-            f" persisted",
-        ),
         (
             "recovery at scale",
             f"{recovery['fragments']} fragments + "
@@ -328,9 +191,7 @@ def render(payload: dict) -> str:
             f"{GATE_STORM_P99_SECONDS * 1000:.0f}ms)",
         ),
     ]
-    return render_kv(
-        "Durability: journaling overhead, recovery, checkpoint storm", pairs
-    )
+    return render_kv("Durability: recovery, checkpoint storm", pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="CI-sized workload (fewer requests, 2k-fragment recovery)",
+        help="CI-sized workload (2k-fragment recovery, fewer appends)",
     )
     args = parser.parse_args(argv)
 
@@ -388,9 +249,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"GATE FAILED: {failure}", file=sys.stderr)
     if not failures:
         print(
-            f"gates passed: p50 overhead "
-            f"{payload['fig8_overhead']['overhead_p50_pct']:+.3f}% < "
-            f"{GATE_OVERHEAD_P50_PCT}%, recovery "
+            f"gates passed: recovery "
             f"{payload['recovery']['recovery_seconds']:.3f}s, storm p99 "
             f"{payload['checkpoint_storm']['storm']['p99'] * 1000:.2f}ms"
         )

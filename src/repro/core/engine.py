@@ -221,11 +221,6 @@ class JozaEngine:
         self.attack_log: RingLog = RingLog(
             self.config.resilience.attack_log_capacity
         )
-        #: Optional durable state (DESIGN.md section 15): when attached,
-        #: attack-audit events are journaled through the ring's sink and
-        #: the store's mutations hit the write-ahead journal, so a crash
-        #: loses neither vocabulary nor forensics.
-        self._durable = None
         #: Lazily-built in-process PTI fallback (FALLBACK_IN_PROCESS policy).
         self._fallback_daemon: PTIDaemon | None = None
         #: Query-shape fast path (DESIGN.md "shape fast path").  Only active
@@ -1068,25 +1063,6 @@ class JozaEngine:
             )
         )
 
-    def attach_durability(self, durable) -> None:
-        """Bind a :class:`~repro.persist.DurableState` to this engine.
-
-        Attack records appended to the audit ring are journaled through
-        the ring's persistence sink (so eviction stops meaning lost
-        evidence), and ``resilience_report()`` grows a ``durability``
-        section.  Passing ``None`` detaches.
-        """
-        self._durable = durable
-        if durable is None:
-            self.attack_log.attach_sink(None)
-            return
-
-        def _persist(record) -> None:
-            event = record.to_dict() if hasattr(record, "to_dict") else dict(record)
-            durable.append_audit(event)
-
-        self.attack_log.attach_sink(_persist)
-
     def resilience_report(self) -> dict:
         """Degradation counters + daemon fault-absorption stats.
 
@@ -1124,16 +1100,6 @@ class JozaEngine:
             # (DESIGN.md section 13); registry-wide counters live in the
             # gateway/registry report.
             report["tenancy"] = tenancy()
-        if self._durable is not None:
-            # Durable state attached (DESIGN.md section 15): journal and
-            # checkpoint counters, replay stats, and how much of the audit
-            # ring's churn is backed by the journal vs actually lost.
-            durability = dict(self._durable.durability_report())
-            # ``audit_persisted`` (journal-level) comes from the durable
-            # state; the ring counters qualify the in-memory log's churn.
-            durability["audit_drops_recovered"] = self.attack_log.drops_recovered
-            durability["audit_sink_failures"] = self.attack_log.sink_failures
-            report["durability"] = durability
         return report
 
     def export_attack_log(self) -> str:

@@ -437,7 +437,7 @@ class RingLog:
     reader mid-walk.
 
     Persistence: :meth:`attach_sink` registers a callable that receives
-    every appended record (the durability layer journals it; DESIGN.md
+    every appended record (a gateway's durable state journals it; DESIGN.md
     section 15).  With a sink attached, eviction stops meaning *lost*
     attack evidence -- the ring bounds memory while the journal keeps the
     full trail -- so drops-with-a-sink are counted separately as

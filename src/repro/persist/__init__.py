@@ -1,28 +1,27 @@
 """Crash-safe durable state for the guard fleet (DESIGN.md section 15).
 
 The paper deploys Joza as a *long-lived* DB interposition layer (Section
-V) whose protection quality is exactly its accumulated trusted-fragment
-state -- and whose audit value is the attack evidence it has recorded.
-Everything upstream of this package keeps that state purely in memory, so
-a crash or redeploy silently discards the learned vocabulary (forcing a
-cold re-learn during which legitimate traffic is mis-flagged) and every
-attack record (forensics gone).  This package makes both survive the
-operational lifecycle of the application they protect:
+V).  Its base vocabulary is extracted from the application's sources, so
+the only state a running gateway creates is what it writes itself: the
+tenant overlays it reloads and the attack evidence it records.  Kept
+purely in memory, a crash or redeploy would discard both.  This package
+makes them survive the operational lifecycle of the application they
+protect:
 
 - :mod:`repro.persist.journal` -- a CRC32-framed append-only write-ahead
-  journal for fragment-store mutations and attack-audit events, with a
+  journal for tenant overlays and attack-audit events, with a
   configurable group-commit fsync policy, torn-tail truncation on replay
   and a typed :class:`JournalCorrupt` refusal for mid-stream damage.
 - :mod:`repro.persist.checkpoint` -- periodic compacted snapshots reusing
   the store snapshot frame (``pack_store_snapshot``), written via
   temp-file + atomic rename; the journal is truncated only after the
   checkpoint is durably on disk.
-- :mod:`repro.persist.state` -- :class:`DurableFragmentStore` (a
-  journaling :class:`~repro.pti.fragments.FragmentStore`) and
-  :class:`DurableState` (one state directory: store + tenant overlays +
-  audit trail + recovery).  A gateway started with a state directory
-  owns one :class:`DurableState`; it is the only writer of tenant
-  overlays, journaling each reload before pushing it to its workers.
+- :mod:`repro.persist.state` -- :class:`DurableState` (one state
+  directory: the base vocabulary checkpointed at first boot, tenant
+  overlays, audit trail, recovery).  A gateway started with a state
+  directory owns one :class:`DurableState`; it is the only writer of
+  tenant overlays, journaling each reload before pushing it to its
+  workers.
 
 The recovery contract is **fail-closed**: ``recover(state_dir)`` either
 restores a verified durable prefix of the pre-crash state or raises
@@ -41,12 +40,7 @@ from .journal import (
     scan_journal,
 )
 from .checkpoint import read_checkpoint, write_checkpoint
-from .state import (
-    DurableFragmentStore,
-    DurableState,
-    RecoveredState,
-    recover,
-)
+from .state import DurableState, RecoveredState, recover
 
 __all__ = [
     "FsyncPolicy",
@@ -56,7 +50,6 @@ __all__ = [
     "scan_journal",
     "read_checkpoint",
     "write_checkpoint",
-    "DurableFragmentStore",
     "DurableState",
     "RecoveredState",
     "recover",

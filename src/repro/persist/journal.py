@@ -1,10 +1,10 @@
 """CRC32-framed append-only write-ahead journal (DESIGN.md section 15).
 
-One journal file records the mutation history of one fragment store plus
-its attack-audit events.  The framing reuses the length-prefixed
-discipline of :mod:`repro.pti.wire` -- every structural field is
-bound-checked before any allocation, and every decode failure is a typed
-refusal, never a partial result:
+One journal file records what changed in a gateway's durable state since
+its last checkpoint: tenant overlays and attack-audit events.  The
+framing reuses the length-prefixed discipline of :mod:`repro.pti.wire`
+-- every structural field is bound-checked before any allocation, and
+every decode failure is a typed refusal, never a partial result:
 
 ``file``::
 
@@ -23,9 +23,8 @@ refusal, never a partial result:
 for exactly one reason: a checkpoint records the highest sequence it
 compacted (in its seal), so if a crash lands between "checkpoint
 durable" and "journal truncated", replay skips the records the
-checkpoint already absorbed instead of double-applying them -- epoch
-arithmetic and the audit trail stay exact, not merely
-contents-idempotent.
+checkpoint already absorbed instead of double-applying them -- the
+audit trail stays exact, not merely contents-idempotent.
 
 Append discipline (the WAL contract): a mutation is written to the
 journal *before* it is applied in memory, each record in a single
@@ -41,7 +40,7 @@ exactly two cases:
   out-of-bounds declared length, or a damaged file magic.  This is not a
   crash shape (single-``write`` appends tear, they do not scramble), so
   replay raises :class:`JournalCorrupt` and the caller must refuse to
-  serve -- fail closed, never a silently wrong vocabulary.
+  serve -- fail closed, never a silently wrong state.
 
 One ambiguity is fundamental and documented: a bit flip that *increases*
 the final record's length field is indistinguishable from a torn tail,
@@ -52,9 +51,7 @@ the journal fuzz suite pins exactly this contract.
 Durability knobs: :class:`FsyncPolicy` selects fsync-per-append
 (``ALWAYS``), group commit (``BATCH``: fsync once per
 ``batch_size`` appends or explicit :meth:`JournalWriter.commit`) or
-OS-buffered (``NEVER``, benches and tests).  The Fig. 8 overhead gate
-(<1% p50, ``benchmarks/bench_durability.py``) runs at the default
-``BATCH`` policy.
+OS-buffered (``NEVER``, benches and tests).
 """
 
 from __future__ import annotations
@@ -65,16 +62,13 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from ..pti.wire import MAX_FRAME
 
 __all__ = [
     "FILE_MAGIC",
     "MAX_RECORD",
-    "REC_FRAG_ADD",
-    "REC_FRAG_REMOVE",
-    "REC_FRAG_RELOAD",
     "REC_AUDIT",
     "REC_SNAPSHOT",
     "REC_TENANT_OVERLAY",
@@ -84,9 +78,6 @@ __all__ = [
     "JournalScan",
     "JournalWriter",
     "scan_journal",
-    "encode_frag_add",
-    "encode_frag_remove",
-    "encode_frag_reload",
     "encode_audit",
     "encode_snapshot",
     "encode_tenant_overlay",
@@ -109,26 +100,15 @@ _SEQ = struct.Struct("<Q")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 
-#: Record kinds (the payload's leading byte).
-REC_FRAG_ADD = 1  # fragment batch inserted (add / add_many)
-REC_FRAG_REMOVE = 2  # one fragment removed
-REC_FRAG_RELOAD = 3  # full vocabulary replaced
+#: Record kinds (the payload's leading byte).  Kinds 1-3 are retired: a
+#: journal holding one fails closed as an unknown kind, so they must not
+#: be reused.
 REC_AUDIT = 4  # one attack-audit event (UTF-8 JSON object)
 REC_SNAPSHOT = 5  # embedded pack_store_snapshot frame (checkpoints)
 REC_TENANT_OVERLAY = 6  # tenant-id -> overlay fragment list
 REC_SEAL = 7  # checkpoint seal: record count precedes it
 
-_KNOWN_KINDS = frozenset(
-    {
-        REC_FRAG_ADD,
-        REC_FRAG_REMOVE,
-        REC_FRAG_RELOAD,
-        REC_AUDIT,
-        REC_SNAPSHOT,
-        REC_TENANT_OVERLAY,
-        REC_SEAL,
-    }
-)
+_KNOWN_KINDS = frozenset({REC_AUDIT, REC_SNAPSHOT, REC_TENANT_OVERLAY, REC_SEAL})
 
 
 class JournalCorrupt(Exception):
@@ -223,24 +203,6 @@ def _decode_str_list(payload: bytes, offset: int, what: str) -> list[str]:
     return out
 
 
-def encode_frag_add(fragments: Sequence[str]) -> bytes:
-    """One inserted fragment batch (the actually-new fragments only)."""
-    return _encode_str_list(REC_FRAG_ADD, fragments)
-
-
-def encode_frag_remove(fragment: str) -> bytes:
-    raw = fragment.encode("utf-8", "surrogatepass")
-    payload = bytes([REC_FRAG_REMOVE]) + _U32.pack(len(raw)) + raw
-    if len(payload) > MAX_RECORD:
-        raise JournalCorrupt(f"record of {len(payload)} bytes exceeds MAX_RECORD")
-    return payload
-
-
-def encode_frag_reload(fragments: Sequence[str]) -> bytes:
-    """Full vocabulary replacement (deduplicated, in kept order)."""
-    return _encode_str_list(REC_FRAG_RELOAD, fragments)
-
-
 def encode_audit(record: dict) -> bytes:
     """One attack-audit event as canonical UTF-8 JSON."""
     raw = json.dumps(record, sort_keys=True, separators=(",", ":")).encode(
@@ -281,24 +243,15 @@ def encode_seal(record_count: int, journal_seq: int) -> bytes:
 def decode_record(payload: bytes) -> tuple[int, object]:
     """Decode one CRC-verified payload into ``(kind, body)`` (fail-closed).
 
-    Bodies by kind: fragment lists for ADD/RELOAD, a string for REMOVE, a
-    dict for AUDIT, raw frame bytes for SNAPSHOT, ``(tenant_id,
-    fragments)`` for TENANT_OVERLAY, a record count for SEAL.
+    Bodies by kind: a dict for AUDIT, raw frame bytes for SNAPSHOT,
+    ``(tenant_id, fragments)`` for TENANT_OVERLAY, ``(record_count,
+    journal_seq)`` for SEAL.
     """
     if not payload:
         raise JournalCorrupt("empty record payload")
     kind = payload[0]
     if kind not in _KNOWN_KINDS:
         raise JournalCorrupt(f"unknown record kind: {kind}")
-    if kind in (REC_FRAG_ADD, REC_FRAG_RELOAD):
-        return kind, _decode_str_list(payload, 1, "fragment")
-    if kind == REC_FRAG_REMOVE:
-        if len(payload) < 1 + _U32.size:
-            raise JournalCorrupt("truncated remove record")
-        (blen,) = _U32.unpack_from(payload, 1)
-        if 1 + _U32.size + blen != len(payload):
-            raise JournalCorrupt("remove record length mismatch")
-        return kind, _decode_text(payload[1 + _U32.size :], "fragment")
     if kind == REC_AUDIT:
         if len(payload) < 1 + _U32.size:
             raise JournalCorrupt("truncated audit record")
@@ -451,9 +404,8 @@ class JournalWriter:
     tear appends at exact byte offsets.  The object must support
     ``write``/``flush``/``fileno``/``close``/``tell``.
 
-    Thread safety: callers serialise appends themselves -- the store's
-    mutation lock already does for fragment ops, and the audit sink
-    appends under the ring log's lock.
+    Thread safety: callers serialise appends themselves --
+    :class:`~repro.persist.DurableState` appends under its own lock.
     """
 
     def __init__(
@@ -475,7 +427,7 @@ class JournalWriter:
         self.next_seq = start_seq
         self._file = opener(path) if opener is not None else open(path, "ab")
         self._pending = 0
-        # Observability (surfaced via resilience_report()["durability"]).
+        # Observability (surfaced via the gateway's durability report).
         self.appends = 0
         self.fsyncs = 0
         self.bytes_written = 0
@@ -513,10 +465,6 @@ class JournalWriter:
             self._sync(force=True)
         else:
             self._file.flush()
-
-    def append_many(self, payloads: Iterable[bytes]) -> None:
-        for payload in payloads:
-            self.append(payload)
 
     def commit(self) -> None:
         """Force everything appended so far to stable storage."""

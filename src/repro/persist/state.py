@@ -1,19 +1,17 @@
-"""Durable state directories: journaling store and recovery.
+"""Durable state directories: recovery and the gateway's durable state.
 
-This module ties the journal and checkpoint primitives into the objects
-the rest of the guard uses (DESIGN.md section 15):
+This module ties the journal and checkpoint primitives into the one
+object a gateway started with a state directory owns (DESIGN.md section
+15):
 
-- :class:`DurableFragmentStore` -- a :class:`~repro.pti.fragments.
-  FragmentStore` that journals every mutation *before* applying it (the
-  WAL discipline: if the journal append fails, the mutation is refused
-  and memory is untouched, so disk never lags memory).
 - :func:`recover` -- newest valid checkpoint + verified journal replay,
   returning a :class:`RecoveredState`; fail-closed on any mid-stream
   damage, torn tails truncated and counted.
 - :class:`DurableState` -- one state directory (``checkpoint.jz`` +
-  ``journal.jz``) wrapping store, tenant overlays and the attack-audit
-  tail, with group commit, periodic compaction and a crash-shaped
-  ``abandon()`` for the harness and non-drain shutdowns.
+  ``journal.jz``) holding the base vocabulary checkpointed at first boot,
+  the tenant overlays and the attack-audit tail, with journal-before-
+  publish writes, periodic compaction and a crash-shaped ``abandon()``
+  for the harness and non-drain shutdowns.
 """
 
 from __future__ import annotations
@@ -25,30 +23,23 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from ..pti.fragments import FragmentStore
 from .checkpoint import read_checkpoint, sweep_stale_tmp, write_checkpoint
 from .journal import (
     REC_AUDIT,
-    REC_FRAG_ADD,
-    REC_FRAG_RELOAD,
-    REC_FRAG_REMOVE,
     REC_TENANT_OVERLAY,
     FsyncPolicy,
     JournalCorrupt,
     JournalWriter,
     decode_record,
     encode_audit,
-    encode_frag_add,
-    encode_frag_reload,
-    encode_frag_remove,
     encode_tenant_overlay,
     scan_journal,
 )
 
 __all__ = [
+    "AUDIT_KEEP",
     "CHECKPOINT_NAME",
     "JOURNAL_NAME",
-    "DurableFragmentStore",
     "DurableState",
     "RecoveredState",
     "recover",
@@ -56,68 +47,9 @@ __all__ = [
 
 CHECKPOINT_NAME = "checkpoint.jz"
 JOURNAL_NAME = "journal.jz"
-
-
-class DurableFragmentStore(FragmentStore):
-    """Fragment store whose mutations hit the journal before memory.
-
-    Construction-time fragments are *not* journaled (they are either the
-    recovered state itself or a seed that the owner immediately
-    checkpoints); journaling starts when :meth:`bind_journal` attaches a
-    writer.  Each mutation appends exactly one logical record -- the
-    deduplicated batch for ``add_many``, the kept-order vocabulary for
-    ``reload`` -- so replay reproduces both contents *and* epoch
-    arithmetic (``+len(added)`` / ``+1`` / ``+1``) deterministically.
-    """
-
-    def __init__(self, fragments: Iterable[str] = ()) -> None:
-        self._journal: JournalWriter | None = None
-        super().__init__(fragments)
-
-    def bind_journal(self, journal: JournalWriter | None) -> None:
-        with self._mutation_lock:
-            self._journal = journal
-
-    def add_many(self, fragments: Iterable[str]) -> None:
-        with self._mutation_lock:
-            if self._journal is None:
-                return super().add_many(fragments)
-            seen = self._state.seen
-            batch: list[str] = []
-            batch_seen: set[str] = set()
-            for fragment in fragments:
-                if not fragment or fragment in seen or fragment in batch_seen:
-                    continue
-                batch_seen.add(fragment)
-                batch.append(fragment)
-            if not batch:
-                return
-            # WAL: a failed append raises here and the mutation is refused.
-            self._journal.append(encode_frag_add(batch))
-            super().add_many(batch)
-
-    def remove(self, fragment: str) -> bool:
-        with self._mutation_lock:
-            if self._journal is None:
-                return super().remove(fragment)
-            if fragment not in self._state.seen:
-                return False
-            self._journal.append(encode_frag_remove(fragment))
-            return super().remove(fragment)
-
-    def reload(self, fragments: Iterable[str], *, warm: bool = False) -> None:
-        with self._mutation_lock:
-            if self._journal is None:
-                return super().reload(fragments, warm=warm)
-            seen: set[str] = set()
-            kept: list[str] = []
-            for fragment in fragments:
-                if not fragment or fragment in seen:
-                    continue
-                seen.add(fragment)
-                kept.append(fragment)
-            self._journal.append(encode_frag_reload(kept))
-            super().reload(kept, warm=warm)
+#: Audit events kept in memory and written into each checkpoint; the
+#: journal holds every event appended since the last checkpoint.
+AUDIT_KEEP = 256
 
 
 @dataclass
@@ -142,9 +74,6 @@ class RecoveredState:
     torn_bytes: int = 0
     stale_tmp_swept: int = 0
 
-    def build_store(self) -> DurableFragmentStore:
-        return DurableFragmentStore.restore(self.fragments, self.epoch)
-
     def report(self) -> dict:
         return {
             "source": self.source,
@@ -166,16 +95,25 @@ def recover(state_dir: str) -> RecoveredState:
     Recovery = newest valid checkpoint + journal replay, in four steps:
     sweep stale ``*.tmp`` (crashes mid-checkpoint), verify + load the
     checkpoint, verify the journal (truncating a torn tail so repeated
-    recovery is idempotent), then replay records over an in-memory
-    replica of the checkpoint.  Any mid-stream damage in either file
-    raises :class:`JournalCorrupt` -- the caller must refuse to serve,
-    never run on a silently partial vocabulary.
+    recovery is idempotent), then replay its overlay and audit records on
+    top.  Any mid-stream damage in either file raises
+    :class:`JournalCorrupt` -- the caller must refuse to serve, never run
+    on a silently partial state.
     """
     recovered = RecoveredState(fragments=[], epoch=0)
     recovered.stale_tmp_swept = sweep_stale_tmp(state_dir)
 
-    checkpoint = read_checkpoint(os.path.join(state_dir, CHECKPOINT_NAME))
+    checkpoint_path = os.path.join(state_dir, CHECKPOINT_NAME)
+    checkpoint = read_checkpoint(checkpoint_path)
     if checkpoint is not None:
+        # Installing a non-empty vocabulary bumps the epoch at least once,
+        # so fragments at epoch 0 are history no writer produces: damage.
+        if checkpoint.fragments and checkpoint.epoch < 1:
+            raise JournalCorrupt(
+                f"checkpoint epoch {checkpoint.epoch} is below 1 with "
+                f"{len(checkpoint.fragments)} fragments present",
+                path=checkpoint_path,
+            )
         recovered.fragments = list(checkpoint.fragments)
         recovered.epoch = checkpoint.epoch
         recovered.overlays = {t: list(f) for t, f in checkpoint.overlays.items()}
@@ -191,55 +129,44 @@ def recover(state_dir: str) -> RecoveredState:
         with open(journal_path, "r+b") as handle:
             handle.truncate(scan.valid_bytes)
 
-    if scan.records:
-        # Replay over a plain store: epoch arithmetic is reproduced by the
-        # same mutation paths that produced the records.  Records the
-        # checkpoint seal already covers are skipped, not re-applied -- a
-        # crash between checkpoint publication and journal truncation
-        # must not double-count epochs or duplicate audit events.
-        replica = FragmentStore.restore(recovered.fragments, recovered.epoch)
-        replayed = 0
-        for seq, payload in scan.records:
-            if seq <= recovered.journal_seq:
-                recovered.skipped_records += 1
-                continue
-            kind, body = decode_record(payload)
-            if kind == REC_FRAG_ADD:
-                replica.add_many(body)
-            elif kind == REC_FRAG_REMOVE:
-                replica.remove(body)
-            elif kind == REC_FRAG_RELOAD:
-                replica.reload(body)
-            elif kind == REC_AUDIT:
-                recovered.audit.append(body)
-            elif kind == REC_TENANT_OVERLAY:
-                tenant_id, fragments = body
-                recovered.overlays[tenant_id] = list(fragments)
-            else:
-                raise JournalCorrupt(
-                    f"checkpoint-only record kind {kind} in journal",
-                    path=journal_path,
-                )
-            replayed += 1
-            recovered.journal_seq = seq
-        recovered.replayed_records = replayed
-        recovered.fragments = list(replica.fragments)
-        recovered.epoch = replica.epoch
-        if replayed:
-            recovered.source = (
-                "checkpoint+journal" if checkpoint is not None else "journal"
+    # Records the checkpoint seal already covers are skipped, not
+    # re-applied -- a crash between checkpoint publication and journal
+    # truncation must not duplicate audit events.
+    for seq, payload in scan.records:
+        if seq <= recovered.journal_seq:
+            recovered.skipped_records += 1
+            continue
+        kind, body = decode_record(payload)
+        if kind == REC_AUDIT:
+            recovered.audit.append(body)
+        elif kind == REC_TENANT_OVERLAY:
+            tenant_id, fragments = body
+            recovered.overlays[tenant_id] = list(fragments)
+        else:
+            raise JournalCorrupt(
+                f"checkpoint-only record kind {kind} in journal",
+                path=journal_path,
             )
+        recovered.replayed_records += 1
+        recovered.journal_seq = seq
+    if recovered.replayed_records:
+        recovered.source = (
+            "checkpoint+journal" if checkpoint is not None else "journal"
+        )
     return recovered
 
 
 class DurableState:
-    """One durable state directory: store + overlays + audit + recovery.
+    """One durable state directory: base vocabulary, overlays, audit.
 
     Opening an existing directory recovers it (fail-closed); opening a
-    fresh one seeds the store from ``seed_fragments`` and immediately
-    writes the initial checkpoint, so a crash one instant later already
-    restores the seed.  Persisted state always wins over the seed -- the
-    seed is only the cold-start vocabulary.
+    fresh one takes ``seed_fragments`` as the base vocabulary and
+    immediately writes the initial checkpoint, so a crash one instant
+    later already restores the seed.  Persisted state always wins over
+    the seed, and nothing changes the base after the first boot:
+    ``fragments`` and ``epoch`` are plain values.  Tenant overlays and
+    audit events are journaled before they are published -- a failed
+    append raises and leaves ``overlays`` and the audit tail untouched.
 
     ``opener`` / ``replace`` are the crash-injection hooks, threaded down
     to :class:`JournalWriter` and :func:`write_checkpoint`.
@@ -251,9 +178,7 @@ class DurableState:
         *,
         seed_fragments: Iterable[str] = (),
         fsync: FsyncPolicy | str = FsyncPolicy.BATCH,
-        batch_size: int = 64,
         checkpoint_every: int = 512,
-        audit_keep: int = 256,
         opener: Callable[[str], object] | None = None,
         replace: Callable[[str, str], None] | None = None,
     ) -> None:
@@ -272,15 +197,17 @@ class DurableState:
 
         self.recovered = recover(state_dir)
         if self.recovered.source == "fresh":
-            self.store = DurableFragmentStore(seed_fragments)
-            self.overlays: dict[str, list[str]] = {}
-            self._audit: deque[dict] = deque(maxlen=audit_keep)
-        else:
-            self.store = DurableFragmentStore.restore(
-                self.recovered.fragments, self.recovered.epoch
+            # The seed as a FragmentStore would hold it: empty strings
+            # dropped, first occurrence kept, one epoch bump per fragment.
+            self.fragments: tuple[str, ...] = tuple(
+                dict.fromkeys(f for f in seed_fragments if f)
             )
-            self.overlays = dict(self.recovered.overlays)
-            self._audit = deque(self.recovered.audit, maxlen=audit_keep)
+            self.epoch = len(self.fragments)
+        else:
+            self.fragments = tuple(self.recovered.fragments)
+            self.epoch = self.recovered.epoch
+        self.overlays: dict[str, list[str]] = dict(self.recovered.overlays)
+        self._audit: deque[dict] = deque(self.recovered.audit, maxlen=AUDIT_KEEP)
 
         # Observability.
         self.checkpoints_written = 0
@@ -291,12 +218,9 @@ class DurableState:
         self._journal = JournalWriter(
             os.path.join(state_dir, JOURNAL_NAME),
             fsync=fsync,
-            batch_size=batch_size,
             start_seq=self.recovered.journal_seq + 1,
             opener=opener,
         )
-        self.store.bind_journal(self._journal)
-        self._store_lock_hook()
 
         # Fresh directories (seed vocabulary) and recoveries that replayed
         # a journal compact immediately: a crash one instant later already
@@ -304,29 +228,15 @@ class DurableState:
         if self.recovered.source != "checkpoint":
             self.checkpoint()
 
-    def _store_lock_hook(self) -> None:
-        """Count journaled store mutations toward the checkpoint cadence.
-
-        The store appends its own records; wrap the journal's ``append``
-        so every record (fragment or audit) advances ``_since_checkpoint``
-        without double-counting anywhere.
-        """
-        raw_append = self._journal.append
-
-        def counting_append(payload: bytes) -> None:
-            raw_append(payload)
-            self._since_checkpoint += 1
-
-        self._journal.append = counting_append  # type: ignore[method-assign]
-
     # ------------------------------------------------------------------
-    # Mutations beyond the store itself
+    # Writers: journal first, then publish
     # ------------------------------------------------------------------
 
     def append_audit(self, event: dict) -> None:
         """Durably record one attack-audit event (journal-first)."""
         with self._lock:
             self._journal.append(encode_audit(event))
+            self._since_checkpoint += 1
             self._audit.append(event)
             self.audit_persisted += 1
 
@@ -335,6 +245,7 @@ class DurableState:
         with self._lock:
             kept = list(dict.fromkeys(f for f in fragments if f))
             self._journal.append(encode_tenant_overlay(tenant_id, kept))
+            self._since_checkpoint += 1
             self.overlays[tenant_id] = kept
 
     def audit_tail(self) -> list[dict]:
@@ -346,11 +257,10 @@ class DurableState:
     # ------------------------------------------------------------------
 
     def _write_checkpoint_locked(self) -> None:
-        snapshot = self.store.snapshot()
         write_checkpoint(
             os.path.join(self.state_dir, CHECKPOINT_NAME),
-            fragments=snapshot.fragments,
-            epoch=snapshot.epoch,
+            fragments=self.fragments,
+            epoch=self.epoch,
             overlays=self.overlays,
             audit=list(self._audit),
             journal_seq=self._journal.last_seq,
@@ -384,11 +294,6 @@ class DurableState:
             self.checkpoint()
             return True
 
-    def commit(self) -> None:
-        """Force the journal's pending group to stable storage."""
-        with self._lock:
-            self._journal.commit()
-
     # ------------------------------------------------------------------
     # Shutdown
     # ------------------------------------------------------------------
@@ -399,7 +304,6 @@ class DurableState:
             if self._closed:
                 return
             self._closed = True
-            self.store.bind_journal(None)
             try:
                 self.checkpoint()
             finally:
@@ -416,7 +320,6 @@ class DurableState:
             if self._closed:
                 return
             self._closed = True
-            self.store.bind_journal(None)
             self._journal.close(flush=False)
 
     # ------------------------------------------------------------------

@@ -204,32 +204,6 @@ class FragmentStore:
             store.add_many(extract_fragments(source))
         return store
 
-    @classmethod
-    def restore(cls, fragments: Iterable[str], epoch: int) -> "FragmentStore":
-        """Rebuild a store at an explicit epoch (checkpoint recovery).
-
-        Construction normally derives the epoch from mutation counting;
-        recovery must instead resume the *pre-crash* epoch so dependent
-        caches (compiled automata, replication frames) keyed on it stay
-        correct across a restart.  Any non-empty vocabulary took at least
-        one mutation (a single ``reload`` can install it all in one epoch
-        bump), so ``epoch`` must be >= 1 when fragments are present -- an
-        epoch below that could alias a different vocabulary.
-        """
-        store = cls(fragments)
-        with store._mutation_lock:
-            state = store._state
-            implied = 1 if state.fragments else 0
-            if epoch < implied:
-                raise ValueError(
-                    f"restore epoch {epoch} below implied minimum {implied}"
-                )
-            if epoch != state.epoch:
-                store._state = _StoreState(
-                    state.fragments, state.seen, state.index, epoch, state.automaton
-                )
-        return store
-
     def add(self, fragment: str) -> None:
         """Insert one fragment (idempotent; no-ops do not bump the epoch)."""
         self.add_many((fragment,))
@@ -255,9 +229,8 @@ class FragmentStore:
             new_fragments = state.fragments + tuple(added)
             # Appends never shift existing positions, so the successor
             # index extends the current one instead of re-scanning the
-            # whole vocabulary -- journal replay applies thousands of add
-            # records over wp.com-scale stores, and a full rebuild per
-            # record turns recovery O(records x vocabulary).  Each touched
+            # whole vocabulary -- a store grown by many small batches
+            # would otherwise cost O(batches x vocabulary).  Each touched
             # bucket is extended once per batch: growing a tuple position
             # by position costs time quadratic in the bucket's size.
             grown: dict[str, list[int]] = {}

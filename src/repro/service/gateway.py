@@ -124,7 +124,7 @@ class GatewayConfig:
     tenants: dict[str, list[str]] | None = None
     #: Durable state directory (DESIGN.md section 15).  When set, the
     #: gateway restores vocabulary + overlays + audit from it *before*
-    #: accepting, journals every mutation and unsafe verdict, and a
+    #: accepting, journals every overlay reload and audit event, and a
     #: drain-stop writes a final checkpoint.  ``None`` = in-memory only.
     state_dir: str | None = None
     #: Journal fsync policy: "always" / "batch" (group commit, default) /
@@ -338,7 +338,7 @@ class AsyncGateway:
             self.corruption_refusals += 1
             raise
         self.durable = durable
-        self.fragments = list(durable.store.fragments)
+        self.fragments = list(durable.fragments)
         if self.gw.tenants is not None:
             # Recovered overlays win over config; config tenants unseen by
             # the journal are first-boot additions and get journaled now.

@@ -19,10 +19,10 @@ silently wrong vocabulary) -- under three fault families:
 - **Disk rot**: :func:`flip_byte` mangles durable files in place for the
   corruption-refusal properties.
 
-:class:`StoreOracle` is the in-memory model: it mirrors the fragment
-store's mutation semantics (dedup, epoch arithmetic) and the audit
-trail, so a test can compute the expected state after any *prefix* of an
-op sequence and compare it against what ``recover()`` restores.
+:class:`StoreOracle` is the in-memory model: it holds the seeded base
+vocabulary, the tenant overlays and the audit trail, so a test can
+compute the expected state after any *prefix* of an op sequence and
+compare it against what ``recover()`` restores.
 
 Determinism: like :mod:`repro.testbed.faults`, nothing here sleeps or
 consults wall clocks; crash points are indices into the deterministic
@@ -43,7 +43,6 @@ __all__ = [
     "FaultPlan",
     "StoreOracle",
     "apply_op",
-    "apply_ops",
     "flip_byte",
     "generate_ops",
     "run_to_sigkill",
@@ -178,20 +177,14 @@ def flip_byte(path: str, offset: int, mask: int = 0xFF) -> None:
 # ----------------------------------------------------------------------
 
 #: Ops are plain picklable tuples so the SIGKILL child can receive them:
-#: ("add", [frags]) / ("remove", frag) / ("reload", [frags]) /
-#: ("audit", {...}) / ("overlay", tenant_id, [frags]).
+#: ("audit", {...}) / ("overlay", tenant_id, [frags]) -- the two writes a
+#: gateway journals.
 
 
 def apply_op(state, op) -> None:
     """Apply one op tuple to a :class:`~repro.persist.DurableState`."""
     kind = op[0]
-    if kind == "add":
-        state.store.add_many(op[1])
-    elif kind == "remove":
-        state.store.remove(op[1])
-    elif kind == "reload":
-        state.store.reload(op[1])
-    elif kind == "audit":
+    if kind == "audit":
         state.append_audit(op[1])
     elif kind == "overlay":
         state.set_overlay(op[1], op[2])
@@ -199,64 +192,32 @@ def apply_op(state, op) -> None:
         raise ValueError(f"unknown op kind {kind!r}")
 
 
-def apply_ops(state, ops: Iterable) -> None:
-    for op in ops:
-        apply_op(state, op)
+def _dedup(fragments: Iterable[str]) -> list[str]:
+    return list(dict.fromkeys(f for f in fragments if f))
 
 
 class StoreOracle:
     """Pure in-memory model of the durable state's semantics.
 
-    Mirrors :class:`~repro.pti.fragments.FragmentStore` exactly: dedup
-    on add (epoch advances by the count actually inserted), remove bumps
-    one, reload dedups in kept order and bumps one; audit events and
-    tenant overlays accumulate.  ``apply`` returns ``self`` so tests can
-    fold an op prefix.
+    The base vocabulary is the seed as the durable state keeps it (empty
+    strings dropped, first occurrence kept, epoch = its size) and never
+    changes; audit events accumulate and an overlay op replaces its
+    tenant's deduplicated overlay.  ``apply`` returns ``self`` so tests
+    can fold an op prefix.
     """
 
-    def __init__(self, fragments: Sequence[str] = (), epoch: int = 0) -> None:
-        self.fragments: list[str] = []
-        self.epoch = 0
+    def __init__(self, fragments: Sequence[str] = ()) -> None:
+        self.fragments = _dedup(fragments)
+        self.epoch = len(self.fragments)
         self.audit: list[dict] = []
         self.overlays: dict[str, list[str]] = {}
-        if fragments:
-            self.apply(("add", list(fragments)))
-        self.epoch = max(self.epoch, epoch)
 
     def apply(self, op) -> "StoreOracle":
         kind = op[0]
-        if kind == "add":
-            seen = set(self.fragments)
-            added = 0
-            for fragment in op[1]:
-                if fragment and fragment not in seen:
-                    seen.add(fragment)
-                    self.fragments.append(fragment)
-                    added += 1
-            self.epoch += added
-        elif kind == "remove":
-            if op[1] in self.fragments:
-                self.fragments = [f for f in self.fragments if f != op[1]]
-                self.epoch += 1
-        elif kind == "reload":
-            kept: list[str] = []
-            seen = set()
-            for fragment in op[1]:
-                if fragment and fragment not in seen:
-                    seen.add(fragment)
-                    kept.append(fragment)
-            self.fragments = kept
-            self.epoch += 1
-        elif kind == "audit":
+        if kind == "audit":
             self.audit.append(op[1])
         elif kind == "overlay":
-            kept = []
-            seen = set()
-            for fragment in op[2]:
-                if fragment and fragment not in seen:
-                    seen.add(fragment)
-                    kept.append(fragment)
-            self.overlays[op[1]] = kept
+            self.overlays[op[1]] = _dedup(op[2])
         else:  # pragma: no cover
             raise ValueError(f"unknown op kind {op[0]!r}")
         return self
@@ -282,14 +243,7 @@ def generate_ops(rng, count: int) -> list:
     ops = []
     vocabulary = [f"SELECT f{i} FROM t WHERE c = " for i in range(24)]
     for i in range(count):
-        roll = rng.random()
-        if roll < 0.45:
-            ops.append(("add", rng.sample(vocabulary, rng.randint(1, 4))))
-        elif roll < 0.60:
-            ops.append(("remove", rng.choice(vocabulary)))
-        elif roll < 0.75:
-            ops.append(("reload", rng.sample(vocabulary, rng.randint(2, 8))))
-        elif roll < 0.90:
+        if rng.random() < 0.6:
             ops.append(
                 ("audit", {"attack": i, "query": f"1 OR {i}={i}", "seed": True})
             )

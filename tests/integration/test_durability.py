@@ -12,9 +12,8 @@ The restart-equivalence and never-fail-open contracts (DESIGN.md section
 - **Tenancy**: a tenant-mode gateway restarted after a crash-shaped stop
   serves each tenant's reloaded overlay, hostile tenant ids included,
   from the same two files.
-- **Engine audit**: :meth:`JozaEngine.attach_durability` journals the
-  attack ring through the sink, so evicted ring entries are recovered
-  drops, not lost evidence.
+- **Gateway audit ring**: the gateway's audit ring journals through its
+  sink, so evicted ring entries are recovered drops, not lost evidence.
 - **Real SIGKILL**: the :mod:`repro.testbed.crashfaults` subprocess
   harness kills an actual child mid-append / mid-rename and recovery
   restores an exact oracle prefix.
@@ -31,10 +30,7 @@ import random
 import pytest
 
 from repro.cli import main
-from repro.core import JozaConfig, JozaEngine, ResilienceConfig
 from repro.persist import DurableState, FsyncPolicy, JournalCorrupt, recover
-from repro.phpapp.application import QueryBlockedError
-from repro.phpapp.context import CapturedInput, RequestContext
 from repro.service import AsyncGateway, GatewayClient, GatewayConfig, GatewayThread
 from repro.service import gateway as gateway_module
 from repro.service.codec import encode_verdict
@@ -276,34 +272,43 @@ def test_gateway_tenant_overlays_survive_crash_restart(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Engine audit ring -> journal sink
+# Gateway audit ring -> journal sink
 # ----------------------------------------------------------------------
 
 
-def test_engine_attack_ring_evictions_are_recovered_not_dropped(tmp_path):
-    state = DurableState(str(tmp_path / "state"), fsync=FsyncPolicy.NEVER)
-    engine = JozaEngine.from_fragments(
-        SWARM_FRAGMENTS,
-        JozaConfig(resilience=ResilienceConfig(attack_log_capacity=4)),
-    )
-    engine.attach_durability(state)
-    context = RequestContext(
-        inputs=[CapturedInput("get", "p0", "1 OR 1=1")]
-    )
-    for _ in range(10):
-        # check_query is the enforcement path that feeds the attack ring.
-        with pytest.raises(QueryBlockedError):
-            engine.check_query(ATTACK, context)
-    state.abandon()
+def test_gateway_audit_ring_evictions_are_recovered_not_dropped(tmp_path):
+    gateway = make_gateway(tmp_path, audit_capacity=4)
+    thread = GatewayThread(gateway).start()
+    client = GatewayClient(unix_path=gateway.gw.unix_path, client_id="dur")
+    try:
+        for _ in range(10):
+            # A spent budget sheds on arrival: one audited failsafe block
+            # per request, recorded through the gateway's ring.
+            [verdict] = client.inspect([BENIGN], budget=-1.0)
+            assert verdict["failsafe"] is True
+        gateway_report = gateway.resilience_report()["gateway"]
+    finally:
+        client.close()
+        thread.stop(drain=False)  # crash-shaped: no final checkpoint
 
-    ring = engine.attack_log
-    assert ring.persisted_records == 10
-    assert ring.drops_recovered == 6 and ring.dropped_records == 0
-    durability = engine.resilience_report()["durability"]
-    assert durability["audit_persisted"] == 10
+    assert gateway_report["expired_on_arrival"] == 10
+    assert gateway_report["audit_dropped_records"] == 0
+    durability = gateway_report["durability"]
     assert durability["audit_drops_recovered"] == 6
+    assert durability["audit_sink_failures"] == 0
+    assert durability["audit_persisted"] == 10
+    assert len(gateway.audit) == 4
+
+    restarted = make_gateway(tmp_path, audit_capacity=4)
+    thread = GatewayThread(restarted).start()
+    assert thread.stop()
     # Every evicted event is still in the journal.
-    assert len(recover(str(tmp_path / "state")).audit) == 10
+    audit = restarted.durable.recovered.audit
+    assert restarted.durable.recovered.source == "checkpoint+journal"
+    assert len(audit) == 10
+    assert {e["reason"] for e in audit} == {
+        gateway_module.REASON_EXPIRED_ON_ARRIVAL
+    }
 
 
 # ----------------------------------------------------------------------
@@ -340,11 +345,16 @@ def test_sigkill_then_reopen_serves_and_keeps_compacting(tmp_path):
     assert run_to_sigkill(state_dir, ops, crash_at_write=14)
     # Reopening a crashed dir compacts it and journals new work normally.
     state = DurableState(state_dir, fsync=FsyncPolicy.NEVER)
-    survivors = list(state.store.fragments)
-    apply_op(state, ("add", ["POST-CRASH FRAGMENT "]))
+    overlays = dict(state.overlays)
+    audit = state.audit_tail()
+    apply_op(state, ("overlay", "post-crash", ["POST-CRASH FRAGMENT "]))
+    apply_op(state, ("audit", {"post": "crash"}))
     state.close()
     reopened = recover(state_dir)
-    assert reopened.fragments == survivors + ["POST-CRASH FRAGMENT "]
+    assert reopened.overlays == {
+        **overlays, "post-crash": ["POST-CRASH FRAGMENT "]
+    }
+    assert reopened.audit == audit + [{"post": "crash"}]
 
 
 # ----------------------------------------------------------------------

@@ -2,18 +2,19 @@
 
 Pins the journal framing contract (CRC + sequence numbers, torn tail vs
 corruption), the checkpoint write protocol (tmp + fsync + atomic rename,
-seal verification), the WAL discipline of :class:`DurableFragmentStore`
-(journal-first, failed append refuses the mutation), recovery semantics
-(checkpoint + replay, sequence skip after a crash between checkpoint
-publication and journal truncation).
+seal verification), the WAL discipline of :class:`DurableState`'s two
+writers (journal-first, a failed append refuses the write), recovery
+semantics (checkpoint + replay, sequence skip after a crash between
+checkpoint publication and journal truncation, impossible history
+refused).
 """
 
+import errno
 import os
 
 import pytest
 
 from repro.persist import (
-    DurableFragmentStore,
     DurableState,
     FsyncPolicy,
     JournalCorrupt,
@@ -27,22 +28,17 @@ from repro.persist.checkpoint import sweep_stale_tmp
 from repro.persist.journal import (
     FILE_MAGIC,
     REC_AUDIT,
-    REC_FRAG_ADD,
-    REC_FRAG_RELOAD,
-    REC_FRAG_REMOVE,
     REC_SEAL,
     REC_TENANT_OVERLAY,
     decode_record,
     encode_audit,
-    encode_frag_add,
-    encode_frag_reload,
-    encode_frag_remove,
     encode_seal,
     encode_tenant_overlay,
     frame_record,
     scan_buffer,
 )
-from repro.pti.fragments import FragmentStore
+from repro.persist.state import AUDIT_KEEP
+from repro.testbed.crashfaults import FaultFile
 
 FRAGS = ["SELECT a FROM t WHERE id = ", " LIMIT 5", "INSERT INTO t VALUES ("]
 
@@ -54,9 +50,6 @@ FRAGS = ["SELECT a FROM t WHERE id = ", " LIMIT 5", "INSERT INTO t VALUES ("]
 
 def test_payload_codecs_round_trip():
     cases = [
-        (encode_frag_add(FRAGS), (REC_FRAG_ADD, FRAGS)),
-        (encode_frag_remove(FRAGS[0]), (REC_FRAG_REMOVE, FRAGS[0])),
-        (encode_frag_reload(FRAGS[:2]), (REC_FRAG_RELOAD, FRAGS[:2])),
         (encode_audit({"q": "1 OR 1=1", "n": 3}), (REC_AUDIT, {"q": "1 OR 1=1", "n": 3})),
         (
             encode_tenant_overlay("shop/№7", FRAGS),
@@ -74,15 +67,15 @@ def test_decode_record_fails_closed():
     with pytest.raises(JournalCorrupt):
         decode_record(bytes([99]) + b"body")  # unknown kind
     with pytest.raises(JournalCorrupt):
-        decode_record(encode_frag_add(FRAGS)[:-1])  # truncated list
+        decode_record(encode_tenant_overlay("t", FRAGS)[:-1])  # truncated list
     with pytest.raises(JournalCorrupt):
-        decode_record(encode_frag_add(FRAGS) + b"x")  # trailing bytes
+        decode_record(encode_tenant_overlay("t", FRAGS) + b"x")  # trailing bytes
     with pytest.raises(JournalCorrupt):
         decode_record(encode_seal(1, 2)[:-1])  # malformed seal
 
 
 def test_scan_buffer_classifies_prefix_torn_tail_and_corruption():
-    records = [encode_frag_add(FRAGS), encode_audit({"a": 1})]
+    records = [encode_tenant_overlay("t", FRAGS), encode_audit({"a": 1})]
     buf = FILE_MAGIC + b"".join(
         frame_record(p, seq) for seq, p in enumerate(records, start=1)
     )
@@ -102,7 +95,7 @@ def test_scan_buffer_classifies_prefix_torn_tail_and_corruption():
 
 
 def test_scan_buffer_refuses_midstream_damage():
-    buf = FILE_MAGIC + frame_record(encode_frag_add(FRAGS), 1)
+    buf = FILE_MAGIC + frame_record(encode_tenant_overlay("t", FRAGS), 1)
     # CRC mismatch: flip one payload byte of a complete record.
     mangled = bytearray(buf)
     mangled[-1] ^= 0xFF
@@ -135,8 +128,9 @@ def test_frame_record_bounds():
 def test_journal_writer_append_scan_round_trip(tmp_path):
     path = str(tmp_path / "j.jz")
     writer = JournalWriter(path, fsync=FsyncPolicy.NEVER)
-    payloads = [encode_frag_add([f]) for f in FRAGS]
-    writer.append_many(payloads)
+    payloads = [encode_tenant_overlay(f"t{n}", [f]) for n, f in enumerate(FRAGS)]
+    for payload in payloads:
+        writer.append(payload)
     writer.close()
     scan = scan_journal(path)
     assert [p for _, p in scan.records] == payloads
@@ -275,58 +269,62 @@ def test_checkpoint_write_is_atomic_and_sweeps_tmp(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# DurableFragmentStore: the WAL discipline
+# DurableState writers: the WAL discipline
 # ----------------------------------------------------------------------
 
 
-class _RefusingJournal:
-    """Journal stub whose appends always fail (disk-full shape)."""
+class _FullDisk:
+    """Write hook for :class:`FaultFile`: every write fails once ``full``."""
 
-    def append(self, payload):
-        raise OSError("no space left on device")
+    full = False
+
+    def on_write(self, raw, data):
+        if self.full:
+            raise OSError(errno.ENOSPC, "no space left on device")
+
+    def opener(self, path):
+        return FaultFile(open(path, "wb" if path.endswith(".tmp") else "ab"), self)
 
 
-def test_store_journal_first_refuses_mutation_on_append_failure(tmp_path):
-    store = DurableFragmentStore(FRAGS)
-    store.bind_journal(_RefusingJournal())
-    before = (list(store.fragments), store.epoch)
+def test_writers_journal_first_and_refuse_on_append_failure(tmp_path):
+    disk = _FullDisk()
+    state = DurableState(
+        str(tmp_path),
+        seed_fragments=FRAGS,
+        fsync=FsyncPolicy.NEVER,
+        opener=disk.opener,
+    )
+    state.set_overlay("shop", ["OV "])
+    state.append_audit({"n": 1})
+    disk.full = True
     with pytest.raises(OSError):
-        store.add_many(["NEW FRAGMENT "])
+        state.set_overlay("shop", ["OTHER "])
     with pytest.raises(OSError):
-        store.remove(FRAGS[0])
+        state.set_overlay("blog", ["NEW "])
     with pytest.raises(OSError):
-        store.reload(["OTHER "])
-    # Fail-closed WAL: memory is untouched when disk refuses.
-    assert (list(store.fragments), store.epoch) == before
+        state.append_audit({"n": 2})
+    # Fail-closed WAL: memory is untouched when disk refuses, so the
+    # gateway's reload_tenant never pushes an overlay it could not journal.
+    assert state.overlays == {"shop": ["OV "]}
+    assert state.audit_tail() == [{"n": 1}]
+    report = state.durability_report()
+    assert report["audit_persisted"] == 1
+    assert report["records_since_checkpoint"] == 2
+    state.abandon()
+    # Disk and memory agree: recovery restores exactly what was published.
+    recovered = recover(str(tmp_path))
+    assert recovered.overlays == {"shop": ["OV "]}
+    assert recovered.audit == [{"n": 1}]
 
 
-def test_store_journals_exact_deduped_batch(tmp_path):
-    path = str(tmp_path / "j.jz")
-    journal = JournalWriter(path, fsync=FsyncPolicy.NEVER)
-    store = DurableFragmentStore(FRAGS)
-    store.bind_journal(journal)
-    store.add_many([FRAGS[0], "NEW ", "NEW ", "", "ALSO "])
-    store.add_many(FRAGS)  # fully deduped -> no record at all
-    assert not store.remove("never there")  # no-op -> no record
-    store.reload(["B ", "A ", "B "])
-    journal.close()
-    records = [decode_record(p) for _, p in scan_journal(path).records]
-    assert records == [
-        (REC_FRAG_ADD, ["NEW ", "ALSO "]),
-        (REC_FRAG_RELOAD, ["B ", "A "]),
-    ]
-
-
-def test_restore_epoch_guard():
-    store = FragmentStore.restore(FRAGS, 7)
-    assert store.epoch == 7 and list(store.fragments) == FRAGS
-    # One reload can install a whole vocabulary in a single bump, so
-    # epoch 1 is the minimum for any non-empty store ...
-    assert FragmentStore.restore(FRAGS, 1).epoch == 1
-    assert FragmentStore.restore([], 0).epoch == 0
-    # ... and epoch 0 with fragments present is impossible history.
-    with pytest.raises(ValueError):
-        FragmentStore.restore(FRAGS, 0)
+def test_set_overlay_journals_the_deduped_overlay(tmp_path):
+    state = DurableState(str(tmp_path), fsync=FsyncPolicy.NEVER)
+    state.set_overlay("shop", ["B ", "A ", "", "B "])
+    state.abandon()
+    journal_path = os.path.join(str(tmp_path), "journal.jz")
+    records = [decode_record(p) for _, p in scan_journal(journal_path).records]
+    assert records == [(REC_TENANT_OVERLAY, ("shop", ["B ", "A "]))]
+    assert state.overlays == {"shop": ["B ", "A "]}
 
 
 # ----------------------------------------------------------------------
@@ -341,10 +339,10 @@ def test_recover_fresh_directory(tmp_path):
 
 
 def _mutate(state):
-    state.store.add_many(["ADDED "])
-    state.store.remove(FRAGS[0])
-    state.append_audit({"q": "1 OR 1=1"})
     state.set_overlay("shop", ["OV "])
+    state.append_audit({"q": "1 OR 1=1"})
+    state.set_overlay("blog", ["BLOG "])
+    state.set_overlay("shop", ["OV ", "OV2 "])
 
 
 def test_recover_replays_journal_over_checkpoint(tmp_path):
@@ -355,10 +353,11 @@ def test_recover_replays_journal_over_checkpoint(tmp_path):
     state.abandon()  # crash-shaped: no final checkpoint
     recovered = recover(str(tmp_path))
     assert recovered.source == "checkpoint+journal"
-    assert recovered.fragments == [FRAGS[1], FRAGS[2], "ADDED "]
-    assert recovered.epoch == len(FRAGS) + 2
+    assert recovered.fragments == FRAGS
+    assert recovered.epoch == len(FRAGS)
     assert recovered.audit == [{"q": "1 OR 1=1"}]
-    assert recovered.overlays == {"shop": ["OV "]}
+    # The last overlay record per tenant wins.
+    assert recovered.overlays == {"shop": ["OV ", "OV2 "], "blog": ["BLOG "]}
     assert recovered.replayed_records == 4
     # Replay is idempotent: recovering again changes nothing.
     assert recover(str(tmp_path)) == recovered
@@ -380,18 +379,19 @@ def test_recover_skips_records_a_checkpoint_already_absorbed(tmp_path):
         handle.write(stale_journal)
     replayed = recover(str(tmp_path))
     assert replayed.skipped_records == 4 and replayed.replayed_records == 0
-    # Sequence skip keeps epoch arithmetic and audit exact -- nothing is
+    # Sequence skip keeps the audit trail exact -- nothing is
     # double-applied.
-    assert replayed.epoch == len(FRAGS) + 2
+    assert replayed.epoch == len(FRAGS)
     assert replayed.audit == [{"q": "1 OR 1=1"}]
+    assert replayed.overlays == {"shop": ["OV ", "OV2 "], "blog": ["BLOG "]}
 
 
 def test_recover_truncates_torn_tail(tmp_path):
     state = DurableState(
         str(tmp_path), seed_fragments=FRAGS, fsync=FsyncPolicy.NEVER
     )
-    state.store.add_many(["DURABLE "])
-    state.store.add_many(["TORN AWAY "])
+    state.append_audit({"q": "DURABLE"})
+    state.append_audit({"q": "TORN AWAY"})
     state.abandon()
     journal_path = os.path.join(str(tmp_path), "journal.jz")
     size = os.path.getsize(journal_path)
@@ -399,10 +399,13 @@ def test_recover_truncates_torn_tail(tmp_path):
         handle.truncate(size - 3)
     recovered = recover(str(tmp_path))
     assert recovered.torn_tail_truncated and recovered.torn_bytes > 0
-    assert "DURABLE " in recovered.fragments
-    assert "TORN AWAY " not in recovered.fragments
+    assert recovered.audit == [{"q": "DURABLE"}]
     # The truncation is durable: a second recovery sees a clean journal.
     assert not recover(str(tmp_path)).torn_tail_truncated
+
+
+def _u32(n):
+    return n.to_bytes(4, "little")
 
 
 def test_recover_refuses_checkpoint_only_kinds_in_journal(tmp_path):
@@ -411,6 +414,36 @@ def test_recover_refuses_checkpoint_only_kinds_in_journal(tmp_path):
         handle.write(FILE_MAGIC + frame_record(encode_seal(0, 0), 1))
     with pytest.raises(JournalCorrupt, match="checkpoint-only"):
         recover(str(tmp_path))
+    # Retired kinds 1-3, hand-framed in their last layouts (a fragment
+    # batch, one removal, a full reload): a journal holding one fails
+    # closed as an unknown kind.
+    raw = FRAGS[0].encode()
+    fragment_list = _u32(1) + _u32(len(raw)) + raw
+    for payload in (
+        bytes([1]) + fragment_list,
+        bytes([2]) + _u32(len(raw)) + raw,
+        bytes([3]) + fragment_list,
+    ):
+        with open(journal_path, "wb") as handle:
+            handle.write(FILE_MAGIC + frame_record(payload, 1))
+        with pytest.raises(JournalCorrupt, match="unknown record kind"):
+            recover(str(tmp_path))
+
+
+def test_recover_refuses_impossible_checkpoint_epoch(tmp_path):
+    path = os.path.join(str(tmp_path), "checkpoint.jz")
+    # Installing a vocabulary bumps the epoch at least once, so fragments
+    # at epoch 0 are impossible history and refuse to serve ...
+    write_checkpoint(path, fragments=FRAGS, epoch=0)
+    with pytest.raises(JournalCorrupt, match="epoch 0"):
+        recover(str(tmp_path))
+    with pytest.raises(JournalCorrupt):
+        DurableState(str(tmp_path), fsync=FsyncPolicy.NEVER)
+    # ... while one bump (a single reload) or an empty vocabulary is fine.
+    write_checkpoint(path, fragments=FRAGS, epoch=1)
+    assert recover(str(tmp_path)).epoch == 1
+    write_checkpoint(path, fragments=[], epoch=0)
+    assert recover(str(tmp_path)).fragments == []
 
 
 # ----------------------------------------------------------------------
@@ -431,14 +464,17 @@ def test_durable_state_persisted_wins_over_seed(tmp_path):
     state = DurableState(
         str(tmp_path), seed_fragments=FRAGS, fsync=FsyncPolicy.NEVER
     )
-    state.store.reload(["SURVIVOR "])
+    state.set_overlay("shop", ["SURVIVOR "])
     state.abandon()
     reopened = DurableState(
         str(tmp_path),
         seed_fragments=["WRONG SEED "],
         fsync=FsyncPolicy.NEVER,
     )
-    assert list(reopened.store.fragments) == ["SURVIVOR "]
+    # The base vocabulary is the first boot's seed; a later seed is ignored.
+    assert reopened.fragments == tuple(FRAGS)
+    assert reopened.epoch == len(FRAGS)
+    assert reopened.overlays == {"shop": ["SURVIVOR "]}
     # Reopening after a replay compacts: the journal is bare again.
     assert len(scan_journal(os.path.join(str(tmp_path), "journal.jz")).records) == 0
     reopened.close()
@@ -467,16 +503,15 @@ def test_durable_state_checkpoint_cadence_and_report(tmp_path):
 
 
 def test_durable_state_audit_tail_bounded_but_persisted(tmp_path):
-    state = DurableState(
-        str(tmp_path), fsync=FsyncPolicy.NEVER, audit_keep=4
-    )
-    for n in range(10):
+    state = DurableState(str(tmp_path), fsync=FsyncPolicy.NEVER)
+    total = AUDIT_KEEP + 4
+    for n in range(total):
         state.append_audit({"n": n})
-    assert [e["n"] for e in state.audit_tail()] == [6, 7, 8, 9]
+    assert [e["n"] for e in state.audit_tail()] == list(range(4, total))
     state.abandon()
-    # The journal holds all ten; only the in-memory tail is bounded.
+    # The journal holds every event; only the in-memory tail is bounded.
     recovered = recover(str(tmp_path))
-    assert [e["n"] for e in recovered.audit] == list(range(10))
+    assert [e["n"] for e in recovered.audit] == list(range(total))
 
 
 def test_durable_state_rejects_bad_knobs(tmp_path):

@@ -235,6 +235,55 @@ def test_ring_log_validation():
         RingLog(capacity=0)
 
 
+def test_ring_log_sink_receives_and_counts_every_append():
+    persisted = []
+    log = RingLog(capacity=10)
+    log.attach_sink(persisted.append)
+    for i in range(3):
+        log.append(i)
+    assert persisted == [0, 1, 2]
+    assert log.persisted_records == 3
+    assert list(log) == [0, 1, 2]
+
+
+def test_ring_log_sink_turns_evictions_into_recovered_drops():
+    log = RingLog(capacity=3)
+    log.attach_sink(lambda item: None)
+    for i in range(7):
+        log.append(i)
+    assert list(log) == [4, 5, 6]
+    # The sink holds every evicted record: nothing was lost.
+    assert log.drops_recovered == 4
+    assert log.dropped_records == 0
+
+
+def test_ring_log_raising_sink_is_counted_and_record_still_lands():
+    def full_disk(item):
+        raise OSError("no space left on device")
+
+    log = RingLog(capacity=2)
+    log.attach_sink(full_disk)
+    for i in range(3):
+        log.append(i)  # never raises on the audit path
+    assert list(log) == [1, 2]
+    assert log.sink_failures == 3
+    assert log.persisted_records == 0
+    # Nothing reached the sink, so the eviction is lost evidence.
+    assert log.dropped_records == 1 and log.drops_recovered == 0
+
+
+def test_ring_log_attach_sink_none_detaches():
+    persisted = []
+    log = RingLog(capacity=10)
+    log.attach_sink(persisted.append)
+    log.append("kept")
+    log.attach_sink(None)
+    log.append("memory only")
+    assert persisted == ["kept"]
+    assert log.persisted_records == 1
+    assert list(log) == ["kept", "memory only"]
+
+
 # ----------------------------------------------------------------------
 # ResilienceConfig
 # ----------------------------------------------------------------------

@@ -209,14 +209,14 @@ def run_storm(
         while not stop.is_set():
             tenant_id = tenant_ids[reloads["count"] % len(tenant_ids)]
             generation += 1
-            registry.reload_tenant(
+            store = registry.reload_tenant(
                 tenant_id,
                 tenant_overlay(
                     tenant_ids.index(tenant_id), overlay_size
                 )[:-1]
                 + [f"SELECT v FROM plugin_reloaded_g{generation} WHERE k="],
-                warm=True,
             )
+            engines[tenant_id].daemon.refresh_fragments(store)
             reloads["count"] += 1
             if reload_pace > 0:
                 time.sleep(reload_pace)

@@ -14,6 +14,7 @@ communication costs, which an in-interpreter extension would not pay.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -22,6 +23,7 @@ from ..core.engine import EngineStats, JozaEngine
 from ..core.policy import JozaConfig
 from ..phpapp.application import WebApplication
 from ..phpapp.request import HttpRequest
+from ..phpapp.source import extract_fragments
 from ..pti.daemon import DaemonConfig, SubprocessPTIDaemon
 from ..pti.fragments import FragmentStore
 from ..testbed.plugins import build_testbed
@@ -126,11 +128,11 @@ def measure(
                 # Filler goes FIRST: in a real corpus the fragments covering
                 # a given query sit at arbitrary positions, so scans must
                 # wade through unrelated fragments to reach them.
-                store = FragmentStore(filler)
-                store.add_many(
-                    FragmentStore.from_sources(app.all_sources()).iter_all()
+                return FragmentStore(
+                    itertools.chain(
+                        filler, *map(extract_fragments, app.all_sources())
+                    )
                 )
-                return store
 
             if subprocess_daemon:
                 store = build_store()

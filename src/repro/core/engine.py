@@ -221,7 +221,8 @@ class JozaEngine:
         self.attack_log: RingLog = RingLog(
             self.config.resilience.attack_log_capacity
         )
-        #: Lazily-built in-process PTI fallback (FALLBACK_IN_PROCESS policy).
+        #: Lazily-built in-process PTI fallback (FALLBACK_IN_PROCESS policy),
+        #: bound to the daemon's current store object.
         self._fallback_daemon: PTIDaemon | None = None
         #: Query-shape fast path (DESIGN.md "shape fast path").  Only active
         #: when both techniques run: a plan encodes results of the *hybrid*
@@ -237,13 +238,14 @@ class JozaEngine:
         #: In-process PTI analyzer used for plan building and per-hit
         #: rechecks; bound to the daemon's current store object.
         self._shape_analyzer: PTIAnalyzer | None = None
-        self._shape_store: FragmentStore | None = None
+        #: The store object the shape analyzer and the fallback serve.
+        self._bound_store: FragmentStore | None = None
         self._shadow_seed = shape_cfg.shadow_seed
         self._shadow_rng = _random.Random(shape_cfg.shadow_seed)
-        #: Guards the engine's lazily-built derived state: the shape
-        #: store/analyzer pair (must swap together) and the in-process PTI
-        #: fallback.  Held only for check-and-assign work, never across
-        #: analysis (DESIGN.md section 10).
+        #: Guards the engine's derived state bound to the daemon's store:
+        #: the store, the shape analyzer and the in-process PTI fallback
+        #: (they must swap together).  Held only for check-and-assign
+        #: work, never across analysis (DESIGN.md section 10).
         self._state_lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -301,8 +303,8 @@ class JozaEngine:
                        "pti_matcher": {... recheck analyzer counters}}}
 
         The ``matcher`` leaves carry the PTI matching-engine counters
-        (comparisons, automaton builds/nodes, occurrence-index reuse, MRU
-        prunes; DESIGN.md section 9) for the daemon's analyzer and for the
+        (comparisons, automaton builds/nodes, occurrence-index reuse;
+        DESIGN.md section 9) for the daemon's analyzer and for the
         shape fast path's recheck analyzer respectively.
 
         Each cache leaf is its :class:`~repro.pti.caches.EpochLRU`
@@ -354,7 +356,6 @@ class JozaEngine:
                     "interned": float(stats["interned_fragments"]),
                     "private": float(stats["private_fragments"]),
                     "epoch": float(stats["epoch"]),
-                    "detached": 1.0 if stats["private"] else 0.0,
                 }
             }
         return out
@@ -363,13 +364,35 @@ class JozaEngine:
     # Analysis
     # ------------------------------------------------------------------
 
+    def _bind_store(self) -> FragmentStore | None:
+        """The daemon's current store, with the derived state bound to it.
+
+        Call under ``_state_lock``.  When the daemon has swapped in a new
+        store (``refresh_fragments``), the shape analyzer is rebuilt over
+        it, the plan cache is flushed and the in-process fallback is
+        dropped, in one step: none of them may keep serving the old
+        vocabulary.  Reading the store pointer under the lock matters too:
+        reading it first and locking second would let a concurrent swap
+        land in between, and this thread would re-install the older store.
+        """
+        store = getattr(self.daemon, "store", None)
+        if store is not None and store is not self._bound_store:
+            self._bound_store = store
+            self._fallback_daemon = None
+            if self.shape_cache is not None:
+                self._shape_analyzer = PTIAnalyzer(
+                    store, self.config.daemon.pti
+                )
+                self.shape_cache.clear()
+        return store
+
     def _fallback_pti(self) -> PTIDaemon | None:
-        """The in-process PTI fallback, if a fragment store is reachable."""
+        """The in-process PTI fallback over the daemon's current store."""
         with self._state_lock:
+            store = self._bind_store()
+            if store is None:  # pragma: no cover - store-less daemon
+                return None
             if self._fallback_daemon is None:
-                store = getattr(self.daemon, "store", None)
-                if store is None:  # pragma: no cover - store-less daemon
-                    return None
                 self._fallback_daemon = PTIDaemon(store, self.config.daemon)
             return self._fallback_daemon
 
@@ -439,7 +462,7 @@ class JozaEngine:
 
         - **one epoch pin** -- the fragment-store epoch is read once and
           keys every plan lookup *and* every plan plant of the batch.  A
-          store mutation racing the batch makes affected lookups miss and
+          store swap racing the batch makes affected lookups miss and
           affected plants get refused by the cache's stale-put guard
           (``ShapeCache.put``), so the whole batch observes one consistent
           epoch -- it can never mix trust from two vocabularies;
@@ -636,35 +659,22 @@ class JozaEngine:
         ``(-1, None)`` when the daemon exposes no store (or on an internal
         error): the query takes the cold path without touching the cache.
 
-        Guards both invalidation axes: a *swapped* store object (daemon
-        ``refresh_fragments``) flushes the cache outright -- epochs of
-        distinct stores are incomparable -- while *in-place* epoch bumps
-        are handled by the analyzer's own staleness guard (MRU prune,
-        automaton recompile, occurrence-memo drop; see
-        :meth:`~repro.pti.inference.PTIAnalyzer.cover_token_witness`).
-        The cache itself syncs on the epoch at get/put time.  The epoch is
-        pinned *before* analysis: the same value keys the lookup and any
-        later plant, so a store mutation racing the cold path makes the
-        plant stale (refused by ``ShapeCache.put``) instead of tagging an
-        old-vocabulary plan with the new epoch.
+        A swapped store object (daemon ``refresh_fragments``) rebinds the
+        analyzer and flushes the cache (:meth:`_bind_store`).  The cache
+        itself syncs on the epoch at get/put time.  The epoch is pinned
+        *before* analysis: the same value keys the lookup and any later
+        plant.  Every store draws a larger epoch than the stores built
+        before it, so a swap racing the cold path makes the plant stale --
+        refused by ``ShapeCache.put`` once a request has synced the cache
+        to the new store, flushed by the first lookup under the new epoch
+        otherwise -- instead of letting an old-vocabulary plan serve the
+        new store.
         """
         try:
             with self._state_lock:
-                # Read the daemon's store pointer *inside* the lock: reading
-                # it first and locking second would let a concurrent
-                # ``refresh_fragments`` swap in a newer store between the
-                # two, and this thread would then re-install the older one
-                # -- plans planted against a superseded vocabulary are
-                # stale trust.
-                store = getattr(self.daemon, "store", None)
+                store = self._bind_store()
                 if store is None:  # pragma: no cover - store-less daemon
                     return -1, None
-                if store is not self._shape_store:
-                    self._shape_store = store
-                    self._shape_analyzer = PTIAnalyzer(
-                        store, self.config.daemon.pti
-                    )
-                    self.shape_cache.clear()
                 return store.epoch, self._shape_analyzer
         except (KeyboardInterrupt, SystemExit):  # pragma: no cover
             raise
@@ -775,9 +785,9 @@ class JozaEngine:
         Only a shape's second clean sighting within the cache's doorkeeper
         window builds a plan (:meth:`ShapeCache.admit`); a first sighting
         is counted as a deferred admission.  ``epoch0`` is the epoch pinned
-        *before* the analysis ran; the cache refuses the put if the store
-        has moved on since (stale trust), which is exactly the
-        mid-batch-mutation guarantee ``inspect_batch`` relies on.
+        *before* the analysis ran; the cache refuses the put if a newer
+        store has been swapped in since (stale trust), which is exactly
+        the mid-batch-swap guarantee ``inspect_batch`` relies on.
         """
         if tokens is None or not self._plan_cacheable(verdict):
             return

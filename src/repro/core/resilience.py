@@ -438,10 +438,11 @@ class RingLog:
 
     Persistence: :meth:`attach_sink` registers a callable that receives
     every appended record (a gateway's durable state journals it; DESIGN.md
-    section 15).  With a sink attached, eviction stops meaning *lost*
-    attack evidence -- the ring bounds memory while the journal keeps the
-    full trail -- so drops-with-a-sink are counted separately as
-    :attr:`drops_recovered`.  A raising sink must never take the guard's
+    section 15).  Evicting a record the sink accepted loses no attack
+    evidence -- the ring bounds memory while the journal keeps the full
+    trail -- so each entry remembers whether it was persisted, and its
+    eviction counts in :attr:`drops_recovered` if it was and in
+    :attr:`dropped_records` if not.  A raising sink must never take the guard's
     audit path down with it: the record still lands in the ring, the
     failure is counted in :attr:`sink_failures`, and the error is
     swallowed (availability of the in-memory log wins; durability gaps
@@ -452,6 +453,7 @@ class RingLog:
     __slots__ = (
         "_capacity",
         "_items",
+        "_persisted",
         "_lock",
         "_sink",
         "dropped_records",
@@ -465,6 +467,8 @@ class RingLog:
             raise ValueError("capacity must be >= 1")
         self._capacity = capacity
         self._items: "collections.deque" = collections.deque(maxlen=capacity)
+        #: Whether the sink accepted each entry of ``_items`` (same order).
+        self._persisted: "collections.deque" = collections.deque(maxlen=capacity)
         self._lock = threading.Lock()
         self._sink: typing.Callable[[typing.Any], None] | None = None
         self.dropped_records = 0
@@ -492,16 +496,18 @@ class RingLog:
                 except Exception:
                     self.sink_failures += 1
             if len(self._items) == self._capacity:
-                if persisted:
+                if self._persisted[0]:
                     self.drops_recovered += 1
                 else:
                     self.dropped_records += 1
             self._items.append(item)
+            self._persisted.append(persisted)
 
     def clear(self) -> None:
         """Drop all records (keeps the cumulative drop counter)."""
         with self._lock:
             self._items.clear()
+            self._persisted.clear()
 
     def __len__(self) -> int:
         return len(self._items)

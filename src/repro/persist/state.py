@@ -60,8 +60,8 @@ class RecoveredState:
     epoch: int
     overlays: dict[str, list[str]] = field(default_factory=dict)
     audit: list[dict] = field(default_factory=list)
-    #: "fresh" (empty dir), "checkpoint" (no journal records) or
-    #: "checkpoint+journal" (records replayed on top).
+    #: "fresh" (no checkpoint, empty journal), "checkpoint" (no journal
+    #: records) or "checkpoint+journal" (records replayed on top).
     source: str = "fresh"
     replayed_records: int = 0
     #: Journal records skipped because the checkpoint already absorbed
@@ -92,22 +92,24 @@ class RecoveredState:
 def recover(state_dir: str) -> RecoveredState:
     """Rebuild the durable state under ``state_dir`` (fail-closed).
 
-    Recovery = newest valid checkpoint + journal replay, in four steps:
-    sweep stale ``*.tmp`` (crashes mid-checkpoint), verify + load the
-    checkpoint, verify the journal (truncating a torn tail so repeated
-    recovery is idempotent), then replay its overlay and audit records on
-    top.  Any mid-stream damage in either file raises
-    :class:`JournalCorrupt` -- the caller must refuse to serve, never run
-    on a silently partial state.
+    Recovery = newest valid checkpoint + journal replay: verify + load the
+    checkpoint, verify the journal and replay its overlay and audit
+    records on top, and only then write: sweep stale ``*.tmp`` (crashes
+    mid-checkpoint) and truncate a torn journal tail so repeated recovery
+    is idempotent.  Any mid-stream damage in either file raises
+    :class:`JournalCorrupt` before anything is written -- the caller must
+    refuse to serve, never run on a silently partial state.  So does a
+    journal with records but no checkpoint: the first boot publishes its
+    checkpoint before it journals anything, so that shape is damage (a
+    lost checkpoint), and recovering it would lose the base vocabulary.
     """
     recovered = RecoveredState(fragments=[], epoch=0)
-    recovered.stale_tmp_swept = sweep_stale_tmp(state_dir)
 
     checkpoint_path = os.path.join(state_dir, CHECKPOINT_NAME)
     checkpoint = read_checkpoint(checkpoint_path)
     if checkpoint is not None:
-        # Installing a non-empty vocabulary bumps the epoch at least once,
-        # so fragments at epoch 0 are history no writer produces: damage.
+        # A writer's epoch is at least its number of base fragments, so
+        # fragments at epoch 0 are history no writer produces: damage.
         if checkpoint.fragments and checkpoint.epoch < 1:
             raise JournalCorrupt(
                 f"checkpoint epoch {checkpoint.epoch} is below 1 with "
@@ -123,11 +125,6 @@ def recover(state_dir: str) -> RecoveredState:
 
     journal_path = os.path.join(state_dir, JOURNAL_NAME)
     scan = scan_journal(journal_path)
-    if scan.torn_tail:
-        recovered.torn_tail_truncated = True
-        recovered.torn_bytes = scan.torn_bytes
-        with open(journal_path, "r+b") as handle:
-            handle.truncate(scan.valid_bytes)
 
     # Records the checkpoint seal already covers are skipped, not
     # re-applied -- a crash between checkpoint publication and journal
@@ -150,9 +147,20 @@ def recover(state_dir: str) -> RecoveredState:
         recovered.replayed_records += 1
         recovered.journal_seq = seq
     if recovered.replayed_records:
-        recovered.source = (
-            "checkpoint+journal" if checkpoint is not None else "journal"
-        )
+        if checkpoint is None:
+            raise JournalCorrupt(
+                f"journal holds {recovered.replayed_records} records but "
+                "there is no checkpoint",
+                path=checkpoint_path,
+            )
+        recovered.source = "checkpoint+journal"
+
+    recovered.stale_tmp_swept = sweep_stale_tmp(state_dir)
+    if scan.torn_tail:
+        recovered.torn_tail_truncated = True
+        recovered.torn_bytes = scan.torn_bytes
+        with open(journal_path, "r+b") as handle:
+            handle.truncate(scan.valid_bytes)
     return recovered
 
 
@@ -198,7 +206,8 @@ class DurableState:
         self.recovered = recover(state_dir)
         if self.recovered.source == "fresh":
             # The seed as a FragmentStore would hold it: empty strings
-            # dropped, first occurrence kept, one epoch bump per fragment.
+            # dropped, first occurrence kept.  The checkpoint's epoch
+            # field is the number of base fragments (not a store epoch).
             self.fragments: tuple[str, ...] = tuple(
                 dict.fromkeys(f for f in seed_fragments if f)
             )

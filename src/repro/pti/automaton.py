@@ -13,7 +13,7 @@ This module replaces the per-token search with classic multi-pattern
 matching (Aho & Corasick 1975):
 
 1. an automaton (goto / fail / merged-output over interned fragment ids) is
-   compiled once per fragment-store *epoch* over the whole vocabulary;
+   compiled once per fragment store over the whole vocabulary;
 2. one streaming pass over the intercepted query emits **every** fragment
    occurrence as a half-open interval ``[start, end)``;
 3. per-token coverage becomes an interval-stabbing lookup on the
@@ -21,7 +21,7 @@ matching (Aho & Corasick 1975):
    maximum of ends, one ``bisect`` per token.
 
 Total analysis cost: ``O(|query| + occurrences + tokens x log occurrences)``
-regardless of store size (after the per-epoch build).  The semantics are
+regardless of store size (after the per-store build).  The semantics are
 exactly PTI's single-occurrence rule: a token is covered iff **one**
 occurrence of **one** fragment contains it -- fragments are never combined,
 matching stays case-sensitive, and :meth:`OccurrenceIndex.witness` recovers
@@ -140,12 +140,10 @@ class OccurrenceIndex:
 class FragmentAutomaton:
     """Aho-Corasick automaton over a fragment vocabulary.
 
-    Built lazily by :class:`~repro.pti.inference.PTIAnalyzer` and
-    invalidated via the fragment store's
-    :attr:`~repro.pti.fragments.FragmentStore.epoch`: the automaton records
-    the epoch it was compiled under, and a mismatch means it describes a
-    stale vocabulary and must be rebuilt (an added fragment can create
-    coverage; a removed one must revoke it).
+    Compiled once per fragment store
+    (:meth:`~repro.pti.fragments.FragmentStore.compiled_automaton`); a
+    store never changes, so neither does its automaton.  A vocabulary
+    change builds a new store, and with it a new automaton.
 
     Representation: ``goto`` is a list of per-node ``{char: next_node}``
     dicts (the trie shares fragment prefixes, so nodes <= total fragment
@@ -155,9 +153,9 @@ class FragmentAutomaton:
     node instead of walking suffix links.
     """
 
-    __slots__ = ("fragments", "epoch", "node_count", "_goto", "_fail", "_out", "_lengths")
+    __slots__ = ("fragments", "node_count", "_goto", "_fail", "_out", "_lengths")
 
-    def __init__(self, fragments: Iterable[str], epoch: int | None = None) -> None:
+    def __init__(self, fragments: Iterable[str]) -> None:
         # Dedupe while preserving first-seen order (the store already
         # dedupes; direct construction in tests may not) and drop empties,
         # which match everywhere and cover nothing.
@@ -168,24 +166,8 @@ class FragmentAutomaton:
                 seen.add(fragment)
                 unique.append(fragment)
         self.fragments: tuple[str, ...] = tuple(unique)
-        self.epoch = epoch
         self._lengths = [len(f) for f in self.fragments]
         self._build()
-
-    @classmethod
-    def from_store(cls, store) -> "FragmentAutomaton":
-        """Compile over a :class:`~repro.pti.fragments.FragmentStore`.
-
-        Uses the store's copy-on-write snapshot when available so the
-        fragment tuple and the recorded epoch come from the *same* state --
-        a concurrent mutation between the two reads would otherwise tag an
-        old vocabulary with a new epoch (stale trust that never expires).
-        """
-        snapshot = getattr(store, "snapshot", None)
-        if callable(snapshot):
-            state = snapshot()
-            return cls(state.fragments, epoch=state.epoch)
-        return cls(store.iter_all(), epoch=store.epoch)
 
     # ------------------------------------------------------------------
     # Construction
@@ -284,11 +266,7 @@ class FragmentAutomaton:
 
     def stats(self) -> dict[str, int]:
         """Size counters for the engine's cache introspection."""
-        return {
-            "fragments": len(self.fragments),
-            "nodes": self.node_count,
-            "epoch": self.epoch if self.epoch is not None else -1,
-        }
+        return {"fragments": len(self.fragments), "nodes": self.node_count}
 
 
 class CompositeAutomaton:
@@ -313,14 +291,13 @@ class CompositeAutomaton:
     honestly reports the two passes.
     """
 
-    __slots__ = ("base", "overlay", "fragments", "epoch", "node_count")
+    __slots__ = ("base", "overlay", "fragments", "node_count")
 
     def __init__(
         self,
         base: FragmentAutomaton,
         overlay: FragmentAutomaton,
         fragments: tuple[str, ...],
-        epoch: int | None = None,
     ) -> None:
         if tuple(base.fragments) + tuple(overlay.fragments) != tuple(fragments):
             raise ValueError(
@@ -330,7 +307,6 @@ class CompositeAutomaton:
         self.base = base
         self.overlay = overlay
         self.fragments = tuple(fragments)
-        self.epoch = epoch
         self.node_count = base.node_count + overlay.node_count
 
     def scan(self, text: str) -> tuple[list[int], list[int], list[int], int]:
@@ -362,5 +338,4 @@ class CompositeAutomaton:
             "nodes": self.node_count,
             "shared_nodes": self.base.node_count,
             "overlay_nodes": self.overlay.node_count,
-            "epoch": self.epoch if self.epoch is not None else -1,
         }

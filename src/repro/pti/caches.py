@@ -90,16 +90,18 @@ class EpochLRU:
     - a newer epoch flushes the entries (counted in ``invalidations`` when
       any were dropped) and the cache moves to it;
     - a read under an older epoch is a miss and flushes nothing: the reader
-      pinned its epoch before a store mutation that another caller has
-      already synced the cache to;
+      pinned its epoch before a store swap that another caller has already
+      synced the cache to;
     - a write under an older epoch is refused (counted in ``stale_puts``):
       its entry was proven against a vocabulary that no longer exists.
 
-    Caches whose contents do not depend on the fragment store pass the
-    default epoch throughout.  :meth:`clear` drops the entries and resets
-    the epoch, since a swapped-in store's epochs are incomparable with the
-    old one's; the counters survive it.  ``None`` is never stored: a
-    ``None`` answer is a miss.
+    Every fragment store draws a distinct epoch, and a store built later
+    draws a larger one (:attr:`~repro.pti.fragments.FragmentStore.epoch`),
+    so these rules alone keep a swapped-out store's entries from serving
+    the new store.  Caches whose contents do not depend on the fragment
+    store pass the default epoch throughout.  :meth:`clear` drops the
+    entries and resets the epoch; the counters survive it.  ``None`` is
+    never stored: a ``None`` answer is a miss.
 
     Thread-safe: even a read mutates an LRU (``move_to_end`` rewires the
     recency list), so every operation takes the lock.  The lock is held
@@ -345,7 +347,9 @@ class MRUFragmentCache:
     """Move-to-front list of fragments that recently covered a token.
 
     Benign queries repeat the same small fragment working set, so trying
-    these first lets most tokens match on the first few comparisons.
+    these first lets most tokens match on the first few comparisons.  The
+    list belongs to one analyzer, and so to one immutable store: every
+    fragment in it stays trusted for the list's whole life.
     """
 
     def __init__(self, capacity: int = MRU_CAPACITY) -> None:
@@ -369,22 +373,6 @@ class MRUFragmentCache:
                 pass
             self._items.insert(0, fragment)
             del self._items[self.capacity :]
-
-    def prune(self, is_valid) -> bool:
-        """Drop entries rejected by ``is_valid`` (fragment-store membership).
-
-        Called by the analyzer's epoch guard after a store mutation: a
-        removed fragment lingering in the MRU would keep "covering" critical
-        tokens (containment checks consult only the query text, never store
-        membership) -- stale trust that fails open.  Surviving fragments
-        keep their recency order, so the working set is not cold-started by
-        an unrelated add.  Returns ``True`` when anything was dropped.
-        """
-        with self._lock:
-            kept = [fragment for fragment in self._items if is_valid(fragment)]
-            changed = len(kept) != len(self._items)
-            self._items = kept
-            return changed
 
     def clear(self) -> None:
         with self._lock:

@@ -135,16 +135,16 @@ class PTIDaemon:
         self.config = config or DaemonConfig()
         self.analyzer = PTIAnalyzer(store, self.config.pti)
         #: Both caches hold results for the fragment-store epoch they were
-        #: proven under: any in-place store mutation (add/remove/reload)
-        #: flushes them on next use (:class:`~repro.pti.caches.EpochLRU`).
+        #: proven under (:class:`~repro.pti.caches.EpochLRU`); a store swap
+        #: (:meth:`refresh_fragments`) clears them.
         self.query_cache = QueryCache()
         self.structure_cache = StructureCache()
         self.timings = StageTimings()
         self.queries_analyzed = 0
         #: Serializes the analysis pipeline.  The caches lock themselves,
-        #: but the stage timings are read-modify-write and the analyzer's
-        #: derived state is rebuilt per epoch; one in-process daemon shared
-        #: by N threads must not interleave them.  In-process match work is
+        #: but the stage timings are read-modify-write and a store swap
+        #: replaces the analyzer; one in-process daemon shared by N
+        #: threads must not interleave them.  In-process match work is
         #: GIL-serialized anyway -- parallel analysis comes from the
         #: gateway's worker fleet (DESIGN.md section 12).
         self._lock = threading.RLock()
@@ -165,11 +165,11 @@ class PTIDaemon:
             self.structure_cache.clear()
 
     def warm(self) -> None:
-        """Precompile the matcher for the current epoch.
+        """Precompile the matcher for the current store.
 
         Called while the daemon is off the request path (a benchmark's
         setup, after :meth:`refresh_fragments`) so the first query against
-        the vocabulary does not pay the per-epoch automaton build inline.
+        the vocabulary does not pay the automaton build inline.
         """
         with self._lock:
             self.analyzer.warm()
@@ -215,10 +215,8 @@ class PTIDaemon:
         self.queries_analyzed += 1
         if deadline is not None:
             deadline.check("pti")
-        # Every cache access names the store's epoch: a vocabulary changed
-        # in place (plugin add/remove) flushes results computed against the
-        # old one.  The analyzer guards its own derived state (MRU prune,
-        # automaton recompile) via the same epoch on its next call.
+        # Every cache access names the store's epoch, so results proven
+        # against one store never serve another.
         epoch = self.analyzer.store.epoch
         if self.config.use_query_cache:
             t0 = time.perf_counter()
@@ -420,8 +418,7 @@ class SubprocessPTIDaemon:
         breaker: CircuitBreaker | None = None,
         seed: int | None = None,
     ) -> None:
-        self.fragments = store.fragments
-        self._store: FragmentStore | None = store
+        self._store = store
         self.config = config or DaemonConfig()
         self.persistent = persistent
         self.recv_timeout = recv_timeout
@@ -459,18 +456,20 @@ class SubprocessPTIDaemon:
 
     @property
     def store(self) -> FragmentStore:
-        """The fragment vocabulary (rebuilt lazily after a refresh)."""
-        with self._lifecycle:
-            if self._store is None:
-                self._store = FragmentStore(self.fragments)
-            return self._store
+        """The fragment vocabulary served to spawned children."""
+        return self._store
 
     def refresh_fragments(self, store: FragmentStore) -> None:
-        """Swap the fragment set; the child is restarted on next use."""
-        with self._lifecycle:
-            self.fragments = store.fragments
-            self._store = store
-        self.close()
+        """Swap the fragment set; the child is restarted on next use.
+
+        Waits for an exchange in flight (the I/O lock), which finishes on
+        the old child: retiring the child under it would fail it closed,
+        and a run of swaps under traffic would open the breaker.
+        """
+        with self._io_lock:
+            with self._lifecycle:
+                self._store = store
+            self.close()
 
     # ------------------------------------------------------------------
     # Child lifecycle
@@ -485,7 +484,9 @@ class SubprocessPTIDaemon:
         parent_conn, child_conn = multiprocessing.Pipe()
         process = multiprocessing.Process(
             target=_daemon_loop,
-            args=(child_conn, self.fragments, self.config, self._fault_hook()),
+            args=(
+                child_conn, self._store.fragments, self.config, self._fault_hook()
+            ),
             daemon=True,
         )
         process.start()

@@ -17,18 +17,20 @@ are verified with exact ``str.find``.
 The store serves two matching engines (DESIGN.md section 9): the per-token
 scan consumes :meth:`FragmentStore.iter_candidates`, while the one-pass
 Aho-Corasick engine (:mod:`repro.pti.automaton`) compiles the whole
-vocabulary once per :attr:`FragmentStore.epoch` and ignores the index
-entirely.
+vocabulary once per store (:meth:`FragmentStore.compiled_automaton`) and
+ignores the index entirely.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 import threading
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from ..phpapp.source import extract_fragments
 from ..sqlparser.tokens import CRITICAL_OPERATORS, Token, TokenType
+from .automaton import FragmentAutomaton
 
 __all__ = [
     "FragmentStore",
@@ -83,283 +85,126 @@ def token_index_key(token: Token) -> str:
     return token.text.lower()
 
 
-class AutomatonCell:
-    """Per-state slot for the compiled Aho-Corasick automaton.
+#: The source of store epochs (:attr:`FragmentStore.epoch`).  Process-wide
+#: on purpose: an epoch must name one store among every store the process
+#: builds, since caches outlive the store they were filled under.
+_EPOCHS = itertools.count(1)
+_EPOCH_LOCK = threading.Lock()
 
-    The automaton is *derived* state of exactly one :class:`_StoreState`
-    (same fragment tuple, same epoch), so it lives inside the state it
-    describes: the cell is created empty alongside the state and filled at
-    most once, under its own lock so concurrent analyzers sharing a store
-    compile the vocabulary a single time instead of once per analyzer.
 
-    This is also the warm-handoff hook (DESIGN.md section 13): a reload
-    that wants the swap to be stall-free compiles the successor state's
-    cell *before* publishing the state, so the first post-swap query finds
-    a ready automaton instead of paying the build on-path.  Because the
-    cell travels with its state, a racing reader can never pair an old
-    vocabulary with a new automaton or vice versa.
+def _dedupe_and_index(
+    fragments: Iterable[str], *, skip=frozenset(), offset: int = 0
+) -> tuple[tuple[str, ...], frozenset, dict]:
+    """One pass over ``fragments``: the unique ones, their set and index.
 
-    ``factory`` overrides how the automaton is produced -- the tenancy
-    layer injects a factory composing a shared base automaton (compiled
-    once per base set, across all tenants) with the tenant's tiny overlay
-    automaton.
+    Empty fragments, repeats and members of ``skip`` are dropped; first
+    occurrences keep their order.  The index maps each lowercased key to
+    the tuple of positions (counted from ``offset``) of the fragments
+    that carry it.
     """
-
-    __slots__ = ("_lock", "_automaton", "_factory")
-
-    def __init__(self, factory=None) -> None:
-        self._lock = threading.Lock()
-        self._automaton = None
-        self._factory = factory
-
-    def peek(self):
-        """The compiled automaton, or ``None`` if nobody built it yet."""
-        return self._automaton
-
-    def get_or_build(self, state: "_StoreState"):
-        """Return ``(automaton, built_now)``; compiles at most once."""
-        automaton = self._automaton
-        if automaton is not None:
-            return automaton, False
-        with self._lock:
-            if self._automaton is None:
-                from .automaton import FragmentAutomaton
-
-                if self._factory is not None:
-                    self._automaton = self._factory(state)
-                else:
-                    self._automaton = FragmentAutomaton(
-                        state.fragments, epoch=state.epoch
-                    )
-                return self._automaton, True
-            return self._automaton, False
-
-
-class _StoreState(NamedTuple):
-    """One immutable epoch of the fragment vocabulary.
-
-    The store's entire readable surface -- fragment tuple, membership set,
-    inverted index, epoch number -- lives in a single immutable object that
-    mutations *replace* rather than edit.  Readers grab ``store._state``
-    once (one atomic attribute load under the GIL) and work against a
-    self-consistent snapshot: the index positions always resolve into the
-    fragment tuple of the *same* epoch, no matter how many reloads happen
-    mid-iteration on other threads.
-
-    ``automaton`` is the state's compiled-matcher slot (see
-    :class:`AutomatonCell`); it defaults to ``None`` only for direct
-    construction in tests -- every state the store publishes carries a
-    fresh cell.
-    """
-
-    fragments: tuple[str, ...]
-    seen: frozenset
-    index: dict  # lowercased key -> tuple of positions into ``fragments``
-    epoch: int
-    automaton: AutomatonCell | None = None
-
-
-def _build_index(fragments: tuple[str, ...]) -> dict:
+    seen: set[str] = set()
+    unique: list[str] = []
     index: dict[str, list[int]] = {}
-    for position, fragment in enumerate(fragments):
+    for fragment in fragments:
+        if not fragment or fragment in seen or fragment in skip:
+            continue
+        seen.add(fragment)
+        position = offset + len(unique)
+        unique.append(fragment)
         for key in fragment_index_keys(fragment):
             index.setdefault(key, []).append(position)
-    return {key: tuple(positions) for key, positions in index.items()}
+    return (
+        tuple(unique),
+        frozenset(seen),
+        {key: tuple(positions) for key, positions in index.items()},
+    )
 
 
 class FragmentStore:
-    """Deduplicated fragment set with a critical-token inverted index.
+    """Immutable deduplicated fragment set with a critical-token inverted index.
 
-    Concurrency model (DESIGN.md section 10): reads are lock-free against
-    copy-on-write :class:`_StoreState` snapshots; mutations serialize on an
-    internal lock, build the successor state off to the side, and publish
-    it with one reference assignment.  A reader therefore always sees some
-    *complete* epoch -- possibly one that is already stale, never a torn
-    mix of two -- and stale reads are safe by the epoch protocol: every
-    dependent cache revalidates against :attr:`epoch` before trusting
-    derived state, and a stale verdict is simply the verdict of a
-    serialization in which the read happened before the mutation.
+    A store never changes once built (DESIGN.md section 10).  A vocabulary
+    change -- plugin installed, updated or removed -- builds a new store
+    and swaps it in through
+    :meth:`~repro.pti.daemon.PTIDaemon.refresh_fragments`.  Readers need
+    no lock, and whatever is derived from a store (cached verdicts, shape
+    plans, the compiled automaton) stays valid for as long as the store
+    is in use.
     """
 
     def __init__(self, fragments: Iterable[str] = ()) -> None:
-        self._mutation_lock = threading.RLock()
-        self._state = _StoreState((), frozenset(), {}, 0, AutomatonCell())
-        self.add_many(fragments)
+        self._publish(*_dedupe_and_index(fragments))
 
-    def _automaton_cell(self) -> AutomatonCell:
-        """Cell for a successor state -- subclass hook (tenancy overrides
-        this to inject a factory that composes the shared base automaton
-        with the tenant overlay instead of compiling the full vocabulary)."""
-        return AutomatonCell()
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
+    def _publish(self, fragments: tuple[str, ...], seen, index) -> None:
+        """Install the store's contents and draw its epoch (construction)."""
+        self._fragments = fragments
+        self._seen = seen
+        self._index = index
+        self._automaton = None
+        self._automaton_lock = threading.Lock()
+        with _EPOCH_LOCK:
+            self._epoch = next(_EPOCHS)
 
     @classmethod
     def from_sources(cls, sources: Iterable[str]) -> "FragmentStore":
         """Build a store by running fragment extraction over source texts."""
-        store = cls()
-        for source in sources:
-            store.add_many(extract_fragments(source))
-        return store
-
-    def add(self, fragment: str) -> None:
-        """Insert one fragment (idempotent; no-ops do not bump the epoch)."""
-        self.add_many((fragment,))
-
-    def add_many(self, fragments: Iterable[str]) -> None:
-        """Insert fragments; one copy-on-write state swap for the batch.
-
-        The epoch advances by the number of fragments actually inserted
-        (preserving the seed's one-bump-per-add counting); no-op batches
-        publish nothing at all.
-        """
-        with self._mutation_lock:
-            state = self._state
-            seen = set(state.seen)
-            added: list[str] = []
-            for fragment in fragments:
-                if not fragment or fragment in seen:
-                    continue
-                seen.add(fragment)
-                added.append(fragment)
-            if not added:
-                return
-            new_fragments = state.fragments + tuple(added)
-            # Appends never shift existing positions, so the successor
-            # index extends the current one instead of re-scanning the
-            # whole vocabulary -- a store grown by many small batches
-            # would otherwise cost O(batches x vocabulary).  Each touched
-            # bucket is extended once per batch: growing a tuple position
-            # by position costs time quadratic in the bucket's size.
-            grown: dict[str, list[int]] = {}
-            for position, fragment in enumerate(added, len(state.fragments)):
-                for key in fragment_index_keys(fragment):
-                    grown.setdefault(key, []).append(position)
-            new_index = dict(state.index)
-            for key, positions in grown.items():
-                new_index[key] = new_index.get(key, ()) + tuple(positions)
-            self._state = _StoreState(
-                new_fragments,
-                frozenset(seen),
-                new_index,
-                state.epoch + len(added),
-                self._automaton_cell(),
-            )
-
-    def remove(self, fragment: str) -> bool:
-        """Remove one fragment (plugin uninstalled); returns True if present.
-
-        Removal invalidates positional index entries, so the successor
-        state's index is rebuilt; removal is rare (administrative action),
-        lookups are hot.
-        """
-        with self._mutation_lock:
-            state = self._state
-            if fragment not in state.seen:
-                return False
-            new_fragments = tuple(f for f in state.fragments if f != fragment)
-            self._state = _StoreState(
-                new_fragments,
-                state.seen - {fragment},
-                _build_index(new_fragments),
-                state.epoch + 1,
-                self._automaton_cell(),
-            )
-            return True
-
-    def reload(self, fragments: Iterable[str], *, warm: bool = False) -> None:
-        """Replace the whole vocabulary (bulk plugin update).
-
-        With ``warm=True`` the successor state's automaton is compiled
-        *before* the state is published (warm handoff): readers are
-        lock-free, so they keep serving the old epoch -- old automaton,
-        old index -- for the entire build, and the first query after the
-        atomic swap finds a ready matcher instead of stalling on the
-        per-epoch compile.
-        """
-        with self._mutation_lock:
-            state = self._state
-            seen: set[str] = set()
-            kept: list[str] = []
-            for fragment in fragments:
-                if not fragment or fragment in seen:
-                    continue
-                seen.add(fragment)
-                kept.append(fragment)
-            new_fragments = tuple(kept)
-            new_state = _StoreState(
-                new_fragments,
-                frozenset(seen),
-                _build_index(new_fragments),
-                state.epoch + 1,
-                self._automaton_cell(),
-            )
-            if warm:
-                new_state.automaton.get_or_build(new_state)
-            self._state = new_state
+        return cls(itertools.chain.from_iterable(map(extract_fragments, sources)))
 
     # ------------------------------------------------------------------
-    # Queries (lock-free snapshot reads)
+    # Queries
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._state.fragments)
+        return len(self._fragments)
 
     def __contains__(self, fragment: str) -> bool:
-        return fragment in self._state.seen
+        return fragment in self._seen
 
     @property
     def epoch(self) -> int:
-        """Monotonic mutation counter; equal epochs imply equal contents.
+        """This store's number, drawn from one process-wide counter.
 
-        (The converse does not hold -- a remove+re-add of the same fragment
-        bumps the epoch twice -- which only costs dependent caches a
-        spurious flush, never a stale hit.)
+        An epoch names exactly one store, and a store built later has a
+        larger epoch.  The caches keyed on it
+        (:class:`~repro.pti.caches.EpochLRU`) therefore flush when a newer
+        store's epoch arrives, miss for a reader still on an older store
+        and refuse a put proven under an older store.
         """
-        return self._state.epoch
-
-    def snapshot(self) -> _StoreState:
-        """The current immutable state (fragments/membership/index/epoch).
-
-        The concurrency-aware way to do multi-field reads: one attribute
-        load yields a self-consistent epoch that later mutations can never
-        tear.  The automaton compiler and the chaos harness use this to
-        pin "the store as of one instant".
-        """
-        return self._state
+        return self._epoch
 
     def compiled_automaton(self):
-        """``(automaton, built_now)`` for the current state (shared).
+        """``(automaton, built_now)``: compiled once per store, on first use.
 
         Every analyzer bound to this store resolves its one-pass matcher
-        here, so a vocabulary is compiled once per epoch *per store*
-        rather than once per analyzer -- and a warm reload's precompiled
-        automaton is picked up without any build at all.  ``built_now``
-        tells the caller whether *its* call paid for the compile (the
-        analyzer's ``automaton_builds`` counter keeps its seed meaning:
-        builds this analyzer triggered).
+        here, so concurrent analyzers compile the vocabulary once under
+        one lock; a reload that compiles it before the swap leaves no
+        build on the request path.  ``built_now`` tells the caller whether
+        *its* call paid for the compile (the analyzer's
+        ``automaton_builds`` counter).
         """
-        state = self._state
-        cell = state.automaton
-        if cell is None:  # directly-constructed state (tests)
-            from .automaton import FragmentAutomaton
+        automaton = self._automaton
+        if automaton is not None:
+            return automaton, False
+        with self._automaton_lock:
+            if self._automaton is not None:
+                return self._automaton, False
+            self._automaton = self._compile_automaton()
+            return self._automaton, True
 
-            return FragmentAutomaton(state.fragments, epoch=state.epoch), True
-        return cell.get_or_build(state)
+    def _compile_automaton(self):
+        return FragmentAutomaton(self._fragments)
 
     def __iter__(self):
-        return iter(self._state.fragments)
+        return iter(self._fragments)
 
     @property
     def fragments(self) -> tuple[str, ...]:
-        """All fragments, in insertion order (immutable snapshot, O(1))."""
-        return self._state.fragments
+        """All fragments, in insertion order (immutable, O(1))."""
+        return self._fragments
 
     def iter_all(self):
-        """Iterate one consistent snapshot without copying (hot path)."""
-        return iter(self._state.fragments)
+        """Iterate the fragments without copying (hot path)."""
+        return iter(self._fragments)
 
     def candidates_for(self, token_text: str) -> list[str]:
         """Fragments that contain ``token_text`` (case-insensitive prefilter).
@@ -370,19 +215,17 @@ class FragmentStore:
         return list(self.iter_candidates(token_text))
 
     def iter_candidates(self, token_text: str):
-        """Iterator over index candidates of one consistent snapshot."""
-        state = self._state
-        fragments = state.fragments
-        for position in state.index.get(token_text.lower(), ()):
+        """Iterator over the index candidates of one token text."""
+        fragments = self._fragments
+        for position in self._index.get(token_text.lower(), ()):
             yield fragments[position]
 
     def stats(self) -> dict[str, int]:
         """Extraction statistics (reported by Table III's bench)."""
-        state = self._state
         return {
-            "fragments": len(state.fragments),
-            "indexed_tokens": len(state.index),
-            "total_characters": sum(len(f) for f in state.fragments),
+            "fragments": len(self._fragments),
+            "indexed_tokens": len(self._index),
+            "total_characters": sum(len(f) for f in self._fragments),
         }
 
     # ------------------------------------------------------------------
@@ -395,7 +238,7 @@ class FragmentStore:
         """Serialise the fragment list (the index is rebuilt on load)."""
         import json
 
-        return json.dumps({"version": 1, "fragments": list(self._state.fragments)})
+        return json.dumps({"version": 1, "fragments": list(self._fragments)})
 
     @classmethod
     def from_json(cls, text: str) -> "FragmentStore":

@@ -16,7 +16,7 @@ Two matching engines implement that rule (DESIGN.md section 9), selected by
   MRU list of recently-matching fragments.  Kept verbatim as the
   differential oracle (it mirrors the published system).
 - ``"automaton"`` -- the one-pass engine: an Aho-Corasick automaton
-  (:mod:`repro.pti.automaton`) compiled per fragment-store epoch streams
+  (:mod:`repro.pti.automaton`) compiled once per fragment store streams
   the query once, emits every fragment-occurrence interval, and answers
   each token's coverage with an interval-stabbing lookup.
   ``O(|query| + occurrences + tokens log occurrences)`` instead of
@@ -31,11 +31,10 @@ the Figure 7 bench uses to show the optimization effect.  **Semantics
 change with the matcher**: the scan counts fragment-vs-token containment
 checks; the automaton counts node transitions (goto steps + fail follows).
 
-The analyzer also owns its staleness guard: every public entry point
-epoch-checks the fragment store and, on mutation, prunes revoked fragments
-from the MRU (a removed fragment lingering there would keep "covering"
-tokens -- containment checks consult only the query text, never store
-membership) and drops the compiled automaton and per-query occurrence memo.
+An analyzer is bound to one fragment store for life.  A store never
+changes, so its MRU, compiled automaton and occurrence memo can never go
+stale; a vocabulary change swaps in a new store, and with it a new
+analyzer (:meth:`~repro.pti.daemon.PTIDaemon.refresh_fragments`).
 """
 
 from __future__ import annotations
@@ -65,8 +64,7 @@ PTI_MATCHER_CHOICES = ("auto", "scan", "automaton")
 #: Below it, a token's candidate list is a handful of C-level ``str.find``
 #: calls, which beat a per-character Python automaton walk; above it the
 #: one-pass engine wins and keeps winning (its cost is store-size
-#: independent).  Evaluated per call, so stores that grow past the
-#: threshold switch over automatically.
+#: independent).  Resolved once per analyzer: its store never changes.
 AUTO_AUTOMATON_MIN_FRAGMENTS = 16
 
 
@@ -113,23 +111,30 @@ class PTIAnalyzer:
     ) -> None:
         self.store = store
         self.config = config or PTIConfig()
+        matcher = self.config.matcher
+        if matcher == "auto":
+            matcher = (
+                "automaton"
+                if len(store) >= AUTO_AUTOMATON_MIN_FRAGMENTS
+                else "scan"
+            )
+        #: The engine this analyzer runs (``"auto"`` resolved for its store).
+        self.resolved_matcher = matcher
         self.mru = MRUFragmentCache()
-        #: Guards the derived-state block (epoch guard, compiled automaton,
-        #: occurrence memo) so concurrent callers cannot interleave a stale
-        #: prune with a fresh compile.  Reentrant because the public
-        #: entry points nest (``analyze`` -> ``cover_token_witness`` ->
-        #: ``occurrence_index``).  Held across the in-process match work --
-        #: acceptable because in-process Python matching is GIL-serialized
-        #: anyway; parallel analysis comes from the gateway's worker fleet
-        #: (DESIGN.md section 12).
+        #: Guards the derived state (compiled automaton, occurrence memo)
+        #: so concurrent callers cannot interleave a memo fill.  Reentrant
+        #: because the public entry points nest (``analyze`` ->
+        #: ``cover_token_witness`` -> ``occurrence_index``).  Held across
+        #: the in-process match work -- acceptable because in-process
+        #: Python matching is GIL-serialized anyway; parallel analysis
+        #: comes from the gateway's worker fleet (DESIGN.md section 12).
         self._lock = threading.RLock()
         #: Total matching work performed (Fig. 7).  Unit depends on the
         #: matcher: fragment-vs-token containment checks for the scan,
         #: automaton node transitions for the one-pass engine.
         self.comparisons = 0
-        #: Fragment-store epoch the MRU/automaton state is valid for.
-        self._epoch = store.epoch
-        #: Lazily compiled Aho-Corasick automaton (automaton matcher).
+        #: The store's Aho-Corasick automaton (automaton matcher), resolved
+        #: on first use.
         self._automaton: FragmentAutomaton | None = None
         #: Last-query occurrence-index memo: one streaming pass serves every
         #: token of a query -- including the shape cache's per-hit recheck
@@ -140,75 +145,38 @@ class PTIAnalyzer:
         self.automaton_builds = 0
         self.occ_index_builds = 0
         self.occ_index_reuses = 0
-        self.mru_prunes = 0
 
     # ------------------------------------------------------------------
-    # Matcher selection & staleness guard
+    # One-pass matcher state
     # ------------------------------------------------------------------
 
-    @property
-    def resolved_matcher(self) -> str:
-        """The engine ``"auto"`` resolves to right now (store-size aware)."""
-        matcher = self.config.matcher
-        if matcher != "auto":
-            return matcher
-        return (
-            "automaton"
-            if len(self.store) >= AUTO_AUTOMATON_MIN_FRAGMENTS
-            else "scan"
-        )
+    def _resolve_automaton(self) -> FragmentAutomaton:
+        """The store's automaton, shared by every analyzer of the store.
 
-    def _sync_store(self) -> None:
-        """Epoch-check against the store; drop stale derived state.
-
-        Bugfix (previously the MRU was *never* invalidated on store
-        mutation): after ``remove()``/``reload()`` a revoked fragment in
-        the MRU could still cover critical tokens -- stale trust that
-        fails open.  The MRU is pruned against current store membership
-        (surviving fragments keep their recency), and the compiled
-        automaton plus the per-query occurrence memo are dropped so the
-        one-pass engine is recompiled over the new vocabulary.
+        ``automaton_builds`` counts the compiles *this* analyzer paid for.
         """
-        epoch = self.store.epoch
-        if epoch != self._epoch:
-            self._epoch = epoch
-            if self.mru.prune(self.store.__contains__):
-                self.mru_prunes += 1
-            self._automaton = None
-            self._occ_query = None
-            self._occ_index = None
+        automaton = self._automaton
+        if automaton is None:
+            automaton, built_now = self.store.compiled_automaton()
+            self._automaton = automaton
+            if built_now:
+                self.automaton_builds += 1
+        return automaton
 
     def occurrence_index(self, query: str) -> OccurrenceIndex:
         """The query's fragment-occurrence interval index (memoised).
 
-        Compiles the automaton on first use per store epoch, then serves
-        repeated lookups for the *same* query string (the per-token loop of
+        Resolves the store's automaton on first use, then serves repeated
+        lookups for the *same* query string (the per-token loop of
         :meth:`analyze`, the engine's shape-cache recheck path) from the
         single streaming pass already performed.
         """
         with self._lock:
-            self._sync_store()
             previous = self._occ_query
             if previous is not None and (previous is query or previous == query):
                 self.occ_index_reuses += 1
                 return self._occ_index
-            automaton = self._automaton
-            if automaton is None:
-                # Resolve through the store's per-state cell so every
-                # analyzer of one store shares a single compile per epoch
-                # (and a warm handoff's precompiled automaton is free).
-                # ``automaton_builds`` keeps its meaning -- builds *this*
-                # analyzer triggered -- via the built_now flag.
-                shared = getattr(self.store, "compiled_automaton", None)
-                if callable(shared):
-                    automaton, built_now = shared()
-                else:
-                    automaton = FragmentAutomaton.from_store(self.store)
-                    built_now = True
-                self._automaton = automaton
-                if built_now:
-                    self.automaton_builds += 1
-            index = automaton.index(query)
+            index = self._resolve_automaton().index(query)
             self.comparisons += index.transitions
             self.occ_index_builds += 1
             self._occ_query = query
@@ -219,24 +187,13 @@ class PTIAnalyzer:
         """Precompile the resolved matcher's derived state.
 
         Called off the request path (:meth:`PTIDaemon.warm
-        <repro.pti.daemon.PTIDaemon.warm>`) so the first query after an
-        epoch swap finds a ready automaton instead of paying the
-        per-epoch build inline.  A no-op for the scan matcher.
+        <repro.pti.daemon.PTIDaemon.warm>`) so the first query against a
+        swapped-in store finds a ready automaton instead of paying the
+        build inline.  A no-op for the scan matcher.
         """
-        with self._lock:
-            self._sync_store()
-            if self.resolved_matcher != "automaton":
-                return
-            if self._automaton is None:
-                shared = getattr(self.store, "compiled_automaton", None)
-                if callable(shared):
-                    automaton, built_now = shared()
-                else:
-                    automaton = FragmentAutomaton.from_store(self.store)
-                    built_now = True
-                self._automaton = automaton
-                if built_now:
-                    self.automaton_builds += 1
+        if self.resolved_matcher == "automaton":
+            with self._lock:
+                self._resolve_automaton()
 
     def matcher_stats(self) -> dict[str, float]:
         """Matching-engine counters for the unified cache introspection."""
@@ -250,7 +207,6 @@ class PTIAnalyzer:
             ),
             "occ_index_builds": float(self.occ_index_builds),
             "occ_index_reuses": float(self.occ_index_reuses),
-            "mru_prunes": float(self.mru_prunes),
         }
 
     # ------------------------------------------------------------------
@@ -335,7 +291,6 @@ class PTIAnalyzer:
         -- and therefore every verdict -- is identical.
         """
         with self._lock:
-            self._sync_store()
             if self.resolved_matcher == "automaton":
                 return self.occurrence_index(query).witness(
                     token.start, token.end

@@ -767,9 +767,10 @@ class AsyncGateway:
         """Push one tenant's new overlay to every worker (warm handoff).
 
         The rolling-reload control plane: workers are pushed one at a
-        time, each applies the snapshot in place via its registry's warm
-        handoff (successor composite automaton compiled off-path, atomic
-        swap) and keeps serving other tenants throughout.  A worker that
+        time, each applies the snapshot through its registry's warm
+        handoff (a successor store with its composite automaton compiled,
+        then swapped into the tenant's engine) and keeps serving other
+        tenants throughout.  A worker that
         fails the push is counted and left to the health checker --
         ``consecutive_failures`` drives its replacement, and the
         replacement spawns with the already-updated overlay map.

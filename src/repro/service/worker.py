@@ -21,9 +21,9 @@ and fails the batch closed.
 In multi-tenant mode the gateway wire's ``client_id`` is the tenant id:
 inspects route to that tenant's engine, and a client naming an
 unregistered tenant gets fail-closed verdicts (never another tenant's
-vocabulary).  A tenant overlay reload applies in place via the registry's
-warm handoff -- the worker process is never restarted for a vocabulary
-change.
+vocabulary).  A tenant overlay reload is the registry's warm handoff: a
+new store, swapped into the tenant's engine -- the worker process is
+never restarted for a vocabulary change.
 
 Resilience contract (mirrors ``SubprocessPTIDaemon``): every call either
 returns its decoded answer or raises :class:`WorkerFailure`; pipe errors
@@ -109,12 +109,16 @@ class _EngineFleet:
         return self.engines.get(client_id)
 
     def snapshot(self, tenant_id: str, overlay) -> int:
-        """Warm-handoff reload of one tenant's overlay; returns new epoch."""
+        """Warm-handoff reload of one tenant's overlay; returns new epoch.
+
+        The registry builds the successor store; the tenant's engine is
+        kept (its counters keep counting) and swaps the store in.
+        """
         if self.registry is None:
             raise RuntimeError("snapshot push requires tenant mode")
-        if tenant_id not in self.registry:
-            raise KeyError(f"unknown tenant {tenant_id!r}")
-        return self.registry.reload_tenant(tenant_id, overlay, warm=True)
+        store = self.registry.reload_tenant(tenant_id, overlay)
+        self.engines[tenant_id].daemon.refresh_fragments(store)
+        return store.epoch
 
     def report(self) -> dict:
         if self.registry is None:
@@ -347,9 +351,9 @@ class GatewayWorker:
 
         ``frame`` is a store snapshot carrying the tenant id and overlay,
         packed once per reload for the whole fleet.  The child's registry
-        builds the successor state and composite automaton off-path, swaps
-        atomically, keeps serving throughout and acks its new epoch -- the
-        worker process is never restarted for a vocabulary change.
+        builds the successor store and its composite automaton, the
+        tenant's engine swaps it in, and the child acks the store's epoch
+        -- the worker process is never restarted for a vocabulary change.
         """
         _, epoch = self._call(
             frame, wire.unpack_snapshot_ack, timeout or self.recv_timeout

@@ -1,14 +1,15 @@
-"""TenantRegistry: tenant-id -> versioned fragment store over one base.
+"""TenantRegistry: tenant-id -> fragment store over one shared base.
 
 Maps tenant-id -> :class:`~repro.tenancy.store.TenantStore`, each
-composed over the registry's one interned
-:class:`~repro.tenancy.interning.SharedBase` (DESIGN.md section 13).  A
+composed over the registry's one interned base
+:class:`~repro.pti.fragments.FragmentStore` (DESIGN.md section 13).  A
 gateway worker child builds one registry and one engine per tenant;
 :meth:`TenantRegistry.reload_tenant` is the warm handoff it runs when the
-gateway pushes a tenant's new overlay (successor state and composite
-automaton compiled off-path, then an atomic swap).  The gateway owns
-replication and durability: it packs one snapshot frame per reload,
-pushes it to every worker and journals the overlay in its durable state.
+gateway pushes a tenant's new overlay: it builds the successor store and
+its composite automaton off-path, and the worker swaps the store into
+the tenant's engine.  The gateway owns replication and durability: it
+packs one snapshot frame per reload, pushes it to every worker and
+journals the overlay in its durable state.
 """
 
 from __future__ import annotations
@@ -16,21 +17,20 @@ from __future__ import annotations
 import threading
 from typing import Iterable
 
-from .interning import FragmentInterner, SharedBase
+from ..pti.fragments import FragmentStore
+from .interning import FragmentInterner
 from .store import TenantStore
 
 __all__ = ["TenantRegistry"]
 
 
 class TenantRegistry:
-    """Tenant-id -> versioned fragment store over one interned base."""
+    """Tenant-id -> fragment store over one interned base."""
 
     def __init__(self, base_fragments: Iterable[str] = ()) -> None:
         self.interner = FragmentInterner()
         self._lock = threading.Lock()
-        self._base = SharedBase(
-            "shared", self.interner.intern_many(base_fragments)
-        )
+        self._base = FragmentStore(self.interner.intern_many(base_fragments))
         self._tenants: dict[str, TenantStore] = {}
         self.handoff_swaps = 0
 
@@ -47,23 +47,35 @@ class TenantRegistry:
             return store
 
     def reload_tenant(
-        self, tenant_id: str, overlay: Iterable[str], *, warm: bool = True
-    ) -> int:
-        """Warm-handoff reload of one tenant's overlay; returns the new epoch.
+        self, tenant_id: str, overlay: Iterable[str]
+    ) -> TenantStore:
+        """Warm handoff of one tenant's overlay; returns the new store.
 
-        With ``warm`` the successor state and its composite automaton are
-        built before the atomic swap, so in-flight inspects finish on the
-        old epoch and the first one after the swap finds a ready matcher.
+        The successor store and its composite automaton are built before
+        the map entry is replaced, so the first inspect against it pays
+        no compile.  The caller swaps the store into the tenant's engine
+        (``engine.daemon.refresh_fragments(store)``); inspects in flight
+        finish on the old store.
         """
-        store = self.get(tenant_id)
-        store.reload_overlay(self.interner.intern_many(overlay), warm=warm)
+        if tenant_id not in self:
+            raise KeyError(f"unknown tenant {tenant_id!r}")
+        store = TenantStore(
+            self._base, self.interner.intern_many(overlay), tenant_id=tenant_id
+        )
+        store.compiled_automaton()
         with self._lock:
+            self._tenants[tenant_id] = store
             self.handoff_swaps += 1
-        return store.epoch
+        return store
 
     # ------------------------------------------------------------------
     # Lookups
     # ------------------------------------------------------------------
+
+    @property
+    def base(self) -> FragmentStore:
+        """The shared base vocabulary every tenant composes."""
+        return self._base
 
     def get(self, tenant_id: str) -> TenantStore:
         with self._lock:
@@ -89,21 +101,12 @@ class TenantRegistry:
         """Fleet-state section of a gateway worker's report."""
         with self._lock:
             tenants = list(self._tenants.values())
-            report: dict[str, object] = {
-                "tenants": len(tenants),
-                "bases": [self._base.stats()],
-                "handoff_swaps": self.handoff_swaps,
-            }
-        interned = 0
-        private = 0
-        detached = 0
-        for store in tenants:
-            stats = store.tenancy_stats()
-            interned += stats["interned_fragments"]
-            private += stats["private_fragments"]
-            detached += 1 if stats["private"] else 0
-        report["interned_fragments"] = interned
-        report["private_fragments"] = private
-        report["detached_tenants"] = detached
-        report["interner"] = self.interner.stats()
-        return report
+            handoff_swaps = self.handoff_swaps
+        return {
+            "tenants": len(tenants),
+            "base": self._base.stats(),
+            "handoff_swaps": handoff_swaps,
+            "interned_fragments": sum(len(store.base) for store in tenants),
+            "private_fragments": sum(len(store.overlay) for store in tenants),
+            "interner": self.interner.stats(),
+        }

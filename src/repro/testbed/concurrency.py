@@ -16,10 +16,10 @@ provides three:
   thread runs it when.
 - :func:`run_swarm` -- a barrier-started thread swarm interleaving hot
   (repeated), cold (unique-literal), attack and fault-marker traffic from
-  per-thread seeded schedules, optionally with a mutator thread reloading
-  the fragment store mid-flight (epoch churn exercises every cache
-  invalidation path without changing any verdict: the reload installs the
-  *same* fragment set).
+  per-thread seeded schedules, optionally with a mutator thread swapping
+  new fragment stores in mid-flight (the churn exercises every store
+  rebind and cache flush without changing any verdict: each new store
+  holds the *same* fragments).
 - :func:`serial_replay` -- the oracle: a fresh engine runs the exact same
   schedules single-threaded; :func:`diff_verdicts` compares.
 """
@@ -118,7 +118,7 @@ class MarkerFaultDaemon:
 
 #: Vocabulary used by :func:`build_workload` -- large enough (>= 16) that
 #: ``matcher="auto"`` resolves to the Aho-Corasick engine, exercising the
-#: automaton compile/invalidate path under epoch churn.
+#: automaton compile on every store swap.
 SWARM_FRAGMENTS = [
     "SELECT * FROM records WHERE ID=",
     "SELECT name FROM users WHERE id=",
@@ -305,12 +305,13 @@ def run_swarm(
 ) -> SwarmResult:
     """Run the schedules on ``engine`` from barrier-started threads.
 
-    With ``mutator_reloads > 0`` an extra thread reloads the engine's
-    fragment store that many times while traffic is in flight.  It reloads
-    the *same* fragment set (default: the store's current snapshot), so
-    every epoch bump exercises MRU pruning, automaton recompilation and
-    shape-cache invalidation without changing a single verdict -- the
-    serial oracle therefore remains exact.
+    With ``mutator_reloads > 0`` an extra thread swaps a new fragment
+    store into the engine's daemon that many times while traffic is in
+    flight, through ``refresh_fragments`` -- the production swap.  Every
+    new store holds the *same* fragments (default: the current store's),
+    so each swap exercises the engine's rebind, the cache flushes and the
+    automaton compile without changing a single verdict -- the serial
+    oracle therefore remains exact.
 
     Raises :class:`RuntimeError` if any thread fails to finish within
     ``join_timeout`` (deadlock detector for CI).
@@ -334,18 +335,17 @@ def run_swarm(
                 result.errors.append((thread_index, repr(exc)))
 
     def mutator() -> None:
-        store = engine.store
         fragments = (
             list(mutator_fragments)
             if mutator_fragments is not None
-            else list(store.iter_all())
+            else list(engine.store.iter_all())
         )
         try:
             barrier.wait(timeout=join_timeout)
             for _ in range(mutator_reloads):
                 if done.is_set():
                     break
-                store.reload(fragments)
+                engine.daemon.refresh_fragments(FragmentStore(fragments))
                 with result_lock:
                     result.reloads_performed += 1
                 time.sleep(0.0005)

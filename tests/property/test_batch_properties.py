@@ -154,16 +154,17 @@ def test_batch_equals_shape_disabled_serial(steps):
 
 
 # ---------------------------------------------------------------------------
-# Mid-batch store mutation: one consistent epoch
+# Mid-batch store swap: one consistent epoch
 # ---------------------------------------------------------------------------
 
 
 class MidBatchMutatingDaemon(PTIDaemon):
-    """In-process daemon that bumps the store epoch mid-exchange.
+    """In-process daemon that swaps in a new store mid-exchange.
 
-    The injected fragment is vocabulary-neutral (it matches no generated
+    The added fragment is vocabulary-neutral (it matches no generated
     query text), so verdicts are unaffected -- what changes is only the
-    store epoch, exactly the race the batch's single epoch pin must absorb.
+    store and its epoch, exactly the race the batch's single epoch pin
+    must absorb.
     """
 
     NEUTRAL = "ZZZ_EPOCH_BUMP_ONLY_"
@@ -176,7 +177,7 @@ class MidBatchMutatingDaemon(PTIDaemon):
         replies = []
         for i, query in enumerate(queries):
             if i == self.mutate_at:
-                self.store.add(self.NEUTRAL + str(self.store.epoch))
+                self.refresh_fragments(FragmentStore([*self.store, self.NEUTRAL]))
             replies.append(self.analyze_query(query, deadline=deadline))
         return replies
 
@@ -202,15 +203,18 @@ def test_mid_batch_mutation_keeps_equivalence_and_epoch_consistency(steps):
 
     # The batch observed one epoch: every plan the shape cache holds was
     # planted against the pinned epoch, and the next inspection (which
-    # reads the bumped epoch) must flush them rather than serve a mix.
+    # reads the new store) must flush them rather than serve a mix.
     cache = batch_engine.shape_cache
     planted = len(cache)
+    hits = batch_engine.stats.shape_hits
+    batch_engine.daemon.mutate_at = None  # the follow-up swaps nothing
     followup = batch_engine.inspect_batch(queries, context)
     assert_equivalent(followup, serial, queries)
     if planted and len(queries) > 1:
-        # A mutation actually fired mid-batch, so the follow-up synced to
-        # the new epoch and invalidated the old plans wholesale.
-        assert cache.invalidations >= 1
+        # A swap actually fired mid-batch, so the follow-up ran at the new
+        # store's epoch and no old plan served it.
+        assert cache.snapshot_stats()["epoch"] == float(batch_engine.store.epoch)
+        assert batch_engine.stats.shape_hits == hits
 
 
 @given(BATCH, st.integers(min_value=0, max_value=9))
@@ -224,7 +228,7 @@ def test_mutation_between_batches_never_serves_stale_plans(steps, extra_index):
     # against a fresh cold engine over the *final* store contents: any
     # stale plan served would surface as a verdict divergence here.
     extra = f"ZZZ_BETWEEN_BATCH_{extra_index}_"
-    batch_engine.store.add(extra)
+    batch_engine.daemon.refresh_fragments(FragmentStore(ALL_FRAGMENTS + [extra]))
     cold_engine = JozaEngine.from_fragments(
         sorted(ALL_FRAGMENTS + [extra]),
         JozaConfig(shape=ShapeCacheConfig(enabled=False)),

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from repro.attacks.payloads import quote_comment_block, split_inside_critical_tokens
 from repro.core import JozaConfig, JozaEngine, ShapeCacheConfig
 from repro.phpapp.context import CapturedInput, RequestContext
+from repro.pti import FragmentStore
 
 # --------------------------------------------------------------------------
 # Shape templates: fragments are exactly the application's template pieces,
@@ -166,14 +167,16 @@ def test_multi_input_split_equivalence(steps):
 @given(STEPS)
 @settings(max_examples=30, deadline=None)
 def test_fragment_mutation_mid_sequence_keeps_equivalence(steps):
-    """Epoch bumps mid-traffic never let a stale plan change a verdict."""
+    """Store swaps mid-traffic never let a stale plan change a verdict."""
     fast, cold = make_pair()
     warm_pair(fast, cold)
     extra = " ORDER BY mutated"
     for index, (template_index, value) in enumerate(steps):
         if index == len(steps) // 2:
-            fast.store.add(extra)
-            cold.store.add(extra)
+            for engine in (fast, cold):
+                engine.daemon.refresh_fragments(
+                    FragmentStore([*engine.store, extra])
+                )
         query = TEMPLATES[template_index]["build"](value)
         assert_equivalent(
             fast.inspect(query, ctx([value])),

@@ -133,9 +133,10 @@ def test_parity_survives_warm_overlay_reload(overlay, next_overlay):
     """After a warm handoff the tenant engine still matches a dedicated
     engine built over the *new* vocabulary."""
     registry = TenantRegistry(BASE)
-    store = registry.add_tenant("t", overlay)
-    tenant_engine = JozaEngine(store)
-    registry.reload_tenant("t", next_overlay, warm=True)
+    tenant_engine = JozaEngine(registry.add_tenant("t", overlay))
+    tenant_engine.daemon.refresh_fragments(
+        registry.reload_tenant("t", next_overlay)
+    )
     dedicated_engine = JozaEngine.from_fragments(
         list(BASE) + list(next_overlay)
     )

@@ -164,12 +164,19 @@ def test_batch_pins_one_epoch_and_mutation_invalidates_after():
     engine.inspect_batch(SAFE_QUERIES, ctx("1"))
     planted = len(engine.shape_cache)
     assert planted >= 1
-    # Store mutation after the batch: the next inspection reads the new
-    # epoch and the cache flushes every old-epoch plan at once -- a batch
-    # can never mix plans from two vocabularies.
-    engine.store.add("ZZZ_UNRELATED_FRAGMENT_")
+    # Store swap after the batch: the next batch pins the new store's
+    # epoch and finds every old-store plan flushed -- a batch can never
+    # mix plans from two vocabularies.
+    engine.daemon.refresh_fragments(
+        FragmentStore([*FRAGMENTS, "ZZZ_UNRELATED_FRAGMENT_"])
+    )
+    hits = engine.stats.shape_hits
+    verdicts = engine.inspect_batch(SAFE_QUERIES, ctx("1"))
+    assert engine.stats.shape_hits == hits
+    assert all(v.pti.from_cache != "shape" for v in verdicts)
+    stats = engine.shape_cache.snapshot_stats()
+    assert stats["epoch"] == float(engine.store.epoch)
     engine.inspect_batch(SAFE_QUERIES, ctx("1"))
-    assert engine.shape_cache.invalidations >= 1
     stats = engine.shape_cache.snapshot_stats()
     assert stats["entries"] >= 1.0  # re-planted under the new epoch
 

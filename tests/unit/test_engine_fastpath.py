@@ -1,11 +1,11 @@
 """Unit tests for the query-shape fast path wired into the engine.
 
 Covers hit/miss/plant accounting, NTI still running on shape hits, unsafe
-shapes never being cached, fragment-store mutations provably invalidating
-cached PTI coverage, store swaps flushing plans, shadow validation, and the
-unified ``cache_stats()`` introspection surface.  Plans are admitted on a
-shape's second clean sighting, so every test that needs a plan warms its
-shape twice.
+shapes never being cached, vocabulary changes (store swaps) provably
+invalidating cached PTI coverage -- including a swap racing a plan plant
+--, shadow validation, and the unified ``cache_stats()`` introspection
+surface.  Plans are admitted on a shape's second clean sighting, so every
+test that needs a plan warms its shape twice.
 """
 
 from repro.core import (
@@ -74,9 +74,15 @@ def test_unsafe_shapes_are_never_cached():
 
 
 # ---------------------------------------------------------------------------
-# Epoch invalidation (acceptance criterion: a fragment-store mutation
+# Store-swap invalidation (acceptance criterion: a vocabulary change
 # provably invalidates cached PTI coverage)
 # ---------------------------------------------------------------------------
+
+
+def swap(engine, fragments):
+    """Install a new vocabulary the production way: a new store, swapped in."""
+    engine.daemon.refresh_fragments(FragmentStore(fragments))
+    return engine.store
 
 
 def test_fragment_removal_invalidates_cached_pti_coverage():
@@ -90,13 +96,13 @@ def test_fragment_removal_invalidates_cached_pti_coverage():
     # Plugin uninstalled: the only fragment covering LIMIT disappears.
     # The cached plan proved coverage against the old vocabulary; serving
     # it now would vouch an uncoverable query safe.
-    assert engine.store.remove(" LIMIT 2")
+    swap(engine, ["SELECT a FROM t WHERE id = "])
 
     stale = engine.inspect("SELECT a FROM t WHERE id = 9 LIMIT 2", ctx("9"))
     assert not stale.safe
     assert stale.detected_by() == {Technique.PTI}
     assert stale.pti.from_cache is None  # re-analysed, not served stale
-    assert engine.shape_cache.invalidations == 1
+    assert len(engine.shape_cache) == 0
 
 
 def test_fragment_add_bumps_epoch_and_replans():
@@ -106,7 +112,8 @@ def test_fragment_add_bumps_epoch_and_replans():
     assert not engine.inspect(query, ctx("1")).safe
     assert engine.stats.shape_plans_built == 0
 
-    engine.store.add(" LIMIT 2")
+    old_epoch = engine.store.epoch
+    assert swap(engine, [*engine.store, " LIMIT 2"]).epoch > old_epoch
     healed = engine.inspect(query, ctx("1"))
     assert healed.safe
     assert engine.inspect(query, ctx("1")).safe
@@ -124,12 +131,66 @@ def test_refresh_fragments_store_swap_flushes_plans():
     assert engine.inspect(query, ctx("1")).pti.from_cache == "shape"
 
     # Whole-store swap (bulk plugin update) to a vocabulary that no longer
-    # covers LIMIT.  Epochs of distinct stores are incomparable, so the
-    # engine must flush on store identity, not epoch value.
-    engine.daemon.refresh_fragments(FragmentStore(["SELECT a FROM t WHERE id = "]))
+    # covers LIMIT: the engine rebinds on store identity and flushes.
+    swap(engine, ["SELECT a FROM t WHERE id = "])
     verdict = engine.inspect(query, ctx("1"))
     assert not verdict.safe
     assert verdict.detected_by() == {Technique.PTI}
+
+
+def test_equal_stores_get_distinct_increasing_epochs():
+    first = FragmentStore(["SELECT * FROM t WHERE id=", " ORDER BY x"])
+    second = FragmentStore(["SELECT * FROM t WHERE id=", " ORDER BY x"])
+    assert first.fragments == second.fragments
+    assert second.epoch > first.epoch
+
+
+def test_swap_racing_a_plan_plant_never_serves_the_old_vocabulary(monkeypatch):
+    """A plan proven under S1 and planted after an equal-size S2 is swapped in.
+
+    While the plan is being built, the wrapper swaps S1 for S2 and another
+    request rebinds the shape state to S2.  The late plant names S1's
+    epoch; S2 was built later, so its epoch is larger and the cache
+    refuses the plant.  (Were the two epochs equal, the plan would serve
+    S2 and vouch for ``ORDER BY x``, which S2 no longer covers.)
+    """
+    import threading
+
+    import repro.core.engine as engine_module
+
+    s1 = ["SELECT * FROM t WHERE id=", " ORDER BY x"]
+    s2 = ["SELECT * FROM t WHERE id=", " ORDER BY y"]
+    engine = JozaEngine.from_fragments(s1)
+    real = engine_module.build_plan
+    swapped = []
+
+    def racing_build_plan(*args, **kwargs):
+        plan = real(*args, **kwargs)
+        if not swapped:
+            swapped.append(swap(engine, s2))
+            other = threading.Thread(
+                target=engine.inspect,
+                args=("SELECT * FROM t WHERE id=5 ORDER BY y", ctx("5")),
+            )
+            other.start()
+            other.join()
+        return plan
+
+    monkeypatch.setattr(engine_module, "build_plan", racing_build_plan)
+    query = "SELECT * FROM t WHERE id=1 ORDER BY x"
+    assert engine.inspect(query, ctx("1")).safe  # first sighting
+    assert engine.inspect(query, ctx("1")).safe  # second: plants, races
+    assert swapped and len(swapped[0]) == len(s1)
+    assert engine.shape_cache.stale_puts == 1  # the S1 plan was refused
+
+    probe = "SELECT * FROM t WHERE id=2 ORDER BY x"
+    verdict = engine.inspect(probe, ctx("2"))
+    fresh = JozaEngine.from_fragments(s2).inspect(probe, ctx("2"))
+    assert (verdict.safe, verdict.detected_by()) == (
+        fresh.safe,
+        fresh.detected_by(),
+    )
+    assert not verdict.safe and verdict.pti.from_cache is None
 
 
 # ---------------------------------------------------------------------------
@@ -299,25 +360,28 @@ def test_aged_out_shape_starts_over():
 
 
 def test_plan_after_epoch_flush_comes_from_a_clean_cold_analysis_at_the_new_epoch():
-    engine = JozaEngine.from_fragments(["SELECT a FROM t WHERE id = ", " LIMIT 2"])
+    fragments = ["SELECT a FROM t WHERE id = ", " LIMIT 2"]
+    engine = JozaEngine.from_fragments(fragments)
     query = "SELECT a FROM t WHERE id = 1 LIMIT 2"
-    assert engine.inspect(query, ctx("1")).safe  # first sighting, epoch 0
+    assert engine.inspect(query, ctx("1")).safe  # first sighting
     # The only fragment covering LIMIT disappears: the remembered key must
-    # not carry trust across the flush.
-    assert engine.store.remove(" LIMIT 2")
+    # not carry trust across the swap.
+    swap(engine, fragments[:1])
     unsafe = engine.inspect(query, ctx("1"))
     assert not unsafe.safe and unsafe.detected_by() == {Technique.PTI}
     assert engine.stats.shape_plans_built == 0
-    # Back in the vocabulary: the next clean sighting is admitted, and its
-    # plan is built from this analysis against the current store.
-    engine.store.add(" LIMIT 2")
-    epoch = engine.store.epoch
+    # Back in the vocabulary: a swap forgets remembered keys too, so two
+    # clean sightings admit the shape, and its plan is built from the
+    # second analysis against the current store.
+    epoch = swap(engine, fragments).epoch
+    assert engine.inspect(query, ctx("1")).safe
+    assert engine.stats.shape_plans_built == 0
     assert engine.inspect(query, ctx("1")).safe
     assert engine.stats.shape_plans_built == 1
     assert engine.shape_cache.snapshot_stats()["epoch"] == float(epoch)
     hit = engine.inspect("SELECT a FROM t WHERE id = 5 LIMIT 2", ctx("5"))
     assert hit.safe and hit.pti.from_cache == "shape"
-    assert engine.store.remove(" LIMIT 2")
+    swap(engine, fragments[:1])
     stale = engine.inspect("SELECT a FROM t WHERE id = 6 LIMIT 2", ctx("6"))
     assert not stale.safe and stale.pti.from_cache is None
 

@@ -16,6 +16,7 @@ from repro.core import (
     JozaEngine,
     ResilienceConfig,
 )
+from repro.core.resilience import DaemonCrash
 from repro.phpapp.application import (
     QueryBlockedError,
     TerminationSignal,
@@ -174,6 +175,41 @@ def test_fallback_in_process_preserves_pti_verdicts():
     verdict = engine.inspect(ATTACK_QUERY, RequestContext())
     assert not verdict.safe and verdict.degraded
     assert engine.stats.degraded_verdicts == 2
+
+
+class AlwaysCrashingDaemon:
+    """A PTI backend that is always down but can still swap its store."""
+
+    def __init__(self, store: FragmentStore) -> None:
+        self.store = store
+
+    def refresh_fragments(self, store: FragmentStore) -> None:
+        self.store = store
+
+    def analyze_batch(self, queries, deadline=None):
+        raise DaemonCrash("backend down")
+
+
+def test_fallback_in_process_follows_a_store_swap():
+    fragments = ["SELECT * FROM t WHERE id=", " ORDER BY x"]
+    config = JozaConfig(
+        resilience=ResilienceConfig(
+            failure_policy=FailurePolicy.FALLBACK_IN_PROCESS
+        )
+    )
+    store = FragmentStore(fragments)
+    engine = JozaEngine(store, config, daemon=AlwaysCrashingDaemon(store))
+    query = "SELECT * FROM t WHERE id=1 ORDER BY x"
+    verdict = engine.inspect(query, RequestContext())
+    assert verdict.safe and verdict.degraded  # the fallback vouched
+    # The plugin owning " ORDER BY x" is removed: a new store is swapped in.
+    new_store = FragmentStore(fragments[:1])
+    engine.daemon.refresh_fragments(new_store)
+    verdict = engine.inspect(query, RequestContext())
+    fresh = JozaEngine(new_store, config).inspect(query, RequestContext())
+    assert not fresh.safe
+    assert not verdict.safe and verdict.degraded
+    assert verdict.detected_by() == fresh.detected_by()
 
 
 # ----------------------------------------------------------------------

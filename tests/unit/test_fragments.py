@@ -2,7 +2,6 @@
 
 from repro.pti.fragments import (
     FragmentStore,
-    _build_index,
     fragment_index_keys,
     token_index_key,
 )
@@ -28,10 +27,9 @@ def test_fragments_snapshot_memoised_and_invalidated():
     store = FragmentStore(["a"])
     first = store.fragments
     assert first is store.fragments  # memoised: no per-access copy
-    store.add("b")
-    second = store.fragments
-    assert second == ("a", "b")
-    assert first == ("a",)  # old snapshot unaffected by insertion
+    successor = FragmentStore([*store, "b"])
+    assert successor.fragments == ("a", "b")
+    assert store.fragments is first == ("a",)  # the old store is untouched
 
 
 def test_contains_and_iter():
@@ -106,57 +104,48 @@ def test_stats():
 def test_incremental_add_updates_index():
     store = FragmentStore()
     assert store.candidates_for("union") == []
-    store.add(" UNION ALL ")
+    store = FragmentStore([*store, " UNION ALL "])
     assert store.candidates_for("union") == [" UNION ALL "]
     assert store.candidates_for("all") == [" UNION ALL "]
-    # One batch whose fragments share keys, added onto a non-empty store:
-    # the index extends each bucket exactly as a full rebuild would.
-    store.add_many(
-        ["SELECT a FROM t", " UNION ALL SELECT ", "SELECT b FROM t", " ALL "]
+    # A successor adding fragments that share keys: each bucket lists its
+    # fragments in insertion order, exactly as a per-fragment scan would.
+    store = FragmentStore(
+        [*store, "SELECT a FROM t", " UNION ALL SELECT ", "SELECT b FROM t", " ALL "]
     )
     assert store.candidates_for("union") == [" UNION ALL ", " UNION ALL SELECT "]
-    assert store._state.index == _build_index(store.fragments)
+    for key in {k for f in store for k in fragment_index_keys(f)}:
+        expected = [f for f in store if key in fragment_index_keys(f)]
+        assert store.candidates_for(key) == expected
 
 
 # ---------------------------------------------------------------------------
-# Epoch counter (dependent caches key their validity on it)
+# Epochs: one per store (dependent caches key their validity on it)
 # ---------------------------------------------------------------------------
 
 
 def test_epoch_bumps_on_add_remove_reload():
+    # A vocabulary change is a new store; each one carries a newer epoch.
     store = FragmentStore(["a SELECT"])
-    epoch = store.epoch
-    store.add("b SELECT")
-    assert store.epoch == epoch + 1
-    assert store.remove("b SELECT")
-    assert store.epoch == epoch + 2
-    store.reload(["c SELECT"])
-    assert store.epoch == epoch + 3
-    assert store.fragments == ("c SELECT",)
-
-
-def test_epoch_stable_on_noop_mutations():
-    store = FragmentStore(["a SELECT"])
-    epoch = store.epoch
-    store.add("a SELECT")  # duplicate
-    store.add("")  # empty
-    assert not store.remove("missing")
-    assert store.epoch == epoch
+    added = FragmentStore([*store, "b SELECT"])
+    removed = FragmentStore(f for f in added if f != "b SELECT")
+    reloaded = FragmentStore(["c SELECT"])
+    assert store.epoch < added.epoch < removed.epoch < reloaded.epoch
+    assert reloaded.fragments == ("c SELECT",)
 
 
 def test_remove_rebuilds_index_and_snapshot():
     store = FragmentStore([" UNION ALL ", " OR "])
     before = store.fragments
-    assert store.remove(" UNION ALL ")
-    assert store.candidates_for("union") == []
-    assert store.candidates_for("all") == []
-    assert " UNION ALL " not in store
-    assert store.fragments == (" OR ",)
-    assert before == (" UNION ALL ", " OR ")  # old snapshot untouched
+    removed = FragmentStore(f for f in store if f != " UNION ALL ")
+    assert removed.candidates_for("union") == []
+    assert removed.candidates_for("all") == []
+    assert " UNION ALL " not in removed
+    assert removed.fragments == (" OR ",)
+    assert store.fragments is before  # the old store is untouched
+    assert store.candidates_for("union") == [" UNION ALL "]
 
 
 def test_reload_drops_duplicates_and_empties():
-    store = FragmentStore(["old"])
-    store.reload(["x SELECT", "", "x SELECT", "y"])
+    store = FragmentStore(["x SELECT", "", "x SELECT", "y"])
     assert store.fragments == ("x SELECT", "y")
     assert store.candidates_for("select") == ["x SELECT"]

@@ -430,16 +430,80 @@ def test_recover_refuses_checkpoint_only_kinds_in_journal(tmp_path):
             recover(str(tmp_path))
 
 
+def _dir_bytes(state_dir):
+    return {
+        name: open(os.path.join(state_dir, name), "rb").read()
+        for name in sorted(os.listdir(state_dir))
+    }
+
+
+def test_recover_refuses_journal_records_without_a_checkpoint(tmp_path):
+    state_dir = str(tmp_path)
+    state = DurableState(state_dir, seed_fragments=FRAGS, fsync=FsyncPolicy.NEVER)
+    state.set_overlay("shop", ["OV "])
+    state.abandon()
+    # The first boot checkpoints before it journals anything, so records
+    # without a checkpoint mean the checkpoint was lost: recovering the
+    # journal alone would run on (and re-checkpoint) an empty base.
+    os.unlink(os.path.join(state_dir, "checkpoint.jz"))
+    with open(os.path.join(state_dir, "journal.jz"), "ab") as handle:
+        handle.write(b"\x07torn")  # a torn tail recovery would truncate
+    with open(os.path.join(state_dir, "checkpoint.jz.tmp"), "wb") as handle:
+        handle.write(b"stale")  # a tmp file recovery would sweep
+    before = _dir_bytes(state_dir)
+    with pytest.raises(JournalCorrupt, match="no checkpoint"):
+        recover(state_dir)
+    with pytest.raises(JournalCorrupt, match="no checkpoint"):
+        DurableState(state_dir, seed_fragments=FRAGS, fsync=FsyncPolicy.NEVER)
+    assert _dir_bytes(state_dir) == before  # the refused open wrote nothing
+
+    # A gateway over that directory refuses to start and counts it.
+    from repro.service import AsyncGateway, GatewayConfig, GatewayThread
+
+    gateway = AsyncGateway(
+        FRAGS,
+        gateway=GatewayConfig(
+            unix_path=str(tmp_path / "gw.sock"),
+            host=None,
+            workers=1,
+            state_dir=state_dir,
+        ),
+    )
+    with pytest.raises(RuntimeError) as exc:
+        GatewayThread(gateway).start()
+    assert isinstance(exc.value.__cause__, JournalCorrupt)
+    assert gateway.corruption_refusals == 1
+    assert _dir_bytes(state_dir) == before
+
+
+def test_recover_crash_before_first_checkpoint_is_fresh(tmp_path):
+    state_dir = str(tmp_path)
+    # The first boot died after opening its journal and mid-way through
+    # writing its checkpoint: an empty journal and a stale tmp file.
+    JournalWriter(
+        os.path.join(state_dir, "journal.jz"), fsync=FsyncPolicy.NEVER
+    ).close()
+    with open(os.path.join(state_dir, "checkpoint.jz.tmp"), "wb") as handle:
+        handle.write(b"half a checkpoint")
+    recovered = recover(state_dir)
+    assert recovered.source == "fresh" and recovered.fragments == []
+    assert recovered.stale_tmp_swept == 1
+    state = DurableState(state_dir, seed_fragments=FRAGS, fsync=FsyncPolicy.NEVER)
+    assert state.fragments == tuple(FRAGS)  # the seed boots normally
+    state.abandon()
+    assert recover(state_dir).fragments == FRAGS
+
+
 def test_recover_refuses_impossible_checkpoint_epoch(tmp_path):
     path = os.path.join(str(tmp_path), "checkpoint.jz")
-    # Installing a vocabulary bumps the epoch at least once, so fragments
-    # at epoch 0 are impossible history and refuse to serve ...
+    # A writer's epoch is at least its number of base fragments, so
+    # fragments at epoch 0 are impossible history and refuse to serve ...
     write_checkpoint(path, fragments=FRAGS, epoch=0)
     with pytest.raises(JournalCorrupt, match="epoch 0"):
         recover(str(tmp_path))
     with pytest.raises(JournalCorrupt):
         DurableState(str(tmp_path), fsync=FsyncPolicy.NEVER)
-    # ... while one bump (a single reload) or an empty vocabulary is fine.
+    # ... while any positive epoch or an empty vocabulary is fine.
     write_checkpoint(path, fragments=FRAGS, epoch=1)
     assert recover(str(tmp_path)).epoch == 1
     write_checkpoint(path, fragments=[], epoch=0)

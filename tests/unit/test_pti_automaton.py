@@ -4,10 +4,12 @@ import pytest
 
 from repro.pti import (
     AUTO_AUTOMATON_MIN_FRAGMENTS,
+    DaemonConfig,
     FragmentAutomaton,
     FragmentStore,
     PTIAnalyzer,
     PTIConfig,
+    PTIDaemon,
 )
 from repro.sqlparser.parser import critical_tokens
 
@@ -72,11 +74,10 @@ def test_transitions_at_least_text_length():
 
 
 def test_stats_counters():
-    store = FragmentStore(["ab", "ac"])
-    automaton = FragmentAutomaton.from_store(store)
+    automaton, _ = FragmentStore(["ab", "ac"]).compiled_automaton()
     stats = automaton.stats()
     # root + 'a' + 'b' + 'c'
-    assert stats == {"fragments": 2, "nodes": 4, "epoch": store.epoch}
+    assert stats == {"fragments": 2, "nodes": 4}
 
 
 # ---------------------------------------------------------------------------
@@ -143,29 +144,30 @@ def test_auto_threshold_switches_engines():
 
 def test_auto_threshold_reevaluated_as_store_grows():
     store = FragmentStore(["a = "])
-    analyzer = PTIAnalyzer(store)
-    assert analyzer.resolved_matcher == "scan"
-    store.add_many(f"col_{i} = " for i in range(AUTO_AUTOMATON_MIN_FRAGMENTS))
-    assert analyzer.resolved_matcher == "automaton"
+    daemon = PTIDaemon(store)
+    assert daemon.analyzer.resolved_matcher == "scan"
+    grown = [*store, *(f"col_{i} = " for i in range(AUTO_AUTOMATON_MIN_FRAGMENTS))]
+    daemon.refresh_fragments(FragmentStore(grown))
+    assert daemon.analyzer.resolved_matcher == "automaton"
 
 
 def test_epoch_rebuild_on_added_fragment():
     store = FragmentStore(["SELECT a FROM t WHERE id = "])
-    analyzer = PTIAnalyzer(store, PTIConfig(matcher="automaton"))
+    daemon = PTIDaemon(store, DaemonConfig(pti=PTIConfig(matcher="automaton")))
     query = "SELECT a FROM t WHERE id = 1 LIMIT 5"
-    assert not analyzer.analyze(query).safe  # LIMIT uncovered
-    store.add(" LIMIT 5")
-    assert analyzer.analyze(query).safe  # automaton recompiled
-    assert analyzer.automaton_builds == 2
+    assert not daemon.analyze_query(query).safe  # LIMIT uncovered
+    daemon.refresh_fragments(FragmentStore([*store, " LIMIT 5"]))
+    assert daemon.analyze_query(query).safe  # the new store's automaton
+    assert daemon.analyzer.automaton_builds == 1
 
 
 def test_epoch_rebuild_on_removed_fragment_revokes_coverage():
     store = FragmentStore(["SELECT a FROM t WHERE id = ", " OR "])
-    analyzer = PTIAnalyzer(store, PTIConfig(matcher="automaton"))
+    daemon = PTIDaemon(store, DaemonConfig(pti=PTIConfig(matcher="automaton")))
     attack = "SELECT a FROM t WHERE id = 1 OR 1"
-    assert analyzer.analyze(attack).safe
-    store.remove(" OR ")
-    result = analyzer.analyze(attack)
+    assert daemon.analyze_query(attack).safe
+    daemon.refresh_fragments(FragmentStore(f for f in store if f != " OR "))
+    result = daemon.analyze_query(attack).result
     assert not result.safe
     assert {d.token_text for d in result.detections} == {"OR"}
 

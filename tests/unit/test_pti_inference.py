@@ -1,7 +1,13 @@
 """Unit tests for positive taint inference."""
 
 from repro.core.verdict import Technique
-from repro.pti import FragmentStore, PTIAnalyzer, PTIConfig
+from repro.pti import (
+    DaemonConfig,
+    FragmentStore,
+    PTIAnalyzer,
+    PTIConfig,
+    PTIDaemon,
+)
 
 
 def analyzer(*fragments, **config):
@@ -125,39 +131,23 @@ def test_precomputed_tokens_respected():
 
 
 # ---------------------------------------------------------------------------
-# MRU staleness (regression: the MRU was never invalidated on store
-# mutation, so a removed fragment could keep "covering" critical tokens)
+# MRU staleness (regression: a revoked fragment lingering in the MRU kept
+# "covering" critical tokens after the vocabulary changed)
 # ---------------------------------------------------------------------------
 
 
 def test_removed_fragment_pruned_from_mru():
-    pti = analyzer("SELECT 1", " OR ", matcher="scan", use_mru=True)
+    store = FragmentStore(["SELECT 1", " OR "])
+    daemon = PTIDaemon(
+        store, DaemonConfig(pti=PTIConfig(matcher="scan", use_mru=True))
+    )
     attack = "SELECT 1 OR 2"
-    assert pti.analyze(attack).safe  # " OR " covers and lands in the MRU
-    assert " OR " in pti.mru
-    assert pti.store.remove(" OR ")
-    result = pti.analyze(attack)
+    assert daemon.analyze_query(attack).safe  # " OR " lands in the MRU
+    assert " OR " in daemon.analyzer.mru
+    # Uninstall: the swap binds a new analyzer whose MRU holds no fragment
+    # of the old vocabulary.
+    daemon.refresh_fragments(FragmentStore(f for f in store if f != " OR "))
+    assert " OR " not in daemon.analyzer.mru
+    result = daemon.analyze_query(attack).result
     assert not result.safe  # the revoked fragment no longer covers
     assert {d.token_text for d in result.detections} == {"OR"}
-    assert " OR " not in pti.mru
-    assert pti.mru_prunes == 1
-
-
-def test_reload_prunes_mru_and_keeps_survivors():
-    pti = analyzer("SELECT 1", " OR ", matcher="scan", use_mru=True)
-    pti.analyze("SELECT 1 OR 2")
-    assert " OR " in pti.mru and "SELECT 1" in pti.mru
-    pti.store.reload(["SELECT 1"])
-    assert not pti.analyze("SELECT 1 OR 2").safe
-    # The surviving fragment kept its MRU slot; the revoked one is gone.
-    assert "SELECT 1" in pti.mru
-    assert " OR " not in pti.mru
-
-
-def test_mru_prune_is_noop_on_pure_additions():
-    pti = analyzer("SELECT 1", " OR ", matcher="scan", use_mru=True)
-    pti.analyze("SELECT 1 OR 2")
-    pti.store.add(" LIMIT 3")
-    assert pti.analyze("SELECT 1 OR 2 LIMIT 3").safe
-    # Epoch moved, but no MRU entry was invalid -> no prune counted.
-    assert pti.mru_prunes == 0

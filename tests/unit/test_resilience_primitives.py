@@ -272,7 +272,34 @@ def test_ring_log_raising_sink_is_counted_and_record_still_lands():
     assert log.dropped_records == 1 and log.drops_recovered == 0
 
 
-def test_ring_log_attach_sink_none_detaches():
+def test_ring_log_eviction_counts_the_evicted_record_not_the_incoming_one():
+    persisted = []
+
+    def refuse_a(item):
+        if item == "a":
+            raise OSError("no space left on device")
+        persisted.append(item)
+
+    log = RingLog(capacity=1)
+    log.attach_sink(refuse_a)
+    log.append("a")  # the sink refused it: memory only
+    log.append("b")  # persisted, and evicts "a", which never was
+    assert persisted == ["b"]
+    assert log.dropped_records == 1 and log.drops_recovered == 0
+
+
+def test_ring_log_evicting_a_persisted_record_is_recovered_after_the_sink_goes():
+    log = RingLog(capacity=1)
+    log.attach_sink(lambda item: None)
+    log.append("persisted")
+    log.attach_sink(None)
+    log.append("memory only")  # evicts a record the sink holds
+    assert log.drops_recovered == 1 and log.dropped_records == 0
+    log.append("later")  # evicts the memory-only record: lost evidence
+    assert log.drops_recovered == 1 and log.dropped_records == 1
+
+
+def test_ring_log_attach_sink_none_stops_persisting():
     persisted = []
     log = RingLog(capacity=10)
     log.attach_sink(persisted.append)

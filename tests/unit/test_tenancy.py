@@ -2,13 +2,12 @@
 
 Covers the three layers of DESIGN.md section 13:
 
-- interning: :class:`FragmentInterner` string canonicalisation and
-  :class:`SharedBase` once-per-fleet derived state (index + automaton);
+- interning: :class:`FragmentInterner` string canonicalisation and the
+  base store's once-per-fleet derived state (index + automaton);
 - composition: :class:`TenantStore` state parity with a dedicated
-  single-tenant :class:`FragmentStore`, overlay mutations, detach
-  semantics, warm overlay reloads;
-- registry: :class:`TenantRegistry` topology, warm reloads and the
-  fleet report.
+  single-tenant :class:`FragmentStore`;
+- registry: :class:`TenantRegistry` topology, warm reloads (a new store
+  per reload) and the fleet report.
 """
 
 from __future__ import annotations
@@ -16,13 +15,8 @@ from __future__ import annotations
 import pytest
 
 from repro.pti.automaton import CompositeAutomaton, FragmentAutomaton
-from repro.pti.fragments import FragmentStore
-from repro.tenancy import (
-    FragmentInterner,
-    SharedBase,
-    TenantRegistry,
-    TenantStore,
-)
+from repro.pti.fragments import FragmentStore, fragment_index_keys
+from repro.tenancy import FragmentInterner, TenantRegistry, TenantStore
 
 BASE = [
     "SELECT * FROM wp_posts WHERE ID = ",
@@ -36,8 +30,8 @@ OVERLAY_A = ["SELECT * FROM plugin_alpha WHERE slot = ", " AND alpha = 1"]
 OVERLAY_B = ["SELECT * FROM plugin_beta WHERE tag = '"]
 
 
-def make_base(fragments=None, name="shared") -> SharedBase:
-    return SharedBase(name, fragments or BASE)
+def make_base(fragments=None) -> FragmentStore:
+    return FragmentStore(fragments or BASE)
 
 
 # ---------------------------------------------------------------------------
@@ -62,18 +56,20 @@ def test_intern_many_batches_under_one_identity():
 
 
 def test_shared_base_dedupes_and_drops_empties():
-    base = make_base(["a", "", "b", "a", "b"])
+    base = TenantRegistry(["a", "", "b", "a", "b"]).base
     assert base.fragments == ("a", "b")
-    assert "a" in base.seen and "" not in base.seen
+    assert "a" in base and "" not in base
 
 
 def test_shared_base_automaton_compiled_once_and_shared():
-    base = make_base()
-    assert base.stats()["automaton_compiled"] is False
-    first = base.automaton()
-    assert base.automaton() is first
-    assert base.stats()["automaton_compiled"] is True
-    assert base.stats()["automaton_nodes"] == first.node_count
+    registry = TenantRegistry(BASE)
+    alpha = registry.add_tenant("alpha", OVERLAY_A)
+    beta = registry.add_tenant("beta", OVERLAY_B)
+    auto_a, _ = alpha.compiled_automaton()
+    auto_b, _ = beta.compiled_automaton()
+    base_automaton, built_now = registry.base.compiled_automaton()
+    assert not built_now  # alpha's composite compiled it; beta reused it
+    assert auto_a.base is auto_b.base is base_automaton
 
 
 # ---------------------------------------------------------------------------
@@ -84,12 +80,9 @@ def test_shared_base_automaton_compiled_once_and_shared():
 def test_composite_occurrences_match_monolithic_automaton():
     composed = tuple(BASE) + tuple(OVERLAY_A)
     composite = CompositeAutomaton(
-        FragmentAutomaton(BASE),
-        FragmentAutomaton(OVERLAY_A),
-        composed,
-        epoch=7,
+        FragmentAutomaton(BASE), FragmentAutomaton(OVERLAY_A), composed
     )
-    monolithic = FragmentAutomaton(composed, epoch=7)
+    monolithic = FragmentAutomaton(composed)
     text = (
         "SELECT * FROM plugin_alpha WHERE slot = 3 AND alpha = 1 "
         "UNION SELECT * FROM wp_posts WHERE ID = 9 LIMIT 5"
@@ -118,20 +111,20 @@ def test_tenant_store_is_base_plus_overlay_in_order():
     store = TenantStore(make_base(), OVERLAY_A, tenant_id="alpha")
     assert store.fragments == tuple(BASE) + tuple(OVERLAY_A)
     assert store.overlay == tuple(OVERLAY_A)
-    assert not store.private
+    # Base duplicates, repeats and empties never enter the overlay.
+    store = TenantStore(make_base(), ["new ", BASE[0], "", "new "])
+    assert store.overlay == ("new ",)
 
 
 def test_tenant_store_state_parity_with_dedicated_store():
-    """Seen-set, index buckets and automaton match a single-tenant store."""
+    """Membership, index buckets and automaton match a single-tenant store."""
     tenant = TenantStore(make_base(), OVERLAY_A, tenant_id="alpha")
     dedicated = FragmentStore(list(BASE) + list(OVERLAY_A))
-    t_state, d_state = tenant.snapshot(), dedicated.snapshot()
-    assert tuple(t_state.fragments) == tuple(d_state.fragments)
-    assert set(t_state.seen) == set(d_state.seen)
-    for key in d_state.index:
-        assert tuple(t_state.index.get(key, ())) == tuple(
-            d_state.index.get(key, ())
-        )
+    assert tenant.fragments == dedicated.fragments
+    assert all(fragment in tenant for fragment in dedicated)
+    keys = {k for fragment in dedicated for k in fragment_index_keys(fragment)}
+    for key in keys:
+        assert tenant.candidates_for(key) == dedicated.candidates_for(key)
     text = "SELECT * FROM plugin_alpha WHERE slot = 1 AND alpha = 1"
     t_auto, _ = tenant.compiled_automaton()
     d_auto, _ = dedicated.compiled_automaton()
@@ -147,63 +140,6 @@ def test_tenant_automaton_shares_fleet_base_automaton():
     assert isinstance(auto_a, CompositeAutomaton)
     assert auto_a.base is auto_b.base  # compiled once per fleet
     assert auto_a.overlay is not auto_b.overlay
-
-
-def test_add_many_extends_overlay_and_bumps_epoch():
-    store = TenantStore(make_base(), tenant_id="alpha")
-    epoch = store.epoch
-    store.add_many(["new fragment ", BASE[0], ""])  # base dup + empty skipped
-    assert store.overlay == ("new fragment ",)
-    assert store.epoch == epoch + 1
-    assert not store.private
-
-
-def test_remove_overlay_fragment_keeps_interned():
-    store = TenantStore(make_base(), OVERLAY_A, tenant_id="alpha")
-    assert store.remove(OVERLAY_A[0])
-    assert not store.private
-    assert store.fragments == tuple(BASE) + (OVERLAY_A[1],)
-
-
-def test_remove_base_fragment_detaches_tenant():
-    store = TenantStore(make_base(), OVERLAY_A, tenant_id="alpha")
-    assert store.remove(BASE[0])
-    assert store.private
-    assert BASE[0] not in store.fragments
-    assert OVERLAY_A[0] in store.fragments
-    stats = store.tenancy_stats()
-    assert stats["interned_fragments"] == 0
-    assert stats["private_fragments"] == len(store.fragments)
-
-
-def test_reload_keeping_base_stays_interned():
-    store = TenantStore(make_base(), OVERLAY_A, tenant_id="alpha")
-    store.reload(list(BASE) + ["fresh overlay "])
-    assert not store.private
-    assert store.overlay == ("fresh overlay ",)
-
-
-def test_reload_dropping_base_detaches():
-    store = TenantStore(make_base(), OVERLAY_A, tenant_id="alpha")
-    store.reload(["only this "])
-    assert store.private
-    assert store.fragments == ("only this ",)
-    with pytest.raises(RuntimeError):
-        store.reload_overlay(["nope"])
-
-
-def test_reload_overlay_warm_precompiles_before_swap():
-    store = TenantStore(make_base(), OVERLAY_A, tenant_id="alpha")
-    epoch = store.epoch
-    store.reload_overlay(["storm overlay "], warm=True)
-    state = store.snapshot()
-    assert state.epoch == epoch + 1
-    # Warm handoff: the composite automaton is already in the cell, no
-    # first-query compile.
-    assert state.automaton.peek() is not None
-    auto, built_now = store.compiled_automaton()
-    assert not built_now
-    assert auto.epoch == state.epoch
 
 
 # ---------------------------------------------------------------------------
@@ -233,25 +169,65 @@ def test_registry_interns_overlays_across_tenants():
 def test_reload_tenant_returns_new_epoch_and_counts_handoff_swaps():
     registry = TenantRegistry(BASE)
     store = registry.add_tenant("alpha", OVERLAY_A)
-    old_epoch = store.epoch
-    new_epoch = registry.reload_tenant("alpha", ["reloaded "])
-    assert new_epoch == registry.get("alpha").epoch > old_epoch
+    # The new epoch comes with the new store reload_tenant returns.
+    reloaded = registry.reload_tenant("alpha", ["reloaded "])
+    assert reloaded is registry.get("alpha") and reloaded is not store
+    assert reloaded.epoch > store.epoch
+    assert reloaded.fragments == tuple(BASE) + ("reloaded ",)
+    assert store.fragments == tuple(BASE) + tuple(OVERLAY_A)  # untouched
     assert registry.tenancy_report()["handoff_swaps"] == 1
+    with pytest.raises(KeyError):
+        registry.reload_tenant("ghost", [])
+
+
+def test_remove_overlay_fragment_keeps_interned():
+    registry = TenantRegistry(BASE)
+    registry.add_tenant("alpha", OVERLAY_A)
+    store = registry.reload_tenant("alpha", OVERLAY_A[1:])
+    assert store.base is registry.base
+    assert store.fragments == tuple(BASE) + (OVERLAY_A[1],)
+    assert store.tenancy_stats()["interned_fragments"] == len(BASE)
+
+
+def test_reload_keeping_base_stays_interned():
+    registry = TenantRegistry(BASE)
+    registry.add_tenant("alpha", OVERLAY_A)
+    # An overlay repeating base fragments keeps only its delta.
+    store = registry.reload_tenant("alpha", list(BASE) + ["fresh overlay "])
+    assert store.base is registry.base
+    assert store.overlay == ("fresh overlay ",)
+
+
+def test_reload_tenant_precompiles_before_swap():
+    registry = TenantRegistry(BASE)
+    registry.add_tenant("alpha", OVERLAY_A)
+    store = registry.reload_tenant("alpha", ["storm overlay "])
+    # Warm handoff: the composite automaton is already compiled, so the
+    # first query against the new store pays no compile.
+    automaton, built_now = store.compiled_automaton()
+    assert not built_now
+    assert isinstance(automaton, CompositeAutomaton)
+    assert automaton.fragments == store.fragments
+
+
+def test_stores_of_one_registry_get_distinct_increasing_epochs():
+    registry = TenantRegistry(BASE)
+    alpha = registry.add_tenant("alpha", OVERLAY_A)
+    beta = registry.add_tenant("beta", OVERLAY_A)
+    assert alpha.fragments == beta.fragments
+    assert registry.base.epoch < alpha.epoch < beta.epoch
+    assert registry.reload_tenant("alpha", OVERLAY_A).epoch > beta.epoch
 
 
 def test_tenancy_report_shape():
     registry = TenantRegistry(BASE)
     registry.add_tenant("alpha", OVERLAY_A)
     registry.add_tenant("beta", OVERLAY_B)
-    registry.get("beta").remove(BASE[0])  # detach beta
     report = registry.tenancy_report()
     assert report["tenants"] == 2
-    assert report["detached_tenants"] == 1
-    assert report["interned_fragments"] == len(BASE)  # alpha only
-    assert report["private_fragments"] == (
-        len(OVERLAY_A) + len(BASE) - 1 + len(OVERLAY_B)
-    )
-    assert report["bases"][0]["name"] == "shared"
+    assert report["interned_fragments"] == 2 * len(BASE)
+    assert report["private_fragments"] == len(OVERLAY_A) + len(OVERLAY_B)
+    assert report["base"]["fragments"] == len(BASE)
     assert report["interner"]["unique_fragments"] > 0
 
 

@@ -92,7 +92,6 @@ def test_fig8_request_times(benchmark, fig8_data):
         degradations[label] = (
             report["deadline_exceeded"]
             + report["breaker_open"]
-            + report["degraded_verdicts"]
             + report["failsafe_blocks"]
         )
         resilience_pairs.append(
@@ -100,7 +99,6 @@ def test_fig8_request_times(benchmark, fig8_data):
                 label,
                 f"deadline_exceeded={report['deadline_exceeded']} "
                 f"breaker_open={report['breaker_open']} "
-                f"degraded_verdicts={report['degraded_verdicts']} "
                 f"failsafe_blocks={report['failsafe_blocks']} "
                 f"dropped_records={report['dropped_records']}",
             )

@@ -55,15 +55,6 @@ class Measurement:
     def per_request(self) -> float:
         return self.seconds / self.requests if self.requests else 0.0
 
-    def analysis_seconds(self) -> dict[str, float]:
-        """NTI/PTI analysis time spent by the engine, if protected."""
-        if self.engine is None:
-            return {}
-        return {
-            "nti": self.engine.stats.nti_seconds,
-            "pti": self.engine.stats.pti_seconds,
-        }
-
 
 def measure(
     stream: Iterable[HttpRequest],

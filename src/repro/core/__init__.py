@@ -12,7 +12,6 @@ from .resilience import (
     DaemonUnavailable,
     Deadline,
     DeadlineExceeded,
-    FailurePolicy,
     PTIFailure,
     ResilienceConfig,
     RetryPolicy,
@@ -44,7 +43,6 @@ __all__ = [
     "DaemonUnavailable",
     "Deadline",
     "DeadlineExceeded",
-    "FailurePolicy",
     "PTIFailure",
     "ResilienceConfig",
     "RetryPolicy",

@@ -47,7 +47,6 @@ from .resilience import (
     DaemonUnavailable,
     Deadline,
     DeadlineExceeded,
-    FailurePolicy,
     PTIFailure,
     RingLog,
 )
@@ -98,8 +97,9 @@ class AttackRecord:
 class EngineStats:
     """Aggregate counters for reporting.
 
-    The last four are the degradation counters (DESIGN.md section 7):
-    how often the runtime absorbed a fault instead of analysing normally.
+    ``deadline_exceeded``, ``breaker_open`` and ``failsafe_blocks`` are the
+    degradation counters (DESIGN.md section 7): how often the runtime
+    absorbed a fault instead of analysing normally.
     A healthy deployment shows zeros; anything else is the resilience
     layer earning its keep.
 
@@ -120,8 +120,6 @@ class EngineStats:
     deadline_exceeded: int = 0
     #: Queries refused by an open daemon circuit breaker.
     breaker_open: int = 0
-    #: Verdicts produced with less than the full hybrid pipeline.
-    degraded_verdicts: int = 0
     #: Queries blocked because analysis was unavailable (not detections).
     failsafe_blocks: int = 0
     #: Shape fast path (DESIGN.md "shape fast path"): queries fully served
@@ -157,8 +155,8 @@ class EngineStats:
         """Atomically apply counter deltas (e.g. ``bump(shape_hits=1)``).
 
         All deltas of one call commit under a single lock acquisition, so
-        related counters (say ``degraded_verdicts`` + ``failsafe_blocks``)
-        move together from any observer's point of view.
+        related counters (say ``batch_calls`` + ``batch_queries``) move
+        together from any observer's point of view.
         """
         with self._lock:
             for name, delta in deltas.items():
@@ -169,7 +167,6 @@ class EngineStats:
             return {
                 "deadline_exceeded": self.deadline_exceeded,
                 "breaker_open": self.breaker_open,
-                "degraded_verdicts": self.degraded_verdicts,
                 "failsafe_blocks": self.failsafe_blocks,
             }
 
@@ -221,9 +218,6 @@ class JozaEngine:
         self.attack_log: RingLog = RingLog(
             self.config.resilience.attack_log_capacity
         )
-        #: Lazily-built in-process PTI fallback (FALLBACK_IN_PROCESS policy),
-        #: bound to the daemon's current store object.
-        self._fallback_daemon: PTIDaemon | None = None
         #: Query-shape fast path (DESIGN.md "shape fast path").  Only active
         #: when both techniques run: a plan encodes results of the *hybrid*
         #: pipeline, so single-technique ablation configs take the cold path.
@@ -238,14 +232,14 @@ class JozaEngine:
         #: In-process PTI analyzer used for plan building and per-hit
         #: rechecks; bound to the daemon's current store object.
         self._shape_analyzer: PTIAnalyzer | None = None
-        #: The store object the shape analyzer and the fallback serve.
+        #: The store object the shape analyzer serves.
         self._bound_store: FragmentStore | None = None
         self._shadow_seed = shape_cfg.shadow_seed
         self._shadow_rng = _random.Random(shape_cfg.shadow_seed)
         #: Guards the engine's derived state bound to the daemon's store:
-        #: the store, the shape analyzer and the in-process PTI fallback
-        #: (they must swap together).  Held only for check-and-assign
-        #: work, never across analysis (DESIGN.md section 10).
+        #: the store and the shape analyzer (they must swap together).
+        #: Held only for check-and-assign work, never across analysis
+        #: (DESIGN.md section 10).
         self._state_lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -365,36 +359,22 @@ class JozaEngine:
     # ------------------------------------------------------------------
 
     def _bind_store(self) -> FragmentStore | None:
-        """The daemon's current store, with the derived state bound to it.
+        """The daemon's current store, with the shape analyzer bound to it.
 
         Call under ``_state_lock``.  When the daemon has swapped in a new
         store (``refresh_fragments``), the shape analyzer is rebuilt over
-        it, the plan cache is flushed and the in-process fallback is
-        dropped, in one step: none of them may keep serving the old
-        vocabulary.  Reading the store pointer under the lock matters too:
-        reading it first and locking second would let a concurrent swap
-        land in between, and this thread would re-install the older store.
+        it.  The plan cache needs no flush here: its first lookup under the
+        new store's (larger) epoch drops every old plan, and the doorkeeper
+        window, which holds keys and no trust, survives the swap.  Reading
+        the store pointer under the lock matters: reading it first and
+        locking second would let a concurrent swap land in between, and
+        this thread would re-install the older store.
         """
         store = getattr(self.daemon, "store", None)
         if store is not None and store is not self._bound_store:
             self._bound_store = store
-            self._fallback_daemon = None
-            if self.shape_cache is not None:
-                self._shape_analyzer = PTIAnalyzer(
-                    store, self.config.daemon.pti
-                )
-                self.shape_cache.clear()
+            self._shape_analyzer = PTIAnalyzer(store, self.config.daemon.pti)
         return store
-
-    def _fallback_pti(self) -> PTIDaemon | None:
-        """The in-process PTI fallback over the daemon's current store."""
-        with self._state_lock:
-            store = self._bind_store()
-            if store is None:  # pragma: no cover - store-less daemon
-                return None
-            if self._fallback_daemon is None:
-                self._fallback_daemon = PTIDaemon(store, self.config.daemon)
-            return self._fallback_daemon
 
     def inspect(
         self,
@@ -413,9 +393,8 @@ class JozaEngine:
         Resilience invariant: this method **always returns a verdict** --
         analysis failures (daemon crash/hang/poison, breaker-open refusals,
         deadline expiry, even unexpected analyzer exceptions) are resolved
-        per :class:`~repro.core.resilience.FailurePolicy` into a fail-closed
-        or degraded verdict.  A query is never vouched safe by a technique
-        that did not actually run.
+        into a fail-closed ``failsafe`` verdict.  A query is never vouched
+        safe by a technique that did not actually run.
 
         Shape fast path: when enabled, the query's literal-masked skeleton
         is looked up in the plan cache first.  A hit replays the cached
@@ -477,10 +456,9 @@ class JozaEngine:
           re-deduplicating the context per query.
 
         Fail-closed semantics are per batch on the PTI leg: a failed
-        exchange resolves every cold query of the batch through the same
-        :class:`~repro.core.resilience.FailurePolicy` machinery as a single
-        query -- a recorded failsafe block or flagged degraded verdict,
-        never a silent pass.  One deadline bounds the whole batch.
+        exchange resolves every cold query of the batch exactly as it
+        resolves a single query -- a recorded failsafe block, never a
+        silent pass.  One deadline bounds the whole batch.
         """
         queries = list(queries)
         if not queries:
@@ -607,8 +585,8 @@ class JozaEngine:
         query's :class:`~repro.pti.daemon.DaemonReply` or, when the exchange
         failed, the exception -- the batch succeeds or fails closed *as a
         unit*, and ``_inspect_cold`` re-raises the failure per query so the
-        policy resolution applies unchanged.  ``None`` outcomes mean PTI is
-        disabled.
+        fail-closed resolution applies unchanged.  ``None`` outcomes mean
+        PTI is disabled.
         """
         if not self.config.enable_pti:
             return [None] * len(queries)
@@ -660,15 +638,14 @@ class JozaEngine:
         error): the query takes the cold path without touching the cache.
 
         A swapped store object (daemon ``refresh_fragments``) rebinds the
-        analyzer and flushes the cache (:meth:`_bind_store`).  The cache
-        itself syncs on the epoch at get/put time.  The epoch is pinned
-        *before* analysis: the same value keys the lookup and any later
-        plant.  Every store draws a larger epoch than the stores built
-        before it, so a swap racing the cold path makes the plant stale --
-        refused by ``ShapeCache.put`` once a request has synced the cache
-        to the new store, flushed by the first lookup under the new epoch
-        otherwise -- instead of letting an old-vocabulary plan serve the
-        new store.
+        analyzer (:meth:`_bind_store`).  The cache syncs on the epoch at
+        get/put time.  The epoch is pinned *before* analysis: the same
+        value keys the lookup and any later plant.  Every store draws a
+        larger epoch than the stores built before it, so a swap racing the
+        cold path makes the plant stale -- refused by ``ShapeCache.put``
+        once a request has synced the cache to the new store, flushed by
+        the first lookup under the new epoch otherwise -- instead of
+        letting an old-vocabulary plan serve the new store.
         """
         try:
             with self._state_lock:
@@ -815,11 +792,10 @@ class JozaEngine:
         """Only clean, fully-safe hybrid verdicts may plant a plan.
 
         Unsafe shapes are never cached (coverage gaps are not a shape
-        property); degraded/failsafe verdicts reflect faults, not analysis.
+        property); failsafe verdicts reflect faults, not analysis.
         """
         return (
             verdict.safe
-            and not verdict.degraded
             and not verdict.failsafe
             and not verdict.failure_reasons
             and verdict.pti is not None
@@ -894,10 +870,12 @@ class JozaEngine:
         carried one query or a batch.  ``candidates`` (a ``query ->
         list[str]`` callable) lets the batch reuse one memoised NTI
         candidate enumeration; ``None`` keeps the analyzer's own.
+
+        A failed technique always blocks the query with a ``failsafe``
+        verdict that records the reason.  NTI still runs after a PTI
+        failure, and its result stays on the verdict as evidence.
         """
-        policy = self.config.resilience.failure_policy
         failure_reasons: list[str] = []
-        degraded = False
 
         pti_result: AnalysisResult | None = None
         pti_failed = False
@@ -921,30 +899,10 @@ class JozaEngine:
                 raise
             except Exception as exc:
                 # A non-resilient daemon object leaked a raw error (pipe
-                # breakage, analyzer bug).  Absorb it: the failure policy
-                # decides the verdict, never the exception.
+                # breakage, analyzer bug).  Absorb it: the query fails
+                # closed, the exception never reaches the request path.
                 failure_reasons.append(f"pti: unexpected {exc!r}")
                 pti_failed = True
-            if pti_failed and policy is FailurePolicy.FALLBACK_IN_PROCESS:
-                fallback = self._fallback_pti()
-                if fallback is not None:
-                    t0 = time.perf_counter()
-                    try:
-                        deadline.check("pti-fallback")
-                        reply = fallback.analyze_batch([query], deadline)[0]
-                        pti_result = reply.result
-                        tokens = reply.tokens
-                        pti_failed = False
-                        degraded = True  # fault isolation lost: flag it
-                    except DeadlineExceeded as exc:
-                        self.stats.bump(deadline_exceeded=1)
-                        failure_reasons.append(f"pti-fallback: {exc}")
-                    except (KeyboardInterrupt, SystemExit):  # pragma: no cover
-                        raise
-                    except Exception as exc:  # pragma: no cover - defensive
-                        failure_reasons.append(f"pti-fallback: {exc!r}")
-                    finally:
-                        self.stats.bump(pti_seconds=time.perf_counter() - t0)
 
         nti_result: AnalysisResult | None = None
         nti_failed = False
@@ -979,33 +937,18 @@ class JozaEngine:
             finally:
                 self.stats.bump(nti_seconds=time.perf_counter() - t0)
 
-        # ------------------------------------------------------------------
         # Failure resolution (never fail open).
-        # ------------------------------------------------------------------
-        failsafe = False
-        if pti_failed or nti_failed:
-            survivor = nti_result if pti_failed else pti_result
-            can_degrade = (
-                policy is FailurePolicy.DEGRADE_TO_OTHER_TECHNIQUE
-                and not (pti_failed and nti_failed)
-                and survivor is not None
-            )
-            if can_degrade:
-                degraded = True
-            else:
-                failsafe = True
-
+        failsafe = pti_failed or nti_failed
         safe = (
             not failsafe
-            and (pti_failed or pti_result is None or pti_result.safe)
-            and (nti_failed or nti_result is None or nti_result.safe)
+            and (pti_result is None or pti_result.safe)
+            and (nti_result is None or nti_result.safe)
         )
         verdict = QueryVerdict(
             query=query,
             safe=safe,
             pti=None if pti_failed else pti_result,
             nti=None if nti_failed else nti_result,
-            degraded=degraded,
             failsafe=failsafe,
             failure_reasons=failure_reasons,
         )
@@ -1013,8 +956,6 @@ class JozaEngine:
             self.stats.bump(pti_detections=1)
         if not nti_failed and nti_result is not None and not nti_result.safe:
             self.stats.bump(nti_detections=1)
-        if degraded:
-            self.stats.bump(degraded_verdicts=1)
         if failsafe:
             self.stats.bump(failsafe_blocks=1)
         return verdict, tokens
@@ -1026,10 +967,10 @@ class JozaEngine:
     def check_query(self, query: str, context: RequestContext) -> None:
         """Vet one intercepted query; raises on attack (QueryGuard protocol).
 
-        Failsafe blocks (analysis unavailable, fail-closed policy) raise
-        the same :class:`QueryBlockedError` as detections -- the query must
-        not execute either way -- but are logged with the ``failsafe`` flag
-        and counted separately from ``attacks_blocked``.
+        Failsafe blocks (analysis unavailable) raise the same
+        :class:`QueryBlockedError` as detections -- the query must not
+        execute either way -- but are logged with the ``failsafe`` flag and
+        counted separately from ``attacks_blocked``.
         """
         verdict = self.inspect(query, context)
         if verdict.safe:
@@ -1077,10 +1018,10 @@ class JozaEngine:
         """Degradation counters + daemon fault-absorption stats.
 
         The operator-facing view of the failure model: how many queries hit
-        the deadline, were refused by an open breaker, got a degraded
-        verdict or a failsafe block, and how many audit records the bounded
-        ring buffer had to drop.  Zeros across the board mean the runtime
-        never had to absorb a fault.
+        the deadline, were refused by an open breaker or got a failsafe
+        block, and how many audit records the bounded ring buffer had to
+        drop.  Zeros across the board mean the runtime never had to absorb
+        a fault.
         """
         report: dict = dict(self.stats.resilience_counters())
         report["shape_fastpath"] = self.stats.shape_counters()
@@ -1092,7 +1033,6 @@ class JozaEngine:
         report["batching"] = self.stats.batch_counters()
         report["dropped_records"] = self.attack_log.dropped_records
         report["attack_log_capacity"] = self.attack_log.capacity
-        report["failure_policy"] = self.config.resilience.failure_policy.value
         report["deadline_seconds"] = self.config.resilience.deadline_seconds
         filter_stats = getattr(self.nti, "filter_stats", None)
         if callable(filter_stats):

@@ -3,17 +3,16 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..nti.inference import NTIConfig
 from ..pti.daemon import DaemonConfig
-from .resilience import FailurePolicy, ResilienceConfig
+from .resilience import ResilienceConfig
 from .shapecache import ShapeCacheConfig
 
 __all__ = [
     "RecoveryPolicy",
     "JozaConfig",
-    "FailurePolicy",
     "ResilienceConfig",
     "ShapeCacheConfig",
 ]
@@ -44,8 +43,8 @@ class JozaConfig:
 
     nti: NTIConfig = field(default_factory=NTIConfig)
     daemon: DaemonConfig = field(default_factory=DaemonConfig)
-    #: Fault-tolerance knobs: per-query analysis deadline, failure policy,
-    #: audit-log capacity (DESIGN.md section 7).
+    #: Fault-tolerance knobs: per-query analysis deadline and audit-log
+    #: capacity (DESIGN.md section 7).
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
     #: Query-shape fast path: bounded skeleton-keyed plan cache + shadow
     #: validation sampling (DESIGN.md "shape fast path").  Active only when
@@ -60,5 +59,6 @@ class JozaConfig:
     strict_tokens: bool = False
 
     def __post_init__(self) -> None:
-        if self.strict_tokens:
-            self.daemon.strict_tokens = True
+        # A copy, so the engine and its daemon always lex the same way and
+        # the caller's DaemonConfig (perhaps shared) is left as it was.
+        self.daemon = replace(self.daemon, strict_tokens=self.strict_tokens)

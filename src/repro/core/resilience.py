@@ -22,10 +22,6 @@ This module provides the policy-free mechanisms; the wiring lives in
 - :class:`CircuitBreaker` -- the classic closed -> open -> half-open state
   machine guarding daemon spawn/IPC, so a crash-looping child trips the
   breaker instead of spawn-storming the host.
-- :class:`FailurePolicy` -- what the engine does when an analysis path is
-  unavailable: fail closed (default), fall back to an in-process daemon,
-  or degrade to the *other* inference technique (meaningful because the
-  hybrid's blind spots are complementary, paper Table IV).
 - :class:`RingLog` -- a capacity-bounded audit ring buffer (the attack log
   must not grow without bound under a sustained attack flood).
 - The :class:`PTIFailure` exception family -- the *only* exceptions the
@@ -51,10 +47,8 @@ __all__ = [
     "DaemonCrash",
     "CorruptReply",
     "DaemonUnavailable",
-    "FailurePolicy",
     "RetryPolicy",
     "BreakerState",
-    "BreakerOpenError",
     "CircuitBreaker",
     "ResilienceConfig",
     "RingLog",
@@ -70,7 +64,7 @@ class DeadlineExceeded(Exception):
     """An analysis stage ran past the per-query budget.
 
     Never escapes :meth:`JozaEngine.inspect`: the engine converts it into a
-    fail-closed or degraded verdict per :class:`FailurePolicy`.
+    fail-closed verdict.
     """
 
     def __init__(self, stage: str, budget: float) -> None:
@@ -153,8 +147,8 @@ class PTIFailure(Exception):
     """Base of the typed failures a resilient daemon wrapper may raise.
 
     The request path (``JozaEngine.inspect``) catches this family and
-    resolves it to a verdict per :class:`FailurePolicy`; it never reaches
-    application code.
+    resolves it to a fail-closed verdict; it never reaches application
+    code.
     """
 
     def __init__(self, reason: str) -> None:
@@ -180,32 +174,6 @@ class DaemonUnavailable(PTIFailure):
     def __init__(self, reason: str, *, breaker_open: bool = False) -> None:
         super().__init__(reason)
         self.breaker_open = breaker_open
-
-
-class FailurePolicy(enum.Enum):
-    """What the engine does when an analysis technique is unavailable.
-
-    ``FAIL_CLOSED`` (default): the query is blocked with a recorded
-    failsafe reason.  Availability is sacrificed for the paper's invariant
-    -- no query executes without a verdict from a live analysis.
-
-    ``FALLBACK_IN_PROCESS``: when the subprocess PTI daemon is unavailable
-    the engine runs the same analysis in-process (losing the child's warmed
-    caches and the fault isolation, not the verdict quality).  Verdicts are
-    flagged ``degraded`` in the audit export.
-
-    ``DEGRADE_TO_OTHER_TECHNIQUE``: the verdict of the surviving technique
-    alone is used.  Meaningful because the hybrid's blind spots are
-    complementary (paper Table IV: PTI alone misses what NTI catches and
-    vice versa), so single-technique mode still blocks most attack classes
-    -- but it *is* a security downgrade, and every such verdict is flagged
-    ``degraded``.  If **both** techniques are unavailable the engine always
-    fails closed, whatever the policy.
-    """
-
-    FAIL_CLOSED = "fail_closed"
-    FALLBACK_IN_PROCESS = "fallback_in_process"
-    DEGRADE_TO_OTHER_TECHNIQUE = "degrade_to_other_technique"
 
 
 # ----------------------------------------------------------------------
@@ -258,10 +226,6 @@ class BreakerState(enum.Enum):
     CLOSED = "closed"
     OPEN = "open"
     HALF_OPEN = "half_open"
-
-
-class BreakerOpenError(Exception):
-    """Internal: an operation was refused because the breaker is open."""
 
 
 class CircuitBreaker:
@@ -396,8 +360,6 @@ class ResilienceConfig:
             (PTI daemon round-trip including retries, plus the NTI
             comparison loop).  ``None`` (the default) keeps the seed's
             unbounded behavior.
-        failure_policy: what to do when a technique is unavailable
-            (:class:`FailurePolicy`); the default fails closed.
         attack_log_capacity: ring-buffer capacity of the audit attack log;
             older records are dropped (and counted) beyond this.
         clock: monotonic time source used for deadlines; injectable so the
@@ -405,7 +367,6 @@ class ResilienceConfig:
     """
 
     deadline_seconds: float | None = None
-    failure_policy: FailurePolicy = FailurePolicy.FAIL_CLOSED
     attack_log_capacity: int = 10_000
     clock: typing.Callable[[], float] = time.monotonic
 

@@ -328,11 +328,6 @@ class ShapeCache(EpochLRU):
         self._window.put(key, True)
         return False
 
-    def clear(self) -> None:
-        """Drop every plan and remembered key, and forget the epoch."""
-        super().clear()
-        self._window.clear()
-
 
 def build_plan(
     query: str,

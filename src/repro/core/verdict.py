@@ -89,13 +89,14 @@ class QueryVerdict:
     components deem the query safe").  A component skipped due to caching
     still contributes its cached verdict.
 
-    Resilience annotations (DESIGN.md section 7): ``degraded`` marks a
-    verdict produced with less than the full hybrid pipeline (one technique
-    unavailable, or PTI running in the in-process fallback), ``failsafe``
-    marks a query blocked because analysis was unavailable rather than
-    because an attack was detected, and ``failure_reasons`` records what
-    went wrong.  All three surface in the audit export so operators can
-    distinguish real detections from the runtime absorbing faults.
+    Resilience annotations (DESIGN.md section 7): ``failsafe`` marks a
+    query blocked because analysis was unavailable rather than because an
+    attack was detected, and ``failure_reasons`` records what went wrong.
+    Both surface in the audit export so operators can distinguish real
+    detections from the runtime absorbing faults.  ``degraded`` is always
+    ``False``: an unavailable technique blocks the query, no verdict rests
+    on one technique alone.  The field stays because the verdict wire and
+    audit schemas carry it.
     """
 
     query: str

@@ -202,8 +202,8 @@ class NTIAnalyzer:
                 checked before each comparison, so a request carrying many
                 large inputs raises
                 :class:`~repro.core.resilience.DeadlineExceeded` instead of
-                stalling the guard -- the engine then resolves the query
-                per its failure policy.
+                stalling the guard -- the engine then fails the query
+                closed.
             values: optional pre-computed candidate input list.  The shape
                 fast path passes the :func:`~repro.nti.sources.candidate_inputs`
                 output after pruning inputs that provably cannot cover any

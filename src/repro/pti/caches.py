@@ -56,8 +56,8 @@ PTI_CACHE_CAPACITY = 10_000
 #: Fragments the MRU list holds.
 MRU_CAPACITY = 64
 
-#: The epoch of a cache that has not been used since it was built or
-#: cleared; every fragment-store epoch is newer.
+#: The epoch of a cache that has not been used since it was built; every
+#: fragment-store epoch is newer.
 _UNSYNCED = -1
 
 
@@ -98,10 +98,9 @@ class EpochLRU:
     Every fragment store draws a distinct epoch, and a store built later
     draws a larger one (:attr:`~repro.pti.fragments.FragmentStore.epoch`),
     so these rules alone keep a swapped-out store's entries from serving
-    the new store.  Caches whose contents do not depend on the fragment
-    store pass the default epoch throughout.  :meth:`clear` drops the
-    entries and resets the epoch; the counters survive it.  ``None`` is
-    never stored: a ``None`` answer is a miss.
+    the new store, and no swap needs to clear a cache.  Caches whose
+    contents do not depend on the fragment store pass the default epoch
+    throughout.  ``None`` is never stored: a ``None`` answer is a miss.
 
     Thread-safe: even a read mutates an LRU (``move_to_end`` rewires the
     recency list), so every operation takes the lock.  The lock is held
@@ -195,12 +194,6 @@ class EpochLRU:
         """Remove and return the entry under ``key`` (``None``); uncounted."""
         with self._lock:
             return self._store.pop(key, None)
-
-    def clear(self) -> None:
-        """Drop every entry and forget the epoch (counters survive)."""
-        with self._lock:
-            self._store.clear()
-            self.epoch = _UNSYNCED
 
     def snapshot_stats(self) -> dict[str, float]:
         """One consistent reading of the counters (bench-reporting floats).

@@ -24,8 +24,7 @@ a crash-looping child into fast typed refusals instead of a spawn storm.
 The only exceptions that escape :meth:`SubprocessPTIDaemon.analyze_batch`
 are the typed :class:`~repro.core.resilience.PTIFailure` family and
 :class:`~repro.core.resilience.DeadlineExceeded`; the engine converts both
-into fail-closed or degraded verdicts, never letting a query through
-unvetted.
+into fail-closed verdicts, never letting a query through unvetted.
 
 One protocol (DESIGN.md section 11): every backend -- in-process or
 subprocess -- is called through ``analyze_batch(queries, deadline)``, and
@@ -135,8 +134,9 @@ class PTIDaemon:
         self.config = config or DaemonConfig()
         self.analyzer = PTIAnalyzer(store, self.config.pti)
         #: Both caches hold results for the fragment-store epoch they were
-        #: proven under (:class:`~repro.pti.caches.EpochLRU`); a store swap
-        #: (:meth:`refresh_fragments`) clears them.
+        #: proven under (:class:`~repro.pti.caches.EpochLRU`); after a store
+        #: swap (:meth:`refresh_fragments`) the first lookup under the new
+        #: store's epoch flushes them.
         self.query_cache = QueryCache()
         self.structure_cache = StructureCache()
         self.timings = StageTimings()
@@ -156,13 +156,12 @@ class PTIDaemon:
     def refresh_fragments(self, store: FragmentStore) -> None:
         """Swap in a new fragment set (plugin installed/updated, IV-B).
 
-        Cached verdicts were computed against the old vocabulary, so both
-        caches are invalidated.
+        Cached verdicts were computed against the old vocabulary; the new
+        store's epoch is larger, so each cache drops them at its first
+        lookup under it.
         """
         with self._lock:
             self.analyzer = PTIAnalyzer(store, self.config.pti)
-            self.query_cache.clear()
-            self.structure_cache.clear()
 
     def warm(self) -> None:
         """Precompile the matcher for the current store.
@@ -200,7 +199,7 @@ class PTIDaemon:
         over the whole fragment corpus for malicious queries -- is the only
         one that can realistically run long).  On expiry
         :class:`~repro.core.resilience.DeadlineExceeded` propagates to the
-        engine, which resolves it per its failure policy.
+        engine, which fails the query closed.
 
         Thread-safe: the whole pipeline runs under the daemon lock, so an
         epoch flush can never interleave with another thread's cache fill
@@ -402,8 +401,8 @@ class SubprocessPTIDaemon:
         recv_timeout: ``poll`` bound on each reply wait; a child that stays
             silent longer is declared hung, killed and (maybe) retried.
         retry: backoff schedule for respawn/IPC retries.
-        breaker: circuit breaker guarding spawn/IPC; ``None`` disables
-            breaking (the seed behavior).
+        breaker: circuit breaker guarding spawn/IPC; ``None`` installs a
+            default :class:`~repro.core.resilience.CircuitBreaker`.
         seed: RNG seed for backoff jitter (reproducible chaos runs).
     """
 
@@ -423,7 +422,7 @@ class SubprocessPTIDaemon:
         self.persistent = persistent
         self.recv_timeout = recv_timeout
         self.retry = retry or RetryPolicy()
-        self.breaker = breaker if breaker is not None else CircuitBreaker()
+        self.breaker = breaker or CircuitBreaker()
         self._rng = random.Random(seed)
         self.timings = StageTimings()
         self._conn = None
@@ -451,7 +450,7 @@ class SubprocessPTIDaemon:
         self.batches = 0
 
     # ------------------------------------------------------------------
-    # Fragment access (engine fallback path + protect() refresh hook)
+    # Fragment access (engine shape analyzer + protect() refresh hook)
     # ------------------------------------------------------------------
 
     @property
@@ -623,7 +622,7 @@ class SubprocessPTIDaemon:
             return []
         if deadline is None:
             deadline = Deadline.unbounded()
-        if self.breaker is not None and not self.breaker.allow():
+        if not self.breaker.allow():
             with self._stats_lock:
                 self.unavailable += 1
             raise DaemonUnavailable(
@@ -652,13 +651,11 @@ class SubprocessPTIDaemon:
                 replies = self._exchange(queries, frames, deadline)
             except PTIFailure as failure:
                 last_failure = failure
-                if self.breaker is not None:
-                    self.breaker.record_failure()
-                    if not self.breaker.allow():
-                        break
+                self.breaker.record_failure()
+                if not self.breaker.allow():
+                    break
                 continue
-            if self.breaker is not None:
-                self.breaker.record_success()
+            self.breaker.record_success()
             return replies
         with self._stats_lock:
             self.unavailable += 1
@@ -680,7 +677,7 @@ class SubprocessPTIDaemon:
 
     def resilience_snapshot(self) -> dict[str, object]:
         """Fault-absorption counters for the audit export / bench reports."""
-        out: dict[str, object] = {
+        return {
             "spawns": self.spawns,
             "retries": self.retries,
             "timeouts": self.timeouts,
@@ -688,10 +685,8 @@ class SubprocessPTIDaemon:
             "corrupt_replies": self.corrupt_replies,
             "unavailable": self.unavailable,
             "batches": self.batches,
+            "breaker": self.breaker.snapshot(),
         }
-        if self.breaker is not None:
-            out["breaker"] = self.breaker.snapshot()
-        return out
 
     # ------------------------------------------------------------------
     # Shutdown

@@ -18,8 +18,7 @@ Robustness invariants, each tested:
 - **Admission control**: at most ``workers + max_queue`` requests are in
   flight; excess is shed.  Every shed -- queue full, no worker in time,
   expired -- is answered with recorded fail-closed verdicts, never a
-  silent drop: gateway-level sheds have no surviving analysis technique
-  to degrade to.
+  silent drop.
 - **Worker fault isolation**: a hung, crashed or corrupt worker fails only
   its own in-flight batch (resolved fail-closed); the worker is replaced
   after ``replace_after`` consecutive failures or immediately when dead.

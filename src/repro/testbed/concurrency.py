@@ -204,9 +204,8 @@ def _attack_item(n: int) -> WorkloadItem:
 def _fault_item(n: int, marker: str) -> WorkloadItem:
     """A benign-shaped query that deterministically faults the daemon.
 
-    With the default fail-closed policy the engine must block it
-    (``failsafe``); it is *not* an attack, but it must never come back
-    ``safe`` either while PTI is mandatory.
+    The engine must block it (``failsafe``); it is *not* an attack, but
+    it must never come back ``safe`` either.
     """
     return WorkloadItem(
         f"SELECT * FROM records WHERE ID={n} {marker} LIMIT 5",
@@ -263,7 +262,6 @@ class VerdictRecord:
     query: str
     safe: bool
     detected_by: frozenset[str]
-    degraded: bool
     failsafe: bool
 
     @classmethod
@@ -274,7 +272,6 @@ class VerdictRecord:
             detected_by=frozenset(
                 t.value for t in verdict.detected_by()
             ),
-            degraded=verdict.degraded,
             failsafe=verdict.failsafe,
         )
 
@@ -419,10 +416,7 @@ def fail_open_keys(
 ) -> list[tuple[int, int]]:
     """Keys where an attack or fault-marked query came back ``safe``.
 
-    Must be empty under any policy that keeps PTI mandatory: attacks are
-    detected, faulted queries fail closed.  (Under
-    ``DEGRADE_TO_OTHER_TECHNIQUE`` a *fault* item may legitimately pass if
-    NTI vouches for it; callers testing that policy should filter.)
+    Must be empty: attacks are detected, faulted queries fail closed.
     """
     bad: list[tuple[int, int]] = []
     for (t, i), record in records.items():

@@ -22,7 +22,6 @@ import time
 
 from repro.core import (
     CircuitBreaker,
-    FailurePolicy,
     JozaConfig,
     JozaEngine,
     ResilienceConfig,
@@ -48,7 +47,6 @@ def make_engine(
     deadline=2.0,
     recv_timeout=0.5,
     hang_seconds=8.0,
-    policy=FailurePolicy.FAIL_CLOSED,
     retry=None,
     breaker=None,
 ):
@@ -63,9 +61,7 @@ def make_engine(
         seed=CHAOS_SEED,
     )
     config = JozaConfig(
-        resilience=ResilienceConfig(
-            deadline_seconds=deadline, failure_policy=policy
-        ),
+        resilience=ResilienceConfig(deadline_seconds=deadline),
         # The chaos suite exercises the daemon recovery machinery; the
         # query-shape fast path would legitimately serve repeated shapes
         # without touching the (faulty) daemon and starve the schedules.
@@ -198,23 +194,6 @@ def test_breaker_trips_on_crash_loop_and_recloses_after_faults_stop():
         verdicts, _ = drive(engine, 10)
         assert_never_fail_open(verdicts)
         assert all(not v.failsafe for _, v in verdicts)
-
-
-def test_degraded_mode_blocks_attacks_during_pti_outage():
-    schedule = FaultSchedule.fixed({i: FaultKind.CRASH for i in range(100)})
-    engine, daemon = make_engine(
-        schedule,
-        policy=FailurePolicy.DEGRADE_TO_OTHER_TECHNIQUE,
-        retry=RetryPolicy(max_attempts=2, base_delay=0.002, max_delay=0.01),
-        breaker=CircuitBreaker(failure_threshold=3, reset_timeout=5.0),
-    )
-    with daemon:
-        verdicts, _ = drive(engine, 12)
-    assert_never_fail_open(verdicts)
-    # NTI alone carried the detections, and every verdict is flagged.
-    attacks = [v for is_attack, v in verdicts if is_attack]
-    assert attacks and all(not v.safe and v.degraded for v in attacks)
-    assert engine.stats.degraded_verdicts > 0
 
 
 def test_close_is_idempotent_and_never_leaves_a_zombie():

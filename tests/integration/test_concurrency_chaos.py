@@ -22,7 +22,7 @@ import multiprocessing
 import os
 import time
 
-from repro.core import FailurePolicy, JozaConfig, JozaEngine, ResilienceConfig
+from repro.core import JozaConfig, JozaEngine, ResilienceConfig
 from repro.phpapp.context import RequestContext
 from repro.pti import FragmentStore, SubprocessPTIDaemon
 from repro.pti.daemon import PTIDaemon
@@ -39,15 +39,11 @@ from repro.testbed.concurrency import (
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "1337"))
 
 
-def make_marker_engine(policy=FailurePolicy.FAIL_CLOSED):
+def make_marker_engine():
     """Engine over a content-keyed fault daemon (serial == concurrent)."""
     store = FragmentStore(SWARM_FRAGMENTS)
     daemon = MarkerFaultDaemon(PTIDaemon(store))
-    config = JozaConfig(
-        resilience=ResilienceConfig(
-            deadline_seconds=5.0, failure_policy=policy
-        ),
-    )
+    config = JozaConfig(resilience=ResilienceConfig(deadline_seconds=5.0))
     return JozaEngine(store, config, daemon=daemon)
 
 
@@ -138,12 +134,7 @@ def test_one_child_swarm_matches_serial_and_leaves_no_zombies():
     daemon = SubprocessPTIDaemon(store, recv_timeout=30.0, seed=CHAOS_SEED)
     engine = JozaEngine(
         store,
-        JozaConfig(
-            resilience=ResilienceConfig(
-                deadline_seconds=30.0,
-                failure_policy=FailurePolicy.FAIL_CLOSED,
-            )
-        ),
+        JozaConfig(resilience=ResilienceConfig(deadline_seconds=30.0)),
         daemon=daemon,
     )
     try:

@@ -394,8 +394,7 @@ def test_saturation_sheds_are_recorded_fail_closed(tmp_path):
         # One worker, zero queue, 0.05s admission: overflow must shed...
         assert shed, "saturation never shed"
         assert len(shed) == sheds_counted
-        # ...as fail-closed verdicts (never silent drops, never degrades
-        # -- gateway-level sheds have no surviving technique)...
+        # ...as fail-closed verdicts (never silent drops)...
         for v in shed:
             assert v["safe"] is False
             assert v["failsafe"] is True

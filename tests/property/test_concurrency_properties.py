@@ -29,7 +29,7 @@ import threading
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import FailurePolicy, JozaConfig, JozaEngine, ResilienceConfig
+from repro.core import JozaConfig, JozaEngine, ResilienceConfig
 from repro.pti import FragmentStore
 from repro.pti.daemon import PTIDaemon
 from repro.testbed.concurrency import (
@@ -44,7 +44,6 @@ from repro.testbed.concurrency import (
 MONOTONE_KEYS = (
     "deadline_exceeded",
     "breaker_open",
-    "degraded_verdicts",
     "failsafe_blocks",
 )
 SHAPE_KEYS = (
@@ -60,12 +59,7 @@ def make_engine() -> JozaEngine:
     store = FragmentStore(SWARM_FRAGMENTS)
     return JozaEngine(
         store,
-        JozaConfig(
-            resilience=ResilienceConfig(
-                deadline_seconds=5.0,
-                failure_policy=FailurePolicy.FAIL_CLOSED,
-            )
-        ),
+        JozaConfig(resilience=ResilienceConfig(deadline_seconds=5.0)),
         daemon=MarkerFaultDaemon(PTIDaemon(store)),
     )
 

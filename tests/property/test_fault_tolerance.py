@@ -1,10 +1,9 @@
 """Property tests for the core resilience invariant.
 
 For *any* fault schedule (crash/hang/corrupt x position, plus poison
-queries and either failure policy), the engine yields exactly one verdict
-per query and never fails open: a query vouched safe was actually analysed
-by every enabled technique, and analysis failures only ever make the
-verdict stricter.
+queries), the engine yields exactly one verdict per query and never fails
+open: a query vouched safe was actually analysed by every enabled
+technique, and an analysis failure always blocks the query fail-closed.
 """
 
 import random
@@ -13,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    FailurePolicy,
     JozaConfig,
     JozaEngine,
     ResilienceConfig,
@@ -63,20 +61,15 @@ schedules = st.dictionaries(
 @settings(max_examples=60, deadline=None)
 @given(
     faults=schedules,
-    policy=st.sampled_from(
-        [FailurePolicy.FAIL_CLOSED, FailurePolicy.DEGRADE_TO_OTHER_TECHNIQUE]
-    ),
     raw_errors=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**16),
 )
 def test_exactly_one_verdict_per_query_and_never_fail_open(
-    faults, policy, raw_errors, seed
+    faults, raw_errors, seed
 ):
     clock = FakeClock()
     config = JozaConfig(
-        resilience=ResilienceConfig(
-            deadline_seconds=5.0, failure_policy=policy, clock=clock
-        )
+        resilience=ResilienceConfig(deadline_seconds=5.0, clock=clock)
     )
     store = FragmentStore(FRAGMENTS)
     daemon = FlakyDaemon(
@@ -107,13 +100,11 @@ def test_exactly_one_verdict_per_query_and_never_fail_open(
         if "UNION SELECT" in query and input_value is not None:
             assert not verdict.safe
         # Never fail open, part 2: poison queries (analysis impossible)
-        # are safe only if a *degraded* surviving technique vouched; under
-        # FAIL_CLOSED they must be failsafe blocks.
+        # are always failsafe blocks.
         if POISON_MARKER in query:
-            if policy is FailurePolicy.FAIL_CLOSED:
-                assert not verdict.safe and verdict.failsafe
-            else:
-                assert verdict.degraded or verdict.failsafe
+            assert not verdict.safe and verdict.failsafe
+        # No verdict rests on one technique alone.
+        assert not verdict.degraded
         # A verdict that saw a failure is flagged; a clean one is not.
         if verdict.failsafe:
             assert not verdict.safe
@@ -121,11 +112,9 @@ def test_exactly_one_verdict_per_query_and_never_fail_open(
         if verdict.safe:
             assert not verdict.failsafe
 
-    # Accounting is consistent: every failsafe/degraded verdict was counted.
+    # Accounting is consistent: every failsafe verdict was counted.
     failsafes = sum(1 for *_ , v in verdicts if v.failsafe)
-    degradeds = sum(1 for *_, v in verdicts if v.degraded)
     assert engine.stats.failsafe_blocks == failsafes
-    assert engine.stats.degraded_verdicts == degradeds
 
 
 @settings(max_examples=40, deadline=None)

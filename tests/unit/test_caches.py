@@ -43,13 +43,13 @@ def test_put_overwrites():
     assert len(cache) == 1
 
 
-def test_clear_resets_contents_not_stats():
+def test_epoch_flush_resets_contents_not_stats():
     cache = QueryCache()
-    cache.put("x", 1)
-    cache.get("x")
-    cache.clear()
-    assert cache.get("x") is None
-    assert cache.stats.hits == 1  # stats survive clear
+    cache.put("x", 1, epoch=1)
+    cache.get("x", epoch=1)
+    assert cache.get("x", epoch=2) is None  # a newer epoch flushes
+    assert len(cache) == 0 and cache.invalidations == 1
+    assert cache.stats.hits == 1  # stats survive the flush
 
 
 def test_stats_hit_rate():

@@ -65,11 +65,14 @@ def test_refresh_fragments_invalidates_caches():
     daemon.analyze_query(query)
     assert len(daemon.query_cache) == 1
     assert len(daemon.structure_cache) == 1
-    daemon.refresh_fragments(FragmentStore([" UNION "]))
-    assert len(daemon.query_cache) == 0
-    assert len(daemon.structure_cache) == 0
+    store = FragmentStore([" UNION "])
+    daemon.refresh_fragments(store)
     # New vocabulary no longer covers the query, nor a same-shape variant.
     assert not daemon.analyze_query(query).safe
+    # The first lookup under the new store's epoch flushed each cache.
+    for cache in (daemon.query_cache, daemon.structure_cache):
+        assert cache.invalidations == 1
+        assert cache.epoch == store.epoch
     variant = daemon.analyze_query("SELECT a FROM t WHERE id = 7")
     assert not variant.safe and variant.from_cache is None
 

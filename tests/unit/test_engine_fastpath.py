@@ -370,12 +370,10 @@ def test_plan_after_epoch_flush_comes_from_a_clean_cold_analysis_at_the_new_epoc
     unsafe = engine.inspect(query, ctx("1"))
     assert not unsafe.safe and unsafe.detected_by() == {Technique.PTI}
     assert engine.stats.shape_plans_built == 0
-    # Back in the vocabulary: a swap forgets remembered keys too, so two
-    # clean sightings admit the shape, and its plan is built from the
-    # second analysis against the current store.
+    # Back in the vocabulary: the key is still remembered, so the first
+    # clean sighting is admitted, and its plan is built from that analysis
+    # against the current store.
     epoch = swap(engine, fragments).epoch
-    assert engine.inspect(query, ctx("1")).safe
-    assert engine.stats.shape_plans_built == 0
     assert engine.inspect(query, ctx("1")).safe
     assert engine.stats.shape_plans_built == 1
     assert engine.shape_cache.snapshot_stats()["epoch"] == float(epoch)
@@ -384,6 +382,22 @@ def test_plan_after_epoch_flush_comes_from_a_clean_cold_analysis_at_the_new_epoc
     swap(engine, fragments[:1])
     stale = engine.inspect("SELECT a FROM t WHERE id = 6 LIMIT 2", ctx("6"))
     assert not stale.safe and stale.pti.from_cache is None
+
+
+def test_a_store_swap_keeps_the_doorkeeper_window():
+    engine = JozaEngine.from_fragments(FRAGMENTS)
+    assert engine.inspect("SELECT * FROM records WHERE ID=1 LIMIT 5", ctx("1")).safe
+    assert engine.stats.shape_admissions_deferred == 1
+    epoch = swap(engine, FRAGMENTS).epoch  # same vocabulary, new store
+    # The first clean sighting after the swap is admitted and builds the
+    # plan from its own cold analysis at the new store's epoch.
+    second = engine.inspect("SELECT * FROM records WHERE ID=2 LIMIT 5", ctx("2"))
+    assert second.safe and second.pti.from_cache is None
+    assert engine.stats.shape_plans_built == 1
+    assert engine.stats.shape_admissions_deferred == 1
+    assert engine.shape_cache.snapshot_stats()["epoch"] == float(epoch)
+    hit = engine.inspect("SELECT * FROM records WHERE ID=3 LIMIT 5", ctx("3"))
+    assert hit.safe and hit.pti.from_cache == "shape"
 
 
 def test_deferred_admissions_are_a_shape_counter():

@@ -1,9 +1,8 @@
-"""Engine-level failure-policy tests: the guard never fails open.
+"""Engine-level failure tests: the guard never fails open.
 
 Every scenario here injects an analysis failure and asserts the engine
-resolves it to a verdict per :class:`FailurePolicy` -- fail-closed block,
-in-process fallback, or single-technique degraded mode -- with the
-degradation counters and audit flags to match.
+resolves it to a fail-closed ``failsafe`` block, with the degradation
+counters and audit flags to match.
 """
 
 import json
@@ -11,12 +10,11 @@ import json
 import pytest
 
 from repro.core import (
-    FailurePolicy,
     JozaConfig,
     JozaEngine,
     ResilienceConfig,
+    Technique,
 )
-from repro.core.resilience import DaemonCrash
 from repro.phpapp.application import (
     QueryBlockedError,
     TerminationSignal,
@@ -35,10 +33,8 @@ SAFE_QUERY = "SELECT a FROM t WHERE id = 1"
 ATTACK_QUERY = "SELECT a FROM t WHERE id = 1 UNION SELECT 2"
 
 
-def make_engine(policy=FailurePolicy.FAIL_CLOSED, schedule=None, **res_kwargs):
-    config = JozaConfig(
-        resilience=ResilienceConfig(failure_policy=policy, **res_kwargs)
-    )
+def make_engine(schedule=None, **res_kwargs):
+    config = JozaConfig(resilience=ResilienceConfig(**res_kwargs))
     store = FragmentStore(FRAGMENTS)
     daemon = FlakyDaemon(
         PTIDaemon(store, config.daemon), schedule or FaultSchedule.none()
@@ -53,7 +49,7 @@ def attack_context():
 
 
 # ----------------------------------------------------------------------
-# FAIL_CLOSED (default)
+# Fail closed
 # ----------------------------------------------------------------------
 
 
@@ -106,110 +102,23 @@ def test_failsafe_block_raises_and_is_audited_but_not_an_attack():
     assert record["failure_reasons"]
 
 
-# ----------------------------------------------------------------------
-# DEGRADE_TO_OTHER_TECHNIQUE
-# ----------------------------------------------------------------------
-
-
-def test_degraded_mode_still_blocks_via_nti():
-    engine = make_engine(
-        policy=FailurePolicy.DEGRADE_TO_OTHER_TECHNIQUE,
-        schedule=FaultSchedule.fixed({0: FaultKind.CRASH}),
-    )
-    verdict = engine.inspect(ATTACK_QUERY, attack_context())
-    assert not verdict.safe
-    assert verdict.degraded and not verdict.failsafe
-    assert engine.stats.degraded_verdicts == 1
-    assert engine.stats.attacks_blocked == 0  # inspect() doesn't enforce
-
-
-def test_degraded_mode_passes_benign_queries():
-    engine = make_engine(
-        policy=FailurePolicy.DEGRADE_TO_OTHER_TECHNIQUE,
-        schedule=FaultSchedule.fixed({0: FaultKind.CRASH}),
-    )
-    context = RequestContext(inputs=[CapturedInput("get", "id", "1")])
-    verdict = engine.inspect(SAFE_QUERY, context)
-    assert verdict.safe and verdict.degraded
-
-
-def test_degrade_fails_closed_when_both_techniques_unavailable():
-    engine = make_engine(
-        policy=FailurePolicy.DEGRADE_TO_OTHER_TECHNIQUE,
-        schedule=FaultSchedule.fixed({0: FaultKind.CRASH}),
-    )
-    engine.config.enable_nti = False  # nothing left to degrade to
-    verdict = engine.inspect(SAFE_QUERY, RequestContext())
-    assert not verdict.safe and verdict.failsafe
-
-
-def test_degraded_attack_is_flagged_in_audit_export():
-    engine = make_engine(
-        policy=FailurePolicy.DEGRADE_TO_OTHER_TECHNIQUE,
-        schedule=FaultSchedule.fixed({0: FaultKind.CRASH}),
-    )
-    with pytest.raises(QueryBlockedError):
+def test_pti_failure_keeps_the_nti_detection_as_evidence():
+    """NTI still runs after a PTI failure; its detection rides the block."""
+    engine = make_engine(schedule=FaultSchedule.fixed({0: FaultKind.CRASH}))
+    with pytest.raises(QueryBlockedError) as err:
         engine.check_query(ATTACK_QUERY, attack_context())
-    payload = json.loads(engine.export_attack_log())
-    (attack,) = payload["attacks"]
-    assert attack["degraded"] is True
-    assert attack["detected_by"] == ["nti"]
-    assert payload["application_stats"]["resilience"]["degraded_verdicts"] == 1
-
-
-# ----------------------------------------------------------------------
-# FALLBACK_IN_PROCESS
-# ----------------------------------------------------------------------
-
-
-def test_fallback_in_process_preserves_pti_verdicts():
-    engine = make_engine(
-        policy=FailurePolicy.FALLBACK_IN_PROCESS,
-        schedule=FaultSchedule.fixed({0: FaultKind.CRASH, 1: FaultKind.CRASH}),
-    )
-    # Benign query: fallback vouches, flagged degraded.
-    verdict = engine.inspect(SAFE_QUERY, RequestContext())
-    assert verdict.safe and verdict.degraded and not verdict.failsafe
-    # Attack with *no* request input: NTI is blind, only PTI can catch it --
-    # the fallback must, even with the subprocess daemon down.
-    verdict = engine.inspect(ATTACK_QUERY, RequestContext())
-    assert not verdict.safe and verdict.degraded
-    assert engine.stats.degraded_verdicts == 2
-
-
-class AlwaysCrashingDaemon:
-    """A PTI backend that is always down but can still swap its store."""
-
-    def __init__(self, store: FragmentStore) -> None:
-        self.store = store
-
-    def refresh_fragments(self, store: FragmentStore) -> None:
-        self.store = store
-
-    def analyze_batch(self, queries, deadline=None):
-        raise DaemonCrash("backend down")
-
-
-def test_fallback_in_process_follows_a_store_swap():
-    fragments = ["SELECT * FROM t WHERE id=", " ORDER BY x"]
-    config = JozaConfig(
-        resilience=ResilienceConfig(
-            failure_policy=FailurePolicy.FALLBACK_IN_PROCESS
-        )
-    )
-    store = FragmentStore(fragments)
-    engine = JozaEngine(store, config, daemon=AlwaysCrashingDaemon(store))
-    query = "SELECT * FROM t WHERE id=1 ORDER BY x"
-    verdict = engine.inspect(query, RequestContext())
-    assert verdict.safe and verdict.degraded  # the fallback vouched
-    # The plugin owning " ORDER BY x" is removed: a new store is swapped in.
-    new_store = FragmentStore(fragments[:1])
-    engine.daemon.refresh_fragments(new_store)
-    verdict = engine.inspect(query, RequestContext())
-    fresh = JozaEngine(new_store, config).inspect(query, RequestContext())
-    assert not fresh.safe
-    assert not verdict.safe and verdict.degraded
-    assert verdict.detected_by() == fresh.detected_by()
+    assert "detected by nti" in str(err.value)
+    verdict = engine.attack_log[0].verdict
+    assert not verdict.safe and verdict.failsafe and not verdict.degraded
+    assert verdict.pti is None
+    assert verdict.detected_by() == {Technique.NTI}
+    assert engine.stats.nti_detections == 1
+    assert engine.stats.failsafe_blocks == 1
+    assert engine.stats.attacks_blocked == 1
+    record = engine.attack_log[0].to_dict()
+    assert record["detected_by"] == ["nti"]
+    assert record["failsafe"] is True and record["degraded"] is False
+    assert record["failure_reasons"]
 
 
 # ----------------------------------------------------------------------
@@ -312,7 +221,5 @@ def test_export_resilience_counters_present_and_zero_when_healthy():
     report = engine.resilience_report()
     assert report["deadline_exceeded"] == 0
     assert report["breaker_open"] == 0
-    assert report["degraded_verdicts"] == 0
     assert report["failsafe_blocks"] == 0
     assert report["dropped_records"] == 0
-    assert report["failure_policy"] == "fail_closed"

@@ -9,7 +9,6 @@ from repro.core.resilience import (
     CircuitBreaker,
     Deadline,
     DeadlineExceeded,
-    FailurePolicy,
     ResilienceConfig,
     RetryPolicy,
     RingLog,
@@ -319,7 +318,6 @@ def test_ring_log_attach_sink_none_stops_persisting():
 def test_resilience_config_defaults_are_seed_compatible():
     cfg = ResilienceConfig()
     assert cfg.deadline_seconds is None  # unbounded, like the seed
-    assert cfg.failure_policy is FailurePolicy.FAIL_CLOSED
     assert cfg.attack_log_capacity == 10_000
     deadline = cfg.start_deadline()
     assert deadline.remaining() is None

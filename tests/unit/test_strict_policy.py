@@ -9,6 +9,7 @@ adjustment.
 
 from repro.core import JozaConfig, JozaEngine
 from repro.phpapp.context import CapturedInput, RequestContext
+from repro.pti import DaemonConfig
 from repro.sqlparser import critical_tokens
 
 
@@ -85,6 +86,20 @@ def test_strict_flag_propagates_to_daemon():
     assert config.daemon.strict_tokens is True
     engine = JozaEngine.from_fragments(FRAGMENTS, config)
     assert engine.daemon.config.strict_tokens is True
+
+
+def test_strict_config_leaves_a_shared_daemon_config_alone():
+    # A strict config must not turn a pragmatic engine built later from
+    # the same DaemonConfig strict: its daemon would flag ``name``, and
+    # its NTI would reuse the daemon's strict tokens and flag it too.
+    shared = DaemonConfig()
+    JozaConfig(daemon=shared, strict_tokens=True)
+    assert shared.strict_tokens is False
+    engine = JozaEngine.from_fragments(
+        ["SELECT * FROM t ORDER BY "], JozaConfig(daemon=shared)
+    )
+    verdict = engine.inspect("SELECT * FROM t ORDER BY name", ctx("name"))
+    assert verdict.safe and verdict.detected_by() == set()
 
 
 def test_strict_and_pragmatic_agree_on_classic_attacks():

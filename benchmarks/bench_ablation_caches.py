@@ -11,6 +11,8 @@ paper's Section VI-A rationale.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from conftest import PERF_NUM_POSTS, REFERENCE_RENDER_COST, emit
 
@@ -111,3 +113,7 @@ def test_ablation_pti_caches(benchmark, cache_sweep):
 
     analyzer = PTIAnalyzer(FragmentStore(["INSERT INTO t (a, b) VALUES (", ", '"]))
     benchmark(analyzer.analyze, "INSERT INTO t (a, b) VALUES (1, 'x')")
+
+
+if __name__ == "__main__":
+    raise SystemExit(pytest.main([__file__, *sys.argv[1:]]))

@@ -14,6 +14,8 @@ heuristics to skip implausible comparisons.  This bench compares:
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from conftest import emit
 
@@ -128,3 +130,7 @@ def test_ablation_matcher_variants(benchmark):
     assert t_bp < t_noprune / 5
 
     benchmark(best_substring_match, SHORT_A, SHORT_B, len(SHORT_A) // 4)
+
+
+if __name__ == "__main__":
+    raise SystemExit(pytest.main([__file__, *sys.argv[1:]]))

@@ -13,6 +13,8 @@ This bench sweeps the threshold and reports, per setting:
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from conftest import emit
 
@@ -98,3 +100,7 @@ def test_ablation_nti_threshold(benchmark, sweep):
     benchmark(
         match_with_ratio, "-1 OR 1=1", "SELECT * FROM t WHERE id=-1 OR 1=1", 0.2
     )
+
+
+if __name__ == "__main__":
+    raise SystemExit(pytest.main([__file__, *sys.argv[1:]]))

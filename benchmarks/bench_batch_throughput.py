@@ -7,7 +7,7 @@ single-query frame exchange each); larger sizes go through
 ``engine.inspect_batch`` (one struct-packed frame each way per batch, one
 deadline clamp, one daemon lock).  The shape cache is disabled so the
 measurement isolates the daemon pipe -- with it enabled, warm traffic
-never reaches the wire at all (that path is ``bench_shape_fastpath``).
+never reaches the wire at all (that path is perfbench's ``wp_mix``).
 
 A serialization ablation row times the packed frame codec against pickle
 (the daemon pipe's former codec) for the same batch-of-16 request and

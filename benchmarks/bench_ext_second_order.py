@@ -14,6 +14,8 @@ with the attacks first proven functional against the unprotected testbed.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from conftest import emit
 
@@ -92,3 +94,7 @@ def test_ext_second_order_matrix(benchmark, matrix):
         assert matrix[(attack, "Joza")] == (False, True)          # hybrid wins
 
     benchmark(_run_mixed_source, JozaConfig())
+
+
+if __name__ == "__main__":
+    raise SystemExit(pytest.main([__file__, *sys.argv[1:]]))

@@ -14,6 +14,9 @@ inferred markings; the timed operation is one NTI analysis.
 
 from __future__ import annotations
 
+import sys
+
+import pytest
 from conftest import emit
 
 from repro.bench.reporting import render_kv
@@ -103,3 +106,7 @@ def test_fig2_nti_markings(benchmark):
     assert match_c.distance == 5 and match_c.length == 22  # paper arithmetic
 
     benchmark(analyzer.analyze, query_b, _context(attack_input))
+
+
+if __name__ == "__main__":
+    raise SystemExit(pytest.main([__file__, *sys.argv[1:]]))

@@ -18,6 +18,9 @@ Part C: ``1 OR 1 = 1`` against a program whose fragments include `` OR ``
 
 from __future__ import annotations
 
+import sys
+
+import pytest
 from conftest import emit
 
 from repro.phpapp.source import extract_fragments
@@ -74,3 +77,7 @@ def test_fig3_pti_markings(benchmark):
     assert result_c.safe
 
     benchmark(analyzer.analyze, query_b)
+
+
+if __name__ == "__main__":
+    raise SystemExit(pytest.main([__file__, *sys.argv[1:]]))

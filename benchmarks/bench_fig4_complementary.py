@@ -12,6 +12,9 @@ Joza (the hybrid) detects both.
 
 from __future__ import annotations
 
+import sys
+
+import pytest
 from conftest import emit
 
 from repro.core import JozaEngine
@@ -73,3 +76,7 @@ def test_fig4_complementary(benchmark):
     assert not verdict_b.pti.safe and verdict_b.nti.safe and not verdict_b.safe
 
     benchmark(engine.inspect, query_a, _context(payload_a))
+
+
+if __name__ == "__main__":
+    raise SystemExit(pytest.main([__file__, *sys.argv[1:]]))

@@ -21,6 +21,8 @@ scans, node transitions for the automaton).
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from conftest import PERF_NUM_POSTS, REFERENCE_RENDER_COST, emit
 
@@ -211,7 +213,8 @@ def test_fig7_pti_breakdown(benchmark, breakdown, matching_work):
     assert process_cost > 0.5 * _pti_seconds(unopt)
     # The one-pass engine does at least 10x less matching work per query
     # than the unoptimized scan, in the unit-consistent character-probe
-    # measure (the hard gate also lives in bench_pti_automaton.py).
+    # measure (tier-1 makes the same check on testbed traffic:
+    # tests/unit/test_pti_automaton.py).
     assert (
         matching_work["automaton"]["char_probes_per_query"] * 10
         <= matching_work["unoptimized scan"]["char_probes_per_query"]
@@ -222,3 +225,7 @@ def test_fig7_pti_breakdown(benchmark, breakdown, matching_work):
 
     daemon = PTIDaemon(FragmentStore(["SELECT * FROM t WHERE id = "]))
     benchmark(daemon.analyze_query, "SELECT * FROM t WHERE id = 7")
+
+
+if __name__ == "__main__":
+    raise SystemExit(pytest.main([__file__, *sys.argv[1:]]))

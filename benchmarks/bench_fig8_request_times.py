@@ -12,6 +12,8 @@ write/search cost (the paper's rationale for keeping NTI in-process).
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from conftest import PERF_NUM_POSTS, REFERENCE_RENDER_COST, REPEATS, emit, emit_json
 
@@ -164,3 +166,7 @@ def test_fig8_request_times(benchmark, fig8_data):
     JozaEngine.protect(app)
     request = HttpRequest(path="/search", get={"s": "lorem"})
     benchmark(app.handle, request)
+
+
+if __name__ == "__main__":
+    raise SystemExit(pytest.main([__file__, *sys.argv[1:]]))

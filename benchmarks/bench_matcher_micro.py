@@ -23,6 +23,7 @@ Two workloads:
 
 from __future__ import annotations
 
+import sys
 import time
 
 import pytest
@@ -123,3 +124,7 @@ def test_matcher_micro(benchmark):
     assert speedups[("echoed", 512)] > speedups[("echoed", 64)]
 
     benchmark(best_substring_match, _echoed_pattern(64), TEXT, None)
+
+
+if __name__ == "__main__":
+    raise SystemExit(pytest.main([__file__, *sys.argv[1:]]))

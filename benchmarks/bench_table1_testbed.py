@@ -8,6 +8,9 @@ times testbed construction (the WP-SQLI-LAB build step).
 
 from __future__ import annotations
 
+import sys
+
+import pytest
 from conftest import emit
 
 from repro.bench.reporting import render_table
@@ -59,3 +62,7 @@ def test_table1_attack_type_census(benchmark):
         },
     )
     assert counts == _PAPER
+
+
+if __name__ == "__main__":
+    raise SystemExit(pytest.main([__file__, *sys.argv[1:]]))

@@ -10,6 +10,9 @@ The timed operation is full fragment extraction for the whole testbed.
 
 from __future__ import annotations
 
+import sys
+
+import pytest
 from conftest import emit
 
 from repro.bench.reporting import render_kv, render_table
@@ -57,3 +60,7 @@ def test_table3_fragment_extraction(benchmark):
     )
     assert all(row[1] == "yes" for row in rows)
     assert stats["fragments"] > 150  # a real corpus, not a toy list
+
+
+if __name__ == "__main__":
+    raise SystemExit(pytest.main([__file__, *sys.argv[1:]]))

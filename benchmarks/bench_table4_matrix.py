@@ -17,6 +17,9 @@ Paper headline aggregates this bench asserts:
 
 from __future__ import annotations
 
+import sys
+
+import pytest
 from conftest import emit
 
 from repro.bench.reporting import render_table
@@ -127,3 +130,7 @@ def test_table4_security_matrix(benchmark, corpus_eval):
     oscommerce = next(s for s in ev.scenario_reports if s.name == "osCommerce")
     assert not oscommerce.pti_mutated
     assert all(s.joza for s in ev.scenario_reports)
+
+
+if __name__ == "__main__":
+    raise SystemExit(pytest.main([__file__, *sys.argv[1:]]))

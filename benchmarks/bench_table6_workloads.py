@@ -14,6 +14,8 @@ stays within single digits.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from conftest import PERF_NUM_POSTS, REFERENCE_RENDER_COST, REPEATS, emit, emit_json
 
@@ -120,3 +122,7 @@ def test_table6_workload_mixes(benchmark, table6_data):
             app.handle(request)
 
     benchmark(replay)
+
+
+if __name__ == "__main__":
+    raise SystemExit(pytest.main([__file__, *sys.argv[1:]]))

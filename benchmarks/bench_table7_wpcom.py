@@ -12,6 +12,8 @@ implied overhead from this reproduction's measured Table VI curve.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from conftest import PERF_NUM_POSTS, REFERENCE_RENDER_COST, REPEATS, emit
 
@@ -96,3 +98,7 @@ def test_table7_wpcom_workload(benchmark, measured_one_percent_overhead):
     assert measured_one_percent_overhead < 10.0
 
     benchmark(write_fraction_for, WPCOM_STATS[2014])
+
+
+if __name__ == "__main__":
+    raise SystemExit(pytest.main([__file__, *sys.argv[1:]]))

@@ -2,7 +2,7 @@
 
 from ..matching.filter import FilterStats
 from .cache import NTIQueryCache, NTIQueryEntry
-from .inference import PREFILTER_CHOICES, NTIAnalyzer, NTIConfig
+from .inference import NTIAnalyzer, NTIConfig
 from .sources import candidate_inputs
 
 __all__ = [
@@ -10,7 +10,6 @@ __all__ = [
     "NTIConfig",
     "NTIQueryCache",
     "NTIQueryEntry",
-    "PREFILTER_CHOICES",
     "FilterStats",
     "candidate_inputs",
 ]

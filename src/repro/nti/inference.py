@@ -36,9 +36,8 @@ first tier that settles it --
 - on a probe decline, or where the probe does not apply, the plain
   :func:`~repro.matching.ratio.match_with_ratio` pipeline: the query's
   char/bigram bounds (:class:`~repro.matching.substring.TextProfile`,
-  built once per query and shared across inputs), then the matching core
-  (:attr:`NTIConfig.matcher`: Myers' bit-parallel scan by default, the
-  Sellers DP as oracle).
+  built once per query and shared across inputs), then its default
+  matching core (Myers' bit-parallel scan).
 """
 
 from __future__ import annotations
@@ -61,17 +60,14 @@ from ..matching.ratio import (
     difference_ratio,
     match_with_ratio,
 )
-from ..matching.substring import MATCHER_CHOICES, SubstringMatch, TextProfile
+from ..matching.substring import SubstringMatch, TextProfile
 from ..phpapp.context import RequestContext
 from ..sqlparser.parser import critical_tokens
 from ..sqlparser.tokens import Token
 from .cache import NTIQueryCache, NTIQueryEntry
 from .sources import candidate_inputs
 
-__all__ = ["PREFILTER_CHOICES", "NTIConfig", "NTIAnalyzer"]
-
-#: Accepted values for :attr:`NTIConfig.prefilter`.
-PREFILTER_CHOICES = ("auto", "off")
+__all__ = ["NTIConfig", "NTIAnalyzer"]
 
 #: Distinguishes "not memoised" from a memoised negative (``None``) result.
 _MISSING = object()
@@ -85,18 +81,6 @@ class NTIConfig:
         threshold: maximum difference ratio accepted as a match.  The paper
             discusses the sensitivity of this knob at length (Section
             III-A); 0.20 matches Figure 2C's arithmetic.
-        matcher: matching-core selector -- ``"auto"`` (bit-parallel except
-            for tiny inputs), ``"dp"`` (Sellers oracle) or
-            ``"bitparallel"``.  All produce identical matches; the knob
-            exists for the matcher ablation and differential testing.
-        prefilter: candidate-filter selector -- ``"auto"`` (default:
-            exact containment, the zero-budget prune and the q-gram
-            pigeonhole probe run in front of the matcher) or ``"off"``
-            (every candidate runs the plain
-            :func:`~repro.matching.ratio.match_with_ratio` pipeline).
-            Filters prune work, never change results; with
-            ``matcher="dp"`` no filtering is ever applied regardless,
-            keeping the DP pipeline the verbatim differential oracle.
         cache_size: capacity of the cross-request per-query cache,
             counted in queries: each entry holds one query's pruning
             tables and its input match results.  ``0`` disables it (the
@@ -105,21 +89,7 @@ class NTIConfig:
     """
 
     threshold: float = DEFAULT_NTI_THRESHOLD
-    matcher: str = "auto"
-    prefilter: str = "auto"
     cache_size: int = 512
-
-    def __post_init__(self) -> None:
-        if self.matcher not in MATCHER_CHOICES:
-            raise ValueError(
-                f"unknown matcher {self.matcher!r}; "
-                f"expected one of {MATCHER_CHOICES}"
-            )
-        if self.prefilter not in PREFILTER_CHOICES:
-            raise ValueError(
-                f"unknown prefilter {self.prefilter!r}; "
-                f"expected one of {PREFILTER_CHOICES}"
-            )
 
 
 class NTIAnalyzer:
@@ -128,8 +98,7 @@ class NTIAnalyzer:
     Verdict-wise stateless (every ``analyze`` call is a pure function of
     query and context); operationally it owns the per-query NTI cache,
     which is sound because a match result depends only on the
-    ``(input, query)`` pair and the analyzer's fixed threshold/matcher
-    configuration.
+    ``(input, query)`` pair and the analyzer's fixed threshold.
     """
 
     def __init__(self, config: NTIConfig | None = None) -> None:
@@ -140,14 +109,9 @@ class NTIAnalyzer:
             else None
         )
         self._stats = FilterStats()
-        # Filtering applies only off the DP-oracle pipeline and only under
-        # a valid threshold (an invalid one must keep raising through
-        # match_with_ratio exactly like the unfiltered path).
-        self._filter_active = (
-            self.config.prefilter != "off"
-            and self.config.matcher != "dp"
-            and 0.0 <= self.config.threshold < 1.0
-        )
+        # Filtering applies only under a valid threshold (an invalid one
+        # must keep raising through match_with_ratio).
+        self._filter_active = 0.0 <= self.config.threshold < 1.0
 
     def cache_stats(self) -> dict[str, dict[str, float]]:
         """Per-query cache and prefilter counters (bench reporting hook).
@@ -229,7 +193,6 @@ class NTIAnalyzer:
         # heuristics, then shared across all inputs.
         profile_holder: list = [profile]
         threshold = self.config.threshold
-        matcher = self.config.matcher
         filtered = self._filter_active
         stats = self._stats
         for value in values:
@@ -281,7 +244,6 @@ class NTIAnalyzer:
                         value,
                         query,
                         threshold,
-                        matcher=matcher,
                         # Lazy: the tables are built only if the bound
                         # heuristics are reached.
                         profile=partial(self._profile_for, query, profile_holder),

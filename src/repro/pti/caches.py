@@ -367,10 +367,6 @@ class MRUFragmentCache:
             self._items.insert(0, fragment)
             del self._items[self.capacity :]
 
-    def clear(self) -> None:
-        with self._lock:
-            self._items.clear()
-
     def __len__(self) -> int:
         return len(self._items)
 

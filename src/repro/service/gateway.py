@@ -108,8 +108,8 @@ class GatewayConfig:
     #: Gateway audit ring capacity (shed/expired/refused records).
     audit_capacity: int = 10_000
     #: Per-request artificial service time inside each worker (seconds).
-    #: Models real analysis cost in throughput benches so cross-process
-    #: overlap is measurable even on a single-core runner; 0 in production.
+    #: Lets tests hold a worker busy (a SIGKILL mid-request, saturation
+    #: shedding, a drain with a request in flight); 0 in production.
     worker_pace_seconds: float = 0.0
     #: Base RNG seed of the fleet.  Workers host in-process PTI daemons
     #: and draw no random numbers, so it currently has no effect; it is

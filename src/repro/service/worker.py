@@ -148,8 +148,8 @@ def _inspect(
         ]
     else:
         if pace_seconds > 0.0:
-            # Models per-request service time so throughput benches show
-            # cross-process overlap even on a single-core runner.
+            # Holds the worker busy for tests that need a request in
+            # flight (SIGKILL, saturation shedding, drain).
             time.sleep(pace_seconds)
         context = RequestContext(
             inputs=[CapturedInput(s, n, v) for s, n, v in request.inputs],

@@ -1,7 +1,8 @@
 """Property suite for tenant isolation (DESIGN.md section 13 invariants).
 
 Two properties, fuzzed over overlay vocabularies and the Table IV attack
-matrix:
+matrix, and one seeded reload storm that holds both of them while
+overlays change under traffic:
 
 - **Coverage isolation** -- a tenant's compiled matcher only ever reports
   fragments from its own composed vocabulary (shared base + own overlay);
@@ -15,6 +16,9 @@ matrix:
 """
 
 from __future__ import annotations
+
+import sys
+import threading
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -83,10 +87,25 @@ SCAN_TEXTS = st.sampled_from(
 )
 
 
+#: Overlay swaps of the reload storm, round-robin over its tenants.
+STORM_RELOADS = 12
+
+
 def ctx(values):
     return RequestContext(
         inputs=[CapturedInput("get", f"p{i}", v) for i, v in enumerate(values)]
     )
+
+
+def assert_parity(tenant_engine, dedicated_engine, cases=MATRIX):
+    """Byte-identical canonical verdicts on ``cases``; attacks blocked."""
+    for query, values, is_attack in cases:
+        mine = tenant_engine.inspect_batch([query], ctx(values))[0]
+        theirs = dedicated_engine.inspect_batch([query], ctx(values))[0]
+        assert encode_verdict(verdict_to_dict(mine)) == encode_verdict(
+            verdict_to_dict(theirs)
+        ), f"divergence on {query!r}"
+        assert mine.safe is (not is_attack)
 
 
 @given(OVERLAYS, OVERLAYS, SCAN_TEXTS)
@@ -118,13 +137,7 @@ def test_tenant_verdicts_byte_identical_to_dedicated_engine(overlay):
     registry = TenantRegistry(BASE)
     tenant_engine = JozaEngine(registry.add_tenant("t", overlay))
     dedicated_engine = JozaEngine.from_fragments(list(BASE) + list(overlay))
-    for query, values, is_attack in MATRIX:
-        mine = tenant_engine.inspect_batch([query], ctx(values))[0]
-        theirs = dedicated_engine.inspect_batch([query], ctx(values))[0]
-        assert encode_verdict(verdict_to_dict(mine)) == encode_verdict(
-            verdict_to_dict(theirs)
-        ), f"divergence on {query!r} with overlay {overlay!r}"
-        assert mine.safe is (not is_attack)
+    assert_parity(tenant_engine, dedicated_engine)
 
 
 @given(OVERLAYS, OVERLAYS)
@@ -140,10 +153,86 @@ def test_parity_survives_warm_overlay_reload(overlay, next_overlay):
     dedicated_engine = JozaEngine.from_fragments(
         list(BASE) + list(next_overlay)
     )
-    for query, values, is_attack in MATRIX:
-        mine = tenant_engine.inspect_batch([query], ctx(values))[0]
-        theirs = dedicated_engine.inspect_batch([query], ctx(values))[0]
-        assert encode_verdict(verdict_to_dict(mine)) == encode_verdict(
-            verdict_to_dict(theirs)
+    assert_parity(tenant_engine, dedicated_engine)
+
+
+def test_reload_storm_never_fails_open_and_ends_in_parity():
+    """Overlay swaps under traffic: no attack passes mid-storm, and each
+    tenant then answers like a dedicated engine over its final vocabulary."""
+    registry = TenantRegistry(BASE)
+    engines = {
+        f"t{i}": JozaEngine(registry.add_tenant(f"t{i}", OVERLAY_POOL[i : i + 2]))
+        for i in range(4)
+    }
+    tenant_ids = list(engines)
+    generations = {tenant_id: [] for tenant_id in tenant_ids}
+    served = threading.Event()  # a full traffic pass ended
+    finished = threading.Event()  # the last swap is done
+    stopping = threading.Event()  # the data plane gave up
+    failures = []
+
+    def storm():
+        try:
+            for n in range(STORM_RELOADS):
+                # Every swap lands while traffic runs, one pass after the
+                # previous swap at the earliest.
+                if not served.wait(30) or stopping.is_set():
+                    return
+                served.clear()
+                tenant_id = tenant_ids[n % len(tenant_ids)]
+                overlay = OVERLAY_POOL[n % len(OVERLAY_POOL) :][:2] + [
+                    f"SELECT v FROM reloaded_g{n} WHERE k="
+                ]
+                engines[tenant_id].daemon.refresh_fragments(
+                    registry.reload_tenant(tenant_id, overlay)
+                )
+                generations[tenant_id].append(n)
+        except Exception as exc:  # surfaced on the main thread
+            failures.append(exc)
+        finally:
+            finished.set()
+
+    thread = threading.Thread(target=storm)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the two threads finely
+    thread.start()
+    passes = 0
+    try:
+        while not finished.is_set():
+            for tenant_id in tenant_ids:
+                for query, values, is_attack in MATRIX:
+                    verdict = engines[tenant_id].inspect_batch(
+                        [query], ctx(values)
+                    )[0]
+                    assert not (is_attack and verdict.safe), (tenant_id, query)
+            passes += 1
+            served.set()
+    finally:
+        stopping.set()
+        served.set()
+        thread.join(30)
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive()
+    assert not failures, failures
+    assert passes >= STORM_RELOADS
+    assert registry.tenancy_report()["handoff_swaps"] == STORM_RELOADS
+
+    for tenant_id, engine in engines.items():
+        dedicated = JozaEngine.from_fragments(
+            list(registry.get(tenant_id).fragments)
         )
-        assert mine.safe is (not is_attack)
+        # An engine left on any older store diverges: only the last
+        # swap's overlay covers the first query, and only the tenant's
+        # first swap's overlay (gone since) covered the second.
+        first, *__, last = generations[tenant_id]
+        cases = MATRIX + [
+            (f"SELECT v FROM reloaded_g{last} WHERE k=5", ["5"], False),
+            (f"SELECT v FROM reloaded_g{first} WHERE k=5", ["5"], True),
+        ]
+        # Equally warm on both sides, twice: plans are planted on a
+        # shape's second sighting, and a plan hit elides markings.
+        for __ in range(2):
+            for query, values, _ in cases:
+                engine.inspect_batch([query], ctx(values))
+                dedicated.inspect_batch([query], ctx(values))
+        assert_parity(engine, dedicated, cases)

@@ -86,9 +86,3 @@ def test_mru_capacity_enforced():
     assert mru.items() == ["c", "b"]
     assert "a" not in mru
 
-
-def test_mru_clear():
-    mru = MRUFragmentCache()
-    mru.touch("x")
-    mru.clear()
-    assert len(mru) == 0

@@ -80,27 +80,31 @@ def test_entry_trim_drops_oldest_inputs_first():
 # ----------------------------------------------------------------------
 
 
+#: Seed-rich: every piece of the inputs below hits so densely that the
+#: pigeonhole probe declines, and the plain pipeline builds the query's
+#: pruning tables.
+SEED_RICH_QUERY = "abcabcabcabcabc"
+
+
 def test_profile_cache_builds_once_and_reuses():
-    # Unfiltered, a near miss gets past exact containment and reaches the
-    # bound heuristics, so the query's tables are built.
-    nti = NTIAnalyzer(NTIConfig(prefilter="off"))
-    query = "SELECT * FROM t WHERE name='abcdefgh' LIMIT 5"
-    nti.analyze(query, ctx("abcdefgX"))
-    profile = nti.cache.entry(query).profile
+    nti = NTIAnalyzer()
+    nti.analyze(SEED_RICH_QUERY, ctx("abcXYZ"))
+    assert nti.filter_stats()["fallthrough_full_scan"] == 1
+    profile = nti.cache.entry(SEED_RICH_QUERY).profile
     assert isinstance(profile, TextProfile)
-    nti.analyze(query, ctx("abcdeYgh"))
-    assert nti.cache.entry(query).profile is profile
+    nti.analyze(SEED_RICH_QUERY, ctx("abcQRS"))
+    assert nti.cache.entry(SEED_RICH_QUERY).profile is profile
 
 
 def test_profile_cache_eviction():
-    nti = NTIAnalyzer(NTIConfig(prefilter="off", cache_size=1))
-    first = "SELECT * FROM t WHERE name='abcdefgh' LIMIT 5"
-    nti.analyze(first, ctx("abcdefgX"))
-    profile = nti.cache.entry(first).profile
+    nti = NTIAnalyzer(NTIConfig(cache_size=1))
+    nti.analyze(SEED_RICH_QUERY, ctx("abcXYZ"))
+    profile = nti.cache.entry(SEED_RICH_QUERY).profile
+    assert isinstance(profile, TextProfile)
     nti.analyze("SELECT 2 FROM u WHERE v='abcdefgh'", ctx("abcdefgX"))  # evicts
-    assert first not in nti.cache
-    nti.analyze(first, ctx("abcdefgX"))
-    assert nti.cache.entry(first).profile is not profile
+    assert SEED_RICH_QUERY not in nti.cache
+    nti.analyze(SEED_RICH_QUERY, ctx("abcXYZ"))
+    assert nti.cache.entry(SEED_RICH_QUERY).profile is not profile
 
 
 def test_analyzer_caches_enabled_by_default():
@@ -184,11 +188,6 @@ def test_cached_verdicts_identical_to_uncached():
             assert a.safe == b.safe
             assert a.markings == b.markings
             assert a.detections == b.detections
-
-
-def test_nti_config_rejects_unknown_matcher():
-    with pytest.raises(ValueError):
-        NTIConfig(matcher="simd")
 
 
 def test_engine_surfaces_nti_cache_stats():

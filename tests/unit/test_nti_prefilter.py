@@ -1,7 +1,5 @@
 """Unit tests for the NTI filter kernel (q-gram pigeonhole prefilter)."""
 
-import pytest
-
 from repro.matching.filter import (
     FULL_SCAN,
     MIN_PIECE,
@@ -13,6 +11,7 @@ from repro.matching.filter import (
 from repro.matching.substring import best_substring_match
 from repro.nti import FilterStats, NTIAnalyzer, NTIConfig
 from repro.phpapp.context import CapturedInput, RequestContext
+from tests.reference.nti_spec import nti_spec
 
 
 def ctx(*values):
@@ -91,28 +90,29 @@ def test_qgram_filter_declines_when_windows_cover_text():
 # -- analyzer integration ----------------------------------------------
 
 
-def test_nti_config_rejects_unknown_prefilter():
-    for choice in ("bloom", "qgram"):
-        with pytest.raises(ValueError):
-            NTIConfig(prefilter=choice)
-
-
-def test_prefilter_choices_are_config_compatible():
-    for choice in ("auto", "off"):
-        NTIConfig(prefilter=choice)
-
-
 def test_filtered_analyzer_equals_oracle_on_attack_and_benign():
     query = "SELECT * FROM t WHERE ID=-1 OR 1=1"
-    attack = ctx("-1 OR 1=1", "benign comment body", "tiny")
-    for prefilter in ("auto", "off"):
-        nti = NTIAnalyzer(NTIConfig(prefilter=prefilter))
-        oracle = NTIAnalyzer(NTIConfig(matcher="dp", prefilter="off"))
-        got = nti.analyze(query, attack)
-        want = oracle.analyze(query, attack)
-        assert got.safe == want.safe is False
-        assert got.markings == want.markings
-        assert got.detections == want.detections
+    values = ("-1 OR 1=1", "benign comment body", "tiny")
+    got = NTIAnalyzer().analyze(query, ctx(*values))
+    safe, markings, detections = nti_spec(query, values, NTIConfig().threshold)
+    assert got.safe == safe is False
+    assert [(m.start, m.end, m.origin, m.ratio) for m in got.markings] == markings
+    assert [
+        (d.token_text, d.token_start, d.token_end, d.input_value)
+        for d in got.detections
+    ] == detections
+
+
+def test_anchored_match_just_above_threshold_is_rejected():
+    # Two substitutions in nine characters: the probe anchors a scan that
+    # finds the span at ratio 2/9 = 0.222, just above the 0.2 default,
+    # and the spec rejects it.
+    query = "SELECT * FROM t WHERE name='abcdefghi' AND x=1 LIMIT 5"
+    nti = NTIAnalyzer()
+    result = nti.analyze(query, ctx("abXdeYghi"))
+    assert nti.filter_stats()["anchored_scans"] == 1
+    assert result.markings == []
+    assert nti_spec(query, ["abXdeYghi"], NTIConfig().threshold)[1] == []
 
 
 def test_filter_stats_surface_and_count():
@@ -151,12 +151,3 @@ def test_filter_stats_surface_and_count():
     for key in ("pruned_qgram", "anchored_scans", "pruned_zero_budget", "exact_hits"):
         assert after[key] == stats[key]
 
-
-def test_dp_matcher_is_never_filtered():
-    nti = NTIAnalyzer(NTIConfig(matcher="dp", prefilter="auto"))
-    nti.analyze(
-        "SELECT * FROM t WHERE ID=1",
-        ctx("completely unrelated paragraph text", "zz"),
-    )
-    stats = nti.filter_stats()
-    assert all(v == 0 for v in stats.values())

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench import read_stream, write_stream
 from repro.pti import (
     AUTO_AUTOMATON_MIN_FRAGMENTS,
     DaemonConfig,
@@ -12,6 +13,7 @@ from repro.pti import (
     PTIDaemon,
 )
 from repro.sqlparser.parser import critical_tokens
+from repro.testbed import build_testbed
 
 
 def brute_occurrences(fragments, text):
@@ -232,3 +234,55 @@ def test_scan_and_automaton_agree_on_spans():
         assert [(m.start, m.end) for m in a.markings] == [
             (m.start, m.end) for m in b.markings
         ]
+
+
+# ---------------------------------------------------------------------------
+# Containment work on testbed traffic
+# ---------------------------------------------------------------------------
+
+
+class _QueryRecorder:
+    """Guard that records every intercepted query and blocks none."""
+
+    def __init__(self):
+        self.queries = []
+
+    def check_query(self, query, context):
+        self.queries.append(query)
+
+
+class _CharCountingScan(PTIAnalyzer):
+    """Scan analyzer that also counts character probes.
+
+    A containment check reads at least the ``len(fragment)`` needle
+    characters, while an automaton transition reads one query character:
+    counting characters puts both engines' work in one unit.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.char_probes = 0
+
+    def _covering_position(self, fragment, query, token):
+        self.char_probes += len(fragment)
+        return super()._covering_position(fragment, query, token)
+
+
+def test_automaton_probes_ten_times_fewer_chars_than_unoptimized_scan():
+    # The Fig. 7 read+write request streams over a 10-post testbed.
+    app = build_testbed(10)
+    recorder = _QueryRecorder()
+    app.install_guard(recorder)
+    for request in read_stream(10, 40) + write_stream(10, 20):
+        app.handle(request)
+    app.install_guard(None)
+    store = FragmentStore.from_sources(app.all_sources())
+    scan = _CharCountingScan(
+        store, PTIConfig(matcher="scan", use_mru=False, use_token_index=False)
+    )
+    auto = PTIAnalyzer(store, PTIConfig(matcher="automaton"))
+    assert recorder.queries
+    for query in recorder.queries:
+        assert scan.analyze(query).safe == auto.analyze(query).safe
+    # Deterministic counters: an automaton transition is one probe.
+    assert auto.comparisons * 10 <= scan.char_probes

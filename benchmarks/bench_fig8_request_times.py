@@ -72,8 +72,6 @@ def test_fig8_request_times(benchmark, fig8_data):
     for label, (__, protected) in fig8_data.items():
         caches = protected.engine.cache_stats()["nti"]
         for cache_name, stats in sorted(caches.items()):
-            if cache_name == "filter":
-                continue  # prefilter counters, not a cache
             cache_pairs.append(
                 (
                     f"{label} / {cache_name}",

@@ -24,7 +24,6 @@ Run standalone::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import tracemalloc
 
@@ -136,7 +135,7 @@ def measure_memory(base: list[str], tenants: int, overlay_size: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def run_tenant_scale_bench(*, smoke: bool, seed: int) -> dict:
+def run_tenant_scale_bench(*, smoke: bool) -> dict:
     if smoke:
         base = wordpress_core_fragments(80)
         memory = measure_memory(base, tenants=24, overlay_size=4)
@@ -149,7 +148,6 @@ def run_tenant_scale_bench(*, smoke: bool, seed: int) -> dict:
         "benchmark": SIDE_CAR,
         "config": {
             "mode": "smoke" if smoke else "full",
-            "seed": seed,
             "gate_memory_ratio": memory_gate,
         },
         "memory": memory,
@@ -196,7 +194,7 @@ def render(payload: dict) -> str:
 
 
 def test_tenant_scale_smoke(benchmark):
-    payload = run_tenant_scale_bench(smoke=True, seed=1337)
+    payload = run_tenant_scale_bench(smoke=True)
     try:
         from conftest import RESULTS_DIR, emit
 
@@ -228,13 +226,8 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="CI-sized workload (fewer tenants, smaller base)",
     )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=int(os.environ.get("CHAOS_SEED", "1337")),
-    )
     args = parser.parse_args(argv)
-    payload = run_tenant_scale_bench(smoke=args.smoke, seed=args.seed)
+    payload = run_tenant_scale_bench(smoke=args.smoke)
     print(render(payload))
     path = save_json(SIDE_CAR, payload)
     print(f"[sidecar saved to {path}]")

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from ..core.engine import EngineStats, JozaEngine
+from ..core.engine import JozaEngine
 from ..core.policy import JozaConfig
 from ..phpapp.application import WebApplication
 from ..phpapp.request import HttpRequest
@@ -144,11 +144,8 @@ def measure(
             # Warmup primed the caches; restart the accounting so attributed
             # overheads cover exactly the timed window.
             if engine is not None:
-                engine.stats = EngineStats()
-                if hasattr(engine.daemon, "timings"):
-                    engine.daemon.timings.reset()
-            if daemon is not None:
-                daemon.timings.reset()
+                engine.stats.reset()
+                engine.daemon.timings.reset()
             latencies: list[float] = []
             start = time.perf_counter()
             if record_latencies:
@@ -169,11 +166,7 @@ def measure(
         finally:
             if daemon is not None:
                 daemon.close()
-        timings: dict[str, float] = {}
-        if daemon is not None:
-            timings = daemon.timings.snapshot()
-        elif engine is not None and hasattr(engine.daemon, "timings"):
-            timings = engine.daemon.timings.snapshot()
+        timings = engine.daemon.timings.snapshot() if engine is not None else {}
         return Measurement(
             label=label,
             requests=len(requests),

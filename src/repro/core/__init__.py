@@ -7,6 +7,7 @@ from .resilience import (
     BreakerState,
     CircuitBreaker,
     CorruptReply,
+    Counters,
     DaemonCrash,
     DaemonTimeout,
     DaemonUnavailable,
@@ -38,6 +39,7 @@ __all__ = [
     "BreakerState",
     "CircuitBreaker",
     "CorruptReply",
+    "Counters",
     "DaemonCrash",
     "DaemonTimeout",
     "DaemonUnavailable",

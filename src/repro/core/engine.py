@@ -27,7 +27,7 @@ import random as _random
 import threading
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from ..nti.inference import NTIAnalyzer
@@ -35,7 +35,7 @@ from ..nti.sources import candidate_inputs
 from ..phpapp.application import QueryBlockedError, WebApplication
 from ..phpapp.context import RequestContext
 from ..pti.caches import witness_misses
-from ..pti.daemon import PTIDaemon
+from ..pti.daemon import PTIBackend, PTIDaemon
 from ..pti.fragments import FragmentStore
 from ..pti.inference import PTIAnalyzer
 from ..sqlparser.parser import critical_tokens
@@ -44,6 +44,7 @@ from .policy import JozaConfig, RecoveryPolicy
 from .shapecache import ShapeCache, ShapePlan, build_plan
 from .resilience import (
     CorruptReply,
+    Counters,
     DaemonUnavailable,
     Deadline,
     DeadlineExceeded,
@@ -93,102 +94,75 @@ class AttackRecord:
         }
 
 
-@dataclass
-class EngineStats:
-    """Aggregate counters for reporting.
-
-    ``deadline_exceeded``, ``breaker_open`` and ``failsafe_blocks`` are the
-    degradation counters (DESIGN.md section 7): how often the runtime
-    absorbed a fault instead of analysing normally.
-    A healthy deployment shows zeros; anything else is the resilience
-    layer earning its keep.
-
-    Thread-safety: every mutation goes through :meth:`bump`, which applies
-    all its deltas under one lock -- a snapshot taken by another thread
-    (``resilience_counters``/``shape_counters``) therefore never observes a
-    half-applied update, and no increment is ever lost to a read-modify-
-    write race (DESIGN.md section 10).
-    """
-
-    queries_checked: int = 0
-    attacks_blocked: int = 0
-    nti_detections: int = 0
-    pti_detections: int = 0
-    nti_seconds: float = 0.0
-    pti_seconds: float = 0.0
+#: Degradation counters (DESIGN.md section 7): how often the runtime
+#: absorbed a fault instead of analysing normally.  A healthy deployment
+#: shows zeros; anything else is the resilience layer earning its keep.
+RESILIENCE_COUNTERS = (
     #: Queries whose analysis ran past the per-query budget.
-    deadline_exceeded: int = 0
+    "deadline_exceeded",
     #: Queries refused by an open daemon circuit breaker.
-    breaker_open: int = 0
+    "breaker_open",
     #: Queries blocked because analysis was unavailable (not detections).
-    failsafe_blocks: int = 0
-    #: Shape fast path (DESIGN.md "shape fast path"): queries fully served
-    #: by a cached per-shape analysis plan ...
-    shape_hits: int = 0
+    "failsafe_blocks",
+)
+#: Shape fast path (DESIGN.md "shape fast path").
+SHAPE_COUNTERS = (
+    #: Queries fully served by a cached per-shape analysis plan ...
+    "shape_hits",
     #: ... whose skeleton had no cached plan (cold path taken) ...
-    shape_misses: int = 0
+    "shape_misses",
     #: ... or where a plan existed but declined (lex drift, slot/token
     #: overlap, PTI recheck miss, deadline, analyzer error): cold path.
-    shape_fallthroughs: int = 0
+    "shape_fallthroughs",
     #: Plans built and cached after clean, fully-safe cold analyses.
-    shape_plans_built: int = 0
+    "shape_plans_built",
     #: Clean, fully-safe cold analyses of a shape's first sighting: the
     #: doorkeeper deferred admission, so no plan was built.
-    shape_admissions_deferred: int = 0
+    "shape_admissions_deferred",
     #: Shadow validation: sampled fast-path verdicts re-checked cold ...
-    shadow_checks: int = 0
+    "shadow_checks",
     #: ... and how many disagreed (must stay zero; cold verdict wins).
-    shadow_divergences: int = 0
-    #: Batched inspection (DESIGN.md section 11): ``inspect_batch`` calls ...
-    batch_calls: int = 0
+    "shadow_divergences",
+)
+#: Batched inspection (DESIGN.md section 11).
+BATCH_COUNTERS = (
+    #: ``inspect_batch`` calls ...
+    "batch_calls",
     #: ... queries that arrived inside them ...
-    batch_queries: int = 0
+    "batch_queries",
     #: ... and how many ``analyze_batch`` daemon exchanges they issued
     #: (cold queries only; fast-path hits never reach the daemon).
-    batch_daemon_batches: int = 0
-    #: Internal counter lock (not a counter).
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, init=False, repr=False, compare=False
-    )
+    "batch_daemon_batches",
+)
+ENGINE_COUNTERS = (
+    "queries_checked",
+    "attacks_blocked",
+    "nti_detections",
+    "pti_detections",
+    #: Analysis time attributed to each technique (Fig. 8, Table VI).
+    "nti_seconds",
+    "pti_seconds",
+    *RESILIENCE_COUNTERS,
+    *SHAPE_COUNTERS,
+    *BATCH_COUNTERS,
+)
 
-    def bump(self, **deltas: float) -> None:
-        """Atomically apply counter deltas (e.g. ``bump(shape_hits=1)``).
 
-        All deltas of one call commit under a single lock acquisition, so
-        related counters (say ``batch_calls`` + ``batch_queries``) move
-        together from any observer's point of view.
-        """
-        with self._lock:
-            for name, delta in deltas.items():
-                setattr(self, name, getattr(self, name) + delta)
+class EngineStats(Counters):
+    """The engine's counters (:data:`ENGINE_COUNTERS`).
 
-    def resilience_counters(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "deadline_exceeded": self.deadline_exceeded,
-                "breaker_open": self.breaker_open,
-                "failsafe_blocks": self.failsafe_blocks,
-            }
+    Each query commits its counters once: a shape hit makes one
+    :meth:`~repro.core.resilience.Counters.bump`, a cold ``inspect`` at
+    most three (lookup, daemon exchange, cold step).
+    """
+
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        super().__init__(ENGINE_COUNTERS)
 
     def shape_counters(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "shape_hits": self.shape_hits,
-                "shape_misses": self.shape_misses,
-                "shape_fallthroughs": self.shape_fallthroughs,
-                "shape_plans_built": self.shape_plans_built,
-                "shape_admissions_deferred": self.shape_admissions_deferred,
-                "shadow_checks": self.shadow_checks,
-                "shadow_divergences": self.shadow_divergences,
-            }
-
-    def batch_counters(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "batch_calls": self.batch_calls,
-                "batch_queries": self.batch_queries,
-                "batch_daemon_batches": self.batch_daemon_batches,
-            }
+        return self.snapshot(SHAPE_COUNTERS)
 
 
 class JozaEngine:
@@ -199,15 +173,14 @@ class JozaEngine:
         store: FragmentStore,
         config: JozaConfig | None = None,
         *,
-        daemon=None,
+        daemon: PTIBackend | None = None,
     ) -> None:
         self.config = config or JozaConfig()
-        #: Any PTI backend with ``analyze_batch(queries, deadline) ->
-        #: list[DaemonReply]`` and ``store`` works here (DESIGN.md section
-        #: 11); benchmarks substitute a
+        #: Any :class:`~repro.pti.daemon.PTIBackend` works here (DESIGN.md
+        #: section 11); benchmarks substitute a
         #: :class:`~repro.pti.daemon.SubprocessPTIDaemon` to measure the
         #: paper's deployment architecture.
-        self.daemon = daemon if daemon is not None else PTIDaemon(
+        self.daemon: PTIBackend = daemon if daemon is not None else PTIDaemon(
             store, self.config.daemon
         )
         self.nti = NTIAnalyzer(self.config.nti)
@@ -274,10 +247,9 @@ class JozaEngine:
         app.install_guard(engine)
 
         def refresh() -> None:
-            if hasattr(engine.daemon, "refresh_fragments"):
-                engine.daemon.refresh_fragments(
-                    FragmentStore.from_sources(app.all_sources())
-                )
+            engine.daemon.refresh_fragments(
+                FragmentStore.from_sources(app.all_sources())
+            )
 
         app.on_source_change(refresh)
         return engine
@@ -291,10 +263,9 @@ class JozaEngine:
 
         Layout::
 
-            {"nti":   {"match": {...}, "filter": {...}},
+            {"nti":   {"match": {...}},
              "pti":   {"query": {...}, "structure": {...}, "matcher": {...}},
-             "shape": {"plans": {... incl. engine fast-path counters},
-                       "pti_matcher": {... recheck analyzer counters}}}
+             "shape": {"plans": {...}, "pti_matcher": {...}}}
 
         The ``matcher`` leaves carry the PTI matching-engine counters
         (comparisons, automaton builds/nodes, occurrence-index reuse;
@@ -306,59 +277,30 @@ class JozaEngine:
         ``capacity`` / ``invalidations`` / ``insertions`` / ``stale_puts``
         / ``epoch``, floats by the bench-reporting convention).
         ``nti.match`` is the per-query NTI cache and counts per query (see
-        :meth:`~repro.nti.inference.NTIAnalyzer.cache_stats`); ``nti.filter``
-        holds the prefilter counters.  PTI entries appear only when
-        the daemon object exposes its caches (the in-process
-        :class:`~repro.pti.daemon.PTIDaemon` does; a subprocess daemon's
-        caches live in the child and are not remotely introspectable).
+        :meth:`~repro.nti.inference.NTIAnalyzer.cache_stats`).  ``pti`` is
+        the backend's :meth:`~repro.pti.daemon.PTIBackend.cache_stats`:
+        empty for a subprocess daemon, whose caches live in the child.
+        Counters that are not cache readings (the shape fast path, batching,
+        the NTI prefilter, the store) are in :meth:`resilience_report`.
         """
         out: dict[str, dict[str, dict[str, float]]] = {
-            "nti": self.nti.cache_stats()
+            "nti": self.nti.cache_stats(),
+            "pti": self.daemon.cache_stats(),
         }
-        pti: dict[str, dict[str, float]] = {}
-        for name in ("query", "structure"):
-            cache = getattr(self.daemon, f"{name}_cache", None)
-            if cache is not None:
-                pti[name] = cache.snapshot_stats()
-        analyzer = getattr(self.daemon, "analyzer", None)
-        matcher_stats = getattr(analyzer, "matcher_stats", None)
-        if callable(matcher_stats):
-            pti["matcher"] = matcher_stats()
-        out["pti"] = pti
         if self.shape_cache is not None:
-            plans = self.shape_cache.snapshot_stats()
-            plans.update(
-                (key, float(value))
-                for key, value in self.stats.shape_counters().items()
-            )
-            shape: dict[str, dict[str, float]] = {"plans": plans}
+            shape: dict[str, dict[str, float]] = {
+                "plans": self.shape_cache.snapshot_stats()
+            }
             if self._shape_analyzer is not None:
                 shape["pti_matcher"] = self._shape_analyzer.matcher_stats()
             out["shape"] = shape
-        out["batching"] = {
-            "calls": {
-                key: float(value)
-                for key, value in self.stats.batch_counters().items()
-            }
-        }
-        tenancy = getattr(self.store, "tenancy_stats", None)
-        if callable(tenancy):
-            stats = tenancy()
-            out["tenancy"] = {
-                "fragments": {
-                    "total": float(stats["fragments"]),
-                    "interned": float(stats["interned_fragments"]),
-                    "private": float(stats["private_fragments"]),
-                    "epoch": float(stats["epoch"]),
-                }
-            }
         return out
 
     # ------------------------------------------------------------------
     # Analysis
     # ------------------------------------------------------------------
 
-    def _bind_store(self) -> FragmentStore | None:
+    def _bind_store(self) -> FragmentStore:
         """The daemon's current store, with the shape analyzer bound to it.
 
         Call under ``_state_lock``.  When the daemon has swapped in a new
@@ -370,8 +312,8 @@ class JozaEngine:
         locking second would let a concurrent swap land in between, and
         this thread would re-install the older store.
         """
-        store = getattr(self.daemon, "store", None)
-        if store is not None and store is not self._bound_store:
+        store = self.daemon.store
+        if store is not self._bound_store:
             self._bound_store = store
             self._shape_analyzer = PTIAnalyzer(store, self.config.daemon.pti)
         return store
@@ -405,25 +347,30 @@ class JozaEngine:
 
         The per-query work is :meth:`_shape_step` and :meth:`_cold_step`,
         shared with :meth:`inspect_batch`; only the fixed costs differ (no
-        batch counters, no candidate memo).
+        batch counters, no candidate memo).  Each step commits its counters
+        in one ``bump``, and ``queries_checked`` rides the first: a shape
+        hit makes one bump, a cold query at most three (the lookup, the
+        daemon exchange and the cold step).
         """
-        self.stats.bump(queries_checked=1)
         if deadline is None:
             deadline = self.config.resilience.start_deadline()
         skeleton = analyzer = None
         epoch0 = -1
+        checked = 1
         if self.shape_cache is not None:
             t0 = time.perf_counter()
             epoch0, analyzer = self._shape_state()
             if analyzer is not None:
                 verdict, skeleton = self._shape_step(
-                    query, context, deadline, epoch0, analyzer, t0
+                    query, context, deadline, epoch0, analyzer, t0, checked=1
                 )
                 if verdict is not None:
                     return verdict
+                checked = 0
         outcome = self._call_daemon_batch([query], deadline)[0]
         return self._cold_step(
-            query, context, deadline, outcome, skeleton, epoch0, analyzer
+            query, context, deadline, outcome, skeleton, epoch0, analyzer,
+            checked=checked,
         )
 
     def inspect_batch(
@@ -463,11 +410,6 @@ class JozaEngine:
         queries = list(queries)
         if not queries:
             return []
-        self.stats.bump(
-            queries_checked=len(queries),
-            batch_calls=1,
-            batch_queries=len(queries),
-        )
         if deadline is None:
             deadline = self.config.resilience.start_deadline()
 
@@ -491,10 +433,16 @@ class JozaEngine:
         cold: list[int] = []
         analyzer = None
         epoch0 = -1
+        deltas = {
+            "queries_checked": len(queries),
+            "batch_calls": 1,
+            "batch_queries": len(queries),
+        }
         if self.shape_cache is not None:
             t0 = time.perf_counter()
             epoch0, analyzer = self._shape_state()
-            self.stats.bump(pti_seconds=time.perf_counter() - t0)
+            deltas["pti_seconds"] = time.perf_counter() - t0
+        self.stats.bump(**deltas)
         for index, query in enumerate(queries):
             if analyzer is not None:
                 verdict, skeletons[index] = self._shape_step(
@@ -512,10 +460,10 @@ class JozaEngine:
             cold.append(index)
         if cold:
             outcomes = self._call_daemon_batch(
-                [queries[index] for index in cold], deadline
+                [queries[index] for index in cold],
+                deadline,
+                batch_daemon_batches=1,
             )
-            if self.config.enable_pti:
-                self.stats.bump(batch_daemon_batches=1)
             for outcome, index in zip(outcomes, cold):
                 results[index] = self._cold_step(
                     queries[index],
@@ -542,16 +490,19 @@ class JozaEngine:
         analyzer: PTIAnalyzer,
         t0: float,
         candidates=None,
+        checked: int = 0,
     ) -> tuple[QueryVerdict | None, Skeleton | None]:
         """One query's fast path: skeleton, plan lookup, replay, shadow.
 
         Returns ``(verdict, skeleton)``; a ``None`` verdict means the cold
         step must analyse the query, planting a plan under ``skeleton``
-        (``None`` if skeletonizing failed).  ``t0`` starts the lookup's
-        ``pti_seconds`` attribution, which rides the one counter bump that
-        records the outcome (hit, miss or fall-through).  ``candidates``
-        is ``inspect_batch``'s candidate memo; ``None`` enumerates per
-        query, as ``inspect`` does.
+        (``None`` if skeletonizing failed).  ``t0`` starts the step's
+        ``pti_seconds`` attribution.  The step commits one counter bump
+        that records the outcome (hit, miss or fall-through), its
+        ``pti_seconds``/``nti_seconds``, an NTI detection and
+        ``checked`` queries.  ``candidates`` is ``inspect_batch``'s
+        candidate memo; ``None`` enumerates per query, as ``inspect``
+        does.
         """
         skeleton = plan = None
         try:
@@ -561,22 +512,29 @@ class JozaEngine:
             raise
         except Exception:  # pragma: no cover - defensive: fast path is
             plan = None  # best-effort; the cold path is always correct.
-        lookup = time.perf_counter() - t0
+        verdict = None
         if plan is None:
-            self.stats.bump(pti_seconds=lookup, shape_misses=1)
-            return None, skeleton
-        verdict = self._apply_plan(
-            plan, skeleton, query, context, deadline, analyzer, candidates
+            outcome = "shape_misses"
+            t_pti = t_nti = time.perf_counter()
+        else:
+            verdict, t_pti, t_nti = self._apply_plan(
+                plan, skeleton, query, context, deadline, analyzer, candidates
+            )
+            outcome = "shape_fallthroughs" if verdict is None else "shape_hits"
+        self.stats.bump(
+            pti_seconds=t_pti - t0,
+            nti_seconds=t_nti - t_pti,
+            nti_detections=0 if verdict is None or verdict.safe else 1,
+            queries_checked=checked,
+            **{outcome: 1},
         )
         if verdict is None:
-            self.stats.bump(pti_seconds=lookup, shape_fallthroughs=1)
             return None, skeleton
-        self.stats.bump(pti_seconds=lookup, shape_hits=1)
         shadow = self._shadow_validate(query, context, verdict)
         return (verdict if shadow is None else shadow), skeleton
 
     def _call_daemon_batch(
-        self, queries: list[str], deadline: Deadline
+        self, queries: list[str], deadline: Deadline, **deltas: int
     ) -> list:
         """One daemon exchange, as per-query PTI outcomes.
 
@@ -586,7 +544,8 @@ class JozaEngine:
         failed, the exception -- the batch succeeds or fails closed *as a
         unit*, and ``_inspect_cold`` re-raises the failure per query so the
         fail-closed resolution applies unchanged.  ``None`` outcomes mean
-        PTI is disabled.
+        PTI is disabled.  The exchange commits its ``pti_seconds`` and
+        ``deltas`` in one counter bump.
         """
         if not self.config.enable_pti:
             return [None] * len(queries)
@@ -601,9 +560,8 @@ class JozaEngine:
         except (KeyboardInterrupt, SystemExit):  # pragma: no cover
             raise
         except Exception as exc:
-            return [exc] * len(queries)
-        finally:
-            self.stats.bump(pti_seconds=time.perf_counter() - t0)
+            replies = [exc] * len(queries)
+        self.stats.bump(pti_seconds=time.perf_counter() - t0, **deltas)
         return replies
 
     def _cold_step(
@@ -616,15 +574,21 @@ class JozaEngine:
         epoch0: int,
         analyzer: PTIAnalyzer | None,
         candidates=None,
+        checked: int = 0,
     ) -> QueryVerdict:
-        """One query's cold path: resolve its daemon outcome, then plant."""
-        verdict, tokens = self._inspect_cold(
+        """One query's cold path: resolve its daemon outcome, then plant.
+
+        Commits the query's cold-path counters and ``checked`` queries in
+        one bump.
+        """
+        verdict, tokens, deltas = self._inspect_cold(
             query, context, deadline, outcome, candidates
         )
         if skeleton is not None:
             self._maybe_plant_plan(
-                query, skeleton, epoch0, analyzer, verdict, tokens
+                query, skeleton, epoch0, analyzer, verdict, tokens, deltas
             )
+        self.stats.bump(queries_checked=checked, **deltas)
         return verdict
 
     # ------------------------------------------------------------------
@@ -634,8 +598,8 @@ class JozaEngine:
     def _shape_state(self) -> tuple[int, PTIAnalyzer | None]:
         """Pinned store epoch + the plan analyzer bound to the store.
 
-        ``(-1, None)`` when the daemon exposes no store (or on an internal
-        error): the query takes the cold path without touching the cache.
+        ``(-1, None)`` on an internal error: the query takes the cold path
+        without touching the cache.
 
         A swapped store object (daemon ``refresh_fragments``) rebinds the
         analyzer (:meth:`_bind_store`).  The cache syncs on the epoch at
@@ -649,10 +613,7 @@ class JozaEngine:
         """
         try:
             with self._state_lock:
-                store = self._bind_store()
-                if store is None:  # pragma: no cover - store-less daemon
-                    return -1, None
-                return store.epoch, self._shape_analyzer
+                return self._bind_store().epoch, self._shape_analyzer
         except (KeyboardInterrupt, SystemExit):  # pragma: no cover
             raise
         except Exception:  # pragma: no cover - defensive: fast path is
@@ -667,25 +628,25 @@ class JozaEngine:
         deadline,
         analyzer: PTIAnalyzer,
         candidates=None,
-    ) -> QueryVerdict | None:
-        """Replay a cached plan on one query instance; ``None`` = fall through.
+    ) -> tuple[QueryVerdict | None, float, float]:
+        """Replay a cached plan on one query instance.
 
-        Fast-path time is attributed to the same ``pti_seconds`` /
-        ``nti_seconds`` buckets as the cold path so overhead accounting
+        Returns ``(verdict, t_pti, t_nti)``: a ``None`` verdict means fall
+        through; ``t_pti`` is the clock at the end of the PTI recheck and
+        ``t_nti`` at the end of NTI (equal when the recheck declined).  The
+        caller attributes the two spans to the same ``pti_seconds`` /
+        ``nti_seconds`` buckets as the cold path, so overhead accounting
         (``attributed_overhead_pct``) stays comparable across modes.
         ``candidates`` optionally supplies the NTI candidate-input
         enumeration (``inspect_batch``'s per-length memo); ``None`` means
         enumerate per query, exactly as the serial path does.
         """
-        t0 = time.perf_counter()
         try:
             deadline.check("shape-pti")
             # Trusted instantiation: the plan was looked up by this query's
             # own skeleton key, so spans/tokens are memoised on slot
             # lengths (see ShapePlan.instantiate_trusted).
             spans, tokens = plan.instantiate_trusted(query, skeleton.slots)
-            if spans is None:
-                return None
             # Tokens whose build-time coverage witness crossed a literal
             # slot: coverage depends on this instance's literals, re-prove
             # it.  The stored witness usually re-occurs at the same
@@ -693,20 +654,20 @@ class JozaEngine:
             # pay the fragment search -- and under the automaton matcher
             # all misses of one query share a single streaming pass via
             # the analyzer's occurrence-index memo.
-            for index in witness_misses(query, plan.recheck_witnesses, tokens):
-                if analyzer.cover_token_witness(query, tokens[index]) is None:
-                    return None
-            pti_result = AnalysisResult(
-                technique=Technique.PTI, safe=True, from_cache="shape"
-            )
+            covered = spans is not None
+            if covered:
+                for index in witness_misses(query, plan.recheck_witnesses, tokens):
+                    if analyzer.cover_token_witness(query, tokens[index]) is None:
+                        covered = False
+                        break
         except (KeyboardInterrupt, SystemExit):  # pragma: no cover
             raise
         except Exception:
-            return None
-        finally:
-            self.stats.bump(pti_seconds=time.perf_counter() - t0)
+            covered = False
+        t_pti = time.perf_counter()
+        if not covered:
+            return None, t_pti, t_pti
 
-        t0 = time.perf_counter()
         try:
             if context.non_empty_values():
                 threshold = self.config.nti.threshold
@@ -735,18 +696,19 @@ class JozaEngine:
         except (KeyboardInterrupt, SystemExit):  # pragma: no cover
             raise
         except Exception:
-            return None
-        finally:
-            self.stats.bump(nti_seconds=time.perf_counter() - t0)
-
-        if not nti_result.safe:
-            self.stats.bump(nti_detections=1)
-        return QueryVerdict(
+            nti_result = None
+        t_nti = time.perf_counter()
+        if nti_result is None:
+            return None, t_pti, t_nti
+        verdict = QueryVerdict(
             query=query,
             safe=nti_result.safe,
-            pti=pti_result,
+            pti=AnalysisResult(
+                technique=Technique.PTI, safe=True, from_cache="shape"
+            ),
             nti=nti_result,
         )
+        return verdict, t_pti, t_nti
 
     def _maybe_plant_plan(
         self,
@@ -756,6 +718,7 @@ class JozaEngine:
         analyzer: PTIAnalyzer,
         verdict: QueryVerdict,
         tokens,
+        deltas: dict,
     ) -> None:
         """Plant a shape plan after a clean cold analysis (best-effort).
 
@@ -764,28 +727,27 @@ class JozaEngine:
         is counted as a deferred admission.  ``epoch0`` is the epoch pinned
         *before* the analysis ran; the cache refuses the put if a newer
         store has been swapped in since (stale trust), which is exactly
-        the mid-batch-swap guarantee ``inspect_batch`` relies on.
+        the mid-batch-swap guarantee ``inspect_batch`` relies on.  The
+        outcome and the build time are added to the cold step's
+        ``deltas``.
         """
         if tokens is None or not self._plan_cacheable(verdict):
             return
         cache = self.shape_cache
-        if cache is None:
-            return
         if not cache.admit(skeleton.key):
-            self.stats.bump(shape_admissions_deferred=1)
+            deltas["shape_admissions_deferred"] = 1
             return
         t0 = time.perf_counter()
         try:
             new_plan = build_plan(query, skeleton, tokens, analyzer)
             if new_plan is not None:
                 cache.put(skeleton.key, new_plan, epoch0)
-                self.stats.bump(shape_plans_built=1)
+                deltas["shape_plans_built"] = 1
         except (KeyboardInterrupt, SystemExit):  # pragma: no cover
             raise
         except Exception:  # pragma: no cover - defensive
             pass
-        finally:
-            self.stats.bump(pti_seconds=time.perf_counter() - t0)
+        deltas["pti_seconds"] = time.perf_counter() - t0
 
     @staticmethod
     def _plan_cacheable(verdict: QueryVerdict) -> bool:
@@ -812,7 +774,8 @@ class JozaEngine:
         Returns ``None`` when not sampled or in agreement; on divergence the
         counter is bumped and the *cold* verdict is returned (trust the
         reference pipeline).  The cold re-run's time lands in the usual
-        stat buckets, so shadowing visibly costs what it costs.
+        stat buckets, so shadowing visibly costs what it costs; its cold
+        counters and the shadow counters commit in one bump.
 
         Sampling determinism: with ``shadow_seed`` set, the decision is a
         pure function of ``(seed, query)`` -- a CRC32-derived uniform in
@@ -835,18 +798,20 @@ class JozaEngine:
                 sample = self._shadow_rng.random()
         if sample >= rate:
             return None
-        self.stats.bump(shadow_checks=1)
         deadline = self.config.resilience.start_deadline()
-        cold, _ = self._inspect_cold(
+        cold, _, deltas = self._inspect_cold(
             query,
             context,
             deadline,
             self._call_daemon_batch([query], deadline)[0],
         )
-        if cold.safe == fast.safe and cold.detected_by() == fast.detected_by():
-            return None
-        self.stats.bump(shadow_divergences=1)
-        return cold
+        diverged = (
+            cold.safe != fast.safe or cold.detected_by() != fast.detected_by()
+        )
+        self.stats.bump(
+            shadow_checks=1, shadow_divergences=1 if diverged else 0, **deltas
+        )
+        return cold if diverged else None
 
     def _inspect_cold(
         self,
@@ -855,11 +820,12 @@ class JozaEngine:
         deadline,
         pti_outcome,
         candidates=None,
-    ) -> tuple[QueryVerdict, list | None]:
+    ) -> tuple[QueryVerdict, list | None, dict]:
         """The reference pipeline: the daemon's PTI result + an NTI run.
 
-        Returns the verdict plus the critical-token list (when one was
-        produced) so the caller can plant a shape plan.
+        Returns the verdict, the critical-token list (when one was
+        produced) so the caller can plant a shape plan, and the query's
+        counter deltas for the caller to commit.
 
         ``pti_outcome`` is this query's entry from
         :meth:`_call_daemon_batch` -- the daemon is never called from
@@ -876,6 +842,7 @@ class JozaEngine:
         failure, and its result stays on the verdict as evidence.
         """
         failure_reasons: list[str] = []
+        deadline_exceeded = breaker_open = 0
 
         pti_result: AnalysisResult | None = None
         pti_failed = False
@@ -887,12 +854,12 @@ class JozaEngine:
                 pti_result = pti_outcome.result
                 tokens = pti_outcome.tokens
             except DeadlineExceeded as exc:
-                self.stats.bump(deadline_exceeded=1)
+                deadline_exceeded += 1
                 failure_reasons.append(f"pti: {exc}")
                 pti_failed = True
             except PTIFailure as exc:
                 if isinstance(exc, DaemonUnavailable) and exc.breaker_open:
-                    self.stats.bump(breaker_open=1)
+                    breaker_open = 1
                 failure_reasons.append(f"pti: {exc.reason}")
                 pti_failed = True
             except (KeyboardInterrupt, SystemExit):  # pragma: no cover
@@ -906,6 +873,7 @@ class JozaEngine:
 
         nti_result: AnalysisResult | None = None
         nti_failed = False
+        nti_seconds = 0.0
         if self.config.enable_nti:
             t0 = time.perf_counter()
             try:
@@ -926,7 +894,7 @@ class JozaEngine:
                         technique=Technique.NTI, safe=True
                     )
             except DeadlineExceeded as exc:
-                self.stats.bump(deadline_exceeded=1)
+                deadline_exceeded += 1
                 failure_reasons.append(f"nti: {exc}")
                 nti_failed = True
             except (KeyboardInterrupt, SystemExit):  # pragma: no cover
@@ -934,8 +902,7 @@ class JozaEngine:
             except Exception as exc:
                 failure_reasons.append(f"nti: unexpected {exc!r}")
                 nti_failed = True
-            finally:
-                self.stats.bump(nti_seconds=time.perf_counter() - t0)
+            nti_seconds = time.perf_counter() - t0
 
         # Failure resolution (never fail open).
         failsafe = pti_failed or nti_failed
@@ -952,13 +919,15 @@ class JozaEngine:
             failsafe=failsafe,
             failure_reasons=failure_reasons,
         )
-        if not pti_failed and pti_result is not None and not pti_result.safe:
-            self.stats.bump(pti_detections=1)
-        if not nti_failed and nti_result is not None and not nti_result.safe:
-            self.stats.bump(nti_detections=1)
-        if failsafe:
-            self.stats.bump(failsafe_blocks=1)
-        return verdict, tokens
+        deltas = {
+            "nti_seconds": nti_seconds,
+            "deadline_exceeded": deadline_exceeded,
+            "breaker_open": breaker_open,
+            "pti_detections": int(verdict.pti is not None and not verdict.pti.safe),
+            "nti_detections": int(verdict.nti is not None and not verdict.nti.safe),
+            "failsafe_blocks": int(failsafe),
+        }
+        return verdict, tokens, deltas
 
     # ------------------------------------------------------------------
     # QueryGuard interface (enforcement)
@@ -1015,57 +984,48 @@ class JozaEngine:
         )
 
     def resilience_report(self) -> dict:
-        """Degradation counters + daemon fault-absorption stats.
+        """Every counter of the engine and its backend, one section per fact.
 
         The operator-facing view of the failure model: how many queries hit
         the deadline, were refused by an open breaker or got a failsafe
         block, and how many audit records the bounded ring buffer had to
         drop.  Zeros across the board mean the runtime never had to absorb
-        a fault.
+        a fault.  The sections: ``shape_fastpath``, ``shadow_sampling``,
+        ``batching``, ``nti_filter`` (prefilter effectiveness: seeds
+        probed, prune rates, anchored-window coverage), ``daemon`` (the
+        backend's :meth:`~repro.pti.daemon.PTIBackend.resilience_snapshot`)
+        and ``store`` (:meth:`~repro.pti.fragments.FragmentStore.stats`; a
+        :class:`~repro.tenancy.store.TenantStore` adds which fragments are
+        fleet-interned and which tenant-private, DESIGN.md section 13).
         """
-        report: dict = dict(self.stats.resilience_counters())
+        report: dict = self.stats.snapshot(RESILIENCE_COUNTERS)
         report["shape_fastpath"] = self.stats.shape_counters()
         report["shadow_sampling"] = {
             "rate": self.config.shape.shadow_rate,
             "seed": self._shadow_seed,
             "deterministic": self._shadow_seed is not None,
         }
-        report["batching"] = self.stats.batch_counters()
+        report["batching"] = self.stats.snapshot(BATCH_COUNTERS)
         report["dropped_records"] = self.attack_log.dropped_records
         report["attack_log_capacity"] = self.attack_log.capacity
         report["deadline_seconds"] = self.config.resilience.deadline_seconds
-        filter_stats = getattr(self.nti, "filter_stats", None)
-        if callable(filter_stats):
-            # NTI prefilter effectiveness (seeds probed, prune rates,
-            # anchored-window coverage); guarded because tests install
-            # stand-in analyzers without the counters.
-            report["nti_filter"] = filter_stats()
-        snapshot = getattr(self.daemon, "resilience_snapshot", None)
-        if callable(snapshot):
-            report["daemon"] = snapshot()
-        tenancy = getattr(self.store, "tenancy_stats", None)
-        if callable(tenancy):
-            # Engine over a TenantStore: report which fragments are
-            # fleet-interned vs tenant-private and the store's epoch
-            # (DESIGN.md section 13); registry-wide counters live in the
-            # gateway/registry report.
-            report["tenancy"] = tenancy()
+        report["nti_filter"] = self.nti.filter_stats()
+        report["daemon"] = self.daemon.resilience_snapshot()
+        report["store"] = self.store.stats()
         return report
 
     def export_attack_log(self) -> str:
         """The attack log as a JSON document (operator audit trail)."""
         import json
 
+        application = self.stats.snapshot(
+            ("queries_checked", "attacks_blocked", "nti_detections", "pti_detections")
+        )
+        application["nti_caches"] = self.cache_stats()["nti"]
+        application["resilience"] = self.resilience_report()
         return json.dumps(
             {
-                "application_stats": {
-                    "queries_checked": self.stats.queries_checked,
-                    "attacks_blocked": self.stats.attacks_blocked,
-                    "nti_detections": self.stats.nti_detections,
-                    "pti_detections": self.stats.pti_detections,
-                    "nti_caches": self.cache_stats()["nti"],
-                    "resilience": self.resilience_report(),
-                },
+                "application_stats": application,
                 "attacks": [record.to_dict() for record in self.attack_log],
             },
             indent=2,

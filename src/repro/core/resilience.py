@@ -24,6 +24,8 @@ This module provides the policy-free mechanisms; the wiring lives in
   breaker instead of spawn-storming the host.
 - :class:`RingLog` -- a capacity-bounded audit ring buffer (the attack log
   must not grow without bound under a sustained attack flood).
+- :class:`Counters` -- named numeric cells under one lock: the engine's,
+  the gateway's and the PTI daemon's counters and stage timings.
 - The :class:`PTIFailure` exception family -- the *only* exceptions the
   resilient daemon wrapper lets escape into the request path, each
   carrying a reason string that ends up in the audit export.
@@ -52,6 +54,7 @@ __all__ = [
     "CircuitBreaker",
     "ResilienceConfig",
     "RingLog",
+    "Counters",
 ]
 
 
@@ -491,3 +494,65 @@ class RingLog:
             f"RingLog(capacity={self._capacity}, size={len(self._items)}, "
             f"dropped={self.dropped_records})"
         )
+
+
+# ----------------------------------------------------------------------
+# Counters
+# ----------------------------------------------------------------------
+
+
+class Counters:
+    """Named numeric cells, all behind one lock.
+
+    The one counter type of the runtime: the engine's query counters
+    (``EngineStats``), the gateway's, and the PTI daemon's fault counters
+    and stage timings.  The names are fixed at construction; each cell
+    starts at 0.
+
+    Thread safety: :meth:`bump` applies all its deltas under one lock
+    acquisition and :meth:`snapshot` reads under the same lock, so a
+    reader never observes one field of a bump without the others, and no
+    increment is lost to a read-modify-write race (DESIGN.md section 10).
+    A single cell reads as an attribute (``stats.shape_hits``).
+    """
+
+    __slots__ = ("_cells", "_lock")
+
+    def __init__(self, names: typing.Iterable[str]) -> None:
+        self._cells: dict[str, float] = dict.fromkeys(names, 0)
+        self._lock = threading.Lock()
+
+    def bump(self, **deltas: float) -> None:
+        """Add each delta to its cell, all under one lock acquisition.
+
+        An unknown name raises :class:`KeyError` (a programming error).
+        """
+        cells = self._cells
+        with self._lock:
+            for name, delta in deltas.items():
+                cells[name] += delta
+
+    def snapshot(self, names: typing.Iterable[str] | None = None) -> dict[str, float]:
+        """One consistent read of ``names`` (default: every cell)."""
+        with self._lock:
+            if names is None:
+                return dict(self._cells)
+            return {name: self._cells[name] for name in names}
+
+    def reset(self) -> None:
+        """Zero every cell."""
+        with self._lock:
+            self._cells.update(dict.fromkeys(self._cells, 0))
+
+    def __getattr__(self, name: str):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        try:
+            return self._cells[name]
+        except KeyError:
+            raise AttributeError(
+                f"{type(self).__name__} has no counter {name!r}"
+            ) from None
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"{type(self).__name__}({self.snapshot()})"

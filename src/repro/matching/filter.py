@@ -70,7 +70,7 @@ class FilterStats:
     observability; the same convention as the cache hit counters).  All
     derived ratios are computed in :meth:`as_dict` so the hot path only
     ever does ``+=``.  Surfaced through ``NTIAnalyzer.filter_stats()``
-    into ``cache_stats()["nti"]`` and the engine's ``resilience_report()``.
+    as the engine's ``resilience_report()["nti_filter"]``.
     """
 
     __slots__ = (
@@ -106,7 +106,7 @@ class FilterStats:
         self.exact_hits = 0
 
     def as_dict(self) -> dict[str, float]:
-        """Flat float mapping for ``cache_stats()`` / bench sidecars."""
+        """Flat float mapping for ``filter_stats()`` / bench sidecars."""
         anchored = self.anchored_scans
         probed = self.pruned_qgram + anchored
         return {

@@ -114,17 +114,16 @@ class NTIAnalyzer:
         self._filter_active = 0.0 <= self.config.threshold < 1.0
 
     def cache_stats(self) -> dict[str, dict[str, float]]:
-        """Per-query cache and prefilter counters (bench reporting hook).
+        """The per-query cache reading (bench reporting hook).
 
         ``match`` counts per query, not per input: one lookup per analysed
         query, a hit when the query's entry was resident; ``entries`` is
         the number of resident queries.  Absent when the cache is off.
+        The prefilter counters are :meth:`filter_stats`.
         """
-        out: dict[str, dict[str, float]] = {}
-        if self.cache is not None:
-            out["match"] = self.cache.snapshot_stats()
-        out["filter"] = self._stats.as_dict()
-        return out
+        if self.cache is None:
+            return {}
+        return {"match": self.cache.snapshot_stats()}
 
     def filter_stats(self) -> dict[str, float]:
         """Prefilter effectiveness counters (see :class:`FilterStats`)."""

@@ -5,8 +5,8 @@ from .caches import CacheStats, MRUFragmentCache, QueryCache, StructureCache
 from .daemon import (
     DaemonConfig,
     DaemonReply,
+    PTIBackend,
     PTIDaemon,
-    StageTimings,
     SubprocessPTIDaemon,
 )
 from .fragments import FragmentStore
@@ -26,8 +26,8 @@ __all__ = [
     "StructureCache",
     "DaemonConfig",
     "DaemonReply",
+    "PTIBackend",
     "PTIDaemon",
-    "StageTimings",
     "SubprocessPTIDaemon",
     "FragmentStore",
     "PTIAnalyzer",

@@ -27,9 +27,9 @@ are the typed :class:`~repro.core.resilience.PTIFailure` family and
 into fail-closed verdicts, never letting a query through unvetted.
 
 One protocol (DESIGN.md section 11): every backend -- in-process or
-subprocess -- is called through ``analyze_batch(queries, deadline)``, and
-the subprocess pipe carries nothing but packed :mod:`~repro.pti.wire`
-request and reply frames.
+subprocess -- is a :class:`PTIBackend`, analysis is called through
+``analyze_batch(queries, deadline)``, and the subprocess pipe carries
+nothing but packed :mod:`~repro.pti.wire` request and reply frames.
 """
 
 from __future__ import annotations
@@ -38,12 +38,14 @@ import multiprocessing
 import random
 import threading
 import time
+import typing
 from dataclasses import dataclass, field
 
 from . import wire
 from ..core.resilience import (
     CircuitBreaker,
     CorruptReply,
+    Counters,
     DaemonCrash,
     DaemonTimeout,
     DaemonUnavailable,
@@ -61,38 +63,11 @@ from .inference import PTIAnalyzer, PTIConfig
 
 __all__ = [
     "DaemonReply",
-    "StageTimings",
+    "PTIBackend",
     "PTIDaemon",
     "SubprocessPTIDaemon",
     "reap_child",
 ]
-
-
-class StageTimings:
-    """Accumulated wall-clock seconds per pipeline stage."""
-
-    STAGES = ("spawn", "ipc", "parse", "match", "cache")
-
-    def __init__(self) -> None:
-        self.seconds: dict[str, float] = {stage: 0.0 for stage in self.STAGES}
-
-    def add(self, stage: str, dt: float) -> None:
-        self.seconds[stage] = self.seconds.get(stage, 0.0) + dt
-
-    def total(self, *, exclude: tuple[str, ...] = ()) -> float:
-        return sum(v for k, v in self.seconds.items() if k not in exclude)
-
-    def reset(self) -> None:
-        for stage in self.seconds:
-            self.seconds[stage] = 0.0
-
-    def snapshot(self) -> dict[str, float]:
-        return dict(self.seconds)
-
-
-# The wire format packs stage deltas positionally; the two stage tuples
-# must never drift apart.
-assert StageTimings.STAGES == wire.STAGES
 
 
 @dataclass
@@ -125,6 +100,35 @@ class DaemonConfig:
     strict_tokens: bool = False
 
 
+class PTIBackend(typing.Protocol):
+    """What the engine calls on its PTI backend (DESIGN.md section 11).
+
+    ``timings`` holds wall-clock seconds per :data:`~repro.pti.wire.STAGES`
+    stage (Figure 7); ``cache_stats`` reads the caches this process can
+    see (``{}`` when they live in a child); ``resilience_snapshot`` reads
+    the backend's fault and call counters.
+    """
+
+    timings: Counters
+
+    @property
+    def store(self) -> FragmentStore: ...
+
+    def analyze_batch(
+        self, queries: list[str], deadline: Deadline | None = None
+    ) -> list[DaemonReply]: ...
+
+    def analyze_query(
+        self, query: str, deadline: Deadline | None = None
+    ) -> DaemonReply: ...
+
+    def refresh_fragments(self, store: FragmentStore) -> None: ...
+
+    def cache_stats(self) -> dict[str, dict[str, float]]: ...
+
+    def resilience_snapshot(self) -> dict[str, object]: ...
+
+
 class PTIDaemon:
     """The PTI analysis service: parse, cache-lookup, fragment-match."""
 
@@ -139,14 +143,14 @@ class PTIDaemon:
         #: store's epoch flushes them.
         self.query_cache = QueryCache()
         self.structure_cache = StructureCache()
-        self.timings = StageTimings()
+        self.timings = Counters(wire.STAGES)
         self.queries_analyzed = 0
-        #: Serializes the analysis pipeline.  The caches lock themselves,
-        #: but the stage timings are read-modify-write and a store swap
-        #: replaces the analyzer; one in-process daemon shared by N
-        #: threads must not interleave them.  In-process match work is
-        #: GIL-serialized anyway -- parallel analysis comes from the
-        #: gateway's worker fleet (DESIGN.md section 12).
+        #: Serializes the analysis pipeline.  The caches and timings lock
+        #: themselves, but a store swap replaces the analyzer; one
+        #: in-process daemon shared by N threads must not interleave them.
+        #: In-process match work is GIL-serialized anyway -- parallel
+        #: analysis comes from the gateway's worker fleet (DESIGN.md
+        #: section 12).
         self._lock = threading.RLock()
 
     @property
@@ -172,6 +176,18 @@ class PTIDaemon:
         """
         with self._lock:
             self.analyzer.warm()
+
+    def cache_stats(self) -> dict[str, dict[str, float]]:
+        """Query and structure cache readings plus the matcher counters."""
+        return {
+            "query": self.query_cache.snapshot_stats(),
+            "structure": self.structure_cache.snapshot_stats(),
+            "matcher": self.analyzer.matcher_stats(),
+        }
+
+    def resilience_snapshot(self) -> dict[str, object]:
+        """An in-process daemon absorbs no faults: its call count only."""
+        return {"queries_analyzed": self.queries_analyzed}
 
     def analyze_batch(
         self, queries: list[str], deadline: Deadline | None = None
@@ -220,7 +236,7 @@ class PTIDaemon:
         if self.config.use_query_cache:
             t0 = time.perf_counter()
             cached = self.query_cache.get(query, epoch)
-            self.timings.add("cache", time.perf_counter() - t0)
+            self.timings.bump(cache=time.perf_counter() - t0)
             if cached is not None:
                 safe, cached_tokens = cached
                 return DaemonReply(
@@ -236,11 +252,11 @@ class PTIDaemon:
         if self.config.use_structure_cache:
             skeleton = skeletonize(query)
         tokens = critical_tokens(query, strict=self.config.strict_tokens)
-        self.timings.add("parse", time.perf_counter() - t0)
+        self.timings.bump(parse=time.perf_counter() - t0)
         if skeleton is not None:
             t0 = time.perf_counter()
             hit = self.structure_cache.serves(skeleton.key, query, tokens, epoch)
-            self.timings.add("cache", time.perf_counter() - t0)
+            self.timings.bump(cache=time.perf_counter() - t0)
             if hit:
                 if self.config.use_query_cache:
                     self.query_cache.put(query, (True, tokens), epoch)
@@ -256,7 +272,7 @@ class PTIDaemon:
             deadline.check("pti")
         t0 = time.perf_counter()
         result, witnesses = self.analyzer.analyze_witnessed(query, tokens)
-        self.timings.add("match", time.perf_counter() - t0)
+        self.timings.bump(match=time.perf_counter() - t0)
         t0 = time.perf_counter()
         if self.config.use_query_cache:
             self.query_cache.put(query, (result.safe, tokens), epoch)
@@ -269,17 +285,8 @@ class PTIDaemon:
             self.structure_cache.remember(
                 skeleton, len(query), tokens, witnesses, epoch
             )
-        self.timings.add("cache", time.perf_counter() - t0)
+        self.timings.bump(cache=time.perf_counter() - t0)
         return DaemonReply(safe=result.safe, result=result, tokens=tokens)
-
-
-def _reply_deltas(daemon: PTIDaemon, previous: dict[str, float]) -> dict[str, float]:
-    """Stage-timing deltas since ``previous``, updating it in place."""
-    current = daemon.timings.snapshot()
-    deltas = {k: current[k] - previous.get(k, 0.0) for k in current}
-    previous.clear()
-    previous.update(current)
-    return deltas
 
 
 def _reply_frame(replies: list[DaemonReply], deltas: dict[str, float]) -> bytearray:
@@ -327,7 +334,6 @@ def _daemon_loop(conn, fragments: list[str], config: DaemonConfig, fault=None) -
     are sent instead of the reply.  ``None`` in production.
     """
     daemon = PTIDaemon(FragmentStore(fragments), config)
-    previous = daemon.timings.snapshot()
     while True:
         try:
             buf = conn.recv_bytes()
@@ -342,7 +348,11 @@ def _daemon_loop(conn, fragments: list[str], config: DaemonConfig, fault=None) -
             conn.send_bytes(injected)
             continue
         replies = daemon.analyze_batch(queries)
-        conn.send_bytes(_reply_frame(replies, _reply_deltas(daemon, previous)))
+        # The loop is single-threaded: nothing moves the timings between
+        # this read and the reset, so each reply carries its own deltas.
+        deltas = daemon.timings.snapshot()
+        daemon.timings.reset()
+        conn.send_bytes(_reply_frame(replies, deltas))
     conn.close()
 
 
@@ -376,6 +386,21 @@ def reap_child(
     if process.is_alive():  # pragma: no cover - SIGTERM blocked
         process.kill()
         process.join(timeout=1.0)
+
+
+#: :class:`SubprocessPTIDaemon`'s fault-absorption counters: children
+#: spawned, batch retries, hung children, pipes broken mid-exchange, reply
+#: frames that failed validation, batches refused (breaker open or every
+#: attempt failed), and ``analyze_batch`` calls admitted past the breaker.
+SUBPROCESS_COUNTERS = (
+    "spawns",
+    "retries",
+    "timeouts",
+    "crashes",
+    "corrupt_replies",
+    "unavailable",
+    "batches",
+)
 
 
 class SubprocessPTIDaemon:
@@ -424,7 +449,7 @@ class SubprocessPTIDaemon:
         self.retry = retry or RetryPolicy()
         self.breaker = breaker or CircuitBreaker()
         self._rng = random.Random(seed)
-        self.timings = StageTimings()
+        self.timings = Counters(wire.STAGES)
         self._conn = None
         self._process: multiprocessing.Process | None = None
         #: Guards the ``_conn``/``_process`` slots (check-spawn-assign,
@@ -438,16 +463,8 @@ class SubprocessPTIDaemon:
         #: in a blocked reader as ``OSError`` -> ``DaemonCrash`` (the
         #: in-flight request fails closed; no child is leaked).
         self._io_lock = threading.Lock()
-        #: Guards counters mutated outside the I/O critical section.
-        self._stats_lock = threading.Lock()
-        # Observability counters (surfaced via resilience_snapshot()).
-        self.spawns = 0
-        self.retries = 0
-        self.timeouts = 0
-        self.crashes = 0
-        self.corrupt_replies = 0
-        self.unavailable = 0
-        self.batches = 0
+        #: Fault-absorption counters (surfaced via resilience_snapshot()).
+        self.counters = Counters(SUBPROCESS_COUNTERS)
 
     # ------------------------------------------------------------------
     # Fragment access (engine shape analyzer + protect() refresh hook)
@@ -490,8 +507,8 @@ class SubprocessPTIDaemon:
         )
         process.start()
         child_conn.close()
-        self.spawns += 1
-        self.timings.add("spawn", time.perf_counter() - t0)
+        self.counters.bump(spawns=1)
+        self.timings.bump(spawn=time.perf_counter() - t0)
         return parent_conn, process
 
     def _discard_child(self, conn, process) -> None:
@@ -543,32 +560,31 @@ class SubprocessPTIDaemon:
                         conn.send_bytes(frame)
                         timeout = deadline.bound(self.recv_timeout)
                         if timeout is not None and not conn.poll(timeout):
-                            self.timeouts += 1
+                            self.counters.bump(timeouts=1)
                             raise DaemonTimeout(
                                 f"daemon reply not received within {timeout:.3f}s"
                             )
                         payload = conn.recv_bytes()
                     except (EOFError, BrokenPipeError, ConnectionError, OSError) as exc:
-                        self.crashes += 1
+                        self.counters.bump(crashes=1)
                         raise DaemonCrash(f"daemon pipe failed: {exc!r}") from exc
                     try:
                         decoded, child_deltas = self._decode_batch(
                             queries[start : start + wire.MAX_BATCH], payload
                         )
                     except CorruptReply:
-                        self.corrupt_replies += 1
+                        self.counters.bump(corrupt_replies=1)
                         raise
                     replies.extend(decoded)
                     # Attribute the child's analysis stages; only the
                     # residual (codec + pipe transit + scheduling) is IPC.
-                    for stage, dt in child_deltas.items():
-                        self.timings.add(stage, dt)
-                        analysis += dt
+                    self.timings.bump(**child_deltas)
+                    analysis += sum(child_deltas.values())
             except PTIFailure:
                 # The pipe is dead or desynchronized; this child is unusable.
                 self._discard_child(conn, process)
                 raise
-            self.timings.add("ipc", max(time.perf_counter() - t0 - analysis, 0.0))
+            self.timings.bump(ipc=max(time.perf_counter() - t0 - analysis, 0.0))
             if not self.persistent:
                 reap_child(conn, process, graceful=True)
             return replies
@@ -623,8 +639,7 @@ class SubprocessPTIDaemon:
         if deadline is None:
             deadline = Deadline.unbounded()
         if not self.breaker.allow():
-            with self._stats_lock:
-                self.unavailable += 1
+            self.counters.bump(unavailable=1)
             raise DaemonUnavailable(
                 "circuit breaker open: daemon spawn/IPC suspended",
                 breaker_open=True,
@@ -636,13 +651,11 @@ class SubprocessPTIDaemon:
             ]
         except wire.WireFormatError as exc:
             raise PTIFailure(f"request cannot be framed: {exc}") from exc
-        with self._stats_lock:
-            self.batches += 1
+        self.counters.bump(batches=1)
         last_failure: PTIFailure | None = None
         for attempt in range(self.retry.max_attempts):
             if attempt:
-                with self._stats_lock:
-                    self.retries += 1
+                self.counters.bump(retries=1)
                 delay = deadline.bound(self.retry.delay(attempt - 1, self._rng))
                 if delay:
                     time.sleep(delay)
@@ -657,8 +670,7 @@ class SubprocessPTIDaemon:
                 continue
             self.breaker.record_success()
             return replies
-        with self._stats_lock:
-            self.unavailable += 1
+        self.counters.bump(unavailable=1)
         reason = last_failure.reason if last_failure is not None else "unknown"
         raise DaemonUnavailable(
             f"daemon analysis failed after {self.retry.max_attempts} "
@@ -675,18 +687,13 @@ class SubprocessPTIDaemon:
     # Observability
     # ------------------------------------------------------------------
 
+    def cache_stats(self) -> dict[str, dict[str, float]]:
+        """None visible here: the caches live in the child process."""
+        return {}
+
     def resilience_snapshot(self) -> dict[str, object]:
         """Fault-absorption counters for the audit export / bench reports."""
-        return {
-            "spawns": self.spawns,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "crashes": self.crashes,
-            "corrupt_replies": self.corrupt_replies,
-            "unavailable": self.unavailable,
-            "batches": self.batches,
-            "breaker": self.breaker.snapshot(),
-        }
+        return {**self.counters.snapshot(), "breaker": self.breaker.snapshot()}
 
     # ------------------------------------------------------------------
     # Shutdown

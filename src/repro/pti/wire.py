@@ -182,9 +182,8 @@ MAX_INPUTS = 256
 #: -- a length-prefix bomb never allocates.
 PREFIX = struct.Struct("<I")
 
-#: Stage order of the packed deltas block.  Mirrors
-#: ``StageTimings.STAGES`` (asserted where the daemon imports this
-#: module, so the two can never drift silently).
+#: Stage order of the packed deltas block, and the stage names of every
+#: PTI backend's ``timings`` counters (built from this tuple).
 STAGES = ("spawn", "ipc", "parse", "match", "cache")
 
 _HEADER = struct.Struct("<2sBBH")

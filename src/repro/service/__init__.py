@@ -23,7 +23,6 @@ from .codec import (
 from .gateway import (
     AsyncGateway,
     GatewayConfig,
-    GatewayStats,
     GatewayThread,
     serve,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "GatewayClient",
     "GatewayConfig",
     "GatewayError",
-    "GatewayStats",
     "GatewayThread",
     "GatewayWorker",
     "WorkerFailure",

@@ -38,11 +38,11 @@ import signal
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from ..core.policy import JozaConfig
-from ..core.resilience import RingLog
+from ..core.resilience import Counters, RingLog
 from ..pti import wire
 from .codec import (
     decode_verdict,
@@ -55,7 +55,6 @@ from .worker import GatewayWorker, WorkerFailure
 __all__ = [
     "AsyncGateway",
     "GatewayConfig",
-    "GatewayStats",
     "GatewayThread",
     "serve",
 ]
@@ -147,85 +146,47 @@ class GatewayConfig:
             raise ValueError("checkpoint_every must be >= 1")
 
 
-@dataclass
-class GatewayStats:
-    """Gateway-level counters (same atomic ``bump`` contract as
-    :class:`~repro.core.engine.EngineStats`)."""
-
-    connections_opened: int = 0
-    connections_closed: int = 0
-    frames_received: int = 0
-    requests_accepted: int = 0
-    queries_inspected: int = 0
+#: Gateway-level counters (``AsyncGateway.stats``).
+GATEWAY_COUNTERS = (
+    "connections_opened",
+    "connections_closed",
+    "frames_received",
+    "requests_accepted",
+    "queries_inspected",
     #: Replies handed to the transport (counted before the awaited
     #: drain, so a client already holding its reply never reads it short).
-    replies_sent: int = 0
+    "replies_sent",
     #: Admission sheds: in-flight bound hit ...
-    shed_queue_full: int = 0
+    "shed_queue_full",
     #: ... or no worker freed up inside the admission/deadline window.
-    shed_no_worker: int = 0
+    "shed_no_worker",
     #: Requests whose (clamped) budget was already spent at arrival.
-    expired_on_arrival: int = 0
+    "expired_on_arrival",
     #: Requests whose budget expired while queued for a worker.
-    expired_in_queue: int = 0
+    "expired_in_queue",
     #: Requests refused because the gateway is draining.
-    draining_refused: int = 0
+    "draining_refused",
     #: Frames that failed wire validation (bad magic/kind/truncation).
-    protocol_errors: int = 0
+    "protocol_errors",
     #: Frames refused from the length prefix alone, body never read.
-    oversized_refused: int = 0
+    "oversized_refused",
     #: Connections dropped by the slow-loris / stalled-frame guards.
-    stalled_connections: int = 0
+    "stalled_connections",
     #: Worker calls that failed (hang, crash, corrupt reply) ...
-    worker_failures: int = 0
+    "worker_failures",
     #: ... and workers replaced because of them.
-    worker_replacements: int = 0
+    "worker_replacements",
     #: Tenant snapshot frames pushed to workers (reload_tenant fan-out) ...
-    snapshot_pushes: int = 0
+    "snapshot_pushes",
     #: ... and pushes that failed (worker hung/crashed mid-push).
-    snapshot_push_failures: int = 0
+    "snapshot_push_failures",
     #: Unsafe verdicts / audit events the durability journal refused
     #: (disk trouble); the reply path is never taken down by these.
-    audit_persist_failures: int = 0
+    "audit_persist_failures",
     #: Requests whose failsafe reply exceeded ``wire.MAX_FRAME`` and were
     #: answered with a ``GW_ERR_INTERNAL`` error instead.
-    unframeable_replies: int = 0
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, init=False, repr=False, compare=False
-    )
-
-    def bump(self, **deltas: int) -> None:
-        with self._lock:
-            for name, delta in deltas.items():
-                setattr(self, name, getattr(self, name) + delta)
-
-    def snapshot(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                name: getattr(self, name)
-                for name in (
-                    "connections_opened",
-                    "connections_closed",
-                    "frames_received",
-                    "requests_accepted",
-                    "queries_inspected",
-                    "replies_sent",
-                    "shed_queue_full",
-                    "shed_no_worker",
-                    "expired_on_arrival",
-                    "expired_in_queue",
-                    "draining_refused",
-                    "protocol_errors",
-                    "oversized_refused",
-                    "stalled_connections",
-                    "worker_failures",
-                    "worker_replacements",
-                    "snapshot_pushes",
-                    "snapshot_push_failures",
-                    "audit_persist_failures",
-                    "unframeable_replies",
-                )
-            }
+    "unframeable_replies",
+)
 
 
 class AsyncGateway:
@@ -250,7 +211,7 @@ class AsyncGateway:
             if gw.tenants is None
             else {t: list(overlay) for t, overlay in gw.tenants.items()},
         )
-        self.stats = GatewayStats()
+        self.stats = Counters(GATEWAY_COUNTERS)
         #: Gateway-level audit: every shed / expired / refused request, one
         #: record per query, carrying connection and client (tenant) ids.
         self.audit: RingLog = RingLog(self.gw.audit_capacity)
@@ -822,7 +783,7 @@ class AsyncGateway:
         replaced, how the drain went, and whether the bounded audit ring
         had to drop records (easy to miss under sustained attack floods).
         """
-        gateway: dict = dict(self.stats.snapshot())
+        gateway: dict = self.stats.snapshot()
         gateway["drain"] = dict(self.drain_stats)
         gateway["audit_dropped_records"] = self.audit.dropped_records
         gateway["audit_capacity"] = self.audit.capacity
@@ -832,8 +793,6 @@ class AsyncGateway:
             gateway["tenancy"] = {
                 "tenants": len(self.gw.tenants),
                 "base_fragments": len(self.fragments),
-                "snapshot_pushes": gateway["snapshot_pushes"],
-                "snapshot_push_failures": gateway["snapshot_push_failures"],
             }
         if self.durable is not None:
             # DESIGN.md section 15: journal/checkpoint counters, replay

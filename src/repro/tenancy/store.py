@@ -128,12 +128,12 @@ class TenantStore(FragmentStore):
         """The tenant's private delta (fragments the base does not hold)."""
         return self._overlay
 
-    def tenancy_stats(self) -> dict[str, object]:
-        """Interning effectiveness of this tenant's store."""
+    def stats(self) -> dict[str, object]:
+        """The store's statistics plus its interning effectiveness."""
         return {
+            **super().stats(),
             "tenant": self.tenant_id,
             "epoch": self.epoch,
-            "fragments": len(self._fragments),
             "interned_fragments": len(self._base),
             "private_fragments": len(self._overlay),
         }

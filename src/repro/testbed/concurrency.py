@@ -31,7 +31,13 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from ..core.resilience import CorruptReply, DaemonCrash, DaemonTimeout, Deadline
+from ..core.resilience import (
+    CorruptReply,
+    Counters,
+    DaemonCrash,
+    DaemonTimeout,
+    Deadline,
+)
 from ..phpapp.context import CapturedInput, RequestContext
 from ..pti.daemon import PTIDaemon
 from ..pti.fragments import FragmentStore
@@ -65,49 +71,48 @@ CORRUPT_MARKER = "/*chaos:corrupt*/"
 class MarkerFaultDaemon:
     """In-process daemon whose faults are a pure function of the query.
 
-    Speaks the daemon protocol (``analyze_batch(queries, deadline)``,
-    ``store``), so it sits in the engine's daemon slot; a marker query
-    fails its whole batch, as a fault would a whole exchange.
+    A :class:`~repro.pti.daemon.PTIBackend` delegating to ``inner``, so it
+    sits in the engine's daemon slot; a marker query fails its whole
+    batch, as a fault would a whole exchange.
     Thread-safe: the wrapped :class:`~repro.pti.daemon.PTIDaemon`
-    serializes its pipeline internally, and the marker check touches only
-    the immutable query.
+    serializes its pipeline internally, the marker check touches only
+    the immutable query, and the counters lock themselves.
     """
 
     def __init__(self, inner: PTIDaemon) -> None:
         self.inner = inner
-        self._lock = threading.Lock()
-        self.calls = 0
-        self.faults_fired = 0
+        self.counters = Counters(("calls", "faults_fired"))
 
     @property
     def store(self) -> FragmentStore:
         return self.inner.store
 
+    @property
+    def timings(self):
+        return self.inner.timings
+
     def refresh_fragments(self, store: FragmentStore) -> None:
         self.inner.refresh_fragments(store)
 
-    def resilience_snapshot(self) -> dict[str, int]:
-        with self._lock:
-            return {"calls": self.calls, "faults_fired": self.faults_fired}
+    def cache_stats(self) -> dict[str, dict[str, float]]:
+        return self.inner.cache_stats()
 
-    def _fault(self) -> None:
-        with self._lock:
-            self.faults_fired += 1
+    def resilience_snapshot(self) -> dict[str, int]:
+        return self.counters.snapshot()
 
     def analyze_batch(self, queries: list[str], deadline: Deadline | None = None):
         return [self.analyze_query(query, deadline) for query in queries]
 
     def analyze_query(self, query: str, deadline: Deadline | None = None):
-        with self._lock:
-            self.calls += 1
+        self.counters.bump(calls=1)
         if CRASH_MARKER in query or POISON_MARKER in query:
-            self._fault()
+            self.counters.bump(faults_fired=1)
             raise DaemonCrash("chaos marker: injected child crash")
         if HANG_MARKER in query:
-            self._fault()
+            self.counters.bump(faults_fired=1)
             raise DaemonTimeout("chaos marker: injected hang")
         if CORRUPT_MARKER in query:
-            self._fault()
+            self.counters.bump(faults_fired=1)
             raise CorruptReply("chaos marker: injected corrupt reply")
         return self.inner.analyze_query(query, deadline=deadline)
 

@@ -22,8 +22,8 @@ driven by a reproducible :class:`FaultSchedule`:
   fault schedules per minute, asserting the engine's never-fail-open
   resolution, which would be hopelessly slow with real children.
 
-Both speak the daemon protocol (``analyze_batch(queries, deadline)``), so
-either can sit in the engine's daemon slot.
+Both are :class:`~repro.pti.daemon.PTIBackend` implementations, so either
+can sit in the engine's daemon slot.
 
 Poison queries are content-keyed (the :data:`POISON_MARKER` substring or an
 explicit set), so they re-trigger after every respawn -- the deterministic
@@ -236,7 +236,7 @@ class ChaosPTIDaemon(SubprocessPTIDaemon):
 
 
 class FlakyDaemon:
-    """In-process injector speaking the daemon protocol.
+    """In-process :class:`~repro.pti.daemon.PTIBackend` injecting faults.
 
     Raises the typed failures the resilient subprocess wrapper surfaces
     (:class:`DaemonCrash`, :class:`DaemonTimeout`, :class:`CorruptReply`)
@@ -271,6 +271,19 @@ class FlakyDaemon:
     @property
     def store(self) -> FragmentStore:
         return self.inner.store
+
+    @property
+    def timings(self):
+        return self.inner.timings
+
+    def refresh_fragments(self, store: FragmentStore) -> None:
+        self.inner.refresh_fragments(store)
+
+    def cache_stats(self) -> dict[str, dict[str, float]]:
+        return self.inner.cache_stats()
+
+    def resilience_snapshot(self) -> dict[str, int]:
+        return {"calls": self.calls, "faults_fired": self.faults_fired}
 
     def analyze_batch(self, queries: list[str], deadline: Deadline | None = None):
         """Each query consumes a position; any fault fails the whole batch."""

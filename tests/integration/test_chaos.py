@@ -115,7 +115,7 @@ def test_seeded_crash_corrupt_slow_schedule_never_fails_open():
     # runtime absorbed at least some via respawn/retry).
     snapshot = daemon.resilience_snapshot()
     assert snapshot["crashes"] + snapshot["corrupt_replies"] > 0
-    assert daemon.spawns >= 2  # at least one respawn happened
+    assert snapshot["spawns"] >= 2  # at least one respawn happened
 
 
 def test_hang_injection_keeps_p95_latency_bounded():
@@ -138,7 +138,7 @@ def test_hang_injection_keeps_p95_latency_bounded():
     epsilon = 0.75
     assert percentile(latencies, 0.95) <= deadline + epsilon, latencies
     assert max(latencies) <= deadline + 2 * epsilon, latencies
-    assert daemon.timeouts > 0  # the poll bound actually fired
+    assert daemon.counters.timeouts > 0  # the poll bound actually fired
 
 
 def test_poison_query_resolves_to_failclosed_verdict_not_exception():
@@ -175,7 +175,7 @@ def test_breaker_trips_on_crash_loop_and_recloses_after_faults_stop():
                 f"SELECT a FROM t WHERE id = {i}", RequestContext()
             )
             assert not verdict.safe and verdict.failsafe
-        spawns_during_outage = daemon.spawns
+        spawns_during_outage = daemon.counters.spawns
         # Breaker capped spawning at ~failure_threshold, far below the
         # 16 attempts the 8 queries would otherwise have made.
         assert spawns_during_outage <= 6
@@ -267,7 +267,7 @@ def test_crash_under_inspect_batch_fails_the_whole_batch_and_retries_it_whole():
         assert all(not v.safe and v.failsafe for v in verdicts)
         assert engine.stats.failsafe_blocks == len(queries)
         # The retry re-sent the whole batch as one exchange.
-        assert daemon.retries == 1 and daemon.crashes == 2
+        assert daemon.counters.retries == 1 and daemon.counters.crashes == 2
         assert daemon.queries_seen == 2
         # The outage ends with the schedule: the next batch is one
         # exchange and every query is analysed.

@@ -204,9 +204,11 @@ def test_reload_tenant_is_warm_and_isolated(tmp_path):
         assert benign["safe"]
 
         report = gateway.resilience_report()
-        assert report["gateway"]["tenancy"]["snapshot_pushes"] == len(
-            pids_before
-        )
+        assert report["gateway"]["snapshot_pushes"] == len(pids_before)
+        assert report["gateway"]["tenancy"] == {
+            "tenants": 2,
+            "base_fragments": len(gateway.fragments),
+        }
         worker_report = report["workers"][0]["engine"]
         assert worker_report["tenancy"]["handoff_swaps"] == 1
         assert worker_report["tenancy"]["tenants"] == 2

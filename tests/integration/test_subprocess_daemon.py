@@ -7,8 +7,16 @@ import pytest
 from repro.core import JozaConfig, JozaEngine, RetryPolicy, ShapeCacheConfig
 from repro.phpapp import HttpRequest
 from repro.phpapp.context import CapturedInput, RequestContext
-from repro.pti import DaemonConfig, FragmentStore, SubprocessPTIDaemon, wire
+from repro.pti import (
+    DaemonConfig,
+    FragmentStore,
+    PTIDaemon,
+    SubprocessPTIDaemon,
+    wire,
+)
 from repro.testbed import build_testbed, make_request, plugin_by_name
+from repro.testbed.concurrency import MarkerFaultDaemon
+from repro.testbed.faults import FakeClock, FaultSchedule, FlakyDaemon
 
 FRAGMENTS = ["SELECT a FROM t WHERE id = ", " OR ", " LIMIT 5"]
 
@@ -35,8 +43,9 @@ def test_persistent_daemon_single_spawn():
         for i in range(5):
             daemon.analyze_query(f"SELECT a FROM t WHERE id = {i}")
         # Spawn happened once; IPC happened five times.
-        assert daemon.timings.seconds["spawn"] > 0
-        assert daemon.timings.seconds["ipc"] > 0
+        assert daemon.counters.spawns == 1
+        assert daemon.timings.spawn > 0
+        assert daemon.timings.ipc > 0
 
 
 def test_spawn_per_query_mode():
@@ -140,7 +149,43 @@ def test_non_request_frame_ends_the_child_loop(monkeypatch, frame):
         process.join(timeout=5.0)
         assert not process.is_alive()  # the child ended its loop
         assert process.exitcode == 0
-        assert daemon.crashes == 1
+        assert daemon.counters.crashes == 1
     finally:
         daemon.close()
 
+
+def test_every_backend_gives_the_engine_the_same_report_sections():
+    """Each PTIBackend implements every member the engine calls, so an
+    engine's reports have the same sections whatever its backend."""
+    store = FragmentStore(FRAGMENTS)
+    subprocess_daemon = SubprocessPTIDaemon(store)
+    backends = {
+        "in-process": PTIDaemon(store),
+        "subprocess": subprocess_daemon,
+        "marker": MarkerFaultDaemon(PTIDaemon(store)),
+        "flaky": FlakyDaemon(PTIDaemon(store), FaultSchedule.none(), clock=FakeClock()),
+    }
+    context = RequestContext(inputs=[CapturedInput("get", "id", "1")])
+    reports, caches = {}, {}
+    try:
+        for name, daemon in backends.items():
+            engine = JozaEngine(store, daemon=daemon)
+            assert engine.inspect("SELECT a FROM t WHERE id = 1", context).safe
+            engine.daemon.refresh_fragments(FragmentStore(FRAGMENTS))
+            assert engine.inspect("SELECT a FROM t WHERE id = 2", context).safe
+            assert tuple(engine.daemon.timings.snapshot()) == wire.STAGES
+            reports[name] = engine.resilience_report()
+            caches[name] = engine.cache_stats()
+    finally:
+        subprocess_daemon.close()
+    sections = set(reports["in-process"])
+    assert {"daemon", "store", "nti_filter", "shape_fastpath", "batching"} <= sections
+    for name in backends:
+        assert set(reports[name]) == sections, name
+        assert set(caches[name]) == {"nti", "pti", "shape"}, name
+    # A subprocess daemon's caches live in its child; its fault counters
+    # are the parent's.
+    assert caches["subprocess"]["pti"] == {}
+    assert set(caches["in-process"]["pti"]) == {"query", "structure", "matcher"}
+    assert reports["subprocess"]["daemon"]["spawns"] == 2  # one per store
+    assert reports["subprocess"]["daemon"]["breaker"]["state"] == "closed"

@@ -1,16 +1,18 @@
 """Targeted race regression tests for the concurrency-hardened primitives.
 
 Each test hits one specific race the thread-safety pass closed:
-RingLog append-vs-drop accounting, the circuit breaker's half-open probe
-token, FragmentStore epochs drawn by concurrent store builds (every
-store swap relies on them), the LRU caches' lookup accounting, and
-ShapeCache's stale-epoch refusal.  These are *regression* tests: on the
-pre-lock code they fail with high probability; deterministic logic (probe
-counts, epoch uniqueness) is asserted exactly.
+RingLog append-vs-drop accounting, Counters' multi-field bumps, the
+circuit breaker's half-open probe token, FragmentStore epochs drawn by
+concurrent store builds (every store swap relies on them), the LRU
+caches' lookup accounting, and ShapeCache's stale-epoch refusal.  These
+are *regression* tests: on the pre-lock code they fail with high
+probability; deterministic logic (probe counts, epoch uniqueness) is
+asserted exactly.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -18,6 +20,7 @@ import pytest
 from repro.core.resilience import (
     BreakerState,
     CircuitBreaker,
+    Counters,
     RingLog,
 )
 from repro.core.shapecache import ShapeCache, build_plan
@@ -43,6 +46,50 @@ def run_threads(n: int, target, *args) -> None:
     for t in threads:
         t.join(timeout=60.0)
         assert not t.is_alive(), "worker thread deadlocked"
+
+
+# ---------------------------------------------------------------------------
+# Counters: no lost increments, no torn multi-field bumps
+# ---------------------------------------------------------------------------
+
+
+def test_counters_multi_field_bumps_are_atomic_and_never_lost():
+    per_thread = 3000
+    threads = 6
+    counters = Counters(("queries", "seconds"))
+    stop = threading.Event()
+    torn: list[dict] = []
+    reads = [0]
+
+    def reader() -> None:
+        # Every bump moves both fields together: a snapshot that sees one
+        # without the other read a half-applied bump.
+        while not stop.is_set():
+            snap = counters.snapshot()
+            if snap["seconds"] != 2 * snap["queries"]:
+                torn.append(snap)
+            reads[0] += 1
+
+    def bumper(index: int) -> None:
+        for __ in range(per_thread):
+            counters.bump(queries=1, seconds=2)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the threads finely
+    watcher = threading.Thread(target=reader, daemon=True)
+    watcher.start()
+    try:
+        run_threads(threads, bumper)
+    finally:
+        stop.set()
+        watcher.join(timeout=30.0)
+        sys.setswitchinterval(interval)
+    assert not watcher.is_alive()
+    assert reads[0] > 0
+    assert torn == []
+    total = threads * per_thread
+    assert counters.snapshot() == {"queries": total, "seconds": 2 * total}
+    assert counters.queries == total
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Unit tests for the in-process PTI daemon (pipeline + caches)."""
 
-from repro.pti import DaemonConfig, FragmentStore, PTIConfig, PTIDaemon
+from repro.pti import DaemonConfig, FragmentStore, PTIConfig, PTIDaemon, wire
 
 
 def make_daemon(fragments=("SELECT a FROM t WHERE id = ", " OR "), **cfg):
@@ -81,12 +81,13 @@ def test_timings_accumulate():
     daemon = make_daemon()
     daemon.analyze_query("SELECT a FROM t WHERE id = 1")
     snapshot = daemon.timings.snapshot()
+    assert tuple(snapshot) == wire.STAGES
     assert snapshot["parse"] > 0
     assert snapshot["match"] >= 0
-    assert daemon.timings.total() >= snapshot["parse"]
-    assert daemon.timings.total(exclude=("parse",)) < daemon.timings.total()
+    # In process: no child was spawned and no pipe crossed.
+    assert snapshot["spawn"] == snapshot["ipc"] == 0
     daemon.timings.reset()
-    assert daemon.timings.total() == 0.0
+    assert sum(daemon.timings.snapshot().values()) == 0
 
 
 def test_queries_analyzed_counter():

@@ -54,17 +54,20 @@ def test_empty_batch_is_a_no_op():
     assert engine.stats.batch_calls == 0
 
 
-def test_batch_counters_thread_through_every_surface():
+def test_batch_counters_have_one_report_section():
     engine = JozaEngine.from_fragments(FRAGMENTS)
     engine.inspect_batch(SAFE_QUERIES, ctx("1"))
-    counters = engine.stats.batch_counters()
-    assert counters["batch_calls"] == 1
-    assert counters["batch_queries"] == len(SAFE_QUERIES)
-    assert counters["batch_daemon_batches"] == 1  # one exchange for all cold
+    assert engine.stats.batch_calls == 1
+    assert engine.stats.batch_queries == len(SAFE_QUERIES)
+    assert engine.stats.batch_daemon_batches == 1  # one exchange for all cold
     assert engine.stats.queries_checked == len(SAFE_QUERIES)
-    assert engine.resilience_report()["batching"] == counters
-    cache_view = engine.cache_stats()["batching"]["calls"]
-    assert cache_view == {key: float(value) for key, value in counters.items()}
+    assert engine.resilience_report()["batching"] == {
+        "batch_calls": 1,
+        "batch_queries": len(SAFE_QUERIES),
+        "batch_daemon_batches": 1,
+    }
+    # Not a cache reading: cache_stats() does not repeat the section.
+    assert "batching" not in engine.cache_stats()
 
 
 def test_second_batch_serves_warm_shapes_without_daemon_exchange():
@@ -115,7 +118,7 @@ def test_inspect_reaches_the_daemon_only_through_analyze_batch():
     engine.inspect(SAFE_QUERIES[0], ctx("1"))
     assert daemon.batches == [[SAFE_QUERIES[0]]]
     # inspect keeps its own fixed costs: no batch counter moves.
-    assert engine.stats.batch_counters() == {
+    assert engine.resilience_report()["batching"] == {
         "batch_calls": 0,
         "batch_queries": 0,
         "batch_daemon_batches": 0,
@@ -124,7 +127,7 @@ def test_inspect_reaches_the_daemon_only_through_analyze_batch():
 
 def test_failed_batch_exchange_fails_closed_per_query():
     class DeadBatchDaemon:
-        store = None
+        store = FragmentStore(FRAGMENTS)
 
         def analyze_batch(self, queries, deadline=None):
             raise DaemonUnavailable("injected batch outage")

@@ -9,6 +9,7 @@ test that needs a plan warms its shape twice.
 """
 
 from repro.core import (
+    EngineStats,
     JozaConfig,
     JozaEngine,
     ShapeCacheConfig,
@@ -255,8 +256,7 @@ def test_cache_stats_unifies_all_cache_families():
     engine.inspect(query, ctx("1"))
     engine.inspect(query, ctx("1"))
     stats = engine.cache_stats()
-    assert set(stats) == {"nti", "pti", "shape", "batching"}
-    assert stats["batching"]["calls"]["batch_calls"] == 0.0  # serial inspects
+    assert set(stats) == {"nti", "pti", "shape"}
     assert set(stats["pti"]) == {"query", "structure", "matcher"}
     for name, family in stats["pti"].items():
         if name == "matcher":
@@ -265,7 +265,10 @@ def test_cache_stats_unifies_all_cache_families():
         assert {"hits", "misses", "hit_rate", "entries"} <= set(family)
     plans = stats["shape"]["plans"]
     assert plans["entries"] == 1.0
-    assert plans["shape_hits"] >= 1.0  # engine counters merged in
+    # The plan cache's own EpochLRU reading; the engine's fast-path
+    # counters are reported once, in resilience_report()["shape_fastpath"].
+    assert plans == engine.shape_cache.snapshot_stats()
+    assert engine.resilience_report()["shape_fastpath"]["shape_hits"] >= 1
     # The NTI slice is the analyzer's own report (the old alias is gone).
     assert stats["nti"] == engine.nti.cache_stats()
 
@@ -283,6 +286,54 @@ def test_resilience_report_and_export_carry_shape_counters():
     payload = json.loads(engine.export_attack_log())
     resilience = payload["application_stats"]["resilience"]
     assert resilience["shape_fastpath"]["shape_hits"] >= 1
+
+
+# ---------------------------------------------------------------------------
+# One counter commit per query
+# ---------------------------------------------------------------------------
+
+
+def count_bumps(monkeypatch) -> list[dict]:
+    """Record every ``EngineStats.bump`` call (class-level patch)."""
+    calls: list[dict] = []
+    bump = EngineStats.bump
+
+    def counting(self, **deltas):
+        calls.append(deltas)
+        bump(self, **deltas)
+
+    monkeypatch.setattr(EngineStats, "bump", counting)
+    return calls
+
+
+def test_warm_hit_commits_one_bump_and_cold_query_at_most_three(monkeypatch):
+    engine = JozaEngine.from_fragments(FRAGMENTS + ["1"])
+    query = "SELECT * FROM records WHERE ID=1 OR 1 = 1 LIMIT 5"
+    engine.inspect(query, ctx())
+    engine.inspect(query, ctx())  # second sighting plants the plan
+    calls = count_bumps(monkeypatch)
+
+    same_shape = "SELECT * FROM records WHERE ID=2 OR 2 = 2 LIMIT 5"
+    hit = engine.inspect(same_shape, ctx("7"))
+    assert hit.safe and hit.pti.from_cache == "shape"
+    assert len(calls) == 1
+    assert calls[0]["queries_checked"] == 1 and calls[0]["shape_hits"] == 1
+    assert calls[0]["pti_seconds"] > 0 and calls[0]["nti_seconds"] > 0
+
+    # An NTI detection on a hit rides the same commit.
+    calls.clear()
+    attack = engine.inspect(query, ctx("1 OR 1 = 1"))
+    assert not attack.safe and attack.pti.from_cache == "shape"
+    assert len(calls) == 1 and calls[0]["nti_detections"] == 1
+    assert engine.stats.nti_detections == 1
+
+    # A cold query: the lookup miss, the daemon exchange, the cold step.
+    calls.clear()
+    cold = engine.inspect("SELECT * FROM records WHERE ID=3", ctx("3"))
+    assert cold.safe and cold.pti.from_cache is None
+    assert 1 <= len(calls) <= 3
+    assert sum(call.get("queries_checked", 0) for call in calls) == 1
+    assert engine.stats.queries_checked == 5
 
 
 # ---------------------------------------------------------------------------
@@ -406,4 +457,4 @@ def test_deferred_admissions_are_a_shape_counter():
     counters = engine.stats.shape_counters()
     assert counters["shape_admissions_deferred"] == 1
     assert engine.resilience_report()["shape_fastpath"] == counters
-    assert engine.cache_stats()["shape"]["plans"]["shape_admissions_deferred"] == 1.0
+    assert "shape_admissions_deferred" not in engine.cache_stats()["shape"]["plans"]

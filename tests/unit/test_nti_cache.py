@@ -121,10 +121,8 @@ def test_analyzer_caches_disabled_with_zero_sizes():
     assert not nti.analyze(
         f"SELECT * FROM t WHERE ID={payload}", ctx(payload)
     ).safe
-    # No cache section; only the (cache-independent) filter counters.
-    stats = nti.cache_stats()
-    assert "match" not in stats
-    assert set(stats) == {"filter"}
+    # No cache section (the prefilter counters are filter_stats()).
+    assert nti.cache_stats() == {}
 
 
 def test_repeat_analysis_hits_match_cache():
@@ -198,7 +196,7 @@ def test_engine_surfaces_nti_cache_stats():
     context = RequestContext(inputs=[CapturedInput("get", "id", "1")])
     engine.inspect("SELECT * FROM t WHERE ID=1", context)
     stats = engine.cache_stats()["nti"]
-    assert set(stats) == {"match", "filter"}
+    assert set(stats) == {"match"}
     assert {"hits", "misses", "hit_rate", "entries"} <= set(stats["match"])
     assert not hasattr(engine, "nti_cache_stats")
     assert '"nti_caches"' in engine.export_attack_log()

@@ -132,7 +132,8 @@ def test_filter_stats_surface_and_count():
     assert stats["anchored_scans"] >= 1
     assert stats["seeds_probed"] >= 1
     assert stats["pruned_zero_budget"] >= 1
-    assert nti.cache_stats()["filter"] == stats
+    # Reported once: not a cache reading.
+    assert "filter" not in nti.cache_stats()
     # Seed-rich degenerate text: every candidate's pieces hit so densely
     # that the windows cover the query, the probe declines (FULL_SCAN),
     # and the plain pipeline resolves each candidate without probing it

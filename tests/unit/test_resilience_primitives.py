@@ -7,6 +7,7 @@ import pytest
 from repro.core.resilience import (
     BreakerState,
     CircuitBreaker,
+    Counters,
     Deadline,
     DeadlineExceeded,
     ResilienceConfig,
@@ -329,3 +330,30 @@ def test_resilience_config_deadline_uses_injected_clock():
     deadline = cfg.start_deadline()
     clock.advance(1.0)
     assert deadline.remaining() == pytest.approx(0.5)
+
+
+# ----------------------------------------------------------------------
+# Counters
+# ----------------------------------------------------------------------
+
+
+def test_counters_bump_snapshot_reset_and_attribute_reads():
+    counters = Counters(("hits", "seconds", "misses"))
+    assert counters.snapshot() == {"hits": 0, "seconds": 0, "misses": 0}
+    counters.bump(hits=2, seconds=0.5)
+    counters.bump(hits=1)
+    assert counters.hits == 3 and counters.seconds == 0.5
+    assert counters.snapshot(("misses", "hits")) == {"misses": 0, "hits": 3}
+    counters.reset()
+    assert counters.snapshot() == {"hits": 0, "seconds": 0, "misses": 0}
+
+
+def test_counters_unknown_name_raises():
+    counters = Counters(("hits", "misses"))
+    with pytest.raises(KeyError):
+        counters.bump(typo=1)
+    assert counters.snapshot() == {"hits": 0, "misses": 0}
+    with pytest.raises(AttributeError):
+        counters.typo
+    with pytest.raises(KeyError):
+        counters.snapshot(("typo",))

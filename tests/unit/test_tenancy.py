@@ -186,7 +186,7 @@ def test_remove_overlay_fragment_keeps_interned():
     store = registry.reload_tenant("alpha", OVERLAY_A[1:])
     assert store.base is registry.base
     assert store.fragments == tuple(BASE) + (OVERLAY_A[1],)
-    assert store.tenancy_stats()["interned_fragments"] == len(BASE)
+    assert store.stats()["interned_fragments"] == len(BASE)
 
 
 def test_reload_keeping_base_stays_interned():
@@ -242,18 +242,25 @@ def test_engine_reports_tenancy_sections():
     registry = TenantRegistry(BASE)
     store = registry.add_tenant("alpha", OVERLAY_A)
     engine = JozaEngine(store)
-    report = engine.resilience_report()
-    assert report["tenancy"]["tenant"] == "alpha"
-    assert report["tenancy"]["interned_fragments"] == len(BASE)
-    caches = engine.cache_stats()
-    frag = caches["tenancy"]["fragments"]
-    assert frag["interned"] == float(len(BASE))
-    assert frag["private"] == float(len(OVERLAY_A))
+    section = engine.resilience_report()["store"]
+    assert section == store.stats()
+    assert section["tenant"] == "alpha"
+    assert section["epoch"] == store.epoch
+    assert section["fragments"] == len(BASE) + len(OVERLAY_A)
+    assert section["interned_fragments"] == len(BASE)
+    assert section["private_fragments"] == len(OVERLAY_A)
+    # Store fields are not cache readings: reported once.
+    assert "tenancy" not in engine.cache_stats()
 
 
 def test_plain_store_engine_has_no_tenancy_section():
     from repro.core import JozaEngine
 
     engine = JozaEngine.from_fragments(BASE)
-    assert "tenancy" not in engine.resilience_report()
+    report = engine.resilience_report()
+    assert "tenancy" not in report
+    # Every engine reports its store; only a TenantStore adds tenant fields.
+    assert report["store"] == engine.store.stats()
+    assert report["store"]["fragments"] == len(BASE)
+    assert "tenant" not in report["store"]
     assert "tenancy" not in engine.cache_stats()

@@ -321,5 +321,5 @@ def test_batch_beyond_max_batch_is_split_into_frames():
         assert all(v.safe and not v.failsafe for v in verdicts)
         assert all(v.pti is not None and v.pti.safe for v in verdicts)
         assert engine.stats.failsafe_blocks == 0
-        assert daemon.batches == 1  # one call, several frames
-        assert daemon.spawns == 1
+        assert daemon.counters.batches == 1  # one call, several frames
+        assert daemon.counters.spawns == 1

@@ -166,6 +166,21 @@ def _load_sources(paths) -> list[str]:
     return sources
 
 
+class _CliError(Exception):
+    """A user error: ``main`` prints ``repro: <message>`` and returns 1."""
+
+
+def _load_fragments_file(path: str):
+    """The :class:`~repro.pti.fragments.FragmentStore` saved at ``path``."""
+    from .pti.fragments import FragmentStore
+
+    try:
+        return FragmentStore.load(path)
+    except (OSError, ValueError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        raise _CliError(f"cannot load fragments file {path}: {reason}") from None
+
+
 def _cmd_fragments(args, out) -> int:
     from .pti.fragments import FragmentStore
 
@@ -194,7 +209,7 @@ def _cmd_inspect(args, out) -> int:
     from .pti.fragments import FragmentStore
 
     if args.fragments_file:
-        store = FragmentStore.load(args.fragments_file)
+        store = _load_fragments_file(args.fragments_file)
     elif args.php:
         store = FragmentStore.from_sources(_load_sources(args.php))
     else:
@@ -261,6 +276,33 @@ def _cmd_crawl(args, out) -> int:
     return 0 if report.false_positives == 0 else 3
 
 
+#: ``serve``'s vocabulary when no fragment source is given: a small
+#: WordPress-like application, large enough (>= 16 fragments) that
+#: ``matcher="auto"`` resolves to the Aho-Corasick engine.  The test
+#: suites' swarm and gateway workloads run against it too.
+SWARM_FRAGMENTS = [
+    "SELECT * FROM records WHERE ID=",
+    "SELECT name FROM users WHERE id=",
+    "SELECT post_title FROM posts WHERE post_status='publish' AND ID=",
+    "SELECT option_value FROM options WHERE option_name='",
+    "UPDATE posts SET comment_count=comment_count+1 WHERE ID=",
+    "INSERT INTO comments (post_id, content) VALUES (",
+    "DELETE FROM sessions WHERE token='",
+    " LIMIT 5",
+    " LIMIT 1",
+    " OR ",
+    " = ",
+    " AND approved=1",
+    " ORDER BY created_at DESC",
+    "', '",
+    "')",
+    "'",
+    ")",
+    " WHERE post_id=",
+    "SELECT COUNT(*) FROM comments WHERE post_id=",
+    "SELECT id FROM terms WHERE slug='",
+]
+
 #: Canonical selfcheck pair: one benign query the default vocabulary
 #: covers, one classic UNION exfiltration that must be blocked.
 _SELFCHECK_BENIGN = ("SELECT * FROM records WHERE ID=7 LIMIT 5", "7")
@@ -275,13 +317,11 @@ def _serve_fragments(args) -> list[str]:
     from .pti.fragments import FragmentStore
 
     if args.fragments_file:
-        return list(FragmentStore.load(args.fragments_file).fragments)
+        return list(_load_fragments_file(args.fragments_file).fragments)
     if args.php:
         return list(
             FragmentStore.from_sources(_load_sources(args.php)).fragments
         )
-    from .testbed.concurrency import SWARM_FRAGMENTS
-
     return list(SWARM_FRAGMENTS)
 
 
@@ -512,7 +552,11 @@ def main(argv=None, out=None) -> int:
         "crawl": _cmd_crawl,
         "serve": _cmd_serve,
     }[args.command]
-    return handler(args, out)
+    try:
+        return handler(args, out)
+    except _CliError as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -112,7 +112,8 @@ SHAPE_COUNTERS = (
     #: ... whose skeleton had no cached plan (cold path taken) ...
     "shape_misses",
     #: ... or where a plan existed but declined (lex drift, slot/token
-    #: overlap, PTI recheck miss, deadline, analyzer error): cold path.
+    #: overlap, PTI recheck miss, deadline), or the store or the shape
+    #: analyzer raised before the lookup: cold path.
     "shape_fallthroughs",
     #: Plans built and cached after clean, fully-safe cold analyses.
     "shape_plans_built",
@@ -440,7 +441,7 @@ class JozaEngine:
         }
         if self.shape_cache is not None:
             t0 = time.perf_counter()
-            epoch0, analyzer = self._shape_state()
+            epoch0, analyzer = self._shape_state(len(queries))
             deltas["pti_seconds"] = time.perf_counter() - t0
         self.stats.bump(**deltas)
         for index, query in enumerate(queries):
@@ -595,11 +596,12 @@ class JozaEngine:
     # Shape fast path internals
     # ------------------------------------------------------------------
 
-    def _shape_state(self) -> tuple[int, PTIAnalyzer | None]:
+    def _shape_state(self, queries: int = 1) -> tuple[int, PTIAnalyzer | None]:
         """Pinned store epoch + the plan analyzer bound to the store.
 
-        ``(-1, None)`` on an internal error: the query takes the cold path
-        without touching the cache.
+        ``(-1, None)`` on an internal error: the ``queries`` it would have
+        served take the cold path without touching the cache, each counted
+        as one ``shape_fallthroughs``.
 
         A swapped store object (daemon ``refresh_fragments``) rebinds the
         analyzer (:meth:`_bind_store`).  The cache syncs on the epoch at
@@ -616,8 +618,10 @@ class JozaEngine:
                 return self._bind_store().epoch, self._shape_analyzer
         except (KeyboardInterrupt, SystemExit):  # pragma: no cover
             raise
-        except Exception:  # pragma: no cover - defensive: fast path is
-            return -1, None  # best-effort; the cold path is always correct.
+        except Exception:
+            # The fast path is best-effort; the cold path is always correct.
+            self.stats.bump(shape_fallthroughs=queries)
+            return -1, None
 
     def _apply_plan(
         self,

@@ -27,7 +27,7 @@ The recovery contract is **fail-closed**: ``recover(state_dir)`` either
 restores a verified durable prefix of the pre-crash state or raises
 :class:`JournalCorrupt` -- never a silent partial restore, never invented
 state.  The crash-injection harness
-(:mod:`repro.testbed.crashfaults`) proves restart-equivalence and
+(``tests/support/crashfaults.py``) proves restart-equivalence and
 never-fail-open under seeded SIGKILL / partial-write / bit-flip
 schedules.
 """

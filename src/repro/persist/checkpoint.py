@@ -27,7 +27,7 @@ framing damage, is refused with :class:`JournalCorrupt` -- recovery
 never silently falls back past a damaged checkpoint.
 
 ``opener`` and ``replace`` are injectable so the crash harness
-(:mod:`repro.testbed.crashfaults`) can kill the process mid-write and
+(``tests/support/crashfaults.py``) can kill the process mid-write and
 mid-rename.
 """
 

@@ -400,7 +400,7 @@ class JournalWriter:
 
     ``opener`` is the crash-injection hook: it replaces ``open(path,
     "ab")`` with a fault-wrapped file object
-    (:class:`~repro.testbed.crashfaults.FaultFile`) so the harness can
+    (``FaultFile`` in ``tests/support/crashfaults.py``) so the harness can
     tear appends at exact byte offsets.  The object must support
     ``write``/``flush``/``fileno``/``close``/``tell``.
 

@@ -328,8 +328,8 @@ def _daemon_loop(conn, fragments: list[str], config: DaemonConfig, fault=None) -
     parent see EOF -> ``DaemonCrash`` -> fail-closed, never a made-up
     verdict.
 
-    ``fault`` is the testbed's hook (:mod:`repro.testbed.faults`,
-    :mod:`repro.testbed.concurrency`): called with each request's queries
+    ``fault`` is the fault-injection hook of the test harnesses
+    (``tests/support/faults.py``): called with each request's queries
     before analysis, it may sleep, exit the process, or return bytes that
     are sent instead of the reply.  ``None`` in production.
     """
@@ -492,7 +492,7 @@ class SubprocessPTIDaemon:
     # ------------------------------------------------------------------
 
     def _fault_hook(self):
-        """Child-side fault hook (see :func:`_daemon_loop`); testbed only."""
+        """Child-side fault hook (see :func:`_daemon_loop`); tests only."""
         return None
 
     def _spawn(self):

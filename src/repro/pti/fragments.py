@@ -242,12 +242,27 @@ class FragmentStore:
 
     @classmethod
     def from_json(cls, text: str) -> "FragmentStore":
+        """Load a :meth:`to_json` document.
+
+        Only ``{"version": 1, "fragments": [str, ...]}`` is accepted;
+        anything else raises :class:`ValueError`.
+        """
         import json
 
-        payload = json.loads(text)
+        try:
+            payload = json.loads(text)
+        except ValueError as exc:
+            raise ValueError(f"not JSON: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise ValueError("not a fragment store: expected a JSON object")
         if payload.get("version") != 1:
             raise ValueError(f"unsupported fragment store version: {payload.get('version')!r}")
-        return cls(payload["fragments"])
+        fragments = payload.get("fragments")
+        if not isinstance(fragments, list) or not all(
+            isinstance(fragment, str) for fragment in fragments
+        ):
+            raise ValueError("fragment store 'fragments' must be a list of strings")
+        return cls(fragments)
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:

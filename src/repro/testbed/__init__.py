@@ -10,37 +10,6 @@ from .evaluation import (
     evaluate_corpus,
     evaluate_sqlgen_variants,
 )
-from .concurrency import (
-    CRASH_MARKER,
-    CORRUPT_MARKER,
-    HANG_MARKER,
-    MarkerFaultDaemon,
-    SWARM_FRAGMENTS,
-    SwarmResult,
-    VerdictRecord,
-    WorkloadItem,
-    build_workload,
-    diff_verdicts,
-    fail_open_keys,
-    run_swarm,
-    serial_replay,
-)
-from .faults import (
-    POISON_MARKER,
-    ChaosPTIDaemon,
-    FakeClock,
-    FaultKind,
-    FaultSchedule,
-    FlakyDaemon,
-)
-from .netfaults import (
-    ChaosOutcome,
-    NetFaultInjector,
-    NetFaultKind,
-    NetFaultSchedule,
-    fail_open_outcomes,
-    run_chaos_session,
-)
 from .exploits import (
     DOUBLE_BLIND_DELAY,
     Exploit,
@@ -74,19 +43,6 @@ from .wordpress import (
 )
 
 __all__ = [
-    "CRASH_MARKER",
-    "CORRUPT_MARKER",
-    "HANG_MARKER",
-    "MarkerFaultDaemon",
-    "SWARM_FRAGMENTS",
-    "SwarmResult",
-    "VerdictRecord",
-    "WorkloadItem",
-    "build_workload",
-    "diff_verdicts",
-    "fail_open_keys",
-    "run_swarm",
-    "serial_replay",
     "CrawlReport",
     "crawl_requests",
     "full_crawl",
@@ -95,18 +51,6 @@ __all__ = [
     "SQLGEN_TARGETS",
     "evaluate_corpus",
     "evaluate_sqlgen_variants",
-    "POISON_MARKER",
-    "ChaosPTIDaemon",
-    "FakeClock",
-    "FaultKind",
-    "FaultSchedule",
-    "FlakyDaemon",
-    "ChaosOutcome",
-    "NetFaultInjector",
-    "NetFaultKind",
-    "NetFaultSchedule",
-    "fail_open_outcomes",
-    "run_chaos_session",
     "DOUBLE_BLIND_DELAY",
     "Exploit",
     "ExploitOutcome",

@@ -30,7 +30,7 @@ from repro.core import (
 )
 from repro.phpapp.context import CapturedInput, RequestContext
 from repro.pti import FragmentStore
-from repro.testbed.faults import (
+from tests.support.faults import (
     POISON_MARKER,
     ChaosPTIDaemon,
     FaultKind,

@@ -26,7 +26,7 @@ from repro.core import JozaConfig, JozaEngine, ResilienceConfig
 from repro.phpapp.context import RequestContext
 from repro.pti import FragmentStore, SubprocessPTIDaemon
 from repro.pti.daemon import PTIDaemon
-from repro.testbed.concurrency import (
+from tests.support.concurrency import (
     SWARM_FRAGMENTS,
     MarkerFaultDaemon,
     build_workload,

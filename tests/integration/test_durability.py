@@ -14,7 +14,7 @@ The restart-equivalence and never-fail-open contracts (DESIGN.md section
   from the same two files.
 - **Gateway audit ring**: the gateway's audit ring journals through its
   sink, so evicted ring entries are recovered drops, not lost evidence.
-- **Real SIGKILL**: the :mod:`repro.testbed.crashfaults` subprocess
+- **Real SIGKILL**: the :mod:`tests.support.crashfaults` subprocess
   harness kills an actual child mid-append / mid-rename and recovery
   restores an exact oracle prefix.
 - **CLI**: ``serve --selfcheck --state-dir`` runs the kill/restore leg
@@ -34,8 +34,8 @@ from repro.persist import DurableState, FsyncPolicy, JournalCorrupt, recover
 from repro.service import AsyncGateway, GatewayClient, GatewayConfig, GatewayThread
 from repro.service import gateway as gateway_module
 from repro.service.codec import encode_verdict
-from repro.testbed.concurrency import SWARM_FRAGMENTS
-from repro.testbed.crashfaults import (
+from tests.support.concurrency import SWARM_FRAGMENTS
+from tests.support.crashfaults import (
     StoreOracle,
     apply_op,
     flip_byte,

@@ -42,8 +42,8 @@ from repro.service import (
 from repro.service.codec import encode_verdict, verdict_to_dict
 from repro.core import JozaConfig, JozaEngine
 from repro.phpapp.context import CapturedInput, RequestContext
-from repro.testbed.concurrency import SWARM_FRAGMENTS, build_workload
-from repro.testbed.netfaults import (
+from tests.support.concurrency import SWARM_FRAGMENTS, build_workload
+from tests.support.netfaults import (
     NetFaultInjector,
     NetFaultKind,
     NetFaultSchedule,

@@ -27,7 +27,7 @@ from repro.service import (
 )
 from repro.service.codec import encode_verdict, verdict_to_dict
 from repro.service.worker import REASON_UNKNOWN_TENANT
-from repro.testbed.concurrency import SWARM_FRAGMENTS
+from tests.support.concurrency import SWARM_FRAGMENTS
 
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "1337"))
 

@@ -33,7 +33,7 @@ from repro.service import (
 )
 from repro.service import worker as worker_module
 from repro.service.gateway import REASON_UNFRAMEABLE, REASON_WORKER_FAILED
-from repro.testbed.concurrency import SWARM_FRAGMENTS
+from tests.support.concurrency import SWARM_FRAGMENTS
 
 BENIGN = ("SELECT * FROM records WHERE ID=7 LIMIT 5", [("get", "p0", "7")])
 

@@ -15,8 +15,8 @@ from repro.pti import (
     wire,
 )
 from repro.testbed import build_testbed, make_request, plugin_by_name
-from repro.testbed.concurrency import MarkerFaultDaemon
-from repro.testbed.faults import FakeClock, FaultSchedule, FlakyDaemon
+from tests.support.concurrency import MarkerFaultDaemon
+from tests.support.faults import FakeClock, FaultSchedule, FlakyDaemon
 
 FRAGMENTS = ["SELECT a FROM t WHERE id = ", " OR ", " LIMIT 5"]
 

@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 from repro.core import JozaConfig, JozaEngine, ResilienceConfig
 from repro.pti import FragmentStore
 from repro.pti.daemon import PTIDaemon
-from repro.testbed.concurrency import (
+from tests.support.concurrency import (
     SWARM_FRAGMENTS,
     MarkerFaultDaemon,
     _hot_items,

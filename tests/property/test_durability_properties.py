@@ -19,7 +19,7 @@ Three generated properties (DESIGN.md section 15):
    state that matches *no* prefix -- the "silently wrong vocabulary"
    failure the guard's posture forbids.
 
-The oracle is :class:`repro.testbed.crashfaults.StoreOracle`; crash
+The oracle is :class:`tests.support.crashfaults.StoreOracle`; crash
 schedules come from the same :class:`FaultPlan` hooks the integration
 harness drives, so a shrunk Hypothesis failure is directly replayable.
 """
@@ -38,7 +38,7 @@ from repro.persist import (
     scan_journal,
 )
 from repro.persist.journal import decode_record, encode_audit
-from repro.testbed.crashfaults import (
+from tests.support.crashfaults import (
     FaultPlan,
     SimulatedCrash,
     StoreOracle,

@@ -37,36 +37,12 @@ def ctx(values):
 
 
 @given(FRAGMENT_SETS, QUERIES, INPUTS)
-@settings(max_examples=80)
-def test_hybrid_is_conjunction_of_components(fragments, query, inputs):
-    """Joza safe <=> NTI safe AND PTI safe, for identical state."""
-    hybrid = JozaEngine.from_fragments(fragments).inspect(query, ctx(inputs))
-    nti_only = JozaEngine.from_fragments(
-        fragments, JozaConfig(enable_pti=False)
-    ).inspect(query, ctx(inputs))
-    pti_only = JozaEngine.from_fragments(
-        fragments, JozaConfig(enable_nti=False)
-    ).inspect(query, ctx(inputs))
-    assert hybrid.safe == (nti_only.safe and pti_only.safe)
-
-
-@given(FRAGMENT_SETS, QUERIES, INPUTS)
 @settings(max_examples=60)
 def test_inspect_is_deterministic(fragments, query, inputs):
     a = JozaEngine.from_fragments(fragments).inspect(query, ctx(inputs))
     b = JozaEngine.from_fragments(fragments).inspect(query, ctx(inputs))
     assert a.safe == b.safe
     assert {d.token_text for d in a.detections} == {d.token_text for d in b.detections}
-
-
-@given(FRAGMENT_SETS, QUERIES, INPUTS)
-@settings(max_examples=60)
-def test_caches_never_change_verdicts(fragments, query, inputs):
-    """Replaying the same query through warm caches preserves the verdict."""
-    engine = JozaEngine.from_fragments(fragments)
-    first = engine.inspect(query, ctx(inputs))
-    second = engine.inspect(query, ctx(inputs))
-    assert first.safe == second.safe
 
 
 @given(QUERIES, INPUTS)

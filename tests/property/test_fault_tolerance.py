@@ -19,7 +19,7 @@ from repro.core import (
 from repro.core.resilience import CircuitBreaker, RetryPolicy
 from repro.phpapp.context import CapturedInput, RequestContext
 from repro.pti import FragmentStore, PTIDaemon
-from repro.testbed.faults import (
+from tests.support.faults import (
     POISON_MARKER,
     FakeClock,
     FaultKind,

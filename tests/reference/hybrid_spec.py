@@ -4,7 +4,8 @@ Joza runs both taint inferences on every query, and a query is safe iff
 *both* deem it safe.  Each half is its own spec (``pti_spec`` over the
 application's fragments, ``nti_spec`` over the request's raw inputs), so
 this file is the conjunction and nothing more; it shares no code with the
-implementation.
+implementation.  Both halves judge one critical-token set: ``strict`` (the
+Ray/Ligatti policy, identifiers critical) reaches PTI and NTI alike.
 
 Python 3.9 compatible: tier-1 CI runs 3.9.
 """
@@ -20,5 +21,5 @@ def hybrid_spec(query, fragments, inputs, threshold, strict=False):
     ``nti_spec``'s ``(safe, markings, detections)``.
     """
     pti = pti_spec(query, fragments, strict)
-    nti = nti_spec(query, inputs, threshold)
+    nti = nti_spec(query, inputs, threshold, strict)
     return pti[0] and nti[0], pti, nti

@@ -16,7 +16,9 @@ For each distinct non-empty input, in capture order:
 
 There is no exact-containment shortcut, no length cutoff, no bound and no
 budget: every input runs the full DP.  Critical tokens come from
-``lexer_spec``, so the spec shares no code with the implementation.
+``lexer_spec``, so the spec shares no code with the implementation.  Under
+``strict`` (identifiers are critical too) NTI judges the same token set as
+PTI, as the engine does.
 
 The paper does not say which substring wins a tie, so the spec fixes the
 rule every matcher in ``repro.matching`` reproduces: lowest distance, then
@@ -60,14 +62,14 @@ def sellers(pattern, query):
     return best
 
 
-def nti_spec(query, inputs, threshold):
+def nti_spec(query, inputs, threshold, strict=False):
     """``(safe, markings, detections)`` of the NTI rule over raw ``inputs``.
 
     ``markings`` holds one ``(start, end, input, ratio)`` per accepted
     input; ``detections`` one ``(token_text, token_start, token_end,
     input)`` per critical token an accepted input's match covers.
     """
-    tokens = critical_tokens(query)
+    tokens = critical_tokens(query, strict)
     markings = []
     detections = []
     seen = set()

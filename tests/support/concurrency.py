@@ -3,7 +3,7 @@
 The thread-safety work of DESIGN.md section 10 claims an invariant --
 *N threads hammering one engine produce exactly the verdicts a serial run
 would, and never a fail-open* -- and, like the fault-injection harness in
-:mod:`repro.testbed.faults`, an invariant wants an adversary.  This module
+:mod:`tests.support.faults`, an invariant wants an adversary.  This module
 provides three:
 
 - :class:`MarkerFaultDaemon` -- **content-keyed** fault injection: queries
@@ -31,16 +31,17 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from ..core.resilience import (
+from repro.cli import SWARM_FRAGMENTS
+from repro.core.resilience import (
     CorruptReply,
     Counters,
     DaemonCrash,
     DaemonTimeout,
     Deadline,
 )
-from ..phpapp.context import CapturedInput, RequestContext
-from ..pti.daemon import PTIDaemon
-from ..pti.fragments import FragmentStore
+from repro.phpapp.context import CapturedInput, RequestContext
+from repro.pti.daemon import PTIDaemon
+from repro.pti.fragments import FragmentStore
 from .faults import POISON_MARKER
 
 __all__ = [
@@ -61,7 +62,7 @@ __all__ = [
 
 #: Content-keyed fault markers: a query containing one deterministically
 #: triggers that failure in :class:`MarkerFaultDaemon`, on every thread,
-#: every retry, every replay.  (:data:`~repro.testbed.faults.POISON_MARKER`
+#: every retry, every replay.  (:data:`~tests.support.faults.POISON_MARKER`
 #: is honored too, as a crash.)
 CRASH_MARKER = "/*chaos:crash*/"
 HANG_MARKER = "/*chaos:hang*/"
@@ -120,32 +121,6 @@ class MarkerFaultDaemon:
 # ----------------------------------------------------------------------
 # Workload generation
 # ----------------------------------------------------------------------
-
-#: Vocabulary used by :func:`build_workload` -- large enough (>= 16) that
-#: ``matcher="auto"`` resolves to the Aho-Corasick engine, exercising the
-#: automaton compile on every store swap.
-SWARM_FRAGMENTS = [
-    "SELECT * FROM records WHERE ID=",
-    "SELECT name FROM users WHERE id=",
-    "SELECT post_title FROM posts WHERE post_status='publish' AND ID=",
-    "SELECT option_value FROM options WHERE option_name='",
-    "UPDATE posts SET comment_count=comment_count+1 WHERE ID=",
-    "INSERT INTO comments (post_id, content) VALUES (",
-    "DELETE FROM sessions WHERE token='",
-    " LIMIT 5",
-    " LIMIT 1",
-    " OR ",
-    " = ",
-    " AND approved=1",
-    " ORDER BY created_at DESC",
-    "', '",
-    "')",
-    "'",
-    ")",
-    " WHERE post_id=",
-    "SELECT COUNT(*) FROM comments WHERE post_id=",
-    "SELECT id FROM terms WHERE slug='",
-]
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ vocabulary, the tenant overlays and the audit trail, so a test can
 compute the expected state after any *prefix* of an op sequence and
 compare it against what ``recover()`` restores.
 
-Determinism: like :mod:`repro.testbed.faults`, nothing here sleeps or
+Determinism: like :mod:`tests.support.faults`, nothing here sleeps or
 consults wall clocks; crash points are indices into the deterministic
 stream of write calls, so a failing schedule replays exactly.
 """
@@ -269,7 +269,7 @@ def _sigkill_child(state_dir: str, ops: list, plan_kwargs: dict) -> None:
     If the schedule never fires the child exits 0 (the parent treats
     that as "ran to completion").
     """
-    from ..persist import DurableState, FsyncPolicy
+    from repro.persist import DurableState, FsyncPolicy
 
     checkpoint_every = plan_kwargs.pop("_checkpoint_every", 4)
     plan = FaultPlan(hard_kill=True, **plan_kwargs)

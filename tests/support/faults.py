@@ -40,14 +40,14 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from ..core.resilience import (
+from repro.core.resilience import (
     CorruptReply,
     DaemonCrash,
     DaemonTimeout,
     Deadline,
 )
-from ..pti.daemon import DaemonConfig, PTIDaemon, SubprocessPTIDaemon
-from ..pti.fragments import FragmentStore
+from repro.pti.daemon import DaemonConfig, PTIDaemon, SubprocessPTIDaemon
+from repro.pti.fragments import FragmentStore
 
 __all__ = [
     "FaultKind",

@@ -5,7 +5,7 @@ engine's: *every request that reaches a listener resolves to a recorded
 fail-closed verdict or a clean protocol error -- under any network fault
 schedule*.  This module is the adversary: a reproducible
 :class:`NetFaultSchedule` (same positional design as
-:class:`~repro.testbed.faults.FaultSchedule`) driving socket-level attacks
+:class:`~tests.support.faults.FaultSchedule`) driving socket-level attacks
 that no well-behaved client library can produce:
 
 - **TORN_FRAME** -- announce a frame, send a prefix of it, disconnect.
@@ -19,7 +19,7 @@ that no well-behaved client library can produce:
   expired-on-arrival, never gain time.
 
 :func:`run_chaos_session` interleaves these with a real workload (the
-:mod:`~repro.testbed.concurrency` item vocabulary) and records one
+:mod:`~tests.support.concurrency` item vocabulary) and records one
 :class:`ChaosOutcome` per request for the invariant checks in the
 integration suite and the bench soak: zero fail-open, every shed recorded,
 latency bounded by the deadline.
@@ -34,8 +34,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from ..pti import wire
-from ..service.client import GatewayClient, GatewayError
+from repro.pti import wire
+from repro.service.client import GatewayClient, GatewayError
 from .concurrency import WorkloadItem
 
 __all__ = [

@@ -126,6 +126,55 @@ def test_store_json_version_check():
         FragmentStore.from_json(json.dumps({"version": 99, "fragments": []}))
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"version": 1, "fragments": "SELECT"}',
+        '{"version": 1, "fragments": ["SELECT ", 7]}',
+        '{"version": 1}',
+        '["SELECT "]',
+        "null",
+        "SELECT * FROM t WHERE id=",
+    ],
+)
+def test_store_json_refuses_malformed_documents(text):
+    with pytest.raises(ValueError):
+        FragmentStore.from_json(text)
+
+
+@pytest.fixture
+def bad_fragment_files(tmp_path):
+    plain = tmp_path / "plain.txt"
+    plain.write_text("SELECT * FROM t WHERE id=\n LIMIT 5\n")
+    string = tmp_path / "string.json"
+    string.write_text(json.dumps({"version": 1, "fragments": "SELECT"}))
+    return {
+        "plain": (plain, "not JSON"),
+        "string": (string, "must be a list of strings"),
+        "missing": (tmp_path / "missing.json", "No such file or directory"),
+    }
+
+
+@pytest.mark.parametrize("kind", ["plain", "string", "missing"])
+@pytest.mark.parametrize("command", ["inspect", "serve"])
+def test_unloadable_fragments_file_exits_1_with_one_line(
+    bad_fragment_files, command, kind, tmp_path, capsys
+):
+    path, reason = bad_fragment_files[kind]
+    if command == "inspect":
+        argv = ["inspect", "SELECT 1", "--fragments-file", str(path)]
+    else:
+        argv = ["serve", "--unix", str(tmp_path / "gw.sock"),
+                "--fragments-file", str(path), "--selfcheck"]
+    code, output = run(argv)
+    assert code == 1
+    assert output == ""
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro: cannot load fragments file {path}: ")
+    assert reason in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 # -- serve subcommand ----------------------------------------------------
 
 

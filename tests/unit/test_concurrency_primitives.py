@@ -26,7 +26,7 @@ from repro.core.resilience import (
 from repro.core.shapecache import ShapeCache, build_plan
 from repro.pti.caches import MRUFragmentCache, QueryCache
 from repro.pti.fragments import FragmentStore
-from repro.testbed.faults import FakeClock
+from tests.support.faults import FakeClock
 
 
 def run_threads(n: int, target, *args) -> None:

@@ -16,7 +16,7 @@ from repro.core import (
     Technique,
 )
 from repro.phpapp.context import CapturedInput, RequestContext
-from repro.pti import FragmentStore
+from repro.pti import FragmentStore, PTIDaemon
 
 FRAGMENTS = ["SELECT * FROM records WHERE ID=", " LIMIT 5", " OR ", " = "]
 
@@ -48,6 +48,34 @@ def test_shape_hit_serves_plan_verdict_and_counts():
     assert second.pti.from_cache == "shape"
     assert second.nti is not None and second.nti.safe
     assert engine.stats.shape_hits == 1
+
+
+class BrokenStoreDaemon(PTIDaemon):
+    """An in-process backend whose ``store`` raises; analysis still works."""
+
+    @property
+    def store(self):
+        raise RuntimeError("store unavailable")
+
+
+def test_store_errors_fall_through_counted_with_exact_verdicts():
+    engine = JozaEngine(
+        FragmentStore(FRAGMENTS), daemon=BrokenStoreDaemon(FragmentStore(FRAGMENTS))
+    )
+    benign = "SELECT * FROM records WHERE ID=1 LIMIT 5"
+    attack = "SELECT * FROM records WHERE ID=1 OR 1 = 1 LIMIT 5"
+    for _ in range(3):
+        assert engine.inspect(benign, ctx("1")).safe
+    assert not engine.inspect(attack, ctx("1 OR 1 = 1")).safe
+    batch = engine.inspect_batch([benign, benign], ctx("1"))
+    assert [v.safe for v in batch] == [True, True]
+    assert not engine.inspect_batch([attack], ctx("1 OR 1 = 1"))[0].safe
+    assert not any(v.failsafe for v in batch)
+
+    shape = engine.stats.shape_counters()
+    assert engine.stats.queries_checked == 7
+    assert shape["shape_fallthroughs"] == 7
+    assert shape["shape_hits"] == shape["shape_misses"] == 0
 
 
 def test_shape_hit_still_runs_nti_and_detects():

@@ -21,7 +21,7 @@ from repro.phpapp.application import (
 )
 from repro.phpapp.context import CapturedInput, RequestContext
 from repro.pti import FragmentStore, PTIDaemon
-from repro.testbed.faults import (
+from tests.support.faults import (
     FakeClock,
     FaultKind,
     FaultSchedule,

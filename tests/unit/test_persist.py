@@ -38,7 +38,7 @@ from repro.persist.journal import (
     scan_buffer,
 )
 from repro.persist.state import AUDIT_KEEP
-from repro.testbed.crashfaults import FaultFile
+from tests.support.crashfaults import FaultFile
 
 FRAGS = ["SELECT a FROM t WHERE id = ", " LIMIT 5", "INSERT INTO t VALUES ("]
 

@@ -14,7 +14,7 @@ from repro.core.resilience import (
     RetryPolicy,
     RingLog,
 )
-from repro.testbed.faults import FakeClock
+from tests.support.faults import FakeClock
 
 
 # ----------------------------------------------------------------------

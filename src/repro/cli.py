@@ -158,16 +158,26 @@ def _iter_php_files(paths):
             yield path
 
 
+class _CliError(Exception):
+    """A user error: ``main`` prints ``repro: <message>`` and returns 1."""
+
+
+def _cannot_load(what: str, path: str, reason) -> _CliError:
+    """The one-line error for an input file that did not load."""
+    if isinstance(reason, OSError) and reason.strerror:
+        reason = reason.strerror
+    return _CliError(f"cannot load {what} {path}: {reason}")
+
+
 def _load_sources(paths) -> list[str]:
     sources = []
     for file_path in _iter_php_files(paths):
-        with open(file_path, "r", encoding="utf-8", errors="replace") as handle:
-            sources.append(handle.read())
+        try:
+            with open(file_path, "r", encoding="utf-8", errors="replace") as handle:
+                sources.append(handle.read())
+        except OSError as exc:
+            raise _cannot_load("PHP source", file_path, exc) from None
     return sources
-
-
-class _CliError(Exception):
-    """A user error: ``main`` prints ``repro: <message>`` and returns 1."""
 
 
 def _load_fragments_file(path: str):
@@ -177,8 +187,7 @@ def _load_fragments_file(path: str):
     try:
         return FragmentStore.load(path)
     except (OSError, ValueError) as exc:
-        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
-        raise _CliError(f"cannot load fragments file {path}: {reason}") from None
+        raise _cannot_load("fragments file", path, exc) from None
 
 
 def _cmd_fragments(args, out) -> int:
@@ -338,25 +347,31 @@ def _serve_tenants(args) -> dict[str, list[str]] | None:
         return None
     import json
 
-    with open(args.tenants, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
+    path = args.tenants
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+    except OSError as exc:
+        raise _cannot_load("tenants file", path, exc) from None
+    except ValueError as exc:
+        raise _cannot_load("tenants file", path, f"not JSON: {exc}") from None
     if isinstance(document, dict) and isinstance(
         document.get("tenants"), dict
     ):
         document = document["tenants"]
     if not isinstance(document, dict) or not document:
-        raise SystemExit(
-            f"--tenants {args.tenants}: expected a non-empty JSON object "
-            "mapping tenant-id -> fragment list"
+        raise _cannot_load(
+            "tenants file", path,
+            "expected a non-empty JSON object mapping tenant-id -> fragment list",
         )
     tenants: dict[str, list[str]] = {}
     for tenant_id, overlay in document.items():
         if not isinstance(overlay, list) or not all(
             isinstance(fragment, str) for fragment in overlay
         ):
-            raise SystemExit(
-                f"--tenants {args.tenants}: tenant {tenant_id!r} must map "
-                "to a list of fragment strings"
+            raise _cannot_load(
+                "tenants file", path,
+                f"tenant {tenant_id!r} must map to a list of fragment strings",
             )
         tenants[str(tenant_id)] = overlay
     return tenants

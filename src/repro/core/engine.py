@@ -23,10 +23,7 @@ or, without an application object, analyse queries directly::
 
 from __future__ import annotations
 
-import random as _random
-import threading
 import time
-import zlib
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -112,18 +109,14 @@ SHAPE_COUNTERS = (
     #: ... whose skeleton had no cached plan (cold path taken) ...
     "shape_misses",
     #: ... or where a plan existed but declined (lex drift, slot/token
-    #: overlap, PTI recheck miss, deadline), or the store or the shape
-    #: analyzer raised before the lookup: cold path.
+    #: overlap, PTI recheck miss, deadline), or the backend's analyzer
+    #: could not be read before the lookup: cold path.
     "shape_fallthroughs",
     #: Plans built and cached after clean, fully-safe cold analyses.
     "shape_plans_built",
     #: Clean, fully-safe cold analyses of a shape's first sighting: the
     #: doorkeeper deferred admission, so no plan was built.
     "shape_admissions_deferred",
-    #: Shadow validation: sampled fast-path verdicts re-checked cold ...
-    "shadow_checks",
-    #: ... and how many disagreed (must stay zero; cold verdict wins).
-    "shadow_divergences",
 )
 #: Batched inspection (DESIGN.md section 11).
 BATCH_COUNTERS = (
@@ -203,18 +196,6 @@ class JozaEngine:
             and self.config.enable_nti
             else None
         )
-        #: In-process PTI analyzer used for plan building and per-hit
-        #: rechecks; bound to the daemon's current store object.
-        self._shape_analyzer: PTIAnalyzer | None = None
-        #: The store object the shape analyzer serves.
-        self._bound_store: FragmentStore | None = None
-        self._shadow_seed = shape_cfg.shadow_seed
-        self._shadow_rng = _random.Random(shape_cfg.shadow_seed)
-        #: Guards the engine's derived state bound to the daemon's store:
-        #: the store and the shape analyzer (they must swap together).
-        #: Held only for check-and-assign work, never across analysis
-        #: (DESIGN.md section 10).
-        self._state_lock = threading.RLock()
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -266,12 +247,12 @@ class JozaEngine:
 
             {"nti":   {"match": {...}},
              "pti":   {"query": {...}, "structure": {...}, "matcher": {...}},
-             "shape": {"plans": {...}, "pti_matcher": {...}}}
+             "shape": {"plans": {...}}}
 
-        The ``matcher`` leaves carry the PTI matching-engine counters
+        The ``matcher`` leaf carries the PTI matching-engine counters
         (comparisons, automaton builds/nodes, occurrence-index reuse;
-        DESIGN.md section 9) for the daemon's analyzer and for the
-        shape fast path's recheck analyzer respectively.
+        DESIGN.md section 9) of the backend's analyzer, which also serves
+        the shape fast path's plan builds and per-hit re-proofs.
 
         Each cache leaf is its :class:`~repro.pti.caches.EpochLRU`
         reading (``hits`` / ``misses`` / ``hit_rate`` / ``entries`` /
@@ -289,35 +270,12 @@ class JozaEngine:
             "pti": self.daemon.cache_stats(),
         }
         if self.shape_cache is not None:
-            shape: dict[str, dict[str, float]] = {
-                "plans": self.shape_cache.snapshot_stats()
-            }
-            if self._shape_analyzer is not None:
-                shape["pti_matcher"] = self._shape_analyzer.matcher_stats()
-            out["shape"] = shape
+            out["shape"] = {"plans": self.shape_cache.snapshot_stats()}
         return out
 
     # ------------------------------------------------------------------
     # Analysis
     # ------------------------------------------------------------------
-
-    def _bind_store(self) -> FragmentStore:
-        """The daemon's current store, with the shape analyzer bound to it.
-
-        Call under ``_state_lock``.  When the daemon has swapped in a new
-        store (``refresh_fragments``), the shape analyzer is rebuilt over
-        it.  The plan cache needs no flush here: its first lookup under the
-        new store's (larger) epoch drops every old plan, and the doorkeeper
-        window, which holds keys and no trust, survives the swap.  Reading
-        the store pointer under the lock matters: reading it first and
-        locking second would let a concurrent swap land in between, and
-        this thread would re-install the older store.
-        """
-        store = self.daemon.store
-        if store is not self._bound_store:
-            self._bound_store = store
-            self._shape_analyzer = PTIAnalyzer(store, self.config.daemon.pti)
-        return store
 
     def inspect(
         self,
@@ -493,7 +451,7 @@ class JozaEngine:
         candidates=None,
         checked: int = 0,
     ) -> tuple[QueryVerdict | None, Skeleton | None]:
-        """One query's fast path: skeleton, plan lookup, replay, shadow.
+        """One query's fast path: skeleton, plan lookup, replay.
 
         Returns ``(verdict, skeleton)``; a ``None`` verdict means the cold
         step must analyse the query, planting a plan under ``skeleton``
@@ -529,10 +487,7 @@ class JozaEngine:
             queries_checked=checked,
             **{outcome: 1},
         )
-        if verdict is None:
-            return None, skeleton
-        shadow = self._shadow_validate(query, context, verdict)
-        return (verdict if shadow is None else shadow), skeleton
+        return verdict, skeleton
 
     def _call_daemon_batch(
         self, queries: list[str], deadline: Deadline, **deltas: int
@@ -597,25 +552,27 @@ class JozaEngine:
     # ------------------------------------------------------------------
 
     def _shape_state(self, queries: int = 1) -> tuple[int, PTIAnalyzer | None]:
-        """Pinned store epoch + the plan analyzer bound to the store.
+        """Pinned store epoch + the backend's analyzer over that store.
 
         ``(-1, None)`` on an internal error: the ``queries`` it would have
         served take the cold path without touching the cache, each counted
         as one ``shape_fallthroughs``.
 
-        A swapped store object (daemon ``refresh_fragments``) rebinds the
-        analyzer (:meth:`_bind_store`).  The cache syncs on the epoch at
-        get/put time.  The epoch is pinned *before* analysis: the same
-        value keys the lookup and any later plant.  Every store draws a
-        larger epoch than the stores built before it, so a swap racing the
-        cold path makes the plant stale -- refused by ``ShapeCache.put``
-        once a request has synced the cache to the new store, flushed by
-        the first lookup under the new epoch otherwise -- instead of
-        letting an old-vocabulary plan serve the new store.
+        The backend's ``analyzer`` is read once: an analyzer serves one
+        store for life, so its store's epoch and its coverage proofs
+        always agree, and a concurrent ``refresh_fragments`` only swaps
+        the backend's pointer.  The cache syncs on the epoch at get/put
+        time.  The epoch is pinned *before* analysis: the same value keys
+        the lookup and any later plant.  Every store draws a larger epoch
+        than the stores built before it, so a swap racing the cold path
+        makes the plant stale -- refused by ``ShapeCache.put`` once a
+        request has synced the cache to the new store, flushed by the
+        first lookup under the new epoch otherwise -- instead of letting
+        an old-vocabulary plan serve the new store.
         """
         try:
-            with self._state_lock:
-                return self._bind_store().epoch, self._shape_analyzer
+            analyzer = self.daemon.analyzer
+            return analyzer.store.epoch, analyzer
         except (KeyboardInterrupt, SystemExit):  # pragma: no cover
             raise
         except Exception:
@@ -769,53 +726,6 @@ class JozaEngine:
             and verdict.nti is not None
             and verdict.nti.safe
         )
-
-    def _shadow_validate(
-        self, query: str, context: RequestContext, fast: QueryVerdict
-    ) -> QueryVerdict | None:
-        """Sampled cold re-run of a fast-path verdict (correctness monitor).
-
-        Returns ``None`` when not sampled or in agreement; on divergence the
-        counter is bumped and the *cold* verdict is returned (trust the
-        reference pipeline).  The cold re-run's time lands in the usual
-        stat buckets, so shadowing visibly costs what it costs; its cold
-        counters and the shadow counters commit in one bump.
-
-        Sampling determinism: with ``shadow_seed`` set, the decision is a
-        pure function of ``(seed, query)`` -- a CRC32-derived uniform in
-        ``[0, 1)`` -- so whether a given query is shadowed does not depend
-        on thread interleaving or ``PYTHONHASHSEED`` (the concurrency chaos
-        harness relies on this for serial == concurrent replay).  Without a
-        seed, the shared RNG is sampled under the state lock.
-        """
-        rate = self.config.shape.shadow_rate
-        if rate <= 0.0:
-            return None
-        if self._shadow_seed is not None:
-            digest = zlib.crc32(
-                query.encode("utf-8", "surrogatepass"),
-                self._shadow_seed & 0xFFFFFFFF,
-            )
-            sample = digest / 4294967296.0
-        else:
-            with self._state_lock:
-                sample = self._shadow_rng.random()
-        if sample >= rate:
-            return None
-        deadline = self.config.resilience.start_deadline()
-        cold, _, deltas = self._inspect_cold(
-            query,
-            context,
-            deadline,
-            self._call_daemon_batch([query], deadline)[0],
-        )
-        diverged = (
-            cold.safe != fast.safe or cold.detected_by() != fast.detected_by()
-        )
-        self.stats.bump(
-            shadow_checks=1, shadow_divergences=1 if diverged else 0, **deltas
-        )
-        return cold if diverged else None
 
     def _inspect_cold(
         self,
@@ -994,8 +904,8 @@ class JozaEngine:
         the deadline, were refused by an open breaker or got a failsafe
         block, and how many audit records the bounded ring buffer had to
         drop.  Zeros across the board mean the runtime never had to absorb
-        a fault.  The sections: ``shape_fastpath``, ``shadow_sampling``,
-        ``batching``, ``nti_filter`` (prefilter effectiveness: seeds
+        a fault.  The sections: ``shape_fastpath``, ``batching``,
+        ``nti_filter`` (prefilter effectiveness: seeds
         probed, prune rates, anchored-window coverage), ``daemon`` (the
         backend's :meth:`~repro.pti.daemon.PTIBackend.resilience_snapshot`)
         and ``store`` (:meth:`~repro.pti.fragments.FragmentStore.stats`; a
@@ -1004,11 +914,6 @@ class JozaEngine:
         """
         report: dict = self.stats.snapshot(RESILIENCE_COUNTERS)
         report["shape_fastpath"] = self.stats.shape_counters()
-        report["shadow_sampling"] = {
-            "rate": self.config.shape.shadow_rate,
-            "seed": self._shadow_seed,
-            "deterministic": self._shadow_seed is not None,
-        }
         report["batching"] = self.stats.snapshot(BATCH_COUNTERS)
         report["dropped_records"] = self.attack_log.dropped_records
         report["attack_log_capacity"] = self.attack_log.capacity

@@ -33,12 +33,12 @@ slot-crossing occurrence, so "uncovered" is not a shape property --
 :func:`build_plan` refuses to build a plan for them and the engine falls
 through to the cold path (mirroring the structure cache's safe-only rule).
 
-Invalidation is by **fragment-store epoch**: any mutation of the store bumps
-:attr:`repro.pti.fragments.FragmentStore.epoch`, and the plan cache, an
-epoch-aware LRU (:class:`~repro.pti.caches.EpochLRU`), drops every plan
-when a lookup or plant names a newer epoch (plans embed coverage
-decisions, which a removed fragment can invalidate and an added fragment
-can improve; either way the cached plan is stale).
+Invalidation is by **fragment-store epoch**: a vocabulary swap brings a
+store with a larger :attr:`repro.pti.fragments.FragmentStore.epoch`, and
+the plan cache, an epoch-aware LRU (:class:`~repro.pti.caches.EpochLRU`),
+drops every plan when a lookup or plant names a newer epoch (plans embed
+coverage decisions, which a removed fragment can invalidate and an added
+fragment can improve; either way the cached plan is stale).
 
 Admission is on the **second sighting**: a plan costs a witness search per
 critical token to build, which only pays if the shape recurs.  A
@@ -77,16 +77,10 @@ class ShapeCacheConfig:
     Attributes:
         enabled: master switch; off means every query takes the cold path.
         capacity: bounded LRU size (number of distinct shapes).
-        shadow_rate: probability in ``[0, 1]`` that a fast-path verdict is
-            shadow-validated by re-running the cold path and comparing
-            verdicts; divergences are counted and the cold verdict wins.
-        shadow_seed: seed for the shadow-sampling RNG (``None`` = entropy).
     """
 
     enabled: bool = True
     capacity: int = 2048
-    shadow_rate: float = 0.0
-    shadow_seed: int | None = None
 
 
 class ShapePlan:
@@ -338,9 +332,12 @@ def build_plan(
     """Build a reusable plan from a fully-covered instance of a shape.
 
     ``tokens`` is the critical-token list of ``query`` (as produced by the
-    cold path).  ``analyzer`` is a :class:`~repro.pti.inference.PTIAnalyzer`
-    over the *current* fragment store; it is asked for a coverage *witness*
-    (fragment + occurrence position) for every token.
+    cold path).  ``analyzer`` is the PTI backend's
+    :class:`~repro.pti.inference.PTIAnalyzer` over the store the plan is
+    pinned to; it is asked for a coverage *witness* (fragment + occurrence
+    position) for every token.  In process, that is the analyzer whose
+    analysis just produced ``tokens``: when that analysis ran the
+    automaton over ``query``, the witnesses come from its occurrence index.
 
     Returns ``None`` -- never cache -- when:
 

@@ -288,9 +288,11 @@ def witness_misses(query: str, records, tokens) -> list[int]:
 class QueryCache(EpochLRU):
     """Exact-query-string cache (an in-memory hashtable, IV-C.2).
 
-    Stores ``(safe, critical_tokens)`` pairs: NTI "reuses the critical
-    tokens and keywords previously obtained by the PTI Daemon" (Section
-    IV-D), so a hit must hand the tokens back without re-lexing.
+    Stores the :class:`~repro.pti.daemon.DaemonReply` a hit returns: the
+    PTI result with its detections, and the critical tokens, because NTI
+    "reuses the critical tokens and keywords previously obtained by the
+    PTI Daemon" (Section IV-D), so a hit must hand them back without
+    re-lexing.
     """
 
 

@@ -59,7 +59,7 @@ from ..sqlparser.skeleton import Skeleton, skeletonize
 from ..sqlparser.tokens import Token
 from .caches import QueryCache, StructureCache
 from .fragments import FragmentStore
-from .inference import PTIAnalyzer, PTIConfig
+from .inference import PTIAnalyzer, PTIConfig, uncovered_detection
 
 __all__ = [
     "DaemonReply",
@@ -70,14 +70,16 @@ __all__ = [
 ]
 
 
-@dataclass
-class DaemonReply:
-    """What the daemon communicates back to the application wrapper."""
+class DaemonReply(typing.NamedTuple):
+    """What the daemon communicates back to the application wrapper.
 
-    safe: bool
+    ``result`` is the PTI verdict (``safe``, ``detections``, ``from_cache``);
+    ``tokens`` are the query's critical tokens, which NTI reuses (Section
+    IV-D), or ``None`` when a subprocess reply could not carry them.
+    """
+
     result: AnalysisResult
-    tokens: list[Token] | None = None  # None when served from a cache
-    from_cache: str | None = None  # "query" | "structure" | None
+    tokens: list[Token] | None
 
 
 @dataclass
@@ -103,12 +105,16 @@ class DaemonConfig:
 class PTIBackend(typing.Protocol):
     """What the engine calls on its PTI backend (DESIGN.md section 11).
 
-    ``timings`` holds wall-clock seconds per :data:`~repro.pti.wire.STAGES`
-    stage (Figure 7); ``cache_stats`` reads the caches this process can
-    see (``{}`` when they live in a child); ``resilience_snapshot`` reads
-    the backend's fault and call counters.
+    ``analyzer`` is a :class:`~repro.pti.inference.PTIAnalyzer` over the
+    backend's current store, in this process: the engine's shape fast
+    path builds and re-proves its plans with it.  ``timings`` holds
+    wall-clock seconds per :data:`~repro.pti.wire.STAGES` stage (Figure
+    7); ``cache_stats`` reads the caches this process can see (``{}``
+    when they live in a child); ``resilience_snapshot`` reads the
+    backend's fault and call counters.
     """
 
+    analyzer: PTIAnalyzer
     timings: Counters
 
     @property
@@ -136,6 +142,9 @@ class PTIDaemon:
         self, store: FragmentStore, config: DaemonConfig | None = None
     ) -> None:
         self.config = config or DaemonConfig()
+        #: The analyzer over the current store.  The engine's shape fast
+        #: path builds and re-proves its plans with it too, reading this
+        #: attribute without the daemon lock: a swap replaces it whole.
         self.analyzer = PTIAnalyzer(store, self.config.pti)
         #: Both caches hold results for the fragment-store epoch they were
         #: proven under (:class:`~repro.pti.caches.EpochLRU`); after a store
@@ -238,15 +247,7 @@ class PTIDaemon:
             cached = self.query_cache.get(query, epoch)
             self.timings.bump(cache=time.perf_counter() - t0)
             if cached is not None:
-                safe, cached_tokens = cached
-                return DaemonReply(
-                    safe=safe,
-                    result=AnalysisResult(
-                        technique=Technique.PTI, safe=safe, from_cache="query"
-                    ),
-                    tokens=cached_tokens,
-                    from_cache="query",
-                )
+                return cached
         skeleton: Skeleton | None = None
         t0 = time.perf_counter()
         if self.config.use_structure_cache:
@@ -259,14 +260,12 @@ class PTIDaemon:
             self.timings.bump(cache=time.perf_counter() - t0)
             if hit:
                 if self.config.use_query_cache:
-                    self.query_cache.put(query, (True, tokens), epoch)
+                    self.query_cache.put(query, _query_hit(True, [], tokens), epoch)
                 return DaemonReply(
-                    safe=True,
-                    result=AnalysisResult(
+                    AnalysisResult(
                         technique=Technique.PTI, safe=True, from_cache="structure"
                     ),
-                    tokens=tokens,
-                    from_cache="structure",
+                    tokens,
                 )
         if deadline is not None:
             deadline.check("pti")
@@ -275,7 +274,9 @@ class PTIDaemon:
         self.timings.bump(match=time.perf_counter() - t0)
         t0 = time.perf_counter()
         if self.config.use_query_cache:
-            self.query_cache.put(query, (result.safe, tokens), epoch)
+            self.query_cache.put(
+                query, _query_hit(result.safe, result.detections, tokens), epoch
+            )
         # Only SAFE verdicts are cacheable by skeleton, together with the
         # witnesses a later instance must re-prove (StructureCache).
         # Unsafe verdicts are not structural facts, and attacks are rare
@@ -286,25 +287,39 @@ class PTIDaemon:
                 skeleton, len(query), tokens, witnesses, epoch
             )
         self.timings.bump(cache=time.perf_counter() - t0)
-        return DaemonReply(safe=result.safe, result=result, tokens=tokens)
+        return DaemonReply(result, tokens)
+
+
+def _query_hit(safe: bool, detections: list, tokens: list) -> DaemonReply:
+    """The reply a query-cache hit returns: verdict and detections, no markings."""
+    result = AnalysisResult(
+        Technique.PTI, safe, detections=detections, from_cache="query"
+    )
+    return DaemonReply(result, tokens)
 
 
 def _reply_frame(replies: list[DaemonReply], deltas: dict[str, float]) -> bytearray:
     """Pack one reply frame.
 
-    Critical tokens travel as spans; a batch whose tokens the packed
+    Critical tokens travel as spans, each token of a PTI detection
+    flagged ``wire.SPAN_UNCOVERED``.  A batch whose tokens the packed
     format cannot carry exactly (``wire.spans_from_tokens`` refuses, or
     the spans overflow the frame) ships its verdicts without tokens, and
-    the parent lexes those queries itself -- the verdicts are exact either
-    way.
+    so without detections; the parent lexes those queries itself -- the
+    verdicts are exact either way.
     """
     try:
         return wire.pack_batch_reply(
             [
                 (
-                    r.safe,
-                    r.from_cache,
-                    None if r.tokens is None else wire.spans_from_tokens(r.tokens),
+                    r.result.safe,
+                    r.result.from_cache,
+                    None
+                    if r.tokens is None
+                    else wire.spans_from_tokens(
+                        r.tokens,
+                        {(d.token_start, d.token_end) for d in r.result.detections},
+                    ),
                 )
                 for r in replies
             ],
@@ -312,7 +327,7 @@ def _reply_frame(replies: list[DaemonReply], deltas: dict[str, float]) -> bytear
         )
     except wire.WireFormatError:
         return wire.pack_batch_reply(
-            [(r.safe, r.from_cache, None) for r in replies], deltas
+            [(r.result.safe, r.result.from_cache, None) for r in replies], deltas
         )
 
 
@@ -442,8 +457,10 @@ class SubprocessPTIDaemon:
         breaker: CircuitBreaker | None = None,
         seed: int | None = None,
     ) -> None:
-        self._store = store
         self.config = config or DaemonConfig()
+        #: This process's analyzer over the current store (the engine's
+        #: shape fast path uses it; the child analyses with its own).
+        self.analyzer = PTIAnalyzer(store, self.config.pti)
         self.persistent = persistent
         self.recv_timeout = recv_timeout
         self.retry = retry or RetryPolicy()
@@ -467,13 +484,13 @@ class SubprocessPTIDaemon:
         self.counters = Counters(SUBPROCESS_COUNTERS)
 
     # ------------------------------------------------------------------
-    # Fragment access (engine shape analyzer + protect() refresh hook)
+    # Fragment access (engine shape fast path + protect() refresh hook)
     # ------------------------------------------------------------------
 
     @property
     def store(self) -> FragmentStore:
         """The fragment vocabulary served to spawned children."""
-        return self._store
+        return self.analyzer.store
 
     def refresh_fragments(self, store: FragmentStore) -> None:
         """Swap the fragment set; the child is restarted on next use.
@@ -484,7 +501,7 @@ class SubprocessPTIDaemon:
         """
         with self._io_lock:
             with self._lifecycle:
-                self._store = store
+                self.analyzer = PTIAnalyzer(store, self.config.pti)
             self.close()
 
     # ------------------------------------------------------------------
@@ -501,7 +518,7 @@ class SubprocessPTIDaemon:
         process = multiprocessing.Process(
             target=_daemon_loop,
             args=(
-                child_conn, self._store.fragments, self.config, self._fault_hook()
+                child_conn, self.store.fragments, self.config, self._fault_hook()
             ),
             daemon=True,
         )
@@ -592,26 +609,35 @@ class SubprocessPTIDaemon:
     def _decode_batch(
         self, queries: list[str], payload: bytes
     ) -> tuple[list[DaemonReply], dict[str, float]]:
-        """Validate + decode one reply frame (anything else: ``CorruptReply``)."""
+        """Validate + decode one reply frame (anything else: ``CorruptReply``).
+
+        Each flagged span becomes the PTI detection the child's analysis
+        made; a verdict whose ``safe`` bit disagrees with its flags is
+        corrupt.
+        """
         try:
             verdicts, child_deltas = wire.unpack_batch_reply(payload)
             if len(verdicts) != len(queries):
                 raise CorruptReply(
                     f"batch reply count {len(verdicts)} != request {len(queries)}"
                 )
-            replies = [
-                DaemonReply(
-                    safe=safe,
-                    result=AnalysisResult(
-                        technique=Technique.PTI, safe=safe, from_cache=from_cache
-                    ),
-                    tokens=None
-                    if spans is None
-                    else wire.tokens_from_spans(query, spans),
+            replies = []
+            for query, (safe, from_cache, spans) in zip(queries, verdicts):
+                tokens = detections = None
+                if spans is not None:
+                    tokens = wire.tokens_from_spans(query, spans)
+                    detections = [
+                        uncovered_detection(token)
+                        for token, (code, _, _) in zip(tokens, spans)
+                        if code & wire.SPAN_UNCOVERED
+                    ]
+                    if safe == bool(detections):
+                        raise wire.WireFormatError("safe bit disagrees with flags")
+                result = AnalysisResult(
+                    Technique.PTI, safe, detections=detections or [],
                     from_cache=from_cache,
                 )
-                for query, (safe, from_cache, spans) in zip(queries, verdicts)
-            ]
+                replies.append(DaemonReply(result, tokens))
         except wire.WireFormatError as exc:
             raise CorruptReply(f"malformed reply frame: {exc}") from exc
         return replies, child_deltas

@@ -54,6 +54,7 @@ __all__ = [
     "PTIAnalyzer",
     "PTI_MATCHER_CHOICES",
     "AUTO_AUTOMATON_MIN_FRAGMENTS",
+    "uncovered_detection",
 ]
 
 #: Valid values of :attr:`PTIConfig.matcher` (mirrors the NTI
@@ -66,6 +67,21 @@ PTI_MATCHER_CHOICES = ("auto", "scan", "automaton")
 #: one-pass engine wins and keeps winning (its cost is store-size
 #: independent).  Resolved once per analyzer: its store never changes.
 AUTO_AUTOMATON_MIN_FRAGMENTS = 16
+
+
+def uncovered_detection(token: Token) -> Detection:
+    """PTI's detection of a critical token no fragment occurrence covers.
+
+    The one PTI detection: the analysis makes it, and a subprocess
+    daemon's parent rebuilds it from a flagged reply span.
+    """
+    return Detection(
+        technique=Technique.PTI,
+        reason="critical token not covered by any program fragment",
+        token_text=token.text,
+        token_start=token.start,
+        token_end=token.end,
+    )
 
 
 @dataclass(frozen=True)
@@ -331,15 +347,7 @@ class PTIAnalyzer:
             witness = self.cover_token_witness(query, token)
             witnesses.append(witness)
             if witness is None:
-                detections.append(
-                    Detection(
-                        technique=Technique.PTI,
-                        reason="critical token not covered by any program fragment",
-                        token_text=token.text,
-                        token_start=token.start,
-                        token_end=token.end,
-                    )
-                )
+                detections.append(uncovered_detection(token))
             else:
                 markings.append(
                     TaintMarking(

@@ -22,6 +22,7 @@ frame each way:
         flags:B    bit0 = safe, bits1-2 = from_cache code
                    (0 none / 1 "query" / 2 "structure"), bit3 = has_tokens
         if has_tokens:  n:H  then n * (type_code:B | start:I | end:I)
+                        type_code bit7 = PTI found the token uncovered
 
 Key properties:
 
@@ -40,7 +41,9 @@ Key properties:
   token at pack time and refuses (``WireFormatError``) on any token it
   could not reconstruct byte-exactly -- the daemon loop then ships that
   reply's verdicts without tokens (the parent re-lexes) rather than ship
-  a lossy one.
+  a lossy one.  A span whose type byte carries :data:`SPAN_UNCOVERED`
+  is a token PTI found uncovered: the parent rebuilds its detection from
+  the span, so a verdict without tokens carries no detections.
 - **Fail-closed decoding.**  Every unpack validates magic, version, kind,
   counts, bounds and exact frame length; anything off raises
   :class:`WireFormatError`, which the parent converts to
@@ -105,7 +108,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from typing import Iterable, NamedTuple, Sequence
+from typing import Container, Iterable, NamedTuple, Sequence
 
 from ..sqlparser.lexer import token_value
 from ..sqlparser.tokens import Token, TokenType
@@ -125,6 +128,7 @@ __all__ = [
     "MAX_FRAME",
     "MAX_INPUTS",
     "PREFIX",
+    "SPAN_UNCOVERED",
     "STAGES",
     "WireFormatError",
     "GatewayRequest",
@@ -209,6 +213,9 @@ _TYPE_CODES = {
 }
 _CODE_TYPES = {code: ttype for ttype, code in _TYPE_CODES.items()}
 
+#: Set in a reply span's type byte when PTI found that token uncovered.
+SPAN_UNCOVERED = 0x80
+
 
 class WireFormatError(ValueError):
     """A frame (or a batch about to become one) violates the wire format."""
@@ -231,10 +238,14 @@ def peek_kind(frame: bytes) -> int:
     return kind
 
 
-def spans_from_tokens(tokens: Iterable[Token]) -> list[tuple[int, int, int]]:
+def spans_from_tokens(
+    tokens: Iterable[Token], uncovered: Container[tuple[int, int]] = ()
+) -> list[tuple[int, int, int]]:
     """Compress tokens to ``(type_code, start, end)`` wire spans.
 
-    Raises :class:`WireFormatError` for any token whose exact ``(type,
+    A token whose ``(start, end)`` is in ``uncovered`` gets
+    :data:`SPAN_UNCOVERED` in its type code.  Raises
+    :class:`WireFormatError` for any token whose exact ``(type,
     text, value)`` could not be rebuilt from its span alone -- unknown
     type, span/text disagreement, or a value differing from the lexer
     derivation.  Callers treat that as "this reply cannot use the packed
@@ -247,6 +258,8 @@ def spans_from_tokens(tokens: Iterable[Token]) -> list[tuple[int, int, int]]:
             raise WireFormatError(f"token type not wire-packable: {token.type}")
         if token.value != token_value(token.type, token.text):
             raise WireFormatError(f"token value not derivable from span: {token!r}")
+        if uncovered and (token.start, token.end) in uncovered:
+            code |= SPAN_UNCOVERED
         spans.append((code, token.start, token.end))
     return spans
 
@@ -259,12 +272,14 @@ def tokens_from_spans(
     ``text`` is resliced from ``query`` (sharing the string the caller
     already holds) and ``value`` recomputed by
     :func:`~repro.sqlparser.lexer.token_value`; the result is equal, field
-    for field, to the tokens the remote lexer produced.
+    for field, to the tokens the remote lexer produced.  The
+    :data:`SPAN_UNCOVERED` flag is ignored here; any other unknown bit
+    is an unknown code.
     """
     n = len(query)
     out: list[Token] = []
     for code, start, end in spans:
-        ttype = _CODE_TYPES.get(code)
+        ttype = _CODE_TYPES.get(code & ~SPAN_UNCOVERED)
         if ttype is None:
             raise WireFormatError(f"unknown token type code: {code}")
         if not (0 <= start <= end <= n):

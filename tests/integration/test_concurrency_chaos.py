@@ -63,6 +63,7 @@ def test_swarm_with_reloads_matches_serial_replay_and_never_fails_open():
     assert result.queries_run() == threads * per_thread
     assert result.reloads_performed > 0  # churn actually happened
     assert fail_open_keys(result.records, schedules) == []
+    assert engine.stats.shape_hits > 0  # the fast path served under churn
 
     serial = serial_replay(make_marker_engine, schedules)
     divergences = diff_verdicts(result.records, serial)
@@ -142,6 +143,7 @@ def test_one_child_swarm_matches_serial_and_leaves_no_zombies():
         assert result.errors == []
         assert result.reloads_performed > 0
         assert fail_open_keys(result.records, schedules) == []
+        assert engine.stats.shape_hits > 0  # plans built in this process
 
         snapshot = daemon.resilience_snapshot()
         # One child per vocabulary served every thread: each store swap

@@ -15,15 +15,15 @@ FRAGMENTS = ["SELECT a FROM t WHERE id = ", " OR "]
 
 def test_persistent_daemon_survives_child_crash():
     with SubprocessPTIDaemon(FragmentStore(FRAGMENTS)) as daemon:
-        assert daemon.analyze_query("SELECT a FROM t WHERE id = 1").safe
+        assert daemon.analyze_query("SELECT a FROM t WHERE id = 1").result.safe
         # Kill the child out from under the parent.
         os.kill(daemon._process.pid, signal.SIGKILL)
         daemon._process.join(timeout=5)
         # The next query transparently respawns and still gets a verdict.
         reply = daemon.analyze_query("SELECT a FROM t WHERE id = 2")
-        assert reply.safe
+        assert reply.result.safe
         attack = daemon.analyze_query("SELECT a FROM t WHERE id = 1 UNION SELECT 2")
-        assert not attack.safe
+        assert not attack.result.safe
 
 
 def test_daemon_crash_loses_caches_not_verdicts():
@@ -33,8 +33,8 @@ def test_daemon_crash_loses_caches_not_verdicts():
         daemon._process.join(timeout=5)
         reply = daemon.analyze_query("SELECT a FROM t WHERE id = 1")
         # Fresh child: no cache hit, but the verdict is identical.
-        assert reply.from_cache is None
-        assert reply.safe
+        assert reply.result.from_cache is None
+        assert reply.result.safe
 
 
 def test_attack_log_export_roundtrips_as_json():

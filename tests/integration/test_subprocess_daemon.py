@@ -24,18 +24,39 @@ FRAGMENTS = ["SELECT a FROM t WHERE id = ", " OR ", " LIMIT 5"]
 def test_persistent_daemon_roundtrip():
     with SubprocessPTIDaemon(FragmentStore(FRAGMENTS)) as daemon:
         safe = daemon.analyze_query("SELECT a FROM t WHERE id = 1")
-        assert safe.safe
+        assert safe.result.safe
         unsafe = daemon.analyze_query("SELECT a FROM t WHERE id = 1 UNION SELECT 2")
-        assert not unsafe.safe
+        assert not unsafe.result.safe
         assert unsafe.tokens is not None
+
+
+def test_pti_detections_survive_the_query_cache_and_the_pipe():
+    """Cold, served by the query cache, or decoded from a child's reply,
+    a blocked query names the same uncovered tokens, spans and reason."""
+    fragments = ["SELECT * FROM t WHERE id=", " LIMIT 5"]
+    query = "SELECT * FROM t WHERE id=1 UNION SELECT 2 LIMIT 5"
+    config = JozaConfig(shape=ShapeCacheConfig(enabled=False))
+    context = RequestContext(inputs=[])
+    in_process = JozaEngine.from_fragments(fragments, config)
+    cold = in_process.inspect(query, context).pti
+    assert [d.token_text for d in cold.detections] == ["UNION", "SELECT"]
+    results = [in_process.inspect(query, context).pti]
+    store = FragmentStore(fragments)
+    with SubprocessPTIDaemon(store) as daemon:
+        engine = JozaEngine(store, config, daemon=daemon)
+        results += [engine.inspect(query, context).pti for _ in range(2)]
+    assert [r.from_cache for r in results] == ["query", None, "query"]
+    for result in results:
+        assert not result.safe
+        assert result.detections == cold.detections
 
 
 def test_persistent_daemon_uses_child_caches():
     with SubprocessPTIDaemon(FragmentStore(FRAGMENTS)) as daemon:
         first = daemon.analyze_query("SELECT a FROM t WHERE id = 1")
         second = daemon.analyze_query("SELECT a FROM t WHERE id = 1")
-        assert first.from_cache is None
-        assert second.from_cache == "query"
+        assert first.result.from_cache is None
+        assert second.result.from_cache == "query"
 
 
 def test_persistent_daemon_single_spawn():
@@ -52,16 +73,16 @@ def test_spawn_per_query_mode():
     daemon = SubprocessPTIDaemon(FragmentStore(FRAGMENTS), persistent=False)
     a = daemon.analyze_query("SELECT a FROM t WHERE id = 1")
     b = daemon.analyze_query("SELECT a FROM t WHERE id = 1")
-    assert a.safe and b.safe
+    assert a.result.safe and b.result.safe
     # Every query pays its own spawn -> no cross-query cache hits.
-    assert b.from_cache is None
+    assert b.result.from_cache is None
 
 
 def test_daemon_restarts_after_close():
     daemon = SubprocessPTIDaemon(FragmentStore(FRAGMENTS))
-    assert daemon.analyze_query("SELECT a FROM t WHERE id = 1").safe
+    assert daemon.analyze_query("SELECT a FROM t WHERE id = 1").result.safe
     daemon.close()
-    assert daemon.analyze_query("SELECT a FROM t WHERE id = 2").safe
+    assert daemon.analyze_query("SELECT a FROM t WHERE id = 2").result.safe
     daemon.close()
 
 
@@ -92,12 +113,12 @@ def test_subprocess_daemon_matcher_parity(matcher):
         pti=PTIConfig(matcher=matcher),
     )
     with SubprocessPTIDaemon(FragmentStore(FRAGMENTS), config) as daemon:
-        assert daemon.analyze_query("SELECT a FROM t WHERE id = 1").safe
-        assert daemon.analyze_query("SELECT a FROM t WHERE id = 1 OR 2").safe
+        assert daemon.analyze_query("SELECT a FROM t WHERE id = 1").result.safe
+        assert daemon.analyze_query("SELECT a FROM t WHERE id = 1 OR 2").result.safe
         unsafe = daemon.analyze_query(
             "SELECT a FROM t WHERE id = 1 UNION SELECT 2"
         )
-        assert not unsafe.safe
+        assert not unsafe.result.safe
 
 
 def test_engine_pti_matcher_threads_into_subprocess_daemon():

@@ -51,7 +51,6 @@ SHAPE_KEYS = (
     "shape_misses",
     "shape_fallthroughs",
     "shape_plans_built",
-    "shadow_checks",
 )
 
 

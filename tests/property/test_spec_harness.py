@@ -4,7 +4,8 @@ The rule is ``tests/reference/hybrid_spec.py`` (DESIGN.md section 1): PTI
 covers every critical token with one fragment occurrence, NTI's difference
 ratio plus the whole-token rule, and the AND of the two.  This harness
 generates cases and requires every deployment shape to give the spec's
-verdict on every query, overall and for PTI and NTI separately, under both
+verdict on every query, overall and for PTI and NTI separately, and PTI's
+detections (each uncovered critical token's text and span), under both
 token policies, with ``failsafe`` false (no fault is injected).
 
 A case is
@@ -39,7 +40,11 @@ The seven shapes (each proves it did its work):
    dir -- the reloaded overlay is recovered.
 
 Vocabularies of 16 or more fragments run the automaton matcher (the
-explicit example guarantees one), smaller ones the scan.  Tier-1 runs a
+first explicit example guarantees one), smaller ones the scan.  The
+second explicit example replays the shape fast path's own inputs: three
+templates, each warmed and then instantiated with benign values, attacks
+and evasion payloads -- magic-quotes comment blocks, ``%27`` runs and
+Taintless-style short tokens.  Tier-1 runs a
 few examples per policy; CI's ``spec-harness`` profile (``tests/conftest.py``)
 runs many more.
 
@@ -55,6 +60,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.attacks import mutate_payload_for_nti, taintless_mutate
+from repro.attacks.payloads import quote_comment_block
 from repro.core import JozaConfig, JozaEngine, ShapeCacheConfig
 from repro.phpapp import transforms
 from repro.phpapp.context import CapturedInput, RequestContext
@@ -384,39 +390,104 @@ def _status_case():
     )
 
 
+#: The shape fast path's templates, each with exactly its pieces as
+#: fragments.
+FASTPATH_TEMPLATES = (
+    (
+        "SELECT a FROM t WHERE id = {} LIMIT 5",
+        ("SELECT a FROM t WHERE id = ", " LIMIT 5"),
+    ),
+    (
+        "SELECT * FROM posts WHERE slug = '{}' ORDER BY id DESC",
+        ("SELECT * FROM posts WHERE slug = '", "' ORDER BY id DESC"),
+    ),
+    (
+        "UPDATE t SET name = '{}' WHERE id = 7",
+        ("UPDATE t SET name = '", "' WHERE id = "),
+    ),
+)
+#: Values each template is instantiated with once its shape is warm.
+FASTPATH_VALUES = (
+    "1", "42", "hello", "a-slug", "o reilly", "",
+    "0 OR 1=1",
+    "-1 UNION SELECT user()",
+    "x' OR '1'='1",
+    "' UNION SELECT password FROM users -- ",
+    "1; DROP TABLE t",
+    # Magic-quotes comment stuffing (paper Fig. 6C): an inert quote-filled
+    # comment block inflates NTI's edit distance.
+    quote_comment_block(8) + "0 OR 1=1",
+    "x' " + quote_comment_block(12) + "OR '1'='1",
+    # URL-decode variant: %27 collapses to ' after capture.
+    "/*" + "%27" * 6 + "*/ 0 OR 1=1",
+    # Taintless-style short tokens: every token near or below match length.
+    "1=1",
+    "a'#",
+    "1 or 1",
+)
+
+
+def _fastpath_case():
+    """Every fast-path template warm, then every value in every template;
+    the first template's fragments are the overlay the swap removes."""
+    warm = tuple(
+        Request((text.format(v),), (v,))
+        for v in ("1", "2", "3")
+        for text, _ in FASTPATH_TEMPLATES
+    )
+    values = tuple(
+        Request((text.format(v),), (v,))
+        for text, _ in FASTPATH_TEMPLATES
+        for v in FASTPATH_VALUES
+    )
+    base = tuple(f for _, pieces in FASTPATH_TEMPLATES[1:] for f in pieces)
+    return Case(base, FASTPATH_TEMPLATES[0][1], (), warm + values)
+
+
 # ---------------------------------------------------------------------------
 # The judge
 # ---------------------------------------------------------------------------
 
 
 def spec_views(case, vocabulary, strict):
-    """``(safe, pti_safe, nti_safe, failsafe)`` as the spec decides each
-    query of one phase."""
+    """``(safe, pti_safe, nti_safe, failsafe, pti_detections)`` as the
+    spec decides each query of one phase."""
     views = []
     for request in case.requests:
         for query in request.queries:
             safe, pti, nti = hybrid_spec(
                 query, vocabulary, request.inputs, THRESHOLD, strict
             )
-            views.append((safe, pti[0], nti[0], False))
+            views.append((safe, pti[0], nti[0], False, tuple(pti[1])))
     return views
 
 
 def engine_view(verdict):
+    pti = verdict.pti
     return (
         verdict.safe,
-        None if verdict.pti is None else verdict.pti.safe,
+        None if pti is None else pti.safe,
         None if verdict.nti is None else verdict.nti.safe,
         verdict.failsafe,
+        None
+        if pti is None
+        else tuple((d.token_text, d.token_start, d.token_end) for d in pti.detections),
     )
 
 
 def gateway_view(verdict):
+    pti = verdict["pti"]
     return (
         verdict["safe"],
-        None if verdict["pti"] is None else verdict["pti"]["safe"],
+        None if pti is None else pti["safe"],
         None if verdict["nti"] is None else verdict["nti"]["safe"],
         verdict["failsafe"],
+        None
+        if pti is None
+        else tuple(
+            (d["token_text"], d["token_start"], d["token_end"])
+            for d in pti["detections"]
+        ),
     )
 
 
@@ -550,6 +621,7 @@ def gateway_shapes(case, strict):
 )
 @given(case=cases())
 @example(case=_status_case())
+@example(case=_fastpath_case())
 def test_every_shape_decides_as_hybrid_spec(strict, case):
     shapes = in_process_shapes(case, strict)
     views = {name: phases for name, (phases, _) in shapes.items()}

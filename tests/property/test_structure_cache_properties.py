@@ -83,12 +83,12 @@ def test_literal_variants_are_served_and_sound(template_index, value, edits):
     fragments, template, canonical = TEMPLATES[template_index]
     daemon = PTIDaemon(FragmentStore(fragments), DaemonConfig())
     plain = PTIAnalyzer(FragmentStore(fragments), PTIConfig(use_mru=False))
-    assert daemon.analyze_query(template.format(*canonical)).safe
+    assert daemon.analyze_query(template.format(*canonical)).result.safe
     numeric = canonical[1].isdigit()
     other = "424242" if numeric else "zz"
     hit = daemon.analyze_query(template.format(canonical[0], other))
-    assert hit.safe and hit.from_cache == "structure"
+    assert hit.result.safe and hit.result.from_cache == "structure"
     # Any other variant: whatever path serves it, the verdict is exact.
     query = respace(template.format(canonical[0], value), edits)
-    assert daemon.analyze_query(query).safe == plain.analyze(query).safe
+    assert daemon.analyze_query(query).result.safe == plain.analyze(query).safe
 

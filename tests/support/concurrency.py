@@ -42,6 +42,7 @@ from repro.core.resilience import (
 from repro.phpapp.context import CapturedInput, RequestContext
 from repro.pti.daemon import PTIDaemon
 from repro.pti.fragments import FragmentStore
+from repro.pti.inference import PTIAnalyzer
 from .faults import POISON_MARKER
 
 __all__ = [
@@ -87,6 +88,10 @@ class MarkerFaultDaemon:
     @property
     def store(self) -> FragmentStore:
         return self.inner.store
+
+    @property
+    def analyzer(self) -> PTIAnalyzer:
+        return self.inner.analyzer
 
     @property
     def timings(self):

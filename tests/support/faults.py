@@ -48,6 +48,7 @@ from repro.core.resilience import (
 )
 from repro.pti.daemon import DaemonConfig, PTIDaemon, SubprocessPTIDaemon
 from repro.pti.fragments import FragmentStore
+from repro.pti.inference import PTIAnalyzer
 
 __all__ = [
     "FaultKind",
@@ -271,6 +272,10 @@ class FlakyDaemon:
     @property
     def store(self) -> FragmentStore:
         return self.inner.store
+
+    @property
+    def analyzer(self) -> PTIAnalyzer:
+        return self.inner.analyzer
 
     @property
     def timings(self):

@@ -143,34 +143,67 @@ def test_store_json_refuses_malformed_documents(text):
 
 
 @pytest.fixture
-def bad_fragment_files(tmp_path):
+def bad_files(tmp_path):
     plain = tmp_path / "plain.txt"
     plain.write_text("SELECT * FROM t WHERE id=\n LIMIT 5\n")
     string = tmp_path / "string.json"
     string.write_text(json.dumps({"version": 1, "fragments": "SELECT"}))
+    braces = tmp_path / "braces.json"
+    braces.write_text("{bad")
+    listed = tmp_path / "listed.json"
+    listed.write_text(json.dumps(["SELECT "]))
     return {
         "plain": (plain, "not JSON"),
         "string": (string, "must be a list of strings"),
         "missing": (tmp_path / "missing.json", "No such file or directory"),
+        "unreadable": (plain / "plugin.php", "Not a directory"),
+        "braces": (braces, "not JSON"),
+        "listed": (listed, "expected a non-empty JSON object"),
     }
 
 
-@pytest.mark.parametrize("kind", ["plain", "string", "missing"])
-@pytest.mark.parametrize("command", ["inspect", "serve"])
+#: Each loader's argv for a file ``path``, and the file kind it names.
+LOADERS = {
+    "inspect": (["inspect", "SELECT 1", "--fragments-file"], "fragments file"),
+    "serve": (["serve", "--unix", "{sock}", "--selfcheck", "--fragments-file"],
+              "fragments file"),
+    "inspect-php": (["inspect", "SELECT 1", "--php"], "PHP source"),
+    "serve-php": (["serve", "--unix", "{sock}", "--selfcheck", "--php"],
+                  "PHP source"),
+    "fragments": (["fragments"], "PHP source"),
+    "serve-tenants": (["serve", "--unix", "{sock}", "--selfcheck", "--tenants"],
+                      "tenants file"),
+}
+UNLOADABLE = [
+    (command, kind)
+    for command in ("inspect", "serve")
+    for kind in ("missing", "plain", "string")
+] + [
+    ("inspect-php", "missing"),
+    ("inspect-php", "unreadable"),
+    ("serve-php", "missing"),
+    ("fragments", "missing"),
+    ("serve-tenants", "missing"),
+    ("serve-tenants", "braces"),
+    ("serve-tenants", "listed"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,kind", UNLOADABLE, ids=[f"{c}-{k}" for c, k in UNLOADABLE]
+)
 def test_unloadable_fragments_file_exits_1_with_one_line(
-    bad_fragment_files, command, kind, tmp_path, capsys
+    bad_files, command, kind, tmp_path, capsys
 ):
-    path, reason = bad_fragment_files[kind]
-    if command == "inspect":
-        argv = ["inspect", "SELECT 1", "--fragments-file", str(path)]
-    else:
-        argv = ["serve", "--unix", str(tmp_path / "gw.sock"),
-                "--fragments-file", str(path), "--selfcheck"]
+    path, reason = bad_files[kind]
+    prefix, what = LOADERS[command]
+    sock = str(tmp_path / "gw.sock")
+    argv = [arg.format(sock=sock) for arg in prefix] + [str(path)]
     code, output = run(argv)
     assert code == 1
     assert output == ""
     err = capsys.readouterr().err
-    assert err.startswith(f"repro: cannot load fragments file {path}: ")
+    assert err.startswith(f"repro: cannot load {what} {path}: ")
     assert reason in err
     assert err.count("\n") == 1 and "Traceback" not in err
 

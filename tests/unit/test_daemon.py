@@ -11,10 +11,10 @@ def test_safe_query_analyzed_and_cached():
     daemon = make_daemon()
     query = "SELECT a FROM t WHERE id = 5"
     first = daemon.analyze_query(query)
-    assert first.safe and first.from_cache is None
+    assert first.result.safe and first.result.from_cache is None
     assert first.tokens is not None
     second = daemon.analyze_query(query)
-    assert second.safe and second.from_cache == "query"
+    assert second.result.safe and second.result.from_cache == "query"
     # Query-cache hits return the cached token list (NTI reuse, IV-D).
     assert second.tokens is not None
     assert [t.text for t in second.tokens] == [t.text for t in first.tokens]
@@ -24,7 +24,7 @@ def test_structure_cache_serves_literal_variants():
     daemon = make_daemon()
     daemon.analyze_query("SELECT a FROM t WHERE id = 5")
     reply = daemon.analyze_query("SELECT a FROM t WHERE id = 777")
-    assert reply.safe and reply.from_cache == "structure"
+    assert reply.result.safe and reply.result.from_cache == "structure"
     assert reply.tokens is not None
 
 
@@ -32,22 +32,22 @@ def test_unsafe_verdicts_not_structure_cached():
     daemon = make_daemon(fragments=("SELECT a FROM t WHERE id = ",))
     attack = "SELECT a FROM t WHERE id = 1 UNION SELECT 2"
     reply = daemon.analyze_query(attack)
-    assert not reply.safe
+    assert not reply.result.safe
     # A literal variant of the same attack re-analyzes (no structure hit)...
     variant = "SELECT a FROM t WHERE id = 9 UNION SELECT 8"
     reply2 = daemon.analyze_query(variant)
-    assert reply2.from_cache is None
-    assert not reply2.safe
+    assert reply2.result.from_cache is None
+    assert not reply2.result.safe
     # ...but the exact string is query-cached.
     reply3 = daemon.analyze_query(attack)
-    assert reply3.from_cache == "query" and not reply3.safe
+    assert reply3.result.from_cache == "query" and not reply3.result.safe
 
 
 def test_caches_disabled():
     daemon = make_daemon(use_query_cache=False, use_structure_cache=False)
     query = "SELECT a FROM t WHERE id = 5"
     daemon.analyze_query(query)
-    assert daemon.analyze_query(query).from_cache is None
+    assert daemon.analyze_query(query).result.from_cache is None
     assert len(daemon.query_cache) == 0
     assert len(daemon.structure_cache) == 0
 
@@ -56,7 +56,7 @@ def test_structure_cache_only():
     daemon = make_daemon(use_query_cache=False, use_structure_cache=True)
     daemon.analyze_query("SELECT a FROM t WHERE id = 1")
     reply = daemon.analyze_query("SELECT a FROM t WHERE id = 2")
-    assert reply.from_cache == "structure"
+    assert reply.result.from_cache == "structure"
 
 
 def test_refresh_fragments_invalidates_caches():
@@ -68,13 +68,13 @@ def test_refresh_fragments_invalidates_caches():
     store = FragmentStore([" UNION "])
     daemon.refresh_fragments(store)
     # New vocabulary no longer covers the query, nor a same-shape variant.
-    assert not daemon.analyze_query(query).safe
+    assert not daemon.analyze_query(query).result.safe
     # The first lookup under the new store's epoch flushed each cache.
     for cache in (daemon.query_cache, daemon.structure_cache):
         assert cache.invalidations == 1
         assert cache.epoch == store.epoch
     variant = daemon.analyze_query("SELECT a FROM t WHERE id = 7")
-    assert not variant.safe and variant.from_cache is None
+    assert not variant.result.safe and variant.result.from_cache is None
 
 
 def test_timings_accumulate():
@@ -100,7 +100,7 @@ def test_queries_analyzed_counter():
 def test_unparseable_query_still_analyzed():
     daemon = make_daemon()
     reply = daemon.analyze_query("garbage OR 1=1 ((")
-    assert not reply.safe
+    assert not reply.result.safe
 
 
 def test_unoptimized_config_same_verdicts():
@@ -118,7 +118,10 @@ def test_unoptimized_config_same_verdicts():
         "SELECT a FROM t WHERE id = 1 OR 2",
         "SELECT a FROM t WHERE id = 1 UNION SELECT 2",
     ):
-        assert optimized.analyze_query(query).safe == unoptimized.analyze_query(query).safe
+        assert (
+            optimized.analyze_query(query).result.safe
+            == unoptimized.analyze_query(query).result.safe
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +176,12 @@ def test_structure_hit_rechecks_crossing_witness_in_place():
     daemon = make_daemon(
         fragments=("SELECT a FROM t WHERE b = 'on' AND id = ", " = "),
     )
-    assert daemon.analyze_query("SELECT a FROM t WHERE b = 'on' AND id = 1").safe
+    assert daemon.analyze_query("SELECT a FROM t WHERE b = 'on' AND id = 1").result.safe
     # Same literal where the witness crosses it: re-proven, served cached.
     again = daemon.analyze_query("SELECT a FROM t WHERE b = 'on' AND id = 99")
-    assert again.safe and again.from_cache == "structure"
+    assert again.result.safe and again.result.from_cache == "structure"
     # Different literal there: the re-proof fails, full analysis decides.
     other = daemon.analyze_query("SELECT a FROM t WHERE b = 'off' AND id = 1")
-    assert not other.safe and other.from_cache is None
+    assert not other.result.safe and other.result.from_cache is None
     stats = daemon.structure_cache.stats
     assert (stats.hits, stats.misses) == (1, 2)

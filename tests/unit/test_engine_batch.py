@@ -15,6 +15,7 @@ from repro.core.resilience import DaemonUnavailable, Deadline
 from repro.phpapp.context import CapturedInput, RequestContext
 from repro.pti import FragmentStore
 from repro.pti.daemon import DaemonConfig, PTIDaemon
+from repro.pti.inference import PTIAnalyzer
 
 FRAGMENTS = ["SELECT * FROM records WHERE ID=", " LIMIT 5", " OR ", " = "]
 
@@ -128,6 +129,7 @@ def test_inspect_reaches_the_daemon_only_through_analyze_batch():
 def test_failed_batch_exchange_fails_closed_per_query():
     class DeadBatchDaemon:
         store = FragmentStore(FRAGMENTS)
+        analyzer = PTIAnalyzer(store)
 
         def analyze_batch(self, queries, deadline=None):
             raise DaemonUnavailable("injected batch outage")
@@ -146,6 +148,7 @@ def test_batch_reply_count_mismatch_fails_closed():
         def __init__(self, inner):
             self.inner = inner
             self.store = inner.store
+            self.analyzer = inner.analyzer
 
         def analyze_batch(self, queries, deadline=None):
             return [self.inner.analyze_query(queries[0], deadline=deadline)]

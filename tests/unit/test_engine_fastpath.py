@@ -3,9 +3,9 @@
 Covers hit/miss/plant accounting, NTI still running on shape hits, unsafe
 shapes never being cached, vocabulary changes (store swaps) provably
 invalidating cached PTI coverage -- including a swap racing a plan plant
---, shadow validation, and the unified ``cache_stats()`` introspection
-surface.  Plans are admitted on a shape's second clean sighting, so every
-test that needs a plan warms its shape twice.
+--, and the unified ``cache_stats()`` introspection surface.  Plans are
+admitted on a shape's second clean sighting, so every test that needs a
+plan warms its shape twice.
 """
 
 from repro.core import (
@@ -17,6 +17,7 @@ from repro.core import (
 )
 from repro.phpapp.context import CapturedInput, RequestContext
 from repro.pti import FragmentStore, PTIDaemon
+from tests.support.concurrency import MarkerFaultDaemon
 
 FRAGMENTS = ["SELECT * FROM records WHERE ID=", " LIMIT 5", " OR ", " = "]
 
@@ -50,17 +51,18 @@ def test_shape_hit_serves_plan_verdict_and_counts():
     assert engine.stats.shape_hits == 1
 
 
-class BrokenStoreDaemon(PTIDaemon):
-    """An in-process backend whose ``store`` raises; analysis still works."""
+class BrokenStoreDaemon(MarkerFaultDaemon):
+    """An in-process backend whose ``analyzer`` raises; analysis still works."""
 
     @property
-    def store(self):
-        raise RuntimeError("store unavailable")
+    def analyzer(self):
+        raise RuntimeError("analyzer unavailable")
 
 
 def test_store_errors_fall_through_counted_with_exact_verdicts():
     engine = JozaEngine(
-        FragmentStore(FRAGMENTS), daemon=BrokenStoreDaemon(FragmentStore(FRAGMENTS))
+        FragmentStore(FRAGMENTS),
+        daemon=BrokenStoreDaemon(PTIDaemon(FragmentStore(FRAGMENTS))),
     )
     benign = "SELECT * FROM records WHERE ID=1 LIMIT 5"
     attack = "SELECT * FROM records WHERE ID=1 OR 1 = 1 LIMIT 5"
@@ -220,33 +222,6 @@ def test_swap_racing_a_plan_plant_never_serves_the_old_vocabulary(monkeypatch):
         fresh.detected_by(),
     )
     assert not verdict.safe and verdict.pti.from_cache is None
-
-
-# ---------------------------------------------------------------------------
-# Shadow validation
-# ---------------------------------------------------------------------------
-
-
-def test_shadow_validation_counts_and_never_diverges():
-    engine = JozaEngine.from_fragments(
-        FRAGMENTS, JozaConfig(shape=ShapeCacheConfig(shadow_rate=1.0, shadow_seed=7))
-    )
-    for i in range(6):
-        verdict = engine.inspect(
-            f"SELECT * FROM records WHERE ID={i} LIMIT 5", ctx(str(i))
-        )
-        assert verdict.safe
-    assert engine.stats.shape_hits >= 4
-    assert engine.stats.shadow_checks == engine.stats.shape_hits
-    assert engine.stats.shadow_divergences == 0
-
-
-def test_shadow_rate_zero_never_samples():
-    engine = JozaEngine.from_fragments(FRAGMENTS)
-    for i in range(4):
-        engine.inspect(f"SELECT * FROM records WHERE ID={i} LIMIT 5", ctx(str(i)))
-    assert engine.stats.shape_hits >= 1
-    assert engine.stats.shadow_checks == 0
 
 
 # ---------------------------------------------------------------------------

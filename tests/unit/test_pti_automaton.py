@@ -157,9 +157,9 @@ def test_epoch_rebuild_on_added_fragment():
     store = FragmentStore(["SELECT a FROM t WHERE id = "])
     daemon = PTIDaemon(store, DaemonConfig(pti=PTIConfig(matcher="automaton")))
     query = "SELECT a FROM t WHERE id = 1 LIMIT 5"
-    assert not daemon.analyze_query(query).safe  # LIMIT uncovered
+    assert not daemon.analyze_query(query).result.safe  # LIMIT uncovered
     daemon.refresh_fragments(FragmentStore([*store, " LIMIT 5"]))
-    assert daemon.analyze_query(query).safe  # the new store's automaton
+    assert daemon.analyze_query(query).result.safe  # the new store's automaton
     assert daemon.analyzer.automaton_builds == 1
 
 
@@ -167,7 +167,7 @@ def test_epoch_rebuild_on_removed_fragment_revokes_coverage():
     store = FragmentStore(["SELECT a FROM t WHERE id = ", " OR "])
     daemon = PTIDaemon(store, DaemonConfig(pti=PTIConfig(matcher="automaton")))
     attack = "SELECT a FROM t WHERE id = 1 OR 1"
-    assert daemon.analyze_query(attack).safe
+    assert daemon.analyze_query(attack).result.safe
     daemon.refresh_fragments(FragmentStore(f for f in store if f != " OR "))
     result = daemon.analyze_query(attack).result
     assert not result.safe

@@ -142,7 +142,7 @@ def test_removed_fragment_pruned_from_mru():
         store, DaemonConfig(pti=PTIConfig(matcher="scan", use_mru=True))
     )
     attack = "SELECT 1 OR 2"
-    assert daemon.analyze_query(attack).safe  # " OR " lands in the MRU
+    assert daemon.analyze_query(attack).result.safe  # " OR " lands in the MRU
     assert " OR " in daemon.analyzer.mru
     # Uninstall: the swap binds a new analyzer whose MRU holds no fragment
     # of the old vocabulary.

@@ -1,5 +1,7 @@
 """Unit tests for the shape cache: plans, instantiation, prefilter, epochs."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.shapecache import (
@@ -210,7 +212,8 @@ def test_cache_rejects_nonpositive_capacity():
 def test_config_defaults():
     config = ShapeCacheConfig()
     assert config.enabled and config.capacity > 0
-    assert config.shadow_rate == 0.0
+    # Exactly two knobs: the switch and the plan capacity.
+    assert [f.name for f in dataclasses.fields(config)] == ["enabled", "capacity"]
 
 
 def test_plan_token_is_frozen():

@@ -22,11 +22,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import JozaEngine
+from repro.core import AnalysisResult, JozaEngine, Technique
 from repro.core.resilience import CorruptReply
 from repro.phpapp.context import RequestContext
 from repro.pti import wire
-from repro.pti.daemon import DaemonReply, SubprocessPTIDaemon, _reply_frame
+from repro.pti.daemon import DaemonReply, PTIDaemon, SubprocessPTIDaemon, _reply_frame
 from repro.pti.fragments import FragmentStore
 from repro.sqlparser.parser import critical_tokens
 from repro.sqlparser.tokens import Token, TokenType
@@ -38,7 +38,8 @@ from repro.sqlparser.tokens import Token, TokenType
 QUERIES = st.lists(st.text(max_size=80), min_size=1, max_size=12)
 
 SPAN = st.tuples(
-    st.integers(min_value=0, max_value=4),
+    # Type codes 0-4, each also with the uncovered flag.
+    st.sampled_from([c | f for c in range(5) for f in (0, wire.SPAN_UNCOVERED)]),
     st.integers(min_value=0, max_value=500),
     st.integers(min_value=0, max_value=500),
 ).map(lambda t: (t[0], min(t[1], t[2]), max(t[1], t[2])))
@@ -101,6 +102,13 @@ def test_token_spans_round_trip_exactly():
         spans = wire.spans_from_tokens(tokens)
         rebuilt = wire.tokens_from_spans(query, spans)
         assert rebuilt == tokens
+        # Flagged spans rebuild the same tokens and keep their flag.
+        uncovered = {(t.start, t.end) for t in tokens[1::2]}
+        flagged = wire.spans_from_tokens(tokens, uncovered)
+        assert wire.tokens_from_spans(query, flagged) == tokens
+        assert [
+            (start, end) for code, start, end in flagged if code & wire.SPAN_UNCOVERED
+        ] == [(t.start, t.end) for t in tokens[1::2]]
         for orig, back in zip(tokens, rebuilt):
             assert (orig.type, orig.text, orig.start, orig.end, orig.value) == (
                 back.type,
@@ -138,6 +146,10 @@ def test_request_packer_bounds():
 def test_span_decoder_rejects_bad_spans():
     with pytest.raises(wire.WireFormatError):
         wire.tokens_from_spans("abc", [(99, 0, 1)])  # unknown type code
+    with pytest.raises(wire.WireFormatError):
+        wire.tokens_from_spans("abc", [(wire.SPAN_UNCOVERED | 99, 0, 1)])
+    with pytest.raises(wire.WireFormatError):
+        wire.tokens_from_spans("abc", [(0x40, 0, 1)])  # unknown flag bit
     with pytest.raises(wire.WireFormatError):
         wire.tokens_from_spans("abc", [(0, 2, 9)])  # span beyond query
 
@@ -298,16 +310,39 @@ def test_reply_frame_ships_verdicts_without_unpackable_tokens():
     tokens = critical_tokens(query)
     forged = Token(TokenType.KEYWORD, "SELECT", 0, 6, value="NOT-THE-DERIVATION")
     replies = [
-        DaemonReply(safe=True, result=None, tokens=tokens, from_cache=None),
-        DaemonReply(safe=False, result=None, tokens=[forged], from_cache=None),
+        DaemonReply(AnalysisResult(Technique.PTI, safe=True), tokens),
+        DaemonReply(AnalysisResult(Technique.PTI, safe=False), [forged]),
     ]
     decoded, _ = daemon._decode_batch([query, query], _reply_frame(replies, deltas))
     # Exact verdicts either way; tokens the frame cannot carry exactly are
     # left for the parent to lex rather than shipped lossily.
-    assert [r.safe for r in decoded] == [True, False]
+    assert [r.result.safe for r in decoded] == [True, False]
     assert [r.tokens for r in decoded] == [None, None]
     packable, _ = daemon._decode_batch([query], _reply_frame(replies[:1], deltas))
     assert packable[0].tokens == tokens
+
+
+def test_flagged_spans_rebuild_pti_detections():
+    daemon = _daemon()
+    deltas = {stage: 0.0 for stage in wire.STAGES}
+    store = FragmentStore(FRAGMENTS)
+    local = PTIDaemon(store)
+    queries = [
+        "SELECT * FROM t WHERE id = 1 UNION SELECT 2 LIMIT 1",
+        "SELECT * FROM t WHERE id = 1 LIMIT 1",
+    ]
+    replies = local.analyze_batch(queries)
+    decoded, _ = daemon._decode_batch(queries, _reply_frame(replies, deltas))
+    assert [d.token_text for d in decoded[0].result.detections] == ["UNION", "SELECT"]
+    for sent, got in zip(replies, decoded):
+        assert got.result.safe == sent.result.safe
+        assert got.result.detections == sent.result.detections
+        assert got.tokens == sent.tokens
+    # A safe bit that disagrees with the flags is a corrupt reply.
+    flipped = bytearray(_reply_frame(replies[:1], deltas))
+    flipped[wire._HEADER.size + wire._DELTAS.size] |= 0x01
+    with pytest.raises(CorruptReply):
+        daemon._decode_batch(queries[:1], bytes(flipped))
 
 
 def test_batch_beyond_max_batch_is_split_into_frames():

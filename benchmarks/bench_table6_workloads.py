@@ -9,7 +9,10 @@ Paper values (plain vs protected seconds, overhead):
 
 Reproduced shape asserted: overhead decreases monotonically as the write
 fraction falls (writes are the expensive requests), and the read-heavy end
-stays within single digits.
+stays within single digits.  Each mix's overhead is the median over
+``ROUNDS`` interleaved rounds, each round timing every mix once (plain,
+then protected), so one slow run cannot flip the shape; a row's times
+come from its median round, and the sidecar records every round.
 """
 
 from __future__ import annotations
@@ -25,6 +28,9 @@ from repro.bench.runner import attributed_overhead_pct, measure
 
 _PAPER = {0.50: "8.96%", 0.10: "5.16%", 0.05: "4.53%", 0.01: "4.03%"}
 
+#: Interleaved rounds behind each mix's overhead (odd: one median round).
+ROUNDS = 5
+
 
 @pytest.fixture(scope="module")
 def table6_data():
@@ -36,18 +42,29 @@ def table6_data():
         warmup=warm,
         record_latencies=True,
     )
+    streams = {
+        label: mixed_stream(PERF_NUM_POSTS, 300, write_fraction)
+        for write_fraction, label in TABLE_VI_MIXES
+    }
+    rounds = {label: [] for label in streams}
+    for __ in range(ROUNDS):
+        for label, stream in streams.items():
+            plain = measure(stream, f"plain {label}", protected=False, **common)
+            protected = measure(stream, f"joza {label}", **common)
+            overhead = attributed_overhead_pct(plain, protected)
+            rounds[label].append((overhead, plain, protected))
     out = []
     for write_fraction, label in TABLE_VI_MIXES:
-        stream = mixed_stream(PERF_NUM_POSTS, 300, write_fraction)
-        plain = measure(stream, f"plain {label}", protected=False, **common)
-        protected = measure(stream, f"joza {label}", **common)
+        runs = rounds[label]
+        overhead, plain, protected = sorted(runs, key=lambda run: run[0])[ROUNDS // 2]
         out.append(
             (
                 write_fraction,
                 label,
                 plain,
                 protected,
-                attributed_overhead_pct(plain, protected),
+                overhead,
+                [run[0] for run in runs],
             )
         )
     return out
@@ -62,7 +79,7 @@ def test_table6_workload_mixes(benchmark, table6_data):
             pct(overhead),
             _PAPER[fraction],
         ]
-        for fraction, label, plain, protected, overhead in table6_data
+        for fraction, label, plain, protected, overhead, _ in table6_data
     ]
     emit(
         "table6_workloads",
@@ -82,6 +99,7 @@ def test_table6_workload_mixes(benchmark, table6_data):
                 "num_posts": PERF_NUM_POSTS,
                 "render_cost": REFERENCE_RENDER_COST,
                 "repeats": REPEATS,
+                "rounds": ROUNDS,
             },
             "mixes": [
                 {
@@ -91,20 +109,22 @@ def test_table6_workload_mixes(benchmark, table6_data):
                     "latency_plain": latency_summary(plain.latencies),
                     "latency_protected": latency_summary(protected.latencies),
                     "overhead_pct": overhead,
+                    "overhead_pct_rounds": overhead_rounds,
                     "overhead_paper": _PAPER[fraction],
                     "nti_seconds": protected.engine.stats.nti_seconds,
                     "pti_seconds": protected.engine.stats.pti_seconds,
                     "caches": protected.engine.cache_stats(),
                 }
-                for fraction, label, plain, protected, overhead in table6_data
+                for fraction, label, plain, protected, overhead, overhead_rounds
+                in table6_data
             ],
         },
     )
-    overheads = [overhead for *__, overhead in table6_data]
-    # Shape: the write-heavy end is the worst case and the read-heavy end a
-    # clear improvement over it.  (Strict monotonicity across the middle
-    # mixes is below the composition variance of millisecond-scale streams,
-    # so it is not asserted.)
+    overheads = [overhead for *__, overhead, _ in table6_data]
+    # Shape, on the medians of the interleaved rounds: the write-heavy end
+    # is the worst case and the read-heavy end a clear improvement over it.
+    # (Strict monotonicity across the middle mixes is below the composition
+    # variance of millisecond-scale streams, so it is not asserted.)
     assert overheads[0] == max(overheads)
     assert overheads[-1] < 0.75 * overheads[0]
     assert overheads[-1] < 10.0  # read-heavy end stays single-digit

@@ -15,7 +15,7 @@ Run:  python examples/audit_and_hardening.py
 
 import json
 
-from repro.core import JozaConfig, JozaEngine
+from repro.core import JozaConfig, JozaEngine, dict_to_verdict
 from repro.phpapp import HttpRequest
 from repro.phpapp.context import RequestContext
 from repro.testbed import ADMIN_PASSWORD_HASH, build_testbed, make_request, plugin_by_name
@@ -51,8 +51,12 @@ def main() -> None:
         response = app.handle(make_request(defn, payload))
         print(f"  {label}: blocked={response.blocked}")
     audit = json.loads(engine.export_attack_log())
+    # Each attack is one audit event; its verdict says which technique
+    # flagged which token.
+    first = dict_to_verdict(audit["attacks"][0]["verdict"])
+    flagged = sorted(t.value for t in first.detected_by())
     print(f"  audit log: {audit['application_stats']['attacks_blocked']} attacks, "
-          f"first flagged by {audit['attacks'][0]['detected_by']}")
+          f"first flagged by {flagged}")
 
     print("\n=== 3. Strict token policy: the Section II trade-off ===")
     fragments = ["SELECT name, price FROM things ORDER BY ", "price", "name"]

@@ -435,16 +435,17 @@ def _serve_selfcheck(gateway, args, out) -> int:
     unforgivable state).  Leg two (restart): the gateway is killed
     crash-shaped -- no drain, no final checkpoint -- and a fresh gateway
     restores from the state dir; its verdicts must be byte-identical to
-    the pre-crash ones and the journaled attack evidence must survive.
+    the pre-crash ones, the journaled attack evidence must survive, and
+    its audit must list the attack it blocked again.
     With no ``--state-dir``, a temporary directory hosts the restart leg
     so the durability path is always exercised.
     """
     import shutil
     import tempfile
 
-    from .core import JozaEngine
+    from .core import JozaEngine, verdict_to_dict
     from .phpapp.context import CapturedInput, RequestContext
-    from .service.codec import encode_verdict, verdict_to_dict
+    from .service.codec import encode_verdict
 
     benign_query, benign_value = _SELFCHECK_BENIGN
     attack_query, attack_value = _SELFCHECK_ATTACK
@@ -497,6 +498,11 @@ def _serve_selfcheck(gateway, args, out) -> int:
     recovered = restarted.durable.recovered if restarted.durable else None
     if recovered is None or not recovered.audit:
         failures.append("restart: journaled attack evidence did not survive")
+    attack_audited = any(
+        event["verdict"]["query"] == attack_query for event in restarted.audit
+    )
+    if not attack_audited:
+        failures.append("restart: the blocked attack is missing from the audit")
     if not drained:
         failures.append("gateway did not drain cleanly")
     print(f"benign via gateway: safe={via_gateway[0]['safe']}", file=out)
@@ -505,7 +511,8 @@ def _serve_selfcheck(gateway, args, out) -> int:
     print(
         f"restart: source={recovered.source if recovered else 'none'} "
         f"byte-identical={restart_parity} "
-        f"audit_survived={bool(recovered and recovered.audit)}",
+        f"audit_survived={bool(recovered and recovered.audit)} "
+        f"attack_audited={attack_audited}",
         file=out,
     )
     print(f"drained: {drained}", file=out)

@@ -48,47 +48,28 @@ from .resilience import (
     PTIFailure,
     RingLog,
 )
-from .verdict import AnalysisResult, QueryVerdict, Technique
+from .verdict import (
+    AnalysisResult,
+    QueryVerdict,
+    Technique,
+    audit_event,
+    verdict_to_dict,
+)
 
 __all__ = ["JozaEngine", "AttackRecord", "EngineStats"]
 
 
 @dataclass(frozen=True)
 class AttackRecord:
-    """Audit-log entry for one blocked query.
-
-    ``client_id`` attributes the block to the gateway connection / tenant
-    that issued the query (DESIGN.md section 12); ``None`` for in-process
-    deployments where there is no remote client.
-    """
+    """Audit-log entry for one query the engine blocked in process."""
 
     query: str
     verdict: QueryVerdict
     request_path: str
-    client_id: str | None = None
 
     def to_dict(self) -> dict:
-        """JSON-serialisable form for audit export."""
-        return {
-            "query": self.query,
-            "request_path": self.request_path,
-            "client_id": self.client_id,
-            "detected_by": sorted(t.value for t in self.verdict.detected_by()),
-            "degraded": self.verdict.degraded,
-            "failsafe": self.verdict.failsafe,
-            "failure_reasons": list(self.verdict.failure_reasons),
-            "detections": [
-                {
-                    "technique": d.technique.value,
-                    "token": d.token_text,
-                    "start": d.token_start,
-                    "end": d.token_end,
-                    "reason": d.reason,
-                    "input": d.input_value,
-                }
-                for d in self.verdict.detections
-            ],
-        }
+        """The audit event (:func:`~repro.core.verdict.audit_event`)."""
+        return audit_event(verdict_to_dict(self.verdict), self.request_path)
 
 
 #: Degradation counters (DESIGN.md section 7): how often the runtime
@@ -261,7 +242,8 @@ class JozaEngine:
         ``nti.match`` is the per-query NTI cache and counts per query (see
         :meth:`~repro.nti.inference.NTIAnalyzer.cache_stats`).  ``pti`` is
         the backend's :meth:`~repro.pti.daemon.PTIBackend.cache_stats`:
-        empty for a subprocess daemon, whose caches live in the child.
+        a subprocess daemon's holds only ``matcher`` (its parent-side
+        analyzer's work), because its caches live in the child.
         Counters that are not cache readings (the shape fast path, batching,
         the NTI prefilter, the store) are in :meth:`resilience_report`.
         """
@@ -874,28 +856,15 @@ class JozaEngine:
     # Audit
     # ------------------------------------------------------------------
 
-    def record_block(
-        self,
-        verdict: QueryVerdict,
-        request_path: str,
-        client_id: str | None = None,
-    ) -> None:
+    def record_block(self, verdict: QueryVerdict, request_path: str) -> None:
         """Log one blocked verdict to the audit ring.
 
         Detections also count in ``attacks_blocked``; failsafe blocks are
-        logged with their flag but not counted as attacks.  ``client_id``
-        attributes the block to a gateway client or tenant.
+        logged with their flag but not counted as attacks.
         """
         if verdict.detected_by():
             self.stats.bump(attacks_blocked=1)
-        self.attack_log.append(
-            AttackRecord(
-                query=verdict.query,
-                verdict=verdict,
-                request_path=request_path,
-                client_id=client_id,
-            )
-        )
+        self.attack_log.append(AttackRecord(verdict.query, verdict, request_path))
 
     def resilience_report(self) -> dict:
         """Every counter of the engine and its backend, one section per fact.
@@ -924,7 +893,8 @@ class JozaEngine:
         return report
 
     def export_attack_log(self) -> str:
-        """The attack log as a JSON document (operator audit trail)."""
+        """The attack log as a JSON document: counters, then one audit event
+        (:func:`~repro.core.verdict.audit_event`) per blocked query."""
         import json
 
         application = self.stats.snapshot(

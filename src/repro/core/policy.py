@@ -46,9 +46,9 @@ class JozaConfig:
     #: Fault-tolerance knobs: per-query analysis deadline and audit-log
     #: capacity (DESIGN.md section 7).
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
-    #: Query-shape fast path: bounded skeleton-keyed plan cache + shadow
-    #: validation sampling (DESIGN.md "shape fast path").  Active only when
-    #: both techniques are enabled (a plan encodes hybrid-pipeline results).
+    #: Query-shape fast path: bounded skeleton-keyed plan cache (DESIGN.md
+    #: "shape fast path").  Active only when both techniques are enabled
+    #: (a plan encodes hybrid-pipeline results).
     shape: ShapeCacheConfig = field(default_factory=ShapeCacheConfig)
     policy: RecoveryPolicy = RecoveryPolicy.TERMINATE
     enable_nti: bool = True

@@ -109,9 +109,10 @@ class PTIBackend(typing.Protocol):
     backend's current store, in this process: the engine's shape fast
     path builds and re-proves its plans with it.  ``timings`` holds
     wall-clock seconds per :data:`~repro.pti.wire.STAGES` stage (Figure
-    7); ``cache_stats`` reads the caches this process can see (``{}``
-    when they live in a child); ``resilience_snapshot`` reads the
-    backend's fault and call counters.
+    7); ``cache_stats`` reads the caches and matcher counters this
+    process can see (only ``analyzer``'s ``matcher`` when the caches live
+    in a child); ``resilience_snapshot`` reads the backend's fault and
+    call counters.
     """
 
     analyzer: PTIAnalyzer
@@ -714,8 +715,9 @@ class SubprocessPTIDaemon:
     # ------------------------------------------------------------------
 
     def cache_stats(self) -> dict[str, dict[str, float]]:
-        """None visible here: the caches live in the child process."""
-        return {}
+        """The parent-side analyzer's matcher counters (the shape fast
+        path's plan builds and re-proofs); the caches live in the child."""
+        return {"matcher": self.analyzer.matcher_stats()}
 
     def resilience_snapshot(self) -> dict[str, object]:
         """Fault-absorption counters for the audit export / bench reports."""

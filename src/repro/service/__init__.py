@@ -13,13 +13,7 @@ deadline, mid-drain arrival -- resolves to a recorded fail-closed verdict
 or a clean protocol error, never a silent pass.
 """
 
-from .codec import (
-    CodecError,
-    decode_verdict,
-    encode_verdict,
-    failsafe_dict,
-    verdict_to_dict,
-)
+from .codec import decode_verdict, encode_verdict
 from .gateway import (
     AsyncGateway,
     GatewayConfig,
@@ -31,7 +25,6 @@ from .worker import GatewayWorker, WorkerFailure
 
 __all__ = [
     "AsyncGateway",
-    "CodecError",
     "GatewayClient",
     "GatewayConfig",
     "GatewayError",
@@ -40,7 +33,5 @@ __all__ = [
     "WorkerFailure",
     "decode_verdict",
     "encode_verdict",
-    "failsafe_dict",
     "serve",
-    "verdict_to_dict",
 ]

@@ -23,8 +23,9 @@ import time
 from typing import Sequence
 
 from ..core.resilience import CircuitBreaker, RetryPolicy
+from ..core.verdict import CodecError
 from ..pti import wire
-from .codec import CodecError, decode_verdict
+from .codec import decode_verdict
 
 __all__ = ["GatewayClient", "GatewayError"]
 

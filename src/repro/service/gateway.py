@@ -43,13 +43,9 @@ from typing import Callable, Sequence
 
 from ..core.policy import JozaConfig
 from ..core.resilience import Counters, RingLog
+from ..core.verdict import CodecError, audit_event, failsafe_dict
 from ..pti import wire
-from .codec import (
-    decode_verdict,
-    encode_verdict,
-    failsafe_dict,
-    payload_is_safe,
-)
+from .codec import decode_verdict, encode_verdict, payload_is_safe
 from .worker import GatewayWorker, WorkerFailure
 
 __all__ = [
@@ -104,12 +100,8 @@ class GatewayConfig:
     idle_timeout: float = 30.0
     #: ...and for the body of an announced frame to fully arrive.
     frame_timeout: float = 10.0
-    #: Gateway audit ring capacity (shed/expired/refused records).
+    #: Gateway audit ring capacity (events: one per blocked query).
     audit_capacity: int = 10_000
-    #: Per-request artificial service time inside each worker (seconds).
-    #: Lets tests hold a worker busy (a SIGKILL mid-request, saturation
-    #: shedding, a drain with a request in flight); 0 in production.
-    worker_pace_seconds: float = 0.0
     #: Base RNG seed of the fleet.  Workers host in-process PTI daemons
     #: and draw no random numbers, so it currently has no effect; it is
     #: accepted so seeded callers (``serve --seed``) keep working.
@@ -180,8 +172,9 @@ GATEWAY_COUNTERS = (
     "snapshot_pushes",
     #: ... and pushes that failed (worker hung/crashed mid-push).
     "snapshot_push_failures",
-    #: Unsafe verdicts / audit events the durability journal refused
-    #: (disk trouble); the reply path is never taken down by these.
+    #: Audit evidence the ring cannot see: an unsafe verdict payload that
+    #: does not decode, or a failed journal checkpoint.  (An event the
+    #: journal refuses counts once, as the ring's ``sink_failures``.)
     "audit_persist_failures",
     #: Requests whose failsafe reply exceeded ``wire.MAX_FRAME`` and were
     #: answered with a ``GW_ERR_INTERNAL`` error instead.
@@ -212,11 +205,12 @@ class AsyncGateway:
             else {t: list(overlay) for t, overlay in gw.tenants.items()},
         )
         self.stats = Counters(GATEWAY_COUNTERS)
-        #: Gateway-level audit: every shed / expired / refused request, one
-        #: record per query, carrying connection and client (tenant) ids.
+        #: The audit trail behind the gateway: one event per blocked query
+        #: (each shed, refusal and unsafe verdict a worker returns), with
+        #: connection and client (tenant) ids; workers keep none.
         self.audit: RingLog = RingLog(self.gw.audit_capacity)
-        #: Where the drain-time audit flush goes (default: stderr-less
-        #: no-op safe default is stdout via print by ``serve``).
+        #: Where the drain-time audit document goes (``serve`` prints it
+        #: to stdout); ``None`` writes none.
         self._audit_sink = audit_sink
         self._servers: list[asyncio.AbstractServer] = []
         self._free: asyncio.Queue[GatewayWorker] = asyncio.Queue()
@@ -266,13 +260,7 @@ class AsyncGateway:
                     for tenant_id, overlay in self.gw.tenants.items()
                 }
             )
-        return GatewayWorker(
-            worker_id,
-            self.fragments,
-            self.config,
-            pace_seconds=self.gw.worker_pace_seconds,
-            tenants=tenants,
-        )
+        return GatewayWorker(worker_id, self.fragments, self.config, tenants=tenants)
 
     def _restore_durable(self) -> None:
         """Open (and recover) the durable state *before* anything serves.
@@ -307,9 +295,10 @@ class AsyncGateway:
             for tenant_id, overlay in list(self.gw.tenants.items()):
                 if tenant_id not in durable.overlays:
                     durable.set_overlay(tenant_id, overlay)
-        # Every gateway audit record (sheds, refusals) is journaled; ring
-        # eviction stops meaning lost evidence.
-        self.audit.attach_sink(durable.append_audit)
+        # The ring journals every event, so eviction stops meaning lost
+        # evidence.  The attribute is looked up per event, not bound here,
+        # so a wrapper installed on ``durable.append_audit`` sees each one.
+        self.audit.attach_sink(lambda event: durable.append_audit(event))
 
     async def start(self) -> None:
         """Spawn the fleet and bind the listeners."""
@@ -524,20 +513,13 @@ class AsyncGateway:
     # Request processing
     # ------------------------------------------------------------------
 
-    def _audit_shed(
-        self, request: wire.GatewayRequest, conn_id: str, reason: str
+    def _audit(
+        self, request: wire.GatewayRequest, conn_id: str, verdicts: list[dict]
     ) -> None:
-        for query in request.queries:
-            self.audit.append(
-                {
-                    "query": query,
-                    "client_id": request.client_id or None,
-                    "conn_id": conn_id,
-                    "request_path": request.path,
-                    "reason": reason,
-                    "failsafe": True,
-                }
-            )
+        """Record each blocked verdict of one request as one audit event."""
+        client_id = request.client_id or None
+        for verdict in verdicts:
+            self.audit.append(audit_event(verdict, request.path, client_id, conn_id))
 
     def _failsafe_reply(
         self, request: wire.GatewayRequest, conn_id: str, reason: str
@@ -549,20 +531,17 @@ class AsyncGateway:
         to 6x).  That request is answered with a ``GW_ERR_INTERNAL`` error,
         which the client fails closed without retrying.
         """
+        verdicts = [failsafe_dict(query, reason) for query in request.queries]
         try:
-            reply = wire.pack_gateway_reply(
-                [
-                    encode_verdict(failsafe_dict(query, reason))
-                    for query in request.queries
-                ]
-            )
+            reply = wire.pack_gateway_reply([encode_verdict(v) for v in verdicts])
         except wire.WireFormatError:
             self.stats.bump(unframeable_replies=1)
             reason = f"{REASON_UNFRAMEABLE} ({reason})"
+            verdicts = [failsafe_dict(query, reason) for query in request.queries]
             reply = wire.pack_gateway_error(
                 wire.GW_ERR_INTERNAL, REASON_UNFRAMEABLE
             )
-        self._audit_shed(request, conn_id, reason)
+        self._audit(request, conn_id, verdicts)
         return reply
 
     async def _process_frame(self, frame: bytes, conn_id: str) -> bytes:
@@ -581,7 +560,11 @@ class AsyncGateway:
             return wire.pack_gateway_error(wire.GW_ERR_BAD_FRAME, str(exc))
         if self._draining or self._closed:
             self.stats.bump(draining_refused=1)
-            self._audit_shed(request, conn_id, REASON_DRAINING)
+            self._audit(
+                request,
+                conn_id,
+                [failsafe_dict(query, REASON_DRAINING) for query in request.queries],
+            )
             return wire.pack_gateway_error(
                 wire.GW_ERR_DRAINING, REASON_DRAINING
             )
@@ -669,27 +652,20 @@ class AsyncGateway:
                 request, conn_id, f"{REASON_WORKER_FAILED}: {exc.reason}"
             )
         worker.consecutive_failures = 0
+        # Unsafe verdicts are attack evidence: the gateway's ring records
+        # them (workers are disposable processes and keep no audit).
+        # Failures count in the stats, never on the reply path.
+        for payload in payloads:
+            if payload_is_safe(payload):
+                continue
+            try:
+                verdict = decode_verdict(payload)
+            except CodecError:
+                self.stats.bump(audit_persist_failures=1)
+                continue
+            if not verdict["safe"]:
+                self._audit(request, conn_id, [verdict])
         if self.durable is not None:
-            # Unsafe verdicts are attack evidence: journal them at the
-            # gateway (workers are disposable processes whose rings die
-            # with them).  Persistence failures surface via the sink
-            # counters, never on the reply path.
-            for payload in payloads:
-                if payload_is_safe(payload):
-                    continue
-                try:
-                    verdict = decode_verdict(payload)
-                    if not verdict["safe"]:
-                        self.durable.append_audit(
-                            {
-                                "conn_id": conn_id,
-                                "client_id": request.client_id or None,
-                                "request_path": request.path,
-                                "verdict": verdict,
-                            }
-                        )
-                except Exception:
-                    self.stats.bump(audit_persist_failures=1)
             try:
                 self.durable.maybe_checkpoint()
             except Exception:
@@ -799,8 +775,9 @@ class AsyncGateway:
             # stats, and how the audit ring's churn maps onto the journal.
             durability = dict(self.durable.durability_report())
             # ``audit_persisted`` (journal-level, from the DurableState)
-            # counts every journaled audit event; the ring-level counters
-            # say how much of the ring's churn the journal backs.
+            # counts every journaled audit event; the ring's sink journals
+            # them, and its counters say how much of its churn the journal
+            # backs.
             durability["audit_drops_recovered"] = self.audit.drops_recovered
             durability["audit_sink_failures"] = self.audit.sink_failures
             durability["corruption_refusals"] = self.corruption_refusals

@@ -37,17 +37,17 @@ from __future__ import annotations
 
 import multiprocessing
 import threading
-import time
 from typing import Mapping, Sequence
 
 from ..core.engine import JozaEngine
 from ..core.policy import JozaConfig
 from ..core.resilience import Deadline
+from ..core.verdict import failsafe_dict, verdict_to_dict
 from ..phpapp.context import CapturedInput, RequestContext
 from ..pti import wire
 from ..pti.daemon import reap_child
 from ..pti.fragments import FragmentStore
-from .codec import encode_verdict, failsafe_dict, verdict_to_dict
+from .codec import encode_verdict
 
 __all__ = [
     "GatewayWorker",
@@ -132,10 +132,11 @@ class _EngineFleet:
         return report
 
 
-def _inspect(
-    fleet: _EngineFleet, request: wire.GatewayRequest, pace_seconds: float
-) -> bytes:
-    """The ``GW_REPLY`` frame for one request: each verdict encoded once."""
+def _inspect(fleet: _EngineFleet, request: wire.GatewayRequest) -> bytes:
+    """The ``GW_REPLY`` frame for one request: each verdict encoded once.
+
+    The worker keeps no audit: the gateway's ring records the unsafe ones.
+    """
     engine = fleet.route(request.client_id)
     if engine is None:
         # Tenant mode and the client named a tenant this worker does not
@@ -147,21 +148,16 @@ def _inspect(
             for query in request.queries
         ]
     else:
-        if pace_seconds > 0.0:
-            # Holds the worker busy for tests that need a request in
-            # flight (SIGKILL, saturation shedding, drain).
-            time.sleep(pace_seconds)
         context = RequestContext(
             inputs=[CapturedInput(s, n, v) for s, n, v in request.inputs],
             path=request.path,
         )
-        results = engine.inspect_batch(
-            request.queries, context, Deadline(request.budget)
-        )
-        for verdict in results:
-            if not verdict.safe:
-                engine.record_block(verdict, request.path, request.client_id or None)
-        verdicts = [verdict_to_dict(v) for v in results]
+        verdicts = [
+            verdict_to_dict(v)
+            for v in engine.inspect_batch(
+                request.queries, context, Deadline(request.budget)
+            )
+        ]
     return wire.pack_gateway_reply([encode_verdict(v) for v in verdicts])
 
 
@@ -177,7 +173,6 @@ def _gateway_worker_loop(
     conn,
     fragments,
     config: JozaConfig,
-    pace_seconds: float,
     tenants: Mapping[str, Sequence[str]] | None = None,
 ) -> None:
     """Child entry point: answer each frame with one frame until told to stop.
@@ -200,7 +195,7 @@ def _gateway_worker_loop(
                 break
             try:
                 if kind == wire.KIND_GW_REQUEST:
-                    reply = _inspect(fleet, message, pace_seconds)
+                    reply = _inspect(fleet, message)
                 elif kind == wire.KIND_SNAPSHOT:
                     tenant_id, _epoch, overlay = message
                     reply = wire.pack_snapshot_ack(
@@ -235,7 +230,6 @@ class GatewayWorker:
         fragments,
         config: JozaConfig,
         *,
-        pace_seconds: float = 0.0,
         recv_timeout: float = 10.0,
         recv_grace: float = 0.25,
         tenants: Mapping[str, Sequence[str]] | None = None,
@@ -255,7 +249,6 @@ class GatewayWorker:
                 child_conn,
                 list(fragments),
                 config,
-                pace_seconds,
                 (
                     None
                     if tenants is None

@@ -306,7 +306,7 @@ def test_gateway_audit_ring_evictions_are_recovered_not_dropped(tmp_path):
     audit = restarted.durable.recovered.audit
     assert restarted.durable.recovered.source == "checkpoint+journal"
     assert len(audit) == 10
-    assert {e["reason"] for e in audit} == {
+    assert {e["verdict"]["failure_reasons"][0] for e in audit} == {
         gateway_module.REASON_EXPIRED_ON_ARRIVAL
     }
 

@@ -39,8 +39,10 @@ from repro.service import (
     GatewayError,
     GatewayThread,
 )
-from repro.service.codec import encode_verdict, verdict_to_dict
+from repro.core.verdict import verdict_to_dict
+from repro.service.codec import encode_verdict
 from repro.core import JozaConfig, JozaEngine
+from repro.service import worker as worker_module
 from repro.phpapp.context import CapturedInput, RequestContext
 from tests.support.concurrency import SWARM_FRAGMENTS, build_workload
 from tests.support.netfaults import (
@@ -95,6 +97,19 @@ MATRIX = [
         True,
     ),
 ]
+
+
+def pace_workers(monkeypatch, seconds):
+    """Hold each worker busy ``seconds`` per request, so tests can act
+    while one is in flight.  Call before the gateway starts: its workers
+    fork with the patched ``_inspect``."""
+    inspect = worker_module._inspect
+
+    def paced(fleet, request):
+        time.sleep(seconds)
+        return inspect(fleet, request)
+
+    monkeypatch.setattr(worker_module, "_inspect", paced)
 
 
 def make_gateway(tmp_path, **overrides):
@@ -268,7 +283,10 @@ def test_chaos_soak_never_fails_open(tmp_path):
             audited = [
                 r
                 for r in gateway.audit
-                if r["reason"].endswith("expired on arrival")
+                if any(
+                    reason.endswith("expired on arrival")
+                    for reason in r["verdict"]["failure_reasons"]
+                )
             ]
             assert len(audited) >= len(skews)
             assert all(r["client_id"] == "chaos" for r in audited)
@@ -292,10 +310,11 @@ def test_chaos_soak_never_fails_open(tmp_path):
     assert gateway.worker_pids() == []
 
 
-def test_worker_sigkill_mid_request_fails_closed_and_replaces(tmp_path):
-    gateway = make_gateway(
-        tmp_path, workers=1, worker_pace_seconds=0.4, max_deadline=5.0
-    )
+def test_worker_sigkill_mid_request_fails_closed_and_replaces(
+    monkeypatch, tmp_path
+):
+    pace_workers(monkeypatch, 0.4)
+    gateway = make_gateway(tmp_path, workers=1, max_deadline=5.0)
     thread = GatewayThread(gateway).start()
     try:
         client = GatewayClient(
@@ -345,12 +364,12 @@ def test_worker_sigkill_mid_request_fails_closed_and_replaces(tmp_path):
     assert gateway.worker_pids() == []
 
 
-def test_saturation_sheds_are_recorded_fail_closed(tmp_path):
+def test_saturation_sheds_are_recorded_fail_closed(monkeypatch, tmp_path):
+    pace_workers(monkeypatch, 0.5)
     gateway = make_gateway(
         tmp_path,
         workers=1,
         max_queue=0,
-        worker_pace_seconds=0.5,
         admission_timeout=0.05,
         max_deadline=5.0,
     )
@@ -408,10 +427,11 @@ def test_saturation_sheds_are_recorded_fail_closed(tmp_path):
         assert thread.stop()
 
 
-def test_graceful_drain_resolves_inflight_and_leaves_no_zombies(tmp_path):
-    gateway = make_gateway(
-        tmp_path, workers=2, worker_pace_seconds=0.3, drain_timeout=5.0
-    )
+def test_graceful_drain_resolves_inflight_and_leaves_no_zombies(
+    monkeypatch, tmp_path
+):
+    pace_workers(monkeypatch, 0.3)
+    gateway = make_gateway(tmp_path, workers=2, drain_timeout=5.0)
     thread = GatewayThread(gateway).start()
     pids = gateway.worker_pids()
     assert len(pids) == 2 and all(os.path.exists(f"/proc/{p}") for p in pids)
@@ -433,6 +453,7 @@ def test_graceful_drain_resolves_inflight_and_leaves_no_zombies(tmp_path):
     assert not sender.is_alive()
 
     assert drained, "drain timed out with a 0.3s-paced request in flight"
+    assert gateway.drain_stats["inflight_at_drain"] == 1
     # The in-flight request finished with a real verdict, not an error.
     assert result["verdict"]["safe"] is True
     # Every worker process is gone -- no zombies.
@@ -518,7 +539,8 @@ def test_late_requests_during_drain_get_drain_error(tmp_path):
         assert report["draining_refused"] == 1
         # The refusal is audited, attributably.
         assert any(
-            r["reason"].endswith("(SIGTERM)") and r["client_id"] == "late"
+            r["verdict"]["failure_reasons"][0].endswith("(SIGTERM)")
+            and r["client_id"] == "late"
             for r in gateway.audit
         )
         client.close()

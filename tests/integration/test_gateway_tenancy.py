@@ -25,7 +25,8 @@ from repro.service import (
     GatewayConfig,
     GatewayThread,
 )
-from repro.service.codec import encode_verdict, verdict_to_dict
+from repro.core.verdict import verdict_to_dict
+from repro.service.codec import encode_verdict
 from repro.service.worker import REASON_UNKNOWN_TENANT
 from tests.support.concurrency import SWARM_FRAGMENTS
 

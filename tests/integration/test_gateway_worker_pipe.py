@@ -138,7 +138,9 @@ def test_faulty_worker_is_reaped_and_replaced(monkeypatch, tmp_path, answer, rea
             r.startswith(REASON_WORKER_FAILED) and reason in r
             for r in verdict["failure_reasons"]
         )
-        assert any(reason in r["reason"] for r in gateway.audit)
+        assert any(
+            reason in r["verdict"]["failure_reasons"][0] for r in gateway.audit
+        )
         report = gateway.resilience_report()["gateway"]
         assert report["worker_failures"] == 1
         assert report["worker_replacements"] == 1
@@ -191,8 +193,12 @@ def test_unframeable_reply_gets_coded_error_after_one_analysis(monkeypatch, tmp_
         assert stats["requests_accepted"] == 1  # one analysis, no retries
         assert stats["unframeable_replies"] == 1
         assert stats["worker_failures"] == 1
-        audited = [r for r in gateway.audit if r["reason"].startswith(REASON_UNFRAMEABLE)]
-        assert [r["query"] for r in audited] == [query]
+        audited = [
+            r
+            for r in gateway.audit
+            if r["verdict"]["failure_reasons"][0].startswith(REASON_UNFRAMEABLE)
+        ]
+        assert [r["verdict"]["query"] for r in audited] == [query]
         assert worker.is_alive() and worker.consecutive_failures == 1
 
         assert ask(gateway, *BENIGN)["safe"] is True

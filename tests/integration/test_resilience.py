@@ -6,7 +6,7 @@ import signal
 
 import pytest
 
-from repro.core import JozaEngine
+from repro.core import JozaEngine, dict_to_verdict
 from repro.phpapp.context import CapturedInput, RequestContext
 from repro.pti import FragmentStore, SubprocessPTIDaemon
 
@@ -52,10 +52,11 @@ def test_attack_log_export_roundtrips_as_json():
     assert payload["application_stats"]["attacks_blocked"] == 1
     (attack,) = payload["attacks"]
     assert attack["request_path"] == "/victim"
-    assert "UNION SELECT 2" in attack["query"]
-    assert set(attack["detected_by"]) <= {"nti", "pti"}
-    assert attack["detections"]
-    tokens = {d["token"] for d in attack["detections"]}
+    verdict = dict_to_verdict(attack["verdict"])
+    assert "UNION SELECT 2" in verdict.query
+    assert {t.value for t in verdict.detected_by()} <= {"nti", "pti"}
+    assert verdict.detections
+    tokens = {d.token_text for d in verdict.detections}
     assert "UNION" in tokens
 
 
@@ -69,5 +70,20 @@ def test_attack_record_to_dict_fields():
     except Exception:
         pass
     record = engine.attack_log[0].to_dict()
-    for detection in record["detections"]:
-        assert set(detection) == {"technique", "token", "start", "end", "reason", "input"}
+    assert set(record) == {"request_path", "client_id", "conn_id", "verdict"}
+    detections = [
+        detection
+        for technique in ("pti", "nti")
+        if record["verdict"][technique] is not None
+        for detection in record["verdict"][technique]["detections"]
+    ]
+    assert detections
+    for detection in detections:
+        assert set(detection) == {
+            "technique",
+            "token_text",
+            "token_start",
+            "token_end",
+            "reason",
+            "input_value",
+        }

@@ -193,7 +193,13 @@ def test_every_backend_gives_the_engine_the_same_report_sections():
             engine = JozaEngine(store, daemon=daemon)
             assert engine.inspect("SELECT a FROM t WHERE id = 1", context).safe
             engine.daemon.refresh_fragments(FragmentStore(FRAGMENTS))
-            assert engine.inspect("SELECT a FROM t WHERE id = 2", context).safe
+            # A shape-warm run: the shape's first sighting survives the swap,
+            # so its plan is built here and proves the next three queries
+            # with the backend's analyzer.
+            for i in range(2, 6):
+                query = f"SELECT a FROM t WHERE id = {i}"
+                assert engine.inspect(query, context).safe
+            assert engine.stats.shape_hits == 3
             assert tuple(engine.daemon.timings.snapshot()) == wire.STAGES
             reports[name] = engine.resilience_report()
             caches[name] = engine.cache_stats()
@@ -204,9 +210,11 @@ def test_every_backend_gives_the_engine_the_same_report_sections():
     for name in backends:
         assert set(reports[name]) == sections, name
         assert set(caches[name]) == {"nti", "pti", "shape"}, name
-    # A subprocess daemon's caches live in its child; its fault counters
-    # are the parent's.
-    assert caches["subprocess"]["pti"] == {}
+    # A subprocess daemon's caches live in its child; its parent-side
+    # matching work (the shape path's plan build and re-proofs) and its
+    # fault counters are the parent's.
+    assert set(caches["subprocess"]["pti"]) == {"matcher"}
+    assert caches["subprocess"]["pti"]["matcher"]["comparisons"] > 0
     assert set(caches["in-process"]["pti"]) == {"query", "structure", "matcher"}
     assert reports["subprocess"]["daemon"]["spawns"] == 2  # one per store
     assert reports["subprocess"]["daemon"]["breaker"]["state"] == "closed"

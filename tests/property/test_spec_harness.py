@@ -4,9 +4,11 @@ The rule is ``tests/reference/hybrid_spec.py`` (DESIGN.md section 1): PTI
 covers every critical token with one fragment occurrence, NTI's difference
 ratio plus the whole-token rule, and the AND of the two.  This harness
 generates cases and requires every deployment shape to give the spec's
-verdict on every query, overall and for PTI and NTI separately, and PTI's
-detections (each uncovered critical token's text and span), under both
-token policies, with ``failsafe`` false (no fault is injected).
+verdict on every query, overall and for PTI and NTI separately, and each
+technique's detections in the spec's order (PTI: each uncovered critical
+token's text and span; NTI: each covered critical token's text and span
+with the input that covers it), under both token policies, with
+``failsafe`` false (no fault is injected).
 
 A case is
 
@@ -450,43 +452,55 @@ def _fastpath_case():
 
 
 def spec_views(case, vocabulary, strict):
-    """``(safe, pti_safe, nti_safe, failsafe, pti_detections)`` as the
-    spec decides each query of one phase."""
+    """``(safe, pti_safe, nti_safe, failsafe, pti_detections,
+    nti_detections)`` as the spec decides each query of one phase."""
     views = []
     for request in case.requests:
         for query in request.queries:
             safe, pti, nti = hybrid_spec(
                 query, vocabulary, request.inputs, THRESHOLD, strict
             )
-            views.append((safe, pti[0], nti[0], False, tuple(pti[1])))
+            views.append((safe, pti[0], nti[0], False, tuple(pti[1]), tuple(nti[2])))
     return views
 
 
 def engine_view(verdict):
-    pti = verdict.pti
+    pti, nti = verdict.pti, verdict.nti
     return (
         verdict.safe,
         None if pti is None else pti.safe,
-        None if verdict.nti is None else verdict.nti.safe,
+        None if nti is None else nti.safe,
         verdict.failsafe,
         None
         if pti is None
         else tuple((d.token_text, d.token_start, d.token_end) for d in pti.detections),
+        None
+        if nti is None
+        else tuple(
+            (d.token_text, d.token_start, d.token_end, d.input_value)
+            for d in nti.detections
+        ),
     )
 
 
 def gateway_view(verdict):
-    pti = verdict["pti"]
+    pti, nti = verdict["pti"], verdict["nti"]
     return (
         verdict["safe"],
         None if pti is None else pti["safe"],
-        None if verdict["nti"] is None else verdict["nti"]["safe"],
+        None if nti is None else nti["safe"],
         verdict["failsafe"],
         None
         if pti is None
         else tuple(
             (d["token_text"], d["token_start"], d["token_end"])
             for d in pti["detections"]
+        ),
+        None
+        if nti is None
+        else tuple(
+            (d["token_text"], d["token_start"], d["token_end"], d["input_value"])
+            for d in nti["detections"]
         ),
     )
 

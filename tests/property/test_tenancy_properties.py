@@ -25,7 +25,8 @@ from hypothesis import strategies as st
 
 from repro.core import JozaEngine
 from repro.phpapp.context import CapturedInput, RequestContext
-from repro.service.codec import encode_verdict, verdict_to_dict
+from repro.core.verdict import verdict_to_dict
+from repro.service.codec import encode_verdict
 from repro.tenancy import TenantRegistry
 
 BASE = [

@@ -14,6 +14,7 @@ from repro.core import (
     JozaEngine,
     ResilienceConfig,
     Technique,
+    dict_to_verdict,
 )
 from repro.phpapp.application import (
     QueryBlockedError,
@@ -96,9 +97,9 @@ def test_failsafe_block_raises_and_is_audited_but_not_an_attack():
     assert "fail-closed" in str(err.value)
     assert engine.stats.attacks_blocked == 0  # not a detection
     assert engine.stats.failsafe_blocks == 1
-    record = engine.attack_log[0].to_dict()
+    record = engine.attack_log[0].to_dict()["verdict"]
     assert record["failsafe"] is True
-    assert record["detected_by"] == []
+    assert dict_to_verdict(record).detected_by() == set()
     assert record["failure_reasons"]
 
 
@@ -115,8 +116,8 @@ def test_pti_failure_keeps_the_nti_detection_as_evidence():
     assert engine.stats.nti_detections == 1
     assert engine.stats.failsafe_blocks == 1
     assert engine.stats.attacks_blocked == 1
-    record = engine.attack_log[0].to_dict()
-    assert record["detected_by"] == ["nti"]
+    record = engine.attack_log[0].to_dict()["verdict"]
+    assert dict_to_verdict(record).detected_by() == {Technique.NTI}
     assert record["failsafe"] is True and record["degraded"] is False
     assert record["failure_reasons"]
 

@@ -17,9 +17,9 @@ Mirrors the ``test_wire_format.py`` contract for the gateway frame kinds
 
 The codec half: canonical verdict JSON round-trips losslessly, is
 deterministic (the byte-parity acceptance check depends on it), and
-mangled payloads raise :class:`~repro.service.codec.CodecError` rather
+mangled payloads raise :class:`~repro.core.verdict.CodecError` rather
 than ever yielding a dict whose ``safe`` is not a genuine bool.  The
-payload tail check the gateway journals by agrees with the decoded
+payload tail check the gateway audits by agrees with the decoded
 ``safe`` on every encoded verdict.
 """
 
@@ -31,10 +31,14 @@ from hypothesis import strategies as st
 
 from repro.core.verdict import (
     AnalysisResult,
+    CodecError,
     Detection,
     QueryVerdict,
     TaintMarking,
     Technique,
+    dict_to_verdict,
+    failsafe_dict,
+    verdict_to_dict,
 )
 from repro.pti import wire
 from repro.service import codec
@@ -342,23 +346,23 @@ def make_verdict() -> QueryVerdict:
 
 def test_codec_round_trip_is_lossless():
     verdict = make_verdict()
-    data = codec.verdict_to_dict(verdict)
+    data = verdict_to_dict(verdict)
     encoded = codec.encode_verdict(data)
     decoded = codec.decode_verdict(encoded)
     assert decoded == data
-    rebuilt = codec.dict_to_verdict(decoded)
+    rebuilt = dict_to_verdict(decoded)
     assert rebuilt == verdict
 
 
 def test_codec_encoding_is_deterministic():
-    data = codec.verdict_to_dict(make_verdict())
+    data = verdict_to_dict(make_verdict())
     assert codec.encode_verdict(data) == codec.encode_verdict(dict(data))
     shuffled = dict(reversed(list(data.items())))
     assert codec.encode_verdict(shuffled) == codec.encode_verdict(data)
 
 
 def test_failsafe_dict_is_never_safe_and_always_attributed():
-    data = codec.failsafe_dict("SELECT 1", "gateway: admission queue full")
+    data = failsafe_dict("SELECT 1", "gateway: admission queue full")
     assert data["safe"] is False
     assert data["failsafe"] is True
     assert data["failure_reasons"] == ["gateway: admission queue full"]
@@ -381,7 +385,7 @@ def test_failsafe_dict_is_never_safe_and_always_attributed():
     ],
 )
 def test_mangled_payloads_raise_codec_error(payload):
-    with pytest.raises(codec.CodecError):
+    with pytest.raises(CodecError):
         codec.decode_verdict(payload)
 
 
@@ -390,16 +394,16 @@ def test_mangled_payloads_raise_codec_error(payload):
 def test_random_payloads_never_yield_nonbool_safe(payload):
     try:
         data = codec.decode_verdict(payload)
-    except codec.CodecError:
+    except CodecError:
         return
     assert isinstance(data["safe"], bool)
 
 
 def test_dict_to_verdict_rejects_malformed_structures():
-    with pytest.raises(codec.CodecError):
-        codec.dict_to_verdict({"query": "q"})
-    with pytest.raises(codec.CodecError):
-        codec.dict_to_verdict(
+    with pytest.raises(CodecError):
+        dict_to_verdict({"query": "q"})
+    with pytest.raises(CodecError):
+        dict_to_verdict(
             {
                 "query": "q",
                 "safe": True,
@@ -462,9 +466,9 @@ VERDICT_DICTS = st.one_of(
         degraded=st.booleans(),
         failsafe=st.booleans(),
         failure_reasons=st.lists(VERDICT_TEXT, max_size=2),
-    ).map(codec.verdict_to_dict),
+    ).map(verdict_to_dict),
     st.builds(
-        codec.failsafe_dict,
+        failsafe_dict,
         VERDICT_TEXT,
         VERDICT_TEXT,
         tenant=st.none() | VERDICT_TEXT,
@@ -473,8 +477,8 @@ VERDICT_DICTS = st.one_of(
 
 
 @given(VERDICT_DICTS)
-@example(codec.failsafe_dict('SELECT \'"safe":true}', '"safe":true}'))
-@example(codec.verdict_to_dict(make_verdict()))
+@example(failsafe_dict('SELECT \'"safe":true}', '"safe":true}'))
+@example(verdict_to_dict(make_verdict()))
 @settings(max_examples=300, deadline=None)
 def test_payload_is_safe_agrees_with_decoded_safe(data):
     payload = codec.encode_verdict(data)
@@ -485,5 +489,5 @@ def test_payload_is_safe_agrees_with_decoded_safe(data):
 def test_safe_is_the_last_verdict_key():
     # payload_is_safe reads the tail of the sorted-key encoding: a key
     # sorting after "safe" would move the safe flag off the tail.
-    assert max(codec.verdict_to_dict(make_verdict())) == "safe"
-    assert max(codec.failsafe_dict("q", "reason", tenant="t")) == "safe"
+    assert max(verdict_to_dict(make_verdict())) == "safe"
+    assert max(failsafe_dict("q", "reason", tenant="t")) == "safe"
